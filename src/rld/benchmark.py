@@ -100,7 +100,9 @@ def run_benchmark(scenario: Scenario, policies=("3sigma", "lattice", "ct"),
                 scenario, tag, n_samples=solver_samples, seed=0
             )
         except Exception as exc:
-            raise type(exc)(f"policy {tag!r}: {exc}") from exc
+            # keep the exception as raised: its type picks the CLI exit code
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), f"policy {tag!r}"]
+            raise
         solve_ms[tag] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()

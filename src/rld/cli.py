@@ -178,14 +178,19 @@ def rbm_table(mu, sigma, capacity, out):
     click.echo(f"wrote {out}")
 
 
+def _describe(exc: Exception) -> str:
+    """The message plus any context notes attached on the way up."""
+    return "; ".join([str(exc), *getattr(exc, "__notes__", ())])
+
+
 def entry() -> int:
     try:
         main.main(standalone_mode=False)
     except (ScenarioError, ParseError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {_describe(exc)}", err=True)
         return EXIT_VALIDATION
     except DegeneratePriceError as exc:
-        click.echo(f"solver error: {exc}", err=True)
+        click.echo(f"solver error: {_describe(exc)}", err=True)
         return EXIT_SOLVER
     except click.ClickException as exc:
         exc.show()

@@ -58,15 +58,21 @@ def _solve_decreasing(fn: Callable[[float], float], target: float,
                       width_tol: float = 1e-9,
                       max_iter: int = 200) -> tuple[float, float, int]:
     """Root of a nonincreasing fn(x) = target with bracket expansion."""
-    f_lo = fn(lo)
-    f_hi = fn(hi)
+    def finite(x: float) -> float:
+        val = fn(x)
+        if not (math.isfinite(x) and math.isfinite(val)):
+            raise DegeneratePriceError(f"target {target}: f({x}) = {val} is not finite")
+        return val
+
+    f_lo = finite(lo)
+    f_hi = finite(hi)
     grow = max(hi - lo, 1.0)
     for _ in range(80):
         if f_lo >= target:
             break
         lo -= grow
         grow *= 2.0
-        f_lo = fn(lo)
+        f_lo = finite(lo)
     else:
         raise DegeneratePriceError(f"target {target} above achievable range (max {f_lo})")
     grow = max(hi - lo, 1.0)
@@ -75,7 +81,7 @@ def _solve_decreasing(fn: Callable[[float], float], target: float,
             break
         hi += grow
         grow *= 2.0
-        f_hi = fn(hi)
+        f_hi = finite(hi)
     else:
         raise DegeneratePriceError(f"target {target} below achievable range (min {f_hi})")
 
@@ -84,7 +90,7 @@ def _solve_decreasing(fn: Callable[[float], float], target: float,
     iters = 0
     for iters in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
-        val = fn(mid)
+        val = finite(mid)
         resid = abs(val - target)
         if resid <= resid_tol:
             break
@@ -94,7 +100,7 @@ def _solve_decreasing(fn: Callable[[float], float], target: float,
             hi = mid
         if hi - lo < width_tol * max(1.0, abs(mid)):
             mid = 0.5 * (lo + hi)
-            resid = abs(fn(mid) - target)
+            resid = abs(finite(mid) - target)
             break
     return mid, resid, iters
 
@@ -125,7 +131,7 @@ class TerminalModel:
     engine: str
     grad: Callable
     scale: float      # characteristic width, used to seed brackets
-    grad_exact: Callable | None = None   # scalar, set when grad interpolates
+    grad_exact: Callable | None = None   # vectorized, set when grad interpolates
 
 
 def build_terminal_model(scenario: Scenario, engine: str, *,
@@ -161,7 +167,10 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
 
         return TerminalModel(engine, grad_hard, scale=max(T * capacity, 1.0))
 
-    if capacity == 0.0:
+    sigma_sq = scenario.delivery_fluctuation_variance
+    # a subnormal B overflows the ct width sigma_sq / 2B; storage that small
+    # holds nothing, so every engine takes the B = 0 closed form
+    if capacity == 0.0 or not math.isfinite(sigma_sq / (2 * capacity)):
 
         def grad_b0(w):
             return closed_form_b0(np.asarray(w, dtype=float) + m_total, fc, voll)[1]
@@ -169,7 +178,6 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
         return TerminalModel(engine, grad_b0, scale)
 
     if engine == "ct":
-        sigma_sq = scenario.delivery_fluctuation_variance
 
         def grad_ct(w):
             return ct_terminal_subgradient(w, 0.0, sigma_sq, capacity, voll)
@@ -186,9 +194,7 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
     ]))
 
     if engine == "lattice":
-        vals = np.array([
-            lattice_terminal_subgradient(w + m_total, fc, capacity, voll) for w in ws
-        ])
+        vals = lattice_terminal_subgradient(ws + m_total, fc, capacity, voll)
     else:
         gen = run_generator(seed, 0x6D63)  # dedicated stream for the mc engine
         noise = gen.standard_normal((n_mc_paths, T))
@@ -213,7 +219,8 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
     grad_exact = None
     if engine == "lattice":
         def grad_exact(w):
-            return lattice_terminal_subgradient(float(w) + m_total, fc, capacity, voll)
+            return lattice_terminal_subgradient(np.asarray(w, dtype=float) + m_total,
+                                                fc, capacity, voll)
 
     return TerminalModel(engine, grad_interp, scale, grad_exact=grad_exact)
 
@@ -270,7 +277,7 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
         # Newton polish against the non-interpolated engine so the recorded
         # residual is honest with respect to the exact subgradient.
         def rhs_exact(delta: float) -> float:
-            return -float(weights @ np.array([grad_exact(delta - nd) for nd in nodes]))
+            return -float(weights @ grad_exact(delta - nodes))
 
         d_cur = float(deltas[R - 1])
         h = 1e-5 * max(scale, 1.0)
@@ -329,10 +336,16 @@ def solve_ct_thresholds(ladder: MarketLadder, shift_stds, voll: float,
     Thresholds follow as offset + current total forecast.  ``shift_stds``
     holds the per-stage forecast-revision stds, final revision last.
     """
+    width = sigma_sq_delivery / (2.0 * capacity) if capacity > 0 else math.inf
+    if not math.isfinite(width):
+        # the B -> 0 limit needs the stage profile: build_terminal_model has it
+        raise ValueError(f"ct approximation needs sigma_sq / (2 capacity) finite, "
+                         f"got capacity {capacity}")
+
     def grad(w):
         return ct_terminal_subgradient(w, 0.0, sigma_sq_delivery, capacity, voll)
 
-    scale = max(sigma_sq_delivery / (2.0 * capacity), math.sqrt(sigma_sq_delivery))
+    scale = max(width, math.sqrt(sigma_sq_delivery))
     deltas, _, _ = solve_delta_offsets(
         ladder.prices, voll, shift_stds, grad, scale=scale,
         n_samples=n_samples, seed=seed, directions=ladder.directions,

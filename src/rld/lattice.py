@@ -24,8 +24,8 @@ from scipy.special import ndtr
 
 from .model import ForecastModel
 from .walks import (
+    NormalStep,
     Step,
-    WindowResult,
     advance,
     as_steps,
     initial_state,
@@ -95,12 +95,16 @@ class LatticeSolution:
     subgradient: float
 
 
-def build_lattice(forecast: ForecastModel, capacity: float, supply: float) -> Lattice:
-    """Populate every node's predicted effective deficit and depth."""
+def _check_lattice(forecast: ForecastModel, capacity: float) -> None:
     if forecast.n_stages < 1:
         raise ValueError("need at least one delivery stage")
     if capacity <= 0:
         raise ValueError("lattice needs capacity > 0; use closed_form_b0 for B = 0")
+
+
+def build_lattice(forecast: ForecastModel, capacity: float, supply: float) -> Lattice:
+    """Populate every node's predicted effective deficit and depth."""
+    _check_lattice(forecast, capacity)
     T = forecast.n_stages
     d = forecast.d_hat
     prefix = np.concatenate(([0.0], np.cumsum(d)))
@@ -119,8 +123,19 @@ def build_lattice(forecast: ForecastModel, capacity: float, supply: float) -> La
     return Lattice(T, float(capacity), float(supply), forecast, d_eff, depth)
 
 
+# A chain walk starts with at most unit mass, so dropping it once its
+# surviving mass is this small moves a cost or subgradient by about 1e-20
+# of VOLL per chain, far beneath the rounding of their sums.  Deep-tail
+# walks would otherwise linger for tens of steps with a window that
+# outruns their grid, rebuilding their kernels at every step.
+_NEGLIGIBLE = 1e-20
+# Positions whose template walks advance together; each walk keeps a
+# 257 x 257 Gaussian kernel (0.53 MB), so this bounds the kernel memory.
+_BLOCK = 16
+
+
 def _run_chain(solution_arrays, lattice: Lattice, start_level: int, side: str,
-               start_prob: float, steps: list[Step]) -> None:
+               start_prob: float, steps: list[Step], kernels: dict) -> None:
     """Propagate one boundary chain, writing per-node masses in place."""
     visit, left, mid, right, moment = solution_arrays
     T = lattice.n_stages
@@ -131,7 +146,7 @@ def _run_chain(solution_arrays, lattice: Lattice, start_level: int, side: str,
         k = (1 + j) if side == "left" else (2 * start_level + 1 + j)
         lo = lattice.lower_bound(i, k)
         hi = lattice.upper_bound(i, k)
-        res = advance(state, steps[i], lo, hi)
+        res = advance(state, steps[i], lo, hi, floor=_NEGLIGIBLE, kernels=kernels)
         visit[i][k - 1] = start_prob * carry
         left[i][k - 1] = start_prob * res.above
         mid[i][k - 1] = start_prob * res.inside
@@ -143,40 +158,84 @@ def _run_chain(solution_arrays, lattice: Lattice, start_level: int, side: str,
             break
 
 
-def _run_template(bound_offset: float, margin: float, capacity: float,
-                  steps: list[Step], length: int) -> list[WindowResult]:
-    """Window results of a constant-profile chain, per unit start mass.
+def _upper_edges(margins: np.ndarray, capacity: float, T: int) -> np.ndarray:
+    """Upper window edges (j+1)*margin + offset of the boundary chains.
 
-    Position j uses the window ((j+1)*margin + bound_offset - capacity,
-    (j+1)*margin + bound_offset]; offset 0 gives the empty-boundary chain
-    and offset +capacity the full-boundary chain.
+    Indexed [chain, row, j]: offset 0 gives the empty-boundary chain and
+    offset +capacity the full-boundary chain; each window is capacity wide.
     """
-    out: list[WindowResult] = []
-    state = initial_state()
-    for j in range(length):
-        hi = (j + 1) * margin + bound_offset
-        res = advance(state, steps[j], hi - capacity, hi)
-        out.append(res)
-        state = res.state
-        if state is None:
-            break
+    return np.arange(1, T + 1) * margins[:, None] + np.array([0.0, capacity])[:, None, None]
+
+
+def _templates(edges: np.ndarray, capacity: float, sigma: float) -> np.ndarray:
+    """Window results of the constant-profile boundary chains, per unit start mass.
+
+    Returns an array indexed [chain, field (above, inside, below,
+    above_moment), row, j]; the fields are zero once a walk has died.
+    """
+    _, n, T = edges.shape
+    out = np.zeros((2, 4, n, T))
+    step = NormalStep(sigma)
+    for c in range(2):
+        for b in range(0, n, _BLOCK):
+            block = slice(b, b + _BLOCK)
+            state = initial_state()
+            for j in range(T):
+                hi = edges[c, block, j]
+                res = advance(state, step, hi - capacity, hi, floor=_NEGLIGIBLE)
+                out[c, :, block, j] = res.above, res.inside, res.below, res.above_moment
+                state = res.state
+                if state is None:
+                    break
     return out
 
 
-def solve_lattice(lattice: Lattice, voll: float,
-                  error_steps: list[Step] | None = None) -> LatticeSolution:
-    """Compute all node probabilities, the expected cost and its subgradient."""
+def _boundary_visits(tmpl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities q_i, r_i that level i's empty / full boundary node is visited.
+
+    A chain started at level s exits at level s+j with the template mass of
+    position j, so the boundary visits obey the renewal recursion
+    q_i = sum_{s<i} q_s above^empty_{i-1-s} + r_s above^full_{i-1-s}, and
+    r_i likewise with the below masses; q_0 = 1 and r_0 = 0.
+    """
+    above_l, above_r = tmpl[0, 0], tmpl[1, 0]
+    below_l, below_r = tmpl[0, 2], tmpl[1, 2]
+    n, T = above_l.shape
+    q = np.zeros((n, T))
+    r = np.zeros((n, T))
+    q[:, 0] = 1.0
+    for i in range(1, T):
+        back = slice(i - 1, None, -1)
+        q[:, i] = np.einsum("ns,ns->n", q[:, :i], above_l[:, back]) \
+            + np.einsum("ns,ns->n", r[:, :i], above_r[:, back])
+        r[:, i] = np.einsum("ns,ns->n", q[:, :i], below_l[:, back]) \
+            + np.einsum("ns,ns->n", r[:, :i], below_r[:, back])
+    return q, r
+
+
+def _chain_totals(q: np.ndarray, r: np.ndarray, per_position: np.ndarray) -> np.ndarray:
+    """sum_s q_s sum_{j<T-s} f^empty_j + r_s sum_{j<T-s} f^full_j, per row.
+
+    ``per_position`` is indexed [chain, row, j]; a chain started at level s
+    only has the positions j < T - s that lie inside the interval.
+    """
+    tail = np.cumsum(per_position, axis=-1)[..., ::-1]
+    return np.einsum("ns,ns->n", q, tail[0]) + np.einsum("ns,ns->n", r, tail[1])
+
+
+def solve_lattice(lattice: Lattice, voll: float, error_steps: list[Step] | None = None,
+                  *, kernels: dict | None = None) -> LatticeSolution:
+    """Compute all node probabilities, the expected cost and its subgradient.
+
+    ``kernels`` shares walk kernels between calls (see ``walks.advance``);
+    by default the chains of this call share a dict of their own.
+    """
     T = lattice.n_stages
     x = lattice.supply
-    fc = lattice.forecast
-    if error_steps is None:
-        steps = as_steps(fc.sigma)
-        fast = fc.constant_profile
-    else:
-        if len(error_steps) != T:
-            raise ValueError("need one error step per delivery stage")
-        steps = list(error_steps)
-        fast = False
+    if error_steps is not None and len(error_steps) != T:
+        raise ValueError("need one error step per delivery stage")
+    steps = as_steps(lattice.forecast.sigma) if error_steps is None else list(error_steps)
+    kernels = {} if kernels is None else kernels
 
     visit = [np.zeros(2 * i + 1) for i in range(T)]
     left = [np.zeros(2 * i + 1) for i in range(T)]
@@ -184,40 +243,13 @@ def solve_lattice(lattice: Lattice, voll: float,
     right = [np.zeros(2 * i + 1) for i in range(T)]
     moment = [np.zeros(2 * i + 1) for i in range(T)]
     arrays = (visit, left, mid, right, moment)
-
-    if fast:
-        margin = x - fc.d_hat[0]
-        tmpl_left = _run_template(0.0, margin, lattice.capacity, steps, T)
-        tmpl_right = _run_template(lattice.capacity, margin, lattice.capacity, steps, T)
-
-        def fill(start_level, side, start_prob, template):
-            carry = 1.0
-            for j, res in enumerate(template):
-                i = start_level + j
-                if i >= T:
-                    break
-                k = (1 + j) if side == "left" else (2 * start_level + 1 + j)
-                visit[i][k - 1] = start_prob * carry
-                left[i][k - 1] = start_prob * res.above
-                mid[i][k - 1] = start_prob * res.inside
-                right[i][k - 1] = start_prob * res.below
-                moment[i][k - 1] = start_prob * res.above_moment
-                carry = res.inside
-
-        fill(0, "left", 1.0, tmpl_left)
-        for i0 in range(1, T):
-            # boundary visit probabilities: sums of the previous level's exits
-            q = float(left[i0 - 1].sum())
-            r = float(right[i0 - 1].sum())
-            fill(i0, "left", q, tmpl_left)
-            fill(i0, "right", r, tmpl_right)
-    else:
-        _run_chain(arrays, lattice, 0, "left", 1.0, steps)
-        for i0 in range(1, T):
-            q = float(left[i0 - 1].sum())
-            r = float(right[i0 - 1].sum())
-            _run_chain(arrays, lattice, i0, "left", q, steps)
-            _run_chain(arrays, lattice, i0, "right", r, steps)
+    _run_chain(arrays, lattice, 0, "left", 1.0, steps, kernels)
+    for i0 in range(1, T):
+        # boundary visit probabilities: sums of the previous level's exits
+        q = float(left[i0 - 1].sum())
+        r = float(right[i0 - 1].sum())
+        _run_chain(arrays, lattice, i0, "left", q, steps, kernels)
+        _run_chain(arrays, lattice, i0, "right", r, steps, kernels)
 
     cost = 0.0
     subgrad = 0.0
@@ -230,22 +262,52 @@ def solve_lattice(lattice: Lattice, voll: float,
     return LatticeSolution(lattice, voll, visit, left, mid, right, moment, cost, subgrad)
 
 
-def lattice_terminal_cost(x_accumulated: float, forecast: ForecastModel,
+def _terminal(x_accumulated, forecast: ForecastModel, capacity: float, voll: float,
+              error_steps: list[Step] | None):
+    """(cost, subgradient) of the delivery interval, broadcast over positions."""
+    x_acc = np.asarray(x_accumulated, dtype=float)
+    T = forecast.n_stages
+    supply = x_acc.reshape(-1) / T
+    if error_steps is None and forecast.constant_profile and forecast.sigma[0] > 0.0:
+        # every chain of a constant Gaussian profile follows one of two templates
+        _check_lattice(forecast, capacity)
+        edges = _upper_edges(supply - forecast.d_hat[0], capacity, T)
+        tmpl = _templates(edges, capacity, float(forecast.sigma[0]))
+        q, r = _boundary_visits(tmpl)
+        above, moment = tmpl[:, 0], tmpl[:, 3]
+        # the node at chain position j has depth j and shortfall gap -edge_j
+        cost = voll * _chain_totals(q, r, moment - edges * above)
+        subgrad = -voll / T * _chain_totals(q, r, np.arange(1.0, T + 1.0) * above)
+    else:
+        kernels: dict = {}
+        sols = [solve_lattice(build_lattice(forecast, capacity, s), voll, error_steps,
+                              kernels=kernels)
+                for s in supply]
+        cost = np.array([sol.cost for sol in sols])
+        subgrad = np.array([sol.subgradient for sol in sols])
+    if x_acc.ndim == 0:
+        return float(cost[0]), float(subgrad[0])
+    return cost.reshape(x_acc.shape), subgrad.reshape(x_acc.shape)
+
+
+def lattice_terminal_cost(x_accumulated, forecast: ForecastModel,
                           capacity: float, voll: float,
-                          error_steps: list[Step] | None = None) -> float:
-    """Expected VOLL cost of the delivery interval for accumulated energy x."""
-    supply = float(x_accumulated) / forecast.n_stages
-    lat = build_lattice(forecast, capacity, supply)
-    return solve_lattice(lat, voll, error_steps).cost
+                          error_steps: list[Step] | None = None):
+    """Expected VOLL cost of the delivery interval for accumulated energy x.
+
+    Broadcasts over an array of accumulated positions.
+    """
+    return _terminal(x_accumulated, forecast, capacity, voll, error_steps)[0]
 
 
-def lattice_terminal_subgradient(x_accumulated: float, forecast: ForecastModel,
+def lattice_terminal_subgradient(x_accumulated, forecast: ForecastModel,
                                  capacity: float, voll: float,
-                                 error_steps: list[Step] | None = None) -> float:
-    """Constrained subgradient of the expected cost in the accumulated energy."""
-    supply = float(x_accumulated) / forecast.n_stages
-    lat = build_lattice(forecast, capacity, supply)
-    return solve_lattice(lat, voll, error_steps).subgradient
+                                 error_steps: list[Step] | None = None):
+    """Constrained subgradient of the expected cost in the accumulated energy.
+
+    Broadcasts over an array of accumulated positions.
+    """
+    return _terminal(x_accumulated, forecast, capacity, voll, error_steps)[1]
 
 
 def closed_form_b0(x_accumulated, forecast: ForecastModel, voll: float):

@@ -373,6 +373,12 @@ def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
             raise ParseError(f"scenario: missing required field '{key}'")
         return doc[key]
 
+    def number(key, value, kind=float):
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{key}: not a number: {value!r}") from exc
+
     ladder_rows = need("ladder")
     if not isinstance(ladder_rows, list) or not ladder_rows:
         raise ParseError("ladder: must be a nonempty list of stages")
@@ -384,7 +390,7 @@ def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"ladder: malformed stage entry: {exc}") from exc
 
-    cost = CostModel(voll=float(need("voll")))
+    cost = CostModel(voll=number("voll", need("voll")))
 
     st = need("storage")
     try:
@@ -394,10 +400,10 @@ def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
             recharge_eff=float(st.get("mu", 1.0)),
             discharge_eff=float(st.get("nu", 1.0)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"storage: malformed block: {exc}") from exc
 
-    n_stages = int(need("T"))
+    n_stages = number("T", need("T"), int)
     if n_stages < 1:
         raise ValidationError(f"T must be >= 1, got {n_stages}")
 
@@ -405,17 +411,20 @@ def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
     if isinstance(d_hat, (int, float)):
         d_stage = np.full(n_stages, float(d_hat) / n_stages)
     else:
-        d_stage = np.asarray(d_hat, dtype=float)
+        d_stage = number("d_hat", d_hat, lambda v: np.asarray(v, dtype=float))
         if d_stage.shape != (n_stages,):
             raise ValidationError(f"d_hat: array must have length T={n_stages}")
 
     if "curve" in doc:
-        curve = ForecastErrorCurve.from_table(doc["curve"])
+        try:
+            curve = ForecastErrorCurve.from_table(doc["curve"])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"curve: rows must be [horizon_hours, sigma] pairs: {exc}") from exc
     else:
         curve_path = Path(base_dir) / need("curve_file")
         curve = load_curve(curve_path)
 
-    mean_share = float(doc.get("mean_share", 0.2))
+    mean_share = number("mean_share", doc.get("mean_share", 0.2))
 
     violations = validate_ladder(ladder, cost)
     for stage in ladder.stages:

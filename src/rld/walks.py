@@ -8,7 +8,10 @@ sub-density forward.  Gaussian steps propagate a density sampled on a
 fixed-size grid clipped to SPAN standard deviations beyond the current
 support; discrete steps propagate exact point masses, so substituting a
 discrete step distribution turns the whole recursion into exact
-enumeration.
+enumeration.  Under Gaussian steps many walks advance at once, one array
+row and one window each; a row keeps its transition kernel and window
+fractions for as long as its grid repeats the previous step's geometry
+up to translation, and a caller-owned dict can share them between walks.
 
 Masses and tail moments against window edges are always computed from the
 normal CDF/pdf (or exact atom sums), and the carried density is
@@ -83,9 +86,28 @@ class _Atoms:
 
 
 @dataclass(frozen=True, eq=False)
+class _Move:
+    """One Gaussian step out of a grid, per row, kept for translated repeats.
+
+    ``key`` holds the window edges and the last grid point relative to the
+    first grid point, in step stds.  Rows whose next step has the same key
+    (within _KEY_TOL) reuse their kernel and window fractions.
+    """
+
+    sigma: float
+    key: np.ndarray          # (3, rows)
+    kernel: np.ndarray       # (rows, GRID_POINTS, GRID_POINTS), new grid x old grid
+    below: np.ndarray        # (rows, GRID_POINTS) step fractions ending below the window
+    above: np.ndarray        # ... ending above it
+    tail_pdf: np.ndarray     # sigma * pdf of the step reaching the upper edge
+
+
+@dataclass(frozen=True, eq=False)
 class _Grid:
-    xs: np.ndarray        # uniform, GRID_POINTS entries (odd, Simpson-ready)
-    density: np.ndarray
+    xs: np.ndarray        # (rows, GRID_POINTS), each row uniform (odd, Simpson-ready)
+    weights: np.ndarray   # (rows, GRID_POINTS) Simpson weight times density
+    rows: np.ndarray      # the caller's walk index of each row; dead walks are dropped
+    move: _Move | None    # the step that made this state, if it started from a grid
 
 
 WalkState = _Atoms | _Grid | None
@@ -114,51 +136,32 @@ def _simpson_pattern(m: int) -> np.ndarray:
 
 
 _PATTERN = _simpson_pattern(GRID_POINTS)
+_UNIT = np.arange(GRID_POINTS, dtype=float)
+# A reused kernel shifts its arguments by at most a few _KEY_TOL step stds.
+_KEY_TOL = 1e-12
+KERNEL_DICT_MAX = 128
 
 
-def _quad_weights(xs: np.ndarray) -> np.ndarray:
-    dx = (xs[-1] - xs[0]) / (xs.size - 1)
-    pattern = _PATTERN if xs.size == GRID_POINTS else _simpson_pattern(xs.size)
-    return pattern * dx
+def advance(state: WalkState, step: Step, lower, upper,
+            floor: float = _TINY, kernels: dict | None = None) -> WindowResult:
+    """Push the walk one step and split its mass against (lower, upper].
 
+    Scalar bounds give float results.  Bounds of shape (n,) push n walks
+    at once under Gaussian steps, each against its own window: the result
+    fields are (n,) arrays, and the initial state is shared by every walk.
+    A walk whose inside mass is ``floor`` or less is dropped and reports
+    zeros from then on; the state is None once every walk is gone.
 
-def state_mass(state: WalkState) -> float:
+    ``kernels`` is an optional dict, owned by the caller, that shares
+    Gaussian kernels and window fractions between walks whose grid and
+    window match up to translation; it holds at most KERNEL_DICT_MAX
+    entries of 0.53 MB each.
+    """
     if state is None:
-        return 0.0
-    if isinstance(state, _Atoms):
-        return float(state.weights.sum())
-    return float(_quad_weights(state.xs) @ state.density)
-
-
-# Gaussian transition kernels reused across translation-equivalent steps.
-# Keys are dimensionless and rounded, so a cache hit perturbs kernel
-# arguments by at most ~1e-12 standard deviations.
-_KERNEL_CACHE: dict = {}
-_KERNEL_CACHE_MAX = 128
-
-
-def _gauss_kernel(ys: np.ndarray, xs: np.ndarray, sigma: float) -> np.ndarray:
-    dx_in = (xs[-1] - xs[0]) / (xs.size - 1)
-    dx_out = (ys[-1] - ys[0]) / (ys.size - 1)
-    key = (
-        ys.size, xs.size,
-        round((ys[0] - xs[0]) / sigma, 12),
-        round(dx_out / sigma, 12),
-        round(dx_in / sigma, 12),
-    )
-    k = _KERNEL_CACHE.get(key)
-    if k is None:
-        k = _npdf((ys[:, None] - xs[None, :]) / sigma)
-        if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
-            _KERNEL_CACHE.clear()
-        _KERNEL_CACHE[key] = k
-    return k
-
-
-def advance(state: WalkState, step: Step, lower: float, upper: float) -> WindowResult:
-    """Push the walk one step and split its mass against (lower, upper]."""
-    if state is None:
-        return WindowResult(0.0, 0.0, 0.0, 0.0, None)
+        if np.ndim(lower) == 0:
+            return WindowResult(0.0, 0.0, 0.0, 0.0, None)
+        zero = np.zeros(np.size(lower))
+        return WindowResult(zero, zero, zero, zero, None)
 
     if isinstance(step, NormalStep) and step.sigma == 0.0:
         step = DiscreteStep((0.0,), (1.0,))
@@ -179,43 +182,125 @@ def advance(state: WalkState, step: Step, lower: float, upper: float) -> WindowR
         above = float(wts[above_mask].sum())
         inside = float(wts[inside_mask].sum())
         moment = float((wts * pts)[above_mask].sum())
-        nxt = _Atoms(pts[inside_mask], wts[inside_mask]) if inside > _TINY else None
+        nxt = _Atoms(pts[inside_mask], wts[inside_mask]) if inside > floor else None
         return WindowResult(below, inside, above, moment, nxt)
 
-    sigma = step.sigma
+    if np.ndim(lower) == 0:
+        res = _gauss_step(state, step.sigma, np.array([float(lower)]),
+                          np.array([float(upper)]), floor, kernels)
+        return WindowResult(float(res.below[0]), float(res.inside[0]), float(res.above[0]),
+                            float(res.above_moment[0]), res.state)
+    return _gauss_step(state, step.sigma, np.asarray(lower, dtype=float),
+                       np.asarray(upper, dtype=float), floor, kernels)
+
+
+def _gauss_kernel(ys: np.ndarray, xs: np.ndarray, sigma: float) -> np.ndarray:
+    """Standard normal pdf of (y - x) / sigma for every grid pair, one matrix per row.
+
+    The same arithmetic as _npdf, done in place on one buffer.
+    """
+    k = ys[:, :, None] - xs[:, None, :]
+    k /= sigma
+    np.square(k, out=k)
+    k *= -0.5
+    np.exp(k, out=k)
+    k /= _SQRT_2PI
+    return k
+
+
+def _fresh_move(ys, pts, lo, hi, sigma):
+    """Kernel and window fractions (see _Move) of a step from pts onto ys, per row."""
+    z_hi = (hi[:, None] - pts) / sigma
+    return (_gauss_kernel(ys, pts, sigma), ndtr((lo[:, None] - pts) / sigma),
+            ndtr(-z_hi), sigma * _npdf(z_hi))
+
+
+def _shared_move(ys, pts, lo, hi, sigma, key, kernels: dict):
+    """_fresh_move per grid row, looked up in ``kernels`` by the row's key.
+
+    The key fixes the row's whole geometry in step stds, so it is rounded
+    like the reuse tolerance: a hit perturbs the kernel and fraction
+    arguments by at most ~1e-12 step stds.
+    """
+    parts = []
+    for r, geometry in enumerate(np.round(key.T, 12).tolist()):
+        found = kernels.get(tuple(geometry))
+        if found is None:
+            if len(kernels) >= KERNEL_DICT_MAX:
+                kernels.clear()
+            one = slice(r, r + 1)
+            found = kernels[tuple(geometry)] = _fresh_move(
+                ys[one], pts[one], lo[one], hi[one], sigma)
+        parts.append(found)
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(field) for field in zip(*parts))
+
+
+def _gauss_step(state: _Atoms | _Grid, sigma: float, lower: np.ndarray,
+                upper: np.ndarray, floor: float, kernels: dict | None) -> WindowResult:
+    n = lower.size
     if isinstance(state, _Atoms):
-        pts, wts = state.points, state.weights
+        rows = np.arange(n)
+        pts = np.broadcast_to(state.points, (n, state.points.size))
+        wts = np.broadcast_to(state.weights, pts.shape)
+        x0, x1 = pts.min(axis=1), pts.max(axis=1)
+        move = None
     else:
-        pts = state.xs
-        wts = _quad_weights(state.xs) * state.density
+        rows, pts, wts, move = state.rows, state.xs, state.weights, state.move
+        x0, x1 = pts[:, 0], pts[:, -1]
+    lo = lower[rows]
+    hi = upper[rows]
+    wlo = np.maximum(lo, x0 - SPAN * sigma)
+    whi = np.minimum(hi, x1 + SPAN * sigma)
+    dy = (whi - wlo) / (GRID_POINTS - 1)
+    ys = _UNIT * dy[:, None] + wlo[:, None]
+    ys[:, -1] = whi
 
-    mass = float(wts.sum())
-    below = float(wts @ ndtr((lower - pts) / sigma)) if np.isfinite(lower) else 0.0
-    if np.isfinite(upper):
-        z_hi = (upper - pts) / sigma
-        above_frac = ndtr(-z_hi)
-        above = float(wts @ above_frac)
-        moment = float(wts @ (pts * above_frac + sigma * _npdf(z_hi)))
+    key = (np.array([lo, hi, x1]) - x0) / sigma
+    if move is not None and move.sigma == sigma:
+        with np.errstate(invalid="ignore"):   # infinite window edges never match
+            stale = ~np.all(np.abs(key - move.key) <= _KEY_TOL, axis=0)
     else:
-        above = 0.0
-        moment = 0.0
-    inside = max(mass - below - above, 0.0) if upper > lower else 0.0
+        stale = np.ones(rows.size, dtype=bool)
+    if not stale.any():
+        kernel, below_frac, above_frac, tail_pdf = (
+            move.kernel, move.below, move.above, move.tail_pdf)
+    else:
+        sel = slice(None) if stale.all() else stale
+        if kernels is None or isinstance(state, _Atoms):
+            fresh = _fresh_move(ys[sel], pts[sel], lo[sel], hi[sel], sigma)
+        else:
+            fresh = _shared_move(ys[sel], pts[sel], lo[sel], hi[sel], sigma,
+                                 key[:, sel], kernels)
+        if stale.all():
+            kernel, below_frac, above_frac, tail_pdf = fresh
+        else:
+            kernel, below_frac, above_frac, tail_pdf = (
+                old.copy() for old in (move.kernel, move.below, move.above, move.tail_pdf))
+            for old, new in zip((kernel, below_frac, above_frac, tail_pdf), fresh):
+                old[stale] = new
 
-    wlo = max(lower, float(pts[0] if isinstance(state, _Grid) else pts.min()) - SPAN * sigma)
-    whi = min(upper, float(pts[-1] if isinstance(state, _Grid) else pts.max()) + SPAN * sigma)
-    if not whi > wlo or inside <= _TINY:
-        return WindowResult(below, inside, above, moment, None)
+    below = np.einsum("rp,rp->r", wts, below_frac)
+    above = np.einsum("rp,rp->r", wts, above_frac)
+    moment = np.einsum("rp,rp->r", wts, pts * above_frac + tail_pdf)
+    inside = np.where(hi > lo, np.maximum(wts.sum(axis=1) - below - above, 0.0), 0.0)
+    out = np.zeros((4, n))
+    out[:, rows] = below, inside, above, moment
 
-    ys = np.linspace(wlo, whi, GRID_POINTS)
+    dens = np.matmul(kernel, wts[:, :, None])[:, :, 0] / sigma
+    quad_mass = dens @ _PATTERN * dy
+    live = (whi > wlo) & (inside > floor) & (quad_mass > _TINY)
+    if not live.any():
+        return WindowResult(*out, None)
+    keep = slice(None) if live.all() else live   # a slice keeps views, no copies
+    # renormalize to the CDF-exact inside mass
+    nxt_wts = dens[keep] * ((inside[keep] / quad_mass[keep] * dy[keep])[:, None] * _PATTERN)
+    made = None
     if isinstance(state, _Grid):
-        dens = (_gauss_kernel(ys, pts, sigma) @ wts) / sigma
-    else:
-        dens = (wts[None, :] * _npdf((ys[:, None] - pts[None, :]) / sigma)).sum(axis=1) / sigma
-    quad_mass = float(_quad_weights(ys) @ dens)
-    if quad_mass <= _TINY:
-        return WindowResult(below, inside, above, moment, None)
-    nxt = _Grid(ys, dens * (inside / quad_mass))
-    return WindowResult(below, inside, above, moment, nxt)
+        made = _Move(sigma, key[:, keep], kernel[keep], below_frac[keep],
+                     above_frac[keep], tail_pdf[keep])
+    return WindowResult(*out, _Grid(ys[keep], nxt_wts, rows[keep], made))
 
 
 def _check_bounds(n: int, lower, upper) -> tuple[np.ndarray, np.ndarray]:

@@ -191,6 +191,46 @@ class TestCli:
         )
         assert entry() == 2
 
+    def test_non_numeric_field_exits_2(self, tmp_path, monkeypatch):
+        import json
+        from conftest import DEFAULT_CURVE
+        from rld.cli import entry
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0}],
+            "voll": "abc", "storage": {"B": 0.001}, "T": 6, "d_hat": 0.4,
+            "curve": DEFAULT_CURVE,
+        }))
+        monkeypatch.setattr(
+            "sys.argv",
+            ["rld", "benchmark", "--scenario", str(bad), "--out", str(tmp_path / "o.csv")],
+        )
+        assert entry() == 2
+
+    def test_solver_error_keeps_its_type_and_names_the_policy(
+            self, tmp_path, monkeypatch, capsys):
+        from rld import benchmark
+        from rld.cli import entry
+        from rld.dispatch import DegeneratePriceError
+
+        class PriceOutOfRange(DegeneratePriceError):
+            def __init__(self, price, limit):
+                super().__init__(f"price {price} beyond {limit}")
+
+        def fail(scenario, policy, **kwargs):
+            raise PriceOutOfRange(99.0, 72.0)
+
+        monkeypatch.setattr(benchmark, "solve_schedule", fail)
+        with pytest.raises(PriceOutOfRange) as info:
+            run_benchmark(make_scenario(T=6), ("ct",), n_runs=1)
+        assert info.value.__notes__ == ["policy 'ct'"]
+        monkeypatch.setattr(
+            "sys.argv", ["rld", "benchmark", "--policy", "ct", "--out", str(tmp_path / "o.csv")]
+        )
+        assert entry() == 3
+        assert "beyond 72.0; policy 'ct'" in capsys.readouterr().err
+
     def test_simulate_command_dumps_path(self, tmp_path):
         import json
         from conftest import DEFAULT_CURVE

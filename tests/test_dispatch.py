@@ -315,6 +315,54 @@ class TestPolicyFeasibility:
         assert np.allclose(totals, purchases @ scn.ladder.prices + delivery)
 
 
+class TestSubnormalCapacity:
+    """Capacities so small that the ct width sigma_sq / 2B overflows, or nearly."""
+
+    @pytest.mark.parametrize("capacity", [5e-324, 1e-310])
+    def test_ct_policy_finite_and_feasible(self, capacity):
+        scn = make_scenario(T=6, B=capacity, d=0.1)
+        sched = solve_thresholds_backward(scn, "ct", n_samples=4096)
+        assert np.all(np.isfinite(sched.offsets))
+        shifts, noise = draw_policy_paths(30, 3, 6, seed=0)
+        purchases, x_final, delivery, totals = simulate_policy_batch(
+            sched, scn, shifts, noise
+        )
+        assert np.all(purchases >= 0.0)
+        assert np.all(np.isfinite(totals)) and np.all(delivery >= 0.0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ct engine at a tiny normal B: the width sigma_sq / 2B is finite but "
+        "huge, so the offsets explode instead of approaching the B = 0 closed "
+        "form; only an overflowing width routes to it (FOUND in CHANGES.md)"))
+    def test_tiny_normal_capacity_approaches_b0(self):
+        tiny = make_scenario(T=6, B=1e-310, d=0.1)
+        none = make_scenario(T=6, B=5e-324, d=0.1)
+        offsets = [solve_thresholds_backward(scn, "ct", n_samples=4096).offsets
+                   for scn in (tiny, none)]
+        sigma = math.sqrt(tiny.delivery_fluctuation_variance)
+        assert np.all(np.abs(offsets[0] - offsets[1]) < sigma)
+
+    def test_overflowing_ct_width_takes_b0_closed_form(self):
+        scn = make_scenario(T=6, B=5e-324, d=0.1)
+        fc = scn.delivery_forecast()
+        ws = np.linspace(-0.1, 0.1, 5)
+        expect = closed_form_b0(ws + scn.d_total, fc, scn.cost.voll)[1]
+        for engine in ("ct", "lattice"):
+            assert np.array_equal(build_terminal_model(scn, engine).grad(ws), expect)
+
+    def test_solve_ct_thresholds_rejects_overflowing_width(self):
+        ladder = MarketLadder.from_rows([(0.25, 72.0, "buy")])
+        with pytest.raises(ValueError, match="finite"):
+            solve_ct_thresholds(ladder, np.array([0.01]), VOLL, 5e-324, 8e-5)
+
+    def test_bisection_refuses_non_finite_values(self):
+        with pytest.raises(DegeneratePriceError, match="not finite"):
+            solve_stage_threshold(72.0, lambda y: np.nan * y, voll=VOLL)
+        with pytest.raises(DegeneratePriceError, match="not finite"):
+            solve_stage_threshold(72.0, lambda y: -VOLL * (y < 0), voll=VOLL,
+                                  width=math.inf)
+
+
 class TestIdealPolicy:
     def test_constant_deficit_buys_exactly(self):
         deficits = np.full(6, 0.25)

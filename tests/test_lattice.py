@@ -257,6 +257,60 @@ class TestSubgradient:
         assert fd == pytest.approx(g, rel=1e-2)
 
 
+class TestBatchedPositions:
+    """Array positions share template walks; each must match its own lattice."""
+
+    T, D, SIGMA = 12, 0.4 / 60, 0.0011547
+
+    def general(self, x_acc, B, fc):
+        steps = [NormalStep(float(fc.sigma[0]))] * fc.n_stages
+        sols = [solve_lattice(build_lattice(fc, B, x / fc.n_stages), VOLL, error_steps=steps)
+                for x in x_acc]
+        return np.array([s.cost for s in sols]), np.array([s.subgradient for s in sols])
+
+    @pytest.mark.parametrize("B", [1e-4, 1e-3, 1e-2, 1e-1])
+    def test_matches_per_point_chains(self, B):
+        # B = 0.1 is wider than 12 sigma, so the walk grids grow step by step;
+        # 19 positions span two blocks and reach deep into both saturated
+        # tails, where the walks die at the first step
+        fc = constant_forecast(self.T, self.D, self.SIGMA)
+        w = np.concatenate([np.linspace(-0.05, 0.05, 15), [-1.0, -0.2, 0.2, 1.0]])
+        x_acc = self.T * self.D + w + 0.5 * self.T * B * (w > 0)
+        cost, grad = self.general(x_acc, B, fc)
+        np.testing.assert_allclose(lattice_terminal_cost(x_acc, fc, B, VOLL), cost,
+                                   rtol=1e-12, atol=1e-12 * VOLL)
+        np.testing.assert_allclose(lattice_terminal_subgradient(x_acc, fc, B, VOLL), grad,
+                                   rtol=1e-12, atol=1e-12 * VOLL)
+
+    def test_single_stage_is_the_newsvendor(self):
+        fc = constant_forecast(1, 0.3, 0.1)
+        x_acc = np.linspace(-0.2, 0.8, 11)
+        cost, grad = closed_form_b0(x_acc, fc, VOLL)
+        np.testing.assert_allclose(lattice_terminal_cost(x_acc, fc, 0.05, VOLL), cost,
+                                   rtol=1e-12, atol=1e-12 * VOLL)
+        np.testing.assert_allclose(lattice_terminal_subgradient(x_acc, fc, 0.05, VOLL), grad,
+                                   rtol=1e-12, atol=1e-12 * VOLL)
+        np.testing.assert_allclose(self.general(x_acc, 0.05, fc)[1], grad,
+                                   rtol=1e-12, atol=1e-12 * VOLL)
+
+    def test_scalar_in_float_out_and_shape_kept(self):
+        fc = constant_forecast(self.T, self.D, self.SIGMA)
+        x = self.T * self.D
+        g = lattice_terminal_subgradient(x, fc, 1e-3, VOLL)
+        c = lattice_terminal_cost(np.float64(x), fc, 1e-3, VOLL)
+        assert type(g) is float and type(c) is float
+        grid = np.full((2, 3), x)
+        assert lattice_terminal_subgradient(grid, fc, 1e-3, VOLL).shape == (2, 3)
+        np.testing.assert_allclose(lattice_terminal_cost(grid, fc, 1e-3, VOLL), c, rtol=1e-14)
+
+    def test_nonconstant_profile_broadcasts(self):
+        fc = ForecastModel(3, np.array([0.02, 0.06, 0.01]), np.array([0.01, 0.02, 0.015]))
+        x_acc = np.array([0.05, 0.09, 0.2])
+        grads = lattice_terminal_subgradient(x_acc, fc, 0.02, VOLL)
+        for x, g in zip(x_acc, grads):
+            assert g == lattice_terminal_subgradient(float(x), fc, 0.02, VOLL)
+
+
 class TestClosedFormB0:
     def test_single_standard_normal_stage(self):
         fc = constant_forecast(1, 0.0, 1.0)

@@ -153,6 +153,19 @@ class TestScenarioLoading:
         with pytest.raises(ParseError, match="voll"):
             scenario_from_dict({"ladder": [{"lead_time_hours": 24, "price": 52}]})
 
+    @pytest.mark.parametrize("field, value", [
+        ("voll", "abc"), ("T", "x"), ("mean_share", "x"), ("curve", [[24]]),
+        ("d_hat", ["x"]), ("storage", {"B": "abc"}),
+    ])
+    def test_malformed_values_are_parse_errors(self, field, value):
+        doc = {
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0}],
+            "voll": 1000.0, "storage": {"B": 0.001}, "T": 6, "d_hat": 0.4,
+            "curve": DEFAULT_CURVE, field: value,
+        }
+        with pytest.raises(ParseError, match=field):
+            scenario_from_dict(doc)
+
     def test_d_hat_array_roundtrip(self):
         doc = {
             "ladder": [{"lead_time_hours": 24.0, "price": 52.0, "direction": "buy"},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from rld import walks
 from rld.walks import (
     DiscreteStep,
     NormalStep,
@@ -139,3 +140,30 @@ class TestAdvanceInternals:
             DiscreteStep((1.0, 2.0), (0.7, 0.7))
         with pytest.raises(ValueError):
             NormalStep(-1.0)
+
+
+class TestSharedKernels:
+    # every step moves the window differently, so no kernel repeats within the walk
+    WINDOWS = [(-0.5, 0.4), (-0.3, 0.5), (-0.6, 0.2), (-0.2, 0.7), (-0.4, 0.4)]
+
+    def walk(self, kernels):
+        state, out = initial_state(), []
+        for lo, hi in self.WINDOWS:
+            res = advance(state, NormalStep(0.3), lo, hi, kernels=kernels)
+            out.append((res.below, res.inside, res.above, res.above_moment))
+            state = res.state
+        return np.array(out)
+
+    def test_shared_dict_matches_own_kernels(self):
+        kernels = {}
+        first = self.walk(kernels)
+        assert len(kernels) == len(self.WINDOWS) - 1   # the first step leaves a point mass
+        np.testing.assert_allclose(first, self.walk(None), rtol=1e-14, atol=1e-17)
+        np.testing.assert_array_equal(self.walk(kernels), first)   # all hits
+        assert len(kernels) == len(self.WINDOWS) - 1
+
+    def test_dict_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(walks, "KERNEL_DICT_MAX", 2)
+        kernels = {}
+        self.walk(kernels)
+        assert 0 < len(kernels) <= 2
