@@ -1,52 +1,13 @@
-"""Risk-limiting dispatch with fast-ramping storage."""
+"""Risk-limiting dispatch with fast-ramping storage.
 
-from .benchmark import (
-    BenchmarkRow,
-    emit_results,
-    read_results,
-    run_benchmark,
-    solve_schedule,
-    sweep,
-)
-from .ctapprox import (
-    RbmParams,
-    ct_terminal_cost,
-    ct_terminal_subgradient,
-    h_func,
-    h_prime,
-    rbm_density,
-    rbm_long_run,
-    simulate_reflected_walk,
-)
-from .dispatch import (
-    DegeneratePriceError,
-    PolicyResult,
-    TerminalModel,
-    ThresholdSchedule,
-    build_terminal_model,
-    dispatch_decision,
-    ideal_costs_batch,
-    ideal_policy_cost,
-    simulate_policy,
-    simulate_policy_batch,
-    solve_ct_thresholds,
-    solve_delta_offsets,
-    solve_stage_threshold,
-    solve_thresholds_backward,
-    three_sigma_schedule,
-)
-from .lattice import (
-    Lattice,
-    LatticeSolution,
-    NodeProbabilities,
-    build_lattice,
-    closed_form_b0,
-    dump_lattice_csv,
-    lattice_terminal_cost,
-    lattice_terminal_subgradient,
-    node_transition_probs,
-    solve_lattice,
-)
+The package root holds the library surface shown in the README plus the
+domain, schedule and error types; everything else lives in its module.
+"""
+
+from .benchmark import BenchmarkRow, run_benchmark, sweep
+from .ctapprox import ct_terminal_cost
+from .dispatch import DegeneratePriceError, ThresholdSchedule, solve_thresholds_backward
+from .lattice import lattice_terminal_cost, lattice_terminal_subgradient
 from .model import (
     CostModel,
     ForecastErrorCurve,
@@ -58,26 +19,9 @@ from .model import (
     ScenarioError,
     StorageSpec,
     ValidationError,
-    load_curve,
     load_scenario,
     scenario_from_dict,
-    stage_error_variance,
-    validate_ladder,
 )
-from .storage import (
-    PathOutcome,
-    optimal_storage_action,
-    per_path_subgradient_estimate,
-    reformulate_vq,
-    simulate_delivery,
-    step_storage,
-)
-from .walks import (
-    DiscreteStep,
-    NormalStep,
-    ZeroProbabilityError,
-    truncated_walk_mean,
-    walk_rectangle_prob,
-)
+from .walks import ZeroProbabilityError
 
 __version__ = "0.1.0"

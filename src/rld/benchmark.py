@@ -53,22 +53,14 @@ def evaluate_policies(scenario: Scenario, schedules: dict[str, ThresholdSchedule
     All policies see the same innovation draws per run index, so cost
     differences are directly comparable path by path.
     """
-    R = scenario.ladder.n_stages
-    T = scenario.T
-    shifts, noise = draw_policy_paths(n_runs, R, T, seed)
+    shifts, noise = draw_policy_paths(n_runs, scenario.ladder.n_stages, scenario.T, seed)
     costs: dict[str, np.ndarray] = {}
     for tag, schedule in schedules.items():
         _, _, _, totals = simulate_policy_batch(schedule, scenario, shifts, noise)
         costs[tag] = totals
 
     # perfect-foresight benchmark on the identical realized deficit paths
-    sigma_stage = np.sqrt(scenario.delivery_fluctuation_variance / T)
-    mean_final = scenario.d_total + (shifts * scenario.inter_stage_stds()).sum(axis=1)
-    deficits = (
-        scenario.d_hat_stage[None, :]
-        + (mean_final - scenario.d_total)[:, None] / T
-        + sigma_stage * noise
-    )
+    _, deficits = scenario.realize(shifts, noise)
     day_ahead = float(scenario.ladder.prices[0])
     _, ideal = ideal_costs_batch(
         deficits, scenario.storage.capacity, day_ahead, scenario.cost.voll

@@ -79,13 +79,7 @@ def simulate(scenario, engine, seed, samples, out):
     shift_normals = gen.standard_normal(scn.ladder.n_stages)
     noise_normals = gen.standard_normal(scn.T)
     result = simulate_policy(sched, scn, shift_normals, noise_normals)
-
-    shifts = shift_normals * scn.inter_stage_stds()
-    mean_final = scn.d_total + shifts.sum()
-    sigma_stage = np.sqrt(scn.delivery_fluctuation_variance / scn.T)
-    deficits = (
-        scn.d_hat_stage + (mean_final - scn.d_total) / scn.T + sigma_stage * noise_normals
-    )
+    deficits = scn.realize(shift_normals, noise_normals)[1][0]
     outcome = simulate_delivery(deficits, result.x_final / scn.T, scn.storage, scn.cost)
     if out:
         with open(out, "w", newline="") as fh:

@@ -28,13 +28,10 @@ from .model import (
     ForecastModel,
     MarketLadder,
     Scenario,
+    StorageSpec,
 )
 from .rng import run_generator
-from .storage import (
-    delivery_costs_batch,
-    simulate_delivery,
-    subgradient_estimates_batch,
-)
+from .storage import delivery_costs_batch, subgradient_estimates_batch
 
 
 class DegeneratePriceError(RuntimeError):
@@ -42,15 +39,6 @@ class DegeneratePriceError(RuntimeError):
 
 
 ENGINES = ("lattice", "mc", "ct")
-
-
-def dispatch_decision(position: float, threshold: float, direction: str) -> float:
-    """Buy up to the threshold, or sell down to it."""
-    if direction == BUY:
-        return max(threshold - position, 0.0)
-    if direction == SELL:
-        return min(threshold - position, 0.0)
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 def _solve_decreasing(fn: Callable[[float], float], target: float,
@@ -105,24 +93,6 @@ def _solve_decreasing(fn: Callable[[float], float], target: float,
     return mid, resid, iters
 
 
-def solve_stage_threshold(price: float, subgradient: Callable, *, voll: float,
-                          center: float = 0.0, width: float = 1.0,
-                          resid_tol: float | None = None) -> tuple[float, float, int]:
-    """Invert a nondecreasing subgradient at -price.
-
-    Returns (threshold, residual, iterations) where the residual is
-    |price + subgradient(threshold)|, driven below 1e-6 * voll by default.
-    """
-    if not 0.0 < price < voll:
-        raise DegeneratePriceError(f"price {price} outside (0, voll={voll})")
-    tol = 1e-6 * voll if resid_tol is None else resid_tol
-
-    def fn(y):
-        return -float(np.asarray(subgradient(y)).reshape(()))
-
-    return _solve_decreasing(fn, price, center - width, center + width, tol)
-
-
 @dataclass(frozen=True, eq=False)
 class TerminalModel:
     """Terminal-cost subgradient as a function of the accumulated position
@@ -168,9 +138,9 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
         return TerminalModel(engine, grad_hard, scale=max(T * capacity, 1.0))
 
     sigma_sq = scenario.delivery_fluctuation_variance
-    # a subnormal B overflows the ct width sigma_sq / 2B; storage that small
-    # holds nothing, so every engine takes the B = 0 closed form
-    if capacity == 0.0 or not math.isfinite(sigma_sq / (2 * capacity)):
+    # storage below 1e-12 stage sigmas holds nothing, and the ct width
+    # sigma_sq / 2B explodes there, so every engine takes the B = 0 closed form
+    if capacity <= 1e-12 * math.sqrt(sigma_sq / T):
 
         def grad_b0(w):
             return closed_form_b0(np.asarray(w, dtype=float) + m_total, fc, voll)[1]
@@ -328,31 +298,6 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
     return deltas, residuals, iterations
 
 
-def solve_ct_thresholds(ladder: MarketLadder, shift_stds, voll: float,
-                        capacity: float, sigma_sq_delivery: float, *,
-                        n_samples: int = 200_000, seed: int = 0) -> np.ndarray:
-    """Threshold offsets under the reflected-Brownian-motion approximation.
-
-    Thresholds follow as offset + current total forecast.  ``shift_stds``
-    holds the per-stage forecast-revision stds, final revision last.
-    """
-    width = sigma_sq_delivery / (2.0 * capacity) if capacity > 0 else math.inf
-    if not math.isfinite(width):
-        # the B -> 0 limit needs the stage profile: build_terminal_model has it
-        raise ValueError(f"ct approximation needs sigma_sq / (2 capacity) finite, "
-                         f"got capacity {capacity}")
-
-    def grad(w):
-        return ct_terminal_subgradient(w, 0.0, sigma_sq_delivery, capacity, voll)
-
-    scale = max(width, math.sqrt(sigma_sq_delivery))
-    deltas, _, _ = solve_delta_offsets(
-        ladder.prices, voll, shift_stds, grad, scale=scale,
-        n_samples=n_samples, seed=seed, directions=ladder.directions,
-    )
-    return deltas
-
-
 @dataclass(frozen=True, eq=False)
 class ThresholdSchedule:
     """Per-stage dispatch targets plus solver diagnostics."""
@@ -420,48 +365,24 @@ def simulate_policy_batch(schedule: ThresholdSchedule, scenario: Scenario,
     """Vectorized policy evaluation over standard-normal innovation rows.
 
     Returns (purchases (n, R), x_final (n,), delivery_costs (n,),
-    total_costs (n,)).  Innovations are scaled here so the same draws give
-    common random numbers across policies and scenarios.
+    total_costs (n,)).  ``Scenario.realize`` scales the innovations, so the
+    same draws give common random numbers across policies and scenarios.
     """
-    R = scenario.ladder.n_stages
-    T = scenario.T
-    shift_normals = np.atleast_2d(shift_normals)
-    noise_normals = np.atleast_2d(noise_normals)
-    n = shift_normals.shape[0]
-    if shift_normals.shape != (n, R) or noise_normals.shape != (n, T):
-        raise ValueError("innovation arrays must have shapes (n, R) and (n, T)")
-
-    shifts = shift_normals * scenario.inter_stage_stds()
-    sigma_stage = math.sqrt(scenario.delivery_fluctuation_variance / T)
-
+    forecasts, deficits = scenario.realize(shift_normals, noise_normals)
+    n, R = forecasts.shape
     purchases = np.empty((n, R))
     x = np.zeros(n)
-    mean_total = np.full(n, scenario.d_total)
     for r in range(R):
-        target = mean_total + schedule.offsets[r]
+        target = forecasts[:, r] + schedule.offsets[r]
         if schedule.directions[r] == BUY:
             s_r = np.maximum(target - x, 0.0)
         else:
             s_r = np.minimum(target - x, 0.0)
         purchases[:, r] = s_r
         x = x + s_r
-        mean_total = mean_total + shifts[:, r]
 
-    deficits = (
-        scenario.d_hat_stage[None, :]
-        + (mean_total - scenario.d_total)[:, None] / T
-        + sigma_stage * noise_normals
-    )
-    supply = x / T
-    if scenario.storage.is_ideal:
-        delivery = delivery_costs_batch(
-            deficits, supply, scenario.storage.capacity, scenario.cost.voll
-        )
-    else:
-        delivery = np.array([
-            simulate_delivery(deficits[i], supply[i], scenario.storage, scenario.cost).cost
-            for i in range(n)
-        ])
+    delivery = delivery_costs_batch(deficits, x / scenario.T, scenario.storage,
+                                    scenario.cost.voll)
     totals = purchases @ schedule.prices + delivery
     return purchases, x, delivery, totals
 
@@ -469,11 +390,7 @@ def simulate_policy_batch(schedule: ThresholdSchedule, scenario: Scenario,
 def simulate_policy(schedule: ThresholdSchedule, scenario: Scenario,
                     shift_normals, noise_normals) -> PolicyResult:
     """Run one policy path; innovations are standard normals (see batch)."""
-    p, x, d, tot = simulate_policy_batch(
-        schedule, scenario,
-        np.asarray(shift_normals, dtype=float)[None, :],
-        np.asarray(noise_normals, dtype=float)[None, :],
-    )
+    p, x, d, tot = simulate_policy_batch(schedule, scenario, shift_normals, noise_normals)
     return PolicyResult(p[0], float(x[0]), float(d[0]), float(tot[0]))
 
 
@@ -495,12 +412,7 @@ def ideal_costs_batch(deficits: np.ndarray, capacity: float,
         lo = np.where(g < 0.0, mid, lo)
         hi = np.where(g < 0.0, hi, mid)
     x_acc = 0.5 * (lo + hi)
-    costs = day_ahead_price * x_acc + delivery_costs_batch(deficits, x_acc / T, capacity, voll)
+    costs = day_ahead_price * x_acc + delivery_costs_batch(
+        deficits, x_acc / T, StorageSpec(capacity), voll)
     return x_acc / T, costs
 
-
-def ideal_policy_cost(deficits, capacity: float, day_ahead_price: float,
-                      voll: float) -> tuple[float, float]:
-    """Perfect-foresight optimum for one path: (per-stage supply, cost)."""
-    x_stage, costs = ideal_costs_batch(deficits, capacity, day_ahead_price, voll)
-    return float(x_stage[0]), float(costs[0])

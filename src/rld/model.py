@@ -81,8 +81,9 @@ class StorageSpec:
     discharge_eff: float = 1.0
 
     def __post_init__(self):
-        if self.capacity < 0:
-            raise ValidationError(f"storage.B: capacity must be >= 0, got {self.capacity}")
+        if not 0.0 <= self.capacity < math.inf:
+            raise ValidationError(f"storage.B: capacity must be finite and >= 0, "
+                                  f"got {self.capacity}")
         for name, val in (
             ("lambda", self.storage_eff),
             ("mu", self.recharge_eff),
@@ -101,6 +102,10 @@ class CostModel:
     """Value-of-lost-load penalty per unit of unserved energy."""
 
     voll: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.voll):
+            raise ValidationError(f"voll: must be finite, got {self.voll}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +165,8 @@ class ForecastErrorCurve:
         s = np.asarray(self.sigmas, dtype=float)
         if h.ndim != 1 or h.shape != s.shape or h.size < 1:
             raise ValidationError("curve: horizons and sigmas must be equal-length vectors")
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(s))):
+            raise ValidationError("curve: horizons and sigmas must be finite")
         if np.any(np.diff(h) <= 0):
             raise ValidationError("curve: horizons must be strictly increasing")
         if np.any(s < 0):
@@ -217,6 +224,8 @@ class Scenario:
         d = np.asarray(self.d_hat_stage, dtype=float)
         if d.shape != (self.n_delivery_stages,):
             raise ValidationError("scenario: d_hat profile must have length T")
+        if not np.all(np.isfinite(d)):
+            raise ValidationError("d_hat: deficits must be finite")
         if not 0.0 <= self.mean_share <= 1.0:
             raise ValidationError(f"mean_share must be in [0, 1], got {self.mean_share}")
         d.setflags(write=False)
@@ -259,6 +268,34 @@ class Scenario:
             out[r] = math.sqrt(stage_error_variance(self.curve, r + 2, self.ladder))
         out[R - 1] = math.sqrt(self.mean_share * self.final_horizon_variance)
         return out
+
+    def realize(self, shift_normals, noise_normals) -> tuple[np.ndarray, np.ndarray]:
+        """Turn standard-normal innovation rows into realized forecasts and deficits.
+
+        ``shift_normals`` (n, R) scale to the forecast revisions after each
+        market stage, ``noise_normals`` (n, T) to the per-stage fluctuations
+        inside the delivery interval.  Returns the total-deficit forecast
+        each market stage sees (n, R) and the realized per-stage deficits
+        (n, T).  The same draws give common random numbers across policies.
+        """
+        shift_normals = np.atleast_2d(np.asarray(shift_normals, dtype=float))
+        noise_normals = np.atleast_2d(np.asarray(noise_normals, dtype=float))
+        n = shift_normals.shape[0]
+        R, T = self.ladder.n_stages, self.T
+        if shift_normals.shape != (n, R) or noise_normals.shape != (n, T):
+            raise ValueError("innovation arrays must have shapes (n, R) and (n, T)")
+        # the one (n, T) array, allocated first: repeated calls then reuse
+        # the block the previous call freed instead of growing the heap
+        deficits = np.empty((n, T))
+        # forecasts accumulate stage by stage: d_total, then each revision
+        forecasts = np.cumsum(np.column_stack(
+            [np.full(n, self.d_total), shift_normals * self.inter_stage_stds()]), axis=1)
+        sigma_stage = math.sqrt(self.delivery_fluctuation_variance / T)
+        shift_stage = (forecasts[:, R] - self.d_total) / T
+        for t in range(T):   # a column at a time: no (n, T) temporaries
+            deficits[:, t] = (self.d_hat_stage[t] + shift_stage
+                              + sigma_stage * noise_normals[:, t])
+        return forecasts[:, :R], deficits
 
     def with_capacity(self, capacity: float) -> "Scenario":
         storage = StorageSpec(

@@ -59,8 +59,9 @@ def step_storage(level: float, action: float, spec: StorageSpec) -> float:
         raise ValueError("cannot recharge with zero recharge efficiency")
     if -down > spec.discharge_eff * level + tol:
         raise ValueError(f"discharge {-down} exceeds usable stored energy at level {level}")
-    inv_nu = 1.0 / spec.discharge_eff if spec.discharge_eff > 0 else 0.0
-    new = spec.storage_eff * (level + spec.recharge_eff * up + down * inv_nu)
+    # dividing by nu (not multiplying by 1/nu) stays finite for a subnormal nu
+    spent = down / spec.discharge_eff if spec.discharge_eff > 0 else 0.0
+    new = spec.storage_eff * (level + spec.recharge_eff * up + spent)
     return float(min(max(new, 0.0), spec.capacity))
 
 
@@ -161,21 +162,31 @@ def per_path_subgradient_estimate(deficits: np.ndarray, supply: float,
     return -voll / T * weighted
 
 
-# Vectorized internals shared by the Monte Carlo oracles and the benchmark
-# harness.  Rows are independent paths.
+# Vectorized kernels shared by the Monte Carlo engines, policy evaluation
+# and the perfect-foresight ideal.  Rows are independent paths.
 
 def delivery_costs_batch(deficits: np.ndarray, supply: np.ndarray | float,
-                         capacity: float, voll: float) -> np.ndarray:
-    """Total VOLL cost of each row of an (n, T) deficit matrix (ideal storage)."""
+                         spec: StorageSpec, voll: float) -> np.ndarray:
+    """Total VOLL cost of each row of an (n, T) deficit matrix.
+
+    The greedy rule of ``simulate_delivery`` for all rows at once: a
+    shortfall draws up to nu*b from storage, a surplus recharges mu times
+    itself up to the capacity, and the level then decays by lambda.
+    """
     deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
     n, T = deficits.shape
     x = np.broadcast_to(np.asarray(supply, dtype=float), (n,))
+    lam, mu, nu = spec.storage_eff, spec.recharge_eff, spec.discharge_eff
     b = np.zeros(n)
     total = np.zeros(n)
     for t in range(T):
-        resid = deficits[:, t] - x - b
-        total += np.maximum(resid, 0.0)
-        b = np.minimum(capacity, np.maximum(-resid, 0.0))
+        short = deficits[:, t] - x     # > 0 shortfall, < 0 surplus
+        usable = nu * b
+        total += np.maximum(short - usable, 0.0)
+        drawn = np.minimum(np.maximum(short, 0.0), usable)   # zero when nu = 0
+        spent = drawn / nu if nu > 0 else drawn
+        level = b + mu * np.maximum(-short, 0.0) - spent
+        b = lam * np.minimum(np.maximum(level, 0.0), spec.capacity)
     return voll * total
 
 

@@ -22,7 +22,7 @@ from rld.ctapprox import (
 )
 from rld.dispatch import solve_thresholds_backward
 from rld.lattice import closed_form_b0, lattice_terminal_cost, lattice_terminal_subgradient
-from rld.model import ForecastModel
+from rld.model import ForecastModel, StorageSpec
 from rld.rng import run_generator
 from rld.storage import delivery_costs_batch
 from rld.walks import DiscreteStep
@@ -96,7 +96,7 @@ def test_03_lattice_vs_monte_carlo():
         t0 = time.perf_counter()
         for T, fc, B, paths, x_acc in _mc_grid_cases():
             cost = lattice_terminal_cost(x_acc, fc, B, VOLL)
-            mc = delivery_costs_batch(paths, x_acc / T, B, VOLL)
+            mc = delivery_costs_batch(paths, x_acc / T, StorageSpec(B), VOLL)
             se = mc.std(ddof=1) / math.sqrt(len(mc))
             assert abs(cost - mc.mean()) <= 3.0 * se, (T, B, x_acc)
         assert time.perf_counter() - t0 < 120.0

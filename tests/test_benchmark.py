@@ -259,3 +259,33 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,D_t,u_t,b_t,unserved,V,Q"
         assert len(lines) == 6
+
+    def test_simulate_lossy_storage_cost_matches_dumped_path(self, tmp_path):
+        import json
+        import re
+        from conftest import DEFAULT_CURVE
+
+        scenario = {
+            "ladder": [
+                {"lead_time_hours": 24.0, "price": 52.0, "direction": "buy"},
+                {"lead_time_hours": 0.25, "price": 72.0, "direction": "buy"},
+            ],
+            "voll": 1000.0,
+            "storage": {"B": 0.01, "lambda": 0.9, "mu": 0.8, "nu": 0.7},
+            "T": 12,
+            "d_hat": 0.3,
+            "mean_share": 0.2,
+            "curve": DEFAULT_CURVE,
+        }
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "path.csv"
+        result = CliRunner().invoke(main, [
+            "simulate", "--scenario", str(path), "--engine", "ct",
+            "--samples", "20000", "--seed", "5", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        printed = float(re.search(r"delivery_cost=(\S+)", result.output).group(1))
+        v_final = float(out.read_text().strip().splitlines()[-1].split(",")[5])
+        assert v_final > 0.0
+        assert printed == pytest.approx(1000.0 * v_final, abs=5e-5)

@@ -4,47 +4,47 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from rld.ctapprox import ct_terminal_cost, ct_terminal_subgradient, h_prime
 from rld.dispatch import (
     DegeneratePriceError,
     build_terminal_model,
-    dispatch_decision,
     ideal_costs_batch,
-    ideal_policy_cost,
     simulate_policy,
     simulate_policy_batch,
-    solve_ct_thresholds,
     solve_delta_offsets,
-    solve_stage_threshold,
     solve_thresholds_backward,
     three_sigma_schedule,
 )
 from rld.lattice import closed_form_b0, lattice_terminal_subgradient
-from rld.model import ForecastModel, MarketLadder
+from rld.model import ForecastModel, StorageSpec
 from rld.rng import draw_policy_paths
 from conftest import make_scenario
 
 VOLL = 1000.0
 
 
-class TestDispatchDecision:
-    def test_buy_up_to_threshold(self):
-        assert dispatch_decision(3.0, 5.0, "buy") == 2.0
+def last_stage_offset(price, grad, scale):
+    """(offset, residual) of a single buy stage with no final revision."""
+    deltas, residuals, _ = solve_delta_offsets(
+        np.array([price]), VOLL, np.array([0.0]), grad, scale=scale
+    )
+    return deltas[0], residuals[0]
 
-    def test_buy_clamps_at_zero(self):
-        assert dispatch_decision(7.0, 5.0, "buy") == 0.0
 
-    def test_sell_down_to_threshold(self):
-        assert dispatch_decision(7.0, 5.0, "sell") == -2.0
+def ct_offsets(prices, shift_stds, capacity, sigma_sq):
+    """Buy-ladder offsets against the analytic ct terminal subgradient."""
+    def grad(w):
+        return ct_terminal_subgradient(w, 0.0, sigma_sq, capacity, VOLL)
 
-    def test_sell_clamps(self):
-        assert dispatch_decision(3.0, 5.0, "sell") == 0.0
-
-    def test_unknown_direction(self):
-        with pytest.raises(ValueError):
-            dispatch_decision(0.0, 1.0, "hold")
+    scale = max(sigma_sq / (2.0 * capacity), math.sqrt(sigma_sq))
+    deltas, _, _ = solve_delta_offsets(
+        np.asarray(prices, dtype=float), VOLL, np.asarray(shift_stds, dtype=float),
+        grad, scale=scale,
+    )
+    return deltas
 
 
 class TestSolveStageThreshold:
@@ -53,24 +53,24 @@ class TestSolveStageThreshold:
         d_hat, sigma, T = 0.4, 0.1, 1
         fc = ForecastModel.constant(T, d_hat, sigma)
 
-        def grad(y):
-            return closed_form_b0(y, fc, VOLL)[1]
+        def grad(w):
+            return closed_form_b0(np.asarray(w, dtype=float) + T * d_hat, fc, VOLL)[1]
 
-        psi, resid, _ = solve_stage_threshold(72.0, grad, voll=VOLL, center=T * d_hat)
+        delta, resid = last_stage_offset(72.0, grad, scale=sigma)
         target = T * (d_hat + sigma * ndtri(1.0 - 72.0 / VOLL))
-        assert psi == pytest.approx(target, abs=1e-6)
+        assert T * d_hat + delta == pytest.approx(target, abs=1e-6)
         assert resid <= 1e-6 * VOLL
 
     def test_degenerate_price_raises(self):
         fc = ForecastModel.constant(1, 0.0, 1.0)
 
-        def grad(y):
-            return closed_form_b0(y, fc, VOLL)[1]
+        def grad(w):
+            return closed_form_b0(np.asarray(w, dtype=float), fc, VOLL)[1]
 
-        with pytest.raises(DegeneratePriceError):
-            solve_stage_threshold(VOLL + 1.0, grad, voll=VOLL)
-        with pytest.raises(DegeneratePriceError):
-            solve_stage_threshold(-5.0, grad, voll=VOLL)
+        with pytest.raises(DegeneratePriceError, match="above achievable"):
+            last_stage_offset(VOLL + 1.0, grad, scale=1.0)
+        with pytest.raises(DegeneratePriceError, match="below achievable"):
+            last_stage_offset(-5.0, grad, scale=1.0)
 
 
 class TestDeltaOffsets:
@@ -81,13 +81,11 @@ class TestDeltaOffsets:
         def grad(w):
             return closed_form_b0(np.asarray(w, dtype=float), fc, VOLL)[1]
 
-        deltas, residuals, _ = solve_delta_offsets(
-            np.array([72.0]), VOLL, np.array([0.0]), grad, scale=0.3
-        )
-        # both stop at |residual| <= 1e-6 voll, so roots agree to tol/slope
-        psi, _, _ = solve_stage_threshold(72.0, grad, voll=VOLL, center=0.0)
-        assert deltas[0] == pytest.approx(psi, abs=1e-5)
-        assert residuals[0] <= 1e-6 * VOLL
+        delta, resid = last_stage_offset(72.0, grad, scale=0.3)
+        # the solve stops at |residual| <= 1e-6 voll, so roots agree to tol/slope
+        root = brentq(lambda w: float(grad(w)) + 72.0, -3.0, 3.0, xtol=1e-12)
+        assert delta == pytest.approx(root, abs=1e-5)
+        assert resid <= 1e-6 * VOLL
 
     def test_final_revelation_widens_the_quantile(self):
         # with a mean revelation the effective std grows in quadrature
@@ -104,11 +102,8 @@ class TestDeltaOffsets:
 
     def test_two_stage_grid_dp_oracle(self):
         B, s2 = 0.01, 8e-5
-        ladder = MarketLadder.from_rows(
-            [(24.0, 52.0, "buy"), (0.25, 72.0, "buy")]
-        )
         shift = np.array([0.03, 0.008])
-        deltas = solve_ct_thresholds(ladder, shift, VOLL, B, s2)
+        deltas = ct_offsets([52.0, 72.0], shift, B, s2)
 
         gx, gw = np.polynomial.hermite.hermgauss(96)
         wq = gw / math.sqrt(math.pi)
@@ -147,13 +142,10 @@ class TestDeltaOffsets:
     def test_large_capacity_ratio_limit(self):
         # when B/sigma^2 is large the last stage solves h'(y) = -price/voll
         B, s2 = 50.0, 1.0
-        ladder = MarketLadder.from_rows([(1.0, 72.0, "buy")])
-        deltas = solve_ct_thresholds(ladder, np.array([0.0]), VOLL, B, s2)
+        deltas = ct_offsets([72.0], [0.0], B, s2)
         y = 2.0 * B / s2 * deltas[0]
         assert h_prime(y) == pytest.approx(-72.0 / VOLL, rel=1e-3)
-        cheap = solve_ct_thresholds(
-            MarketLadder.from_rows([(1.0, 30.0, "buy")]), np.array([0.0]), VOLL, B, s2
-        )
+        cheap = ct_offsets([30.0], [0.0], B, s2)
         assert cheap[0] > deltas[0]  # lower price buys more aggressively
 
     def test_zero_information_collapses_to_first_stage(self):
@@ -208,20 +200,6 @@ class TestNonConstantProfile:
             for w, nd in zip(wts, nodes)
         )
         assert abs(val - 72.0) < 1e-6 * VOLL
-
-
-class TestCtVsBackward:
-    def test_ct_paths_agree(self, small_scenario):
-        scn = small_scenario
-        sched = solve_thresholds_backward(scn, "ct")
-        direct = solve_ct_thresholds(
-            scn.ladder,
-            scn.inter_stage_stds(),
-            scn.cost.voll,
-            scn.storage.capacity,
-            scn.delivery_fluctuation_variance,
-        )
-        assert np.allclose(sched.offsets, direct, atol=2e-5)
 
 
 class TestTerminalModel:
@@ -330,10 +308,6 @@ class TestSubnormalCapacity:
         assert np.all(purchases >= 0.0)
         assert np.all(np.isfinite(totals)) and np.all(delivery >= 0.0)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ct engine at a tiny normal B: the width sigma_sq / 2B is finite but "
-        "huge, so the offsets explode instead of approaching the B = 0 closed "
-        "form; only an overflowing width routes to it (FOUND in CHANGES.md)"))
     def test_tiny_normal_capacity_approaches_b0(self):
         tiny = make_scenario(T=6, B=1e-310, d=0.1)
         none = make_scenario(T=6, B=5e-324, d=0.1)
@@ -350,30 +324,24 @@ class TestSubnormalCapacity:
         for engine in ("ct", "lattice"):
             assert np.array_equal(build_terminal_model(scn, engine).grad(ws), expect)
 
-    def test_solve_ct_thresholds_rejects_overflowing_width(self):
-        ladder = MarketLadder.from_rows([(0.25, 72.0, "buy")])
-        with pytest.raises(ValueError, match="finite"):
-            solve_ct_thresholds(ladder, np.array([0.01]), VOLL, 5e-324, 8e-5)
-
     def test_bisection_refuses_non_finite_values(self):
         with pytest.raises(DegeneratePriceError, match="not finite"):
-            solve_stage_threshold(72.0, lambda y: np.nan * y, voll=VOLL)
+            last_stage_offset(72.0, lambda w: np.nan * w, scale=1.0)
         with pytest.raises(DegeneratePriceError, match="not finite"):
-            solve_stage_threshold(72.0, lambda y: -VOLL * (y < 0), voll=VOLL,
-                                  width=math.inf)
+            last_stage_offset(72.0, lambda w: -VOLL * (w < 0), scale=math.inf)
 
 
 class TestIdealPolicy:
     def test_constant_deficit_buys_exactly(self):
-        deficits = np.full(6, 0.25)
-        x_stage, cost = ideal_policy_cost(deficits, 0.3, 52.0, VOLL)
-        assert x_stage == pytest.approx(0.25, abs=1e-9)
-        assert cost == pytest.approx(52.0 * 6 * 0.25, abs=1e-6)
+        deficits = np.full((1, 6), 0.25)
+        x_stage, cost = ideal_costs_batch(deficits, 0.3, 52.0, VOLL)
+        assert x_stage[0] == pytest.approx(0.25, abs=1e-9)
+        assert cost[0] == pytest.approx(52.0 * 6 * 0.25, abs=1e-6)
 
     def test_two_stage_storage_trace(self):
-        x_stage, cost = ideal_policy_cost(np.array([-1.0, 3.0]), 1.0, 52.0, VOLL)
-        assert x_stage == pytest.approx(2.0, abs=1e-9)
-        assert cost == pytest.approx(208.0, abs=1e-6)
+        x_stage, cost = ideal_costs_batch(np.array([[-1.0, 3.0]]), 1.0, 52.0, VOLL)
+        assert x_stage[0] == pytest.approx(2.0, abs=1e-9)
+        assert cost[0] == pytest.approx(208.0, abs=1e-6)
 
     def test_cost_function_convex_in_position(self):
         rng = np.random.default_rng(8)
@@ -382,7 +350,7 @@ class TestIdealPolicy:
 
         xs = np.linspace(-1.0, 3.0, 81)
         costs = np.array([
-            52.0 * x + delivery_costs_batch(deficits[None, :], x / 10, 0.2, VOLL)[0]
+            52.0 * x + delivery_costs_batch(deficits[None, :], x / 10, StorageSpec(0.2), VOLL)[0]
             for x in xs
         ])
         assert np.all(np.diff(costs, 2) >= -1e-9)
@@ -390,15 +358,15 @@ class TestIdealPolicy:
     def test_minimum_beats_grid_search(self):
         rng = np.random.default_rng(14)
         deficits = 0.05 + 0.1 * rng.standard_normal(8)
-        _, cost = ideal_policy_cost(deficits, 0.05, 52.0, VOLL)
+        _, cost = ideal_costs_batch(deficits[None, :], 0.05, 52.0, VOLL)
         from rld.storage import delivery_costs_batch
 
         xs = np.linspace(-0.5, 1.5, 4001)
         grid = np.min([
-            52.0 * 8 * x + delivery_costs_batch(deficits[None, :], x, 0.05, VOLL)[0]
+            52.0 * 8 * x + delivery_costs_batch(deficits[None, :], x, StorageSpec(0.05), VOLL)[0]
             for x in xs
         ])
-        assert cost <= grid + 1e-6
+        assert cost[0] <= grid + 1e-6
 
 
 class TestSimulatePolicy:
@@ -455,18 +423,14 @@ class TestSimulatePolicy:
         assert np.all(np.isfinite(totals))
         assert np.all(delivery >= 0.0)
 
-    def test_ideal_dominates_every_policy_path(self, vi_scenario):
-        scn = vi_scenario
+    @pytest.mark.parametrize("efficiency", [1.0, 0.95], ids=["ideal", "lossy"])
+    def test_ideal_dominates_every_policy_path(self, efficiency):
+        # the perfect-foresight run uses ideal storage, so lossy storage only
+        # widens the gap
+        scn = make_scenario(efficiencies=(efficiency,) * 3)
         sched = solve_thresholds_backward(scn, "ct")
         shifts, noise = draw_policy_paths(200, 3, scn.T, seed=11)
         _, _, _, totals = simulate_policy_batch(sched, scn, shifts, noise)
-        stds = scn.inter_stage_stds()
-        mean_final = scn.d_total + (shifts * stds).sum(axis=1)
-        sig_stage = math.sqrt(scn.delivery_fluctuation_variance / scn.T)
-        deficits = (
-            scn.d_hat_stage[None, :]
-            + (mean_final - scn.d_total)[:, None] / scn.T
-            + sig_stage * noise
-        )
+        _, deficits = scn.realize(shifts, noise)
         _, ideal = ideal_costs_batch(deficits, scn.storage.capacity, 52.0, VOLL)
         assert np.all(totals >= ideal - 1e-9)

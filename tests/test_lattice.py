@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from rld.model import ForecastModel
+from rld.model import ForecastModel, StorageSpec
 from rld.lattice import (
     build_lattice,
     closed_form_b0,
@@ -166,7 +166,7 @@ class TestTerminalCost:
         cost = lattice_terminal_cost(x_acc, fc, B, VOLL)
         rng = np.random.default_rng(23)
         paths = d + sig * rng.standard_normal((200_000, T))
-        mc = delivery_costs_batch(paths, x_acc / T, B, VOLL)
+        mc = delivery_costs_batch(paths, x_acc / T, StorageSpec(B), VOLL)
         se = mc.std(ddof=1) / math.sqrt(len(mc))
         assert abs(cost - mc.mean()) < 3 * se
 
@@ -179,7 +179,7 @@ class TestTerminalCost:
         cost = lattice_terminal_cost(x_acc, fc, B, VOLL)
         rng = np.random.default_rng(29)
         paths = d + s * rng.standard_normal((300_000, T))
-        mc = delivery_costs_batch(paths, x_acc / T, B, VOLL)
+        mc = delivery_costs_batch(paths, x_acc / T, StorageSpec(B), VOLL)
         se = mc.std(ddof=1) / math.sqrt(len(mc))
         assert abs(cost - mc.mean()) < 3 * se
 

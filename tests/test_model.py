@@ -166,6 +166,20 @@ class TestScenarioLoading:
         with pytest.raises(ParseError, match=field):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("voll", float("inf")), ("d_hat", float("nan")), ("d_hat", [0.1, float("nan")] * 3),
+        ("storage", {"B": float("nan")}), ("storage", {"B": float("inf")}),
+        ("curve", [[24, float("nan")], [0.25, 0.01]]),
+    ])
+    def test_non_finite_values_are_validation_errors(self, field, value):
+        doc = {
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0}],
+            "voll": 1000.0, "storage": {"B": 0.001}, "T": 6, "d_hat": 0.4,
+            "curve": DEFAULT_CURVE, field: value,
+        }
+        with pytest.raises(ValidationError, match="finite"):
+            scenario_from_dict(doc)
+
     def test_d_hat_array_roundtrip(self):
         doc = {
             "ladder": [{"lead_time_hours": 24.0, "price": 52.0, "direction": "buy"},
@@ -216,3 +230,27 @@ class TestForecastModel:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValidationError):
             ForecastModel(2, np.zeros(2), np.array([0.1, -0.1]))
+
+
+class TestRealize:
+    def test_stage_forecasts_accumulate_revisions(self):
+        scn = make_scenario(T=5, d=0.3)
+        rng = np.random.default_rng(4)
+        shifts, noise = rng.standard_normal((7, 3)), rng.standard_normal((7, 5))
+        forecasts, deficits = scn.realize(shifts, noise)
+        assert forecasts.shape == (7, 3) and deficits.shape == (7, 5)
+        assert np.all(forecasts[:, 0] == scn.d_total)
+        revisions = shifts * scn.inter_stage_stds()
+        assert np.allclose(np.diff(forecasts, axis=1), revisions[:, :-1], atol=1e-15)
+        # the interval total moves by every revision; the fluctuations sum out
+        sigma_stage = np.sqrt(scn.delivery_fluctuation_variance / scn.T)
+        expect = scn.d_total + revisions.sum(axis=1) + sigma_stage * noise.sum(axis=1)
+        assert np.allclose(deficits.sum(axis=1), expect, atol=1e-14)
+
+    def test_one_path_and_shape_check(self):
+        scn = make_scenario(T=4)
+        forecasts, deficits = scn.realize(np.zeros(3), np.zeros(4))
+        assert forecasts.shape == (1, 3)
+        assert np.array_equal(deficits[0], scn.d_hat_stage)
+        with pytest.raises(ValueError, match="shapes"):
+            scn.realize(np.zeros((2, 3)), np.zeros((2, 5)))

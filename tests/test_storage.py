@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -79,12 +79,25 @@ class TestSimulateDelivery:
         assert np.all(out.actions == 0.0)
         assert out.cost == pytest.approx(0.5 * COST.voll)
 
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        paths = 0.1 + 0.2 * rng.standard_normal((40, 7))
-        batch = delivery_costs_batch(paths, 0.12, 0.15, COST.voll)
-        scalar = [simulate_delivery(p, 0.12, StorageSpec(0.15), COST).cost for p in paths]
-        assert np.allclose(batch, scalar, rtol=0, atol=1e-12)
+    @given(
+        capacity=st.floats(0.0, 0.3),
+        effs=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        supply=st.floats(-0.2, 0.4),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(capacity=0.15, effs=(1.0, 1.0, 1.0), supply=0.12, seed=0)
+    @example(capacity=0.15, effs=(0.0, 0.0, 0.0), supply=0.12, seed=1)
+    @example(capacity=0.15, effs=(1.0, 0.0, 1.0), supply=0.12, seed=2)
+    @example(capacity=0.15, effs=(1.0, 1.0, 0.0), supply=0.12, seed=3)
+    @example(capacity=0.15, effs=(5e-324, 5e-324, 5e-324), supply=0.12, seed=4)
+    def test_batch_matches_scalar(self, capacity, effs, supply, seed):
+        rng = np.random.default_rng(seed)
+        paths = 0.1 + 0.2 * rng.standard_normal((20, 7))
+        spec = StorageSpec(capacity, *effs)
+        batch = delivery_costs_batch(paths, supply, spec, COST.voll)
+        scalar = [simulate_delivery(p, supply, spec, COST).cost for p in paths]
+        assert np.allclose(batch, scalar, rtol=1e-12, atol=0)
 
 
 class TestReformulateVQ:
@@ -147,8 +160,8 @@ class TestPerPathSubgradient:
         T, B, x_acc = 6, 0.05, 0.5
         paths = 0.5 / T + 0.04 * rng.standard_normal((60_000, T))
         delta = 2e-3
-        up = delivery_costs_batch(paths, (x_acc + delta) / T, B, COST.voll)
-        dn = delivery_costs_batch(paths, (x_acc - delta) / T, B, COST.voll)
+        up = delivery_costs_batch(paths, (x_acc + delta) / T, StorageSpec(B), COST.voll)
+        dn = delivery_costs_batch(paths, (x_acc - delta) / T, StorageSpec(B), COST.voll)
         fd = (up - dn) / (2 * delta)
         est = subgradient_estimates_batch(paths, x_acc / T, B, COST.voll)
         diff = est - fd
