@@ -104,7 +104,7 @@ def simulate(scenario, engine, seed, samples, out):
 @click.option("--scenario", type=click.Path(exists=True), default=None)
 @click.option("--policy", default="3sigma,lattice,ct", show_default=True,
               help="Comma-separated policy tags.")
-@click.option("--runs", type=int, default=2000, show_default=True)
+@click.option("--runs", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--samples", type=int, default=200_000, show_default=True)
 @click.option("--timing/--no-timing", default=True, show_default=True,
@@ -126,10 +126,10 @@ def benchmark_cmd(scenario, policy, runs, seed, samples, timing, out):
 @click.option("--scenario", type=click.Path(exists=True), default=None)
 @click.option("--axis", type=click.Choice(["D", "B"]), required=True)
 @click.option("--grid", default=None, help="Comma-separated grid values.")
-@click.option("--grid-points", type=int, default=9, show_default=True,
+@click.option("--grid-points", type=click.IntRange(min=1), default=9, show_default=True,
               help="Grid size when --grid is not given.")
 @click.option("--policy", default="3sigma,lattice,ct", show_default=True)
-@click.option("--runs", type=int, default=2000, show_default=True)
+@click.option("--runs", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--samples", type=int, default=200_000, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "plotdata"]), default="csv",

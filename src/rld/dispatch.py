@@ -132,8 +132,11 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
             w = np.atleast_1d(np.asarray(w, dtype=float))
             if w.size == 0:
                 return np.empty(0)
-            ds = np.broadcast_to(profile, (w.size, T))
-            return subgradient_estimates_batch(ds, (w + m_total) / T, capacity, voll)
+            # rows are independent, so each distinct w is evaluated once
+            uniq, inverse = np.unique(w, return_inverse=True)
+            ds = np.broadcast_to(profile, (uniq.size, T))
+            vals = subgradient_estimates_batch(ds, (uniq + m_total) / T, capacity, voll)
+            return vals[inverse.reshape(w.shape)]
 
         return TerminalModel(engine, grad_hard, scale=max(T * capacity, 1.0))
 
@@ -168,7 +171,9 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
     else:
         gen = run_generator(seed, 0x6D63)  # dedicated stream for the mc engine
         noise = gen.standard_normal((n_mc_paths, T))
-        deficits = fc.d_hat[None, :] + fc.sigma[None, :] * noise
+        # column-major, like Scenario.realize: the kernel reads one stage at a time
+        deficits = np.multiply(fc.sigma, noise, out=np.empty_like(noise, order="F"))
+        deficits += fc.d_hat
         vals = np.array([
             subgradient_estimates_batch(deficits, (w + m_total) / T, capacity, voll).mean()
             for w in ws
@@ -400,17 +405,25 @@ def ideal_costs_batch(deficits: np.ndarray, capacity: float,
 
     Minimizes day-ahead procurement plus realized VOLL over the scalar
     accumulated position by bisecting the path subgradient, which is exact
-    because the per-path cost is convex piecewise linear.
+    because the per-path cost is convex piecewise linear.  The bisection
+    makes at most 100 sweeps and stops at its fixed point: once a sweep
+    leaves every row's bracket unchanged, every later sweep would repeat it,
+    so the result is bitwise that of all 100 sweeps.
     """
-    deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
+    # column-major (a no-op on Scenario.realize output): each sweep reads
+    # the deficits one stage column at a time
+    deficits = np.asfortranarray(np.atleast_2d(np.asarray(deficits, dtype=float)))
     n, T = deficits.shape
     lo = T * (deficits.min(axis=1) - capacity - 1.0)
     hi = T * (deficits.max(axis=1) + 1.0)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         g = day_ahead_price + subgradient_estimates_batch(deficits, mid / T, capacity, voll)
-        lo = np.where(g < 0.0, mid, lo)
-        hi = np.where(g < 0.0, hi, mid)
+        below = g < 0.0
+        if not np.where(below, mid != lo, mid != hi).any():
+            break   # no bracket end moves, so neither would any later sweep
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     x_acc = 0.5 * (lo + hi)
     costs = day_ahead_price * x_acc + delivery_costs_batch(
         deficits, x_acc / T, StorageSpec(capacity), voll)

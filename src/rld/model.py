@@ -276,7 +276,9 @@ class Scenario:
         market stage, ``noise_normals`` (n, T) to the per-stage fluctuations
         inside the delivery interval.  Returns the total-deficit forecast
         each market stage sees (n, R) and the realized per-stage deficits
-        (n, T).  The same draws give common random numbers across policies.
+        (n, T), column-major so that each stage's column is contiguous for
+        the storage kernels that sweep stage by stage.  The same draws give
+        common random numbers across policies.
         """
         shift_normals = np.atleast_2d(np.asarray(shift_normals, dtype=float))
         noise_normals = np.atleast_2d(np.asarray(noise_normals, dtype=float))
@@ -286,7 +288,7 @@ class Scenario:
             raise ValueError("innovation arrays must have shapes (n, R) and (n, T)")
         # the one (n, T) array, allocated first: repeated calls then reuse
         # the block the previous call freed instead of growing the heap
-        deficits = np.empty((n, T))
+        deficits = np.empty((n, T), order="F")
         # forecasts accumulate stage by stage: d_total, then each revision
         forecasts = np.cumsum(np.column_stack(
             [np.full(n, self.d_total), shift_normals * self.inter_stage_stds()]), axis=1)

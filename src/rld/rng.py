@@ -21,12 +21,19 @@ def draw_policy_paths(n_runs: int, n_markets: int, n_delivery: int,
     """Standard-normal innovations for each run, in a fixed draw order.
 
     Returns (market_shifts, delivery_noise) with shapes (n_runs, n_markets)
-    and (n_runs, n_delivery); callers scale by the scenario's stds.
+    and (n_runs, n_delivery); callers scale by the scenario's stds.  Row i
+    is the stream of ``run_generator(seed, i)``: one generator is re-keyed
+    for each run (key (seed, i), zero counter, empty buffer) instead of
+    constructing a generator per run.
     """
     shifts = np.empty((n_runs, n_markets))
     noise = np.empty((n_runs, n_delivery))
+    g = run_generator(seed, 0)
+    fresh = g.bit_generator.state   # zero counter, empty buffer
+    key = fresh["state"]["key"]     # (seed, run index)
     for i in range(n_runs):
-        g = run_generator(seed, i)
+        key[1] = i & _MASK64
+        g.bit_generator.state = fresh
         shifts[i] = g.standard_normal(n_markets)
         noise[i] = g.standard_normal(n_delivery)
     return shifts, noise

@@ -132,6 +132,16 @@ class TestRng:
         b = run_generator(7, 3).standard_normal(5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 13, 2**64 - 1, -1])
+    @pytest.mark.parametrize("n_runs", [0, 1, 5])
+    def test_paths_equal_per_run_generators(self, seed, n_runs):
+        shifts, noise = draw_policy_paths(n_runs, 3, 6, seed)
+        assert shifts.shape == (n_runs, 3) and noise.shape == (n_runs, 6)
+        for i in range(n_runs):
+            g = run_generator(seed, i)
+            assert shifts[i].tobytes() == g.standard_normal(3).tobytes()
+            assert noise[i].tobytes() == g.standard_normal(6).tobytes()
+
     def test_paths_deterministic(self):
         s1, n1 = draw_policy_paths(4, 3, 6, seed=13)
         s2, n2 = draw_policy_paths(4, 3, 6, seed=13)
@@ -190,6 +200,22 @@ class TestCli:
             ["rld", "benchmark", "--scenario", str(bad), "--out", str(tmp_path / "o.csv")],
         )
         assert entry() == 2
+
+    @pytest.mark.parametrize("args", [
+        ["benchmark", "--runs", "0"],
+        ["sweep", "--axis", "D", "--runs", "0"],
+        ["sweep", "--axis", "D", "--grid-points", "0"],
+        ["sweep", "--axis", "B", "--grid-points", "-3"],
+    ])
+    def test_non_positive_counts_exit_2(self, tmp_path, monkeypatch, capsys, args):
+        from rld.cli import entry
+
+        monkeypatch.setattr("sys.argv", ["rld", *args, "--out", str(tmp_path / "o.csv")])
+        assert entry() == 2
+        captured = capsys.readouterr()
+        assert "is not in the range" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_non_numeric_field_exits_2(self, tmp_path, monkeypatch):
         import json

@@ -21,6 +21,7 @@ from rld.dispatch import (
 from rld.lattice import closed_form_b0, lattice_terminal_subgradient
 from rld.model import ForecastModel, StorageSpec
 from rld.rng import draw_policy_paths
+from rld.storage import delivery_costs_batch, subgradient_estimates_batch
 from conftest import make_scenario
 
 VOLL = 1000.0
@@ -240,6 +241,20 @@ class TestTerminalModel:
             closed_form_b0(w + scn.d_total, fc, scn.cost.voll)[1], rel=1e-12
         )
 
+    def test_zero_variance_model_matches_pointwise_evaluation(self):
+        scn = make_scenario(T=8, B=0.001, d=0.48, mean_share=0.0,
+                            curve=[[24, 0.0], [1, 0.0], [0.25, 0.0]])
+        model = build_terminal_model(scn, "ct")
+        fc = scn.delivery_forecast()
+        w = np.array([0.01, -0.2, 0.01, 0.0, -0.0, 0.3, -0.2, 0.01, 1e-3, 0.0])
+        pointwise = [
+            subgradient_estimates_batch(fc.d_hat[None, :], (wi + fc.total_mean) / scn.T,
+                                        scn.storage.capacity, VOLL)[0]
+            for wi in w
+        ]
+        assert model.grad(w).tobytes() == np.array(pointwise).tobytes()
+        assert model.grad(np.empty(0)).shape == (0,)
+
     def test_mc_engine_close_to_lattice(self):
         scn = make_scenario(T=8, B=0.01)
         lat = build_terminal_model(scn, "lattice")
@@ -331,7 +346,55 @@ class TestSubnormalCapacity:
             last_stage_offset(72.0, lambda w: -VOLL * (w < 0), scale=math.inf)
 
 
+def hundred_sweep_ideal(deficits, capacity, price, voll):
+    """Perfect-foresight bisection with all 100 sweeps, no early exit."""
+    deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
+    n, T = deficits.shape
+    lo = T * (deficits.min(axis=1) - capacity - 1.0)
+    hi = T * (deficits.max(axis=1) + 1.0)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        g = price + subgradient_estimates_batch(deficits, mid / T, capacity, voll)
+        lo = np.where(g < 0.0, mid, lo)
+        hi = np.where(g < 0.0, hi, mid)
+    x_acc = 0.5 * (lo + hi)
+    costs = price * x_acc + delivery_costs_batch(
+        deficits, x_acc / T, StorageSpec(capacity), voll)
+    return x_acc / T, costs
+
+
 class TestIdealPolicy:
+    @given(
+        n=st.integers(1, 30),
+        T=st.integers(1, 12),
+        capacity=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+        price=st.floats(0.0, 999.0),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fixed_point_exit_equals_hundred_sweeps(self, n, T, capacity, price, order, seed):
+        rng = np.random.default_rng(seed)
+        deficits = np.asarray(0.05 + 0.1 * rng.standard_normal((n, T)), order=order)
+        x_stage, cost = ideal_costs_batch(deficits, capacity, price, VOLL)
+        x_ref, cost_ref = hundred_sweep_ideal(deficits, capacity, price, VOLL)
+        assert x_stage.tobytes() == x_ref.tobytes()
+        assert cost.tobytes() == cost_ref.tobytes()
+
+    def test_bisection_stops_at_fixed_point(self, monkeypatch):
+        import rld.dispatch as dispatch
+
+        sweeps = []
+
+        def counted(*args):
+            sweeps.append(1)
+            return subgradient_estimates_batch(*args)
+
+        monkeypatch.setattr(dispatch, "subgradient_estimates_batch", counted)
+        rng = np.random.default_rng(3)
+        ideal_costs_batch(0.05 + 0.1 * rng.standard_normal((50, 10)), 0.05, 52.0, VOLL)
+        assert 40 < len(sweeps) < 100
+
     def test_constant_deficit_buys_exactly(self):
         deficits = np.full((1, 6), 0.25)
         x_stage, cost = ideal_costs_batch(deficits, 0.3, 52.0, VOLL)

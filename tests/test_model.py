@@ -239,6 +239,7 @@ class TestRealize:
         shifts, noise = rng.standard_normal((7, 3)), rng.standard_normal((7, 5))
         forecasts, deficits = scn.realize(shifts, noise)
         assert forecasts.shape == (7, 3) and deficits.shape == (7, 5)
+        assert deficits.flags.f_contiguous   # stage columns are contiguous
         assert np.all(forecasts[:, 0] == scn.d_total)
         revisions = shifts * scn.inter_stage_stds()
         assert np.allclose(np.diff(forecasts, axis=1), revisions[:, :-1], atol=1e-15)

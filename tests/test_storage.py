@@ -100,6 +100,21 @@ class TestSimulateDelivery:
         assert np.allclose(batch, scalar, rtol=1e-12, atol=0)
 
 
+class TestMemoryLayout:
+    def test_kernels_ignore_memory_layout(self):
+        rng = np.random.default_rng(12)
+        paths = 0.1 + 0.2 * rng.standard_normal((40, 9))
+        c_paths, f_paths = np.ascontiguousarray(paths), np.asfortranarray(paths)
+        assert c_paths.flags.c_contiguous and f_paths.flags.f_contiguous
+        supply = np.linspace(-0.1, 0.3, 40)
+        lossy = StorageSpec(0.15, 0.95, 0.95, 0.95)
+        for kernel, storage in ((subgradient_estimates_batch, 0.15),
+                                (delivery_costs_batch, lossy)):
+            c_out = kernel(c_paths, supply, storage, COST.voll)
+            f_out = kernel(f_paths, supply, storage, COST.voll)
+            assert c_out.tobytes() == f_out.tobytes()
+
+
 class TestReformulateVQ:
     def test_balanced_path_all_zero(self):
         out = simulate_delivery(np.full(4, 0.2), 0.2, IDEAL, COST)
