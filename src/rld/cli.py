@@ -35,6 +35,12 @@ def _parse_floats(text: str) -> list[float]:
         raise click.BadParameter(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+_samples_option = click.option(
+    "--samples", type=click.IntRange(min=1), default=200_000, show_default=True,
+    help="Quasi Monte Carlo samples in the stage recursion, rounded up to a power "
+         "of two of at least 1024 Sobol points.")
+
+
 @click.group()
 def main():
     """Risk-limiting dispatch with fast storage."""
@@ -43,8 +49,7 @@ def main():
 @main.command()
 @click.option("--scenario", type=click.Path(exists=True), default=None)
 @click.option("--engine", type=click.Choice(["lattice", "mc", "ct", "3sigma"]), default="lattice")
-@click.option("--samples", type=int, default=200_000, show_default=True,
-              help="Quasi Monte Carlo samples in the stage recursion.")
+@_samples_option
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def thresholds(scenario, engine, samples, seed, out):
@@ -68,7 +73,7 @@ def thresholds(scenario, engine, samples, seed, out):
 @click.option("--engine", "--policy", "engine",
               type=click.Choice(["lattice", "mc", "ct", "3sigma"]), default="lattice")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=200_000, show_default=True)
+@_samples_option
 @click.option("--out", type=click.Path(), default=None,
               help="Optional delivery-path dump (t,D_t,u_t,b_t,unserved,V,Q).")
 def simulate(scenario, engine, seed, samples, out):
@@ -106,7 +111,7 @@ def simulate(scenario, engine, seed, samples, out):
               help="Comma-separated policy tags.")
 @click.option("--runs", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=200_000, show_default=True)
+@_samples_option
 @click.option("--timing/--no-timing", default=True, show_default=True,
               help="Record wall times (disable for byte-stable output).")
 @click.option("--out", type=click.Path(), required=True)
@@ -131,7 +136,7 @@ def benchmark_cmd(scenario, policy, runs, seed, samples, timing, out):
 @click.option("--policy", default="3sigma,lattice,ct", show_default=True)
 @click.option("--runs", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=200_000, show_default=True)
+@_samples_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "plotdata"]), default="csv",
               show_default=True)
 @click.option("--timing/--no-timing", default=True, show_default=True)

@@ -190,20 +190,80 @@ def delivery_costs_batch(deficits: np.ndarray, supply: np.ndarray | float,
     return voll * total
 
 
+def unserved_and_slope_batch(deficits: np.ndarray, supply: np.ndarray | float,
+                             capacity: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unserved energy V of each row and the integer weight w with V' = -w.
+
+    Ideal storage.  V is the total of ``delivery_costs_batch`` divided by
+    VOLL, bitwise (same level trajectory, same sums).  w is the exact
+    right derivative of -V in the per-stage supply: a shortfall stage
+    weighs one plus the stages since the level was last pinned (emptied
+    by a shortfall, or full), each of which passes one more unit of
+    supply on to it.  Unlike ``subgradient_estimates_batch`` it has no
+    boundary tolerance, so w never grows with the supply.
+    """
+    deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
+    n, T = deficits.shape
+    x = np.broadcast_to(np.asarray(supply, dtype=float), (n,))
+    b = np.zeros(n)
+    total = np.zeros(n)
+    weight = np.zeros(n)
+    carried = np.zeros(n)     # right derivative of the level in the supply
+    z = np.empty(n)
+    tmp = np.empty(n)
+    short = np.empty(n, dtype=bool)
+    inside = np.empty(n, dtype=bool)
+    for t in range(T):
+        np.subtract(x, deficits[:, t], out=z)
+        z += b                          # level before clipping; < 0 is unserved
+        carried += 1.0
+        total -= np.minimum(z, 0.0, out=tmp)
+        np.less(z, 0.0, out=short)
+        weight += np.multiply(carried, short, out=tmp)
+        np.less(z, capacity, out=inside)
+        inside &= ~short
+        carried *= inside
+        np.clip(z, 0.0, capacity, out=b)
+    return total, weight
+
+
 def subgradient_estimates_batch(deficits: np.ndarray, supply: np.ndarray | float,
                                 capacity: float, voll: float) -> np.ndarray:
     """Row-wise per-path subgradient estimates (ideal storage)."""
     deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
     n, T = deficits.shape
+    weights = shortfall_weights(deficits, supply, capacity,
+                                np.empty((4, n)), np.empty((3, n), dtype=bool))
+    return -voll / T * weights
+
+
+def shortfall_weights(deficits: np.ndarray, supply: np.ndarray | float, capacity: float,
+                      work: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """The shortfall weight of each row, -T / voll times its estimate.
+
+    The walk of ``per_path_subgradient_estimate`` over all rows at once.
+    Every temporary is a row of ``work`` (float, 4 x at least n) or
+    ``flags`` (bool, 3 x at least n), so a caller looping over many
+    supplies allocates nothing per call; the returned weights are a row of
+    ``work``.  Each step is one of the plain expressions written with
+    ``out=``, so the values are bitwise those of the expressions.
+    """
+    n, T = deficits.shape
     x = np.broadcast_to(np.asarray(supply, dtype=float), (n,))
     tol = _boundary_tol(capacity)
-    b = np.zeros(n)
-    depth = np.zeros(n)
-    weighted = np.zeros(n)
+    b, depth, weighted, tmp = work[:, :n]
+    short, free, below_full = flags[:, :n]
+    b.fill(0.0)
+    depth.fill(0.0)
+    weighted.fill(0.0)
     for t in range(T):
-        short = deficits[:, t] - b > x
-        weighted += np.where(short, depth + 1.0, 0.0)
-        b = np.minimum(capacity, np.maximum(x - deficits[:, t] + b, 0.0))
-        at_boundary = (b <= tol) | (b >= capacity - tol)
-        depth = np.where(at_boundary, 0.0, depth + 1.0)
-    return -voll / T * weighted
+        np.greater(np.subtract(deficits[:, t], b, out=tmp), x, out=short)
+        depth += 1.0
+        weighted += np.multiply(depth, short, out=tmp)
+        np.subtract(x, deficits[:, t], out=tmp)
+        tmp += b
+        np.minimum(capacity, np.maximum(tmp, 0.0, out=tmp), out=b)
+        np.greater(b, tol, out=free)
+        free &= np.less(b, capacity - tol, out=below_full)
+        depth *= free                   # the run restarts at a boundary
+    return weighted

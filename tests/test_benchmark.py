@@ -217,6 +217,26 @@ class TestCli:
         assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    @pytest.mark.parametrize("command", [
+        ["thresholds", "--engine", "ct"],
+        ["simulate", "--engine", "ct"],
+        ["benchmark", "--policy", "3sigma,ct"],
+        ["sweep", "--axis", "B", "--policy", "3sigma,ct"],
+    ], ids=["thresholds", "simulate", "benchmark", "sweep"])
+    def test_non_positive_samples_exit_2(self, tmp_path, monkeypatch, capsys, command,
+                                         samples):
+        from rld.cli import entry
+
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr("sys.argv",
+                            ["rld", *command, "--samples", samples, "--out", str(out)])
+        assert entry() == 2
+        captured = capsys.readouterr()
+        assert "is not in the range" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
     def test_non_numeric_field_exits_2(self, tmp_path, monkeypatch):
         import json
         from conftest import DEFAULT_CURVE

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linprog
 from scipy.special import ndtri
 
 from rld.ctapprox import ct_terminal_cost, ct_terminal_subgradient, h_prime
@@ -21,7 +21,11 @@ from rld.dispatch import (
 from rld.lattice import closed_form_b0, lattice_terminal_subgradient
 from rld.model import ForecastModel, StorageSpec
 from rld.rng import draw_policy_paths
-from rld.storage import delivery_costs_batch, subgradient_estimates_batch
+from rld.storage import (
+    delivery_costs_batch,
+    subgradient_estimates_batch,
+    unserved_and_slope_batch,
+)
 from conftest import make_scenario
 
 VOLL = 1000.0
@@ -262,6 +266,49 @@ class TestTerminalModel:
         ws = np.linspace(-0.1, 0.15, 7)
         assert np.max(np.abs(lat.grad(ws) - mc.grad(ws))) < 0.02 * VOLL
 
+    @pytest.mark.parametrize("params", [
+        dict(),                           # the shipped T = 60, B = 1e-3
+        dict(T=6, B=0.02, d=0.3),
+        dict(T=12, B=0.1),
+    ], ids=["shipped", "small", "large-B"])
+    def test_mc_grid_equals_unpruned_loop(self, monkeypatch, params):
+        import rld.dispatch as dispatch
+
+        scn = make_scenario(**params)
+        pruned = build_terminal_model(scn, "mc")
+
+        def every_row_at_every_supply(deficits, supplies, capacity, voll, scratch):
+            return np.array([
+                subgradient_estimates_batch(deficits, s, capacity, voll).mean()
+                for s in supplies
+            ])
+
+        monkeypatch.setattr(dispatch, "_mc_subgradients", every_row_at_every_supply)
+        plain = build_terminal_model(scn, "mc")
+        width = math.sqrt(scn.T * scn.delivery_fluctuation_variance)
+        ws = width * np.concatenate([np.linspace(-2.4, 2.4, 11) + 1 / 32,
+                                     np.linspace(-12.0, 12.0, 97)])
+        assert pruned.grad(ws).tobytes() == plain.grad(ws).tobytes()
+
+    @given(
+        capacity=st.sampled_from([0.0, 5e-324, 0.5]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mc_subgradients_bitwise(self, capacity, seed):
+        from rld.dispatch import _mc_subgradients
+
+        rng = np.random.default_rng(seed)
+        deficits = np.asfortranarray(0.05 + 0.1 * rng.standard_normal((60, 7)))
+        supplies = np.unique(np.concatenate([
+            rng.uniform(-0.3, 0.5, 50), deficits.min(axis=1),
+            np.nextafter(deficits.min(axis=1), np.inf),
+        ]))
+        expect = [subgradient_estimates_batch(deficits, s, capacity, VOLL).mean()
+                  for s in supplies]
+        got = _mc_subgradients(deficits, supplies, capacity, VOLL, np.empty(deficits.size))
+        assert got.tobytes() == np.array(expect).tobytes()
+
     def test_unknown_engine(self, small_scenario):
         with pytest.raises(ValueError):
             build_terminal_model(small_scenario, "magic")
@@ -363,37 +410,99 @@ def hundred_sweep_ideal(deficits, capacity, price, voll):
     return x_acc / T, costs
 
 
+def linear_program_ideal(deficits, capacity, price, voll):
+    """Perfect-foresight optimum of one row as an LP over (s, b, u, c).
+
+    s is the per-stage supply, b the storage level, u the unserved energy
+    and c the curtailment: b_t = b_{t-1} + s - D_t + u_t - c_t, b_0 = 0.
+    """
+    T = deficits.size
+    eye = np.eye(T)
+    storage = eye - np.eye(T, k=-1)
+    a_eq = np.hstack([-np.ones((T, 1)), storage, -eye, eye])
+    cost = np.concatenate([[price * T], np.zeros(T), np.full(T, voll), np.zeros(T)])
+    bounds = [(None, None)] + [(0.0, capacity)] * T + [(0.0, None)] * (2 * T)
+    res = linprog(cost, A_eq=a_eq, b_eq=-deficits, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+ideal_inputs = dict(
+    T=st.integers(1, 12),
+    capacity=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    price=st.floats(0.0, 999.0),
+    order=st.sampled_from("CF"),
+    seed=st.integers(0, 10_000),
+)
+
+
 class TestIdealPolicy:
-    @given(
-        n=st.integers(1, 30),
-        T=st.integers(1, 12),
-        capacity=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
-        price=st.floats(0.0, 999.0),
-        order=st.sampled_from("CF"),
-        seed=st.integers(0, 10_000),
-    )
+    @given(n=st.integers(1, 30), **ideal_inputs)
     @settings(max_examples=60, deadline=None)
-    def test_fixed_point_exit_equals_hundred_sweeps(self, n, T, capacity, price, order, seed):
+    def test_no_worse_than_hundred_sweeps(self, n, T, capacity, price, order, seed):
         rng = np.random.default_rng(seed)
         deficits = np.asarray(0.05 + 0.1 * rng.standard_normal((n, T)), order=order)
-        x_stage, cost = ideal_costs_batch(deficits, capacity, price, VOLL)
-        x_ref, cost_ref = hundred_sweep_ideal(deficits, capacity, price, VOLL)
-        assert x_stage.tobytes() == x_ref.tobytes()
-        assert cost.tobytes() == cost_ref.tobytes()
+        supply, cost = ideal_costs_batch(deficits, capacity, price, VOLL)
+        _, cost_ref = hundred_sweep_ideal(deficits, capacity, price, VOLL)
+        assert np.all(cost <= cost_ref + 1e-12 * VOLL)
+        at_supply = price * (T * supply) + delivery_costs_batch(
+            deficits, supply, StorageSpec(capacity), VOLL)
+        assert cost.tobytes() == at_supply.tobytes()
 
-    def test_bisection_stops_at_fixed_point(self, monkeypatch):
+    @given(n=st.integers(1, 3), **ideal_inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_linear_program(self, n, T, capacity, price, order, seed):
+        rng = np.random.default_rng(seed)
+        deficits = np.asarray(0.05 + 0.1 * rng.standard_normal((n, T)), order=order)
+        _, cost = ideal_costs_batch(deficits, capacity, price, VOLL)
+        for row, c in zip(deficits, cost):
+            assert abs(c - linear_program_ideal(row, capacity, price, VOLL)) <= 1e-9 * VOLL
+
+    def test_search_passes_bounded(self, monkeypatch):
         import rld.dispatch as dispatch
 
-        sweeps = []
+        passes = []
 
         def counted(*args):
-            sweeps.append(1)
-            return subgradient_estimates_batch(*args)
+            passes.append(1)
+            return unserved_and_slope_batch(*args)
 
-        monkeypatch.setattr(dispatch, "subgradient_estimates_batch", counted)
+        monkeypatch.setattr(dispatch, "unserved_and_slope_batch", counted)
         rng = np.random.default_rng(3)
         ideal_costs_batch(0.05 + 0.1 * rng.standard_normal((50, 10)), 0.05, 52.0, VOLL)
-        assert 40 < len(sweeps) < 100
+        # every step retires a row or narrows its integer slope range 0..T
+        assert 1 <= len(passes) <= 10
+
+    @pytest.mark.parametrize("shape, capacity, price, step", [
+        ((0, 5), 0.05, 52.0, 0.0),
+        ((40, 1), 0.05, 52.0, 0.0),
+        ((40, 8), 0.0, 52.0, 0.0),
+        ((40, 8), 0.05, 0.0, 0.0),
+        ((40, 8), 5e-324, 999.0, 0.0),
+        ((400, 8), 0.05, 52.0, 0.01),
+    ], ids=["no-rows", "T=1", "capacity-0", "price-0", "subnormal-capacity",
+            "discrete-deficits"])
+    def test_edge_inputs(self, shape, capacity, price, step):
+        rng = np.random.default_rng(21)
+        deficits = 0.05 + 0.1 * rng.standard_normal(shape)
+        if step:
+            # kinks of many rows coincide, so tangent lines meet on a bracket end
+            deficits = step * np.round(deficits / step)
+        supply, cost = ideal_costs_batch(deficits, capacity, price, VOLL)
+        _, cost_ref = hundred_sweep_ideal(deficits, capacity, price, VOLL)
+        assert supply.shape == cost.shape == (shape[0],)
+        assert np.all(np.isfinite(cost)) and np.all(cost <= cost_ref + 1e-12 * VOLL)
+        for row, c in zip(deficits[:5], cost):
+            assert abs(c - linear_program_ideal(row, capacity, price, VOLL)) <= 1e-9 * VOLL
+        if price == 0.0:
+            # the optimum is the flat piece where nothing goes unserved;
+            # the search stops at its kink, up to the rounding of the kink
+            assert np.all((cost >= 0.0) & (cost <= 1e-12 * VOLL))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_deficits_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ideal_costs_batch(np.array([[bad, 0.1]]), 0.05, 52.0, VOLL)
 
     def test_constant_deficit_buys_exactly(self):
         deficits = np.full((1, 6), 0.25)

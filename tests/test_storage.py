@@ -15,6 +15,7 @@ from rld.storage import (
     simulate_delivery,
     step_storage,
     subgradient_estimates_batch,
+    unserved_and_slope_batch,
 )
 
 IDEAL = StorageSpec(1.0)
@@ -182,6 +183,120 @@ class TestPerPathSubgradient:
         diff = est - fd
         se = diff.std(ddof=1) / np.sqrt(len(diff))
         assert abs(diff.mean()) < 3 * se + 1e-9
+
+
+def plain_subgradient_estimates(deficits, supply, capacity, voll):
+    """The estimate kernel as plain array expressions, one temporary each."""
+    n, T = deficits.shape
+    x = np.broadcast_to(np.asarray(supply, dtype=float), (n,))
+    tol = 1e-12 * max(capacity, 1.0)
+    b, depth, weighted = np.zeros(n), np.zeros(n), np.zeros(n)
+    for t in range(T):
+        short = deficits[:, t] - b > x
+        weighted += np.where(short, depth + 1.0, 0.0)
+        b = np.minimum(capacity, np.maximum(x - deficits[:, t] + b, 0.0))
+        at_boundary = (b <= tol) | (b >= capacity - tol)
+        depth = np.where(at_boundary, 0.0, depth + 1.0)
+    return -voll / T * weighted
+
+
+class TestMonotoneEstimates:
+    @given(
+        T=st.integers(1, 16),
+        capacity=st.sampled_from([0.0, 5e-324, 1e-310, 0.05, 0.5]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_equals_plain_expressions(self, T, capacity, seed):
+        rng = np.random.default_rng(seed)
+        paths = np.asfortranarray(0.05 + 0.1 * rng.standard_normal((30, T)))
+        supplies = [rng.uniform(-0.2, 0.4, 30), paths[0, 0], np.nextafter(paths[0, 0], 1.0),
+                    0.0, -0.0]
+        for supply in supplies:
+            got = subgradient_estimates_batch(paths, supply, capacity, COST.voll)
+            want = plain_subgradient_estimates(paths, supply, capacity, COST.voll)
+            assert got.tobytes() == want.tobytes()
+
+
+    @given(
+        n=st.integers(1, 20),
+        T=st.integers(1, 16),
+        capacity=st.sampled_from([0.0, 5e-324, 1e-310, 0.5]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_estimates_fall_with_supply(self, n, T, capacity, seed):
+        rng = np.random.default_rng(seed)
+        paths = np.asfortranarray(0.05 + 0.1 * rng.standard_normal((n, T)))
+        lowest = paths.min(axis=1)
+        spread = rng.uniform(lowest.min() - 0.1, paths.max() + 0.1, 40)
+        # each row's lowest deficit and its neighbours: exact ties
+        ties = np.concatenate([lowest, np.nextafter(lowest, -np.inf),
+                               np.nextafter(lowest, np.inf)])
+        supplies = np.unique(np.concatenate([spread, ties]))
+        est = np.array([subgradient_estimates_batch(paths, s, capacity, COST.voll)
+                        for s in supplies])
+        below = supplies[:, None] < lowest[None, :]
+        # -voll up to the one rounding of the kernel's -voll / T * weight
+        assert np.all(est[below] == -COST.voll / T * T)
+        reached = np.maximum.accumulate(est == 0.0, axis=0)
+        assert np.all(est[reached] == 0.0)
+        # the shortfall weight -est * T / voll never grows with the supply, away
+        # from the 1e-12 band above a tie where the kernel's boundary tolerance
+        # resets the run (at a tie itself the estimate can rise and fall back)
+        spread_est = est[np.isin(supplies, np.unique(spread))]
+        assert np.all(np.diff(spread_est, axis=0) >= 0.0)
+
+
+class TestUnservedAndSlope:
+    @given(capacity=st.sampled_from([0.0, 5e-324, 0.08, 0.5]), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_unserved_is_the_delivery_kernel(self, capacity, seed):
+        rng = np.random.default_rng(seed)
+        paths = 0.05 + 0.1 * rng.standard_normal((30, 9))
+        supply = rng.uniform(-0.1, 0.3, 30)
+        unserved, weight = unserved_and_slope_batch(paths, supply, capacity)
+        costs = delivery_costs_batch(paths, supply, StorageSpec(capacity), COST.voll)
+        assert (COST.voll * unserved).tobytes() == costs.tobytes()
+        # off the boundary ties of continuous draws, the estimator weighs the same
+        est = subgradient_estimates_batch(paths, supply, capacity, COST.voll)
+        assert np.array_equal(-COST.voll / 9 * weight, est)
+
+    @given(
+        T=st.integers(1, 16),
+        capacity=st.sampled_from([0.0, 5e-324, 1e-310, 0.5]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weight_falls_with_supply_through_ties(self, T, capacity, seed):
+        rng = np.random.default_rng(seed)
+        paths = 0.05 + 0.1 * rng.standard_normal((10, T))
+        supplies = np.unique(np.concatenate([
+            rng.uniform(paths.min() - 0.1, paths.max() + 0.1, 40), paths.ravel(),
+            np.nextafter(paths.ravel(), -np.inf), np.nextafter(paths.ravel(), np.inf),
+        ]))
+        weights = np.array([unserved_and_slope_batch(paths, s, capacity)[1]
+                            for s in supplies])
+        assert np.all(np.diff(weights, axis=0) <= 0.0)
+
+    def test_weight_is_the_right_derivative(self):
+        rng = np.random.default_rng(17)
+        paths = 0.05 + 0.1 * rng.standard_normal((200, 12))
+        supply = rng.uniform(-0.05, 0.2, 200)
+        h = 1e-9
+        for capacity in (0.0, 0.05, 0.5):
+            unserved, weight = unserved_and_slope_batch(paths, supply, capacity)
+            ahead, _ = unserved_and_slope_batch(paths, supply + h, capacity)
+            assert np.allclose((ahead - unserved) / h, -weight, rtol=0, atol=1e-5)
+            assert np.all(weight == np.round(weight)) and np.all((0 <= weight) & (weight <= 12))
+
+    def test_exact_ties_count_from_the_right(self):
+        # supply equal to the first deficit: the level leaves 0 as supply grows
+        unserved, weight = unserved_and_slope_batch(np.array([[0.1, 0.3]]), 0.1, 1.0)
+        assert unserved[0] == pytest.approx(0.2) and weight[0] == 2.0
+        # the first stage fills the storage exactly: more supply is curtailed
+        unserved, weight = unserved_and_slope_batch(np.array([[-0.1, 0.5]]), 0.1, 0.2)
+        assert unserved[0] == pytest.approx(0.2) and weight[0] == 1.0
 
 
 spec_strategy = st.builds(
