@@ -22,6 +22,5 @@ from .model import (
     load_scenario,
     scenario_from_dict,
 )
-from .walks import ZeroProbabilityError
 
 __version__ = "0.1.0"

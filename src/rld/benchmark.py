@@ -15,7 +15,7 @@ from .dispatch import (
     solve_thresholds_backward,
     three_sigma_schedule,
 )
-from .model import Scenario
+from .model import BUY, Scenario
 from .rng import draw_policy_paths
 
 RESULT_COLUMNS = ("policy", "D", "B", "n_runs", "mean_cost", "stderr",
@@ -59,11 +59,13 @@ def evaluate_policies(scenario: Scenario, schedules: dict[str, ThresholdSchedule
         _, _, _, totals = simulate_policy_batch(schedule, scenario, shifts, noise)
         costs[tag] = totals
 
-    # perfect-foresight benchmark on the identical realized deficit paths
+    # perfect-foresight benchmark on the identical realized deficit paths, at
+    # the first buy price: buy prices rise toward delivery and every sell
+    # price lies below every buy price, so no policy path buys cheaper
     _, deficits = scenario.realize(shifts, noise)
-    day_ahead = float(scenario.ladder.prices[0])
+    cheapest = next(s.price for s in scenario.ladder.stages if s.direction == BUY)
     _, ideal = ideal_costs_batch(
-        deficits, scenario.storage.capacity, day_ahead, scenario.cost.voll
+        deficits, scenario.storage.capacity, cheapest, scenario.cost.voll
     )
     return costs, ideal
 
@@ -207,24 +209,3 @@ def emit_results(table: BenchmarkTable, fmt: str, path) -> list[Path]:
             written.append(target)
         return written
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def read_results(path) -> BenchmarkTable:
-    """Parse a CSV written by emit_results back into a table."""
-    rows: BenchmarkTable = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != RESULT_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-        for rec in reader:
-            rows.append(BenchmarkRow(
-                policy=rec["policy"],
-                d_total=float(rec["D"]),
-                capacity=float(rec["B"]),
-                n_runs=int(rec["n_runs"]),
-                mean_cost=float(rec["mean_cost"]),
-                stderr=float(rec["stderr"]),
-                integration_cost=float(rec["integration_cost"]),
-                wall_ms=float(rec["wall_ms"]),
-            ))
-    return rows

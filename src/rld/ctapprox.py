@@ -69,19 +69,6 @@ def rbm_long_run(params: RbmParams) -> tuple[float, float]:
     return float(v_rate), float(q_rate)
 
 
-def rbm_density(z, params: RbmParams):
-    """Steady-state density of the reflected process on [0, B]."""
-    z = np.asarray(z, dtype=float)
-    B = params.barrier
-    if params.drift == 0.0:
-        dens = np.full_like(z, 1.0 / B)
-    else:
-        a = 2.0 * params.drift / params.volatility**2
-        dens = a * np.exp(a * z) / np.expm1(a * B)
-    dens = np.where((z < 0.0) | (z > B), 0.0, dens)
-    return dens if dens.ndim else float(dens)
-
-
 def ct_terminal_cost(x_accumulated, d_hat_total: float, sigma_sq: float,
                      capacity: float, voll: float):
     """Approximate expected delivery cost from the long-run push rate.

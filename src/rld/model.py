@@ -330,6 +330,8 @@ def validate_ladder(ladder: MarketLadder, cost: CostModel | None = None) -> list
         raise ValueError("ladder must be nonempty")
     violations: list[str] = []
     stages = ladder.stages
+    if BUY not in ladder.directions:
+        violations.append("ladder needs at least one buy stage")
     for s in stages:
         if s.direction not in (BUY, SELL):
             violations.append(f"stage {s.index}: direction must be 'buy' or 'sell'")
@@ -351,6 +353,11 @@ def validate_ladder(ladder: MarketLadder, cost: CostModel | None = None) -> list
                 violations.append(
                     f"stages {a.index}<{b.index}: no-arbitrage requires buy price "
                     f"{a.price} > later sell price {b.price}"
+                )
+            if a.direction == SELL and b.direction == BUY and not a.price < b.price:
+                violations.append(
+                    f"stages {a.index}<{b.index}: no-arbitrage requires sell price "
+                    f"{a.price} < later buy price {b.price}"
                 )
             if not a.lead_time_hours > b.lead_time_hours:
                 violations.append(

@@ -102,66 +102,6 @@ def simulate_delivery(deficits: np.ndarray, supply: float, spec: StorageSpec,
     )
 
 
-def reformulate_vq(outcome: PathOutcome, spec: StorageSpec):
-    """Extract the (V, Q) control pair and check its complementarity.
-
-    Valid for ideal storage only, where the stored level satisfies
-    b_{t+1} = -sum(D - x) + V_t + Q_t exactly.  Returns (V, Q, violations);
-    an empty violation list certifies the doubly-reflected structure.
-    """
-    if not spec.is_ideal:
-        raise ValueError("V/Q reformulation identity holds for ideal storage only")
-    tol = _boundary_tol(spec.capacity)
-    v_path = outcome.cumulative_unserved
-    q_path = outcome.cumulative_curtailed
-    violations: list[str] = []
-    T = v_path.size
-    for t in range(T):
-        dv = v_path[t] - (v_path[t - 1] if t else 0.0)
-        dq = q_path[t] - (q_path[t - 1] if t else 0.0)
-        post = outcome.levels[t + 1]
-        if dv > tol and post > tol:
-            violations.append(f"t={t}: V increased while storage not empty (b={post})")
-        if dq < -tol and post < spec.capacity - tol:
-            violations.append(f"t={t}: Q decreased while storage not full (b={post})")
-        # Deficit at stage t reconstructed from the action and residuals.
-        # b identity: b_{t+1} = b_0 - sum_{tau<=t}(D_tau - x) + V_t + Q_t
-    drift = np.cumsum(
-        outcome.unserved + outcome.curtailed - outcome.actions
-    )  # equals sum(D - x) for each prefix
-    ident = outcome.levels[0] - drift + v_path + q_path
-    err = np.max(np.abs(ident - outcome.levels[1:])) if T else 0.0
-    if err > 1e-9 * max(spec.capacity, 1.0):
-        violations.append(f"stored-energy identity violated by {err}")
-    return v_path.copy(), q_path.copy(), violations
-
-
-def per_path_subgradient_estimate(deficits: np.ndarray, supply: float,
-                                  capacity: float, voll: float = 1.0) -> float:
-    """One-path estimate of the terminal cost slope in the accumulated position.
-
-    Walks the ideal-storage path, weighting each shortfall stage by one plus
-    the number of stages since the storage last touched a boundary.  The
-    average over independent paths converges to the constrained subgradient
-    of the expected terminal cost with respect to the accumulated energy.
-    """
-    deficits = np.asarray(deficits, dtype=float)
-    T = deficits.size
-    tol = _boundary_tol(capacity)
-    b = 0.0
-    depth = 0
-    weighted = 0
-    for t in range(T):
-        if deficits[t] - b > supply:
-            weighted += depth + 1
-        b = min(capacity, max(supply - deficits[t] + b, 0.0))
-        if b <= tol or b >= capacity - tol:
-            depth = 0
-        else:
-            depth += 1
-    return -voll / T * weighted
-
-
 # Vectorized kernels shared by the Monte Carlo engines, policy evaluation
 # and the perfect-foresight ideal.  Rows are independent paths.
 
@@ -241,11 +181,12 @@ def shortfall_weights(deficits: np.ndarray, supply: np.ndarray | float, capacity
                       work: np.ndarray, flags: np.ndarray) -> np.ndarray:
     """The shortfall weight of each row, -T / voll times its estimate.
 
-    The walk of ``per_path_subgradient_estimate`` over all rows at once.
-    Every temporary is a row of ``work`` (float, 4 x at least n) or
-    ``flags`` (bool, 3 x at least n), so a caller looping over many
-    supplies allocates nothing per call; the returned weights are a row of
-    ``work``.  Each step is one of the plain expressions written with
+    Each row walks its ideal-storage path and weights every shortfall
+    stage by one plus the number of stages since the storage last touched
+    a boundary.  Every temporary is a row of ``work`` (float, 4 x at
+    least n) or ``flags`` (bool, 3 x at least n), so a caller looping over
+    many supplies allocates nothing per call; the returned weights are a
+    row of ``work``.  Each step is one of the plain expressions written with
     ``out=``, so the values are bitwise those of the expressions.
     """
     n, T = deficits.shape

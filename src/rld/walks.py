@@ -8,8 +8,8 @@ sub-density forward.  Gaussian steps propagate a density sampled on a
 fixed-size grid clipped to SPAN standard deviations beyond the current
 support; discrete steps propagate exact point masses, so substituting a
 discrete step distribution turns the whole recursion into exact
-enumeration.  Under Gaussian steps many walks advance at once, one array
-row and one window each; a row keeps its transition kernel and window
+enumeration.  Many walks advance at once, one array row and one window
+each.  Under Gaussian steps a row keeps its transition kernel and window
 fractions for as long as its grid repeats the previous step's geometry
 up to translation, and a caller-owned dict can share them between walks.
 
@@ -31,10 +31,6 @@ SPAN = 6.0
 GRID_POINTS = 257
 _TINY = 1e-300
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-class ZeroProbabilityError(ValueError):
-    """Conditioning event has zero (or numerically vanished) probability."""
 
 
 def _npdf(z):
@@ -81,8 +77,8 @@ def as_steps(step_stds) -> list[Step]:
 
 @dataclass(frozen=True, eq=False)
 class _Atoms:
-    points: np.ndarray
-    weights: np.ndarray
+    points: np.ndarray    # (m,) sorted support, shared by every walk
+    weights: np.ndarray   # (m,) for all walks at once, or (rows, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +143,8 @@ def advance(state: WalkState, step: Step, lower, upper,
     """Push the walk one step and split its mass against (lower, upper].
 
     Scalar bounds give float results.  Bounds of shape (n,) push n walks
-    at once under Gaussian steps, each against its own window: the result
-    fields are (n,) arrays, and the initial state is shared by every walk.
+    at once, each against its own window: the result fields are (n,)
+    arrays, and the initial state is shared by every walk.
     A walk whose inside mass is ``floor`` or less is dropped and reports
     zeros from then on; the state is None once every walk is gone.
 
@@ -157,41 +153,50 @@ def advance(state: WalkState, step: Step, lower, upper,
     window match up to translation; it holds at most KERNEL_DICT_MAX
     entries of 0.53 MB each.
     """
-    if state is None:
-        if np.ndim(lower) == 0:
-            return WindowResult(0.0, 0.0, 0.0, 0.0, None)
-        zero = np.zeros(np.size(lower))
-        return WindowResult(zero, zero, zero, zero, None)
-
     if isinstance(step, NormalStep) and step.sigma == 0.0:
         step = DiscreteStep((0.0,), (1.0,))
-
-    if isinstance(step, DiscreteStep):
+    lo = np.atleast_1d(np.asarray(lower, dtype=float))
+    hi = np.atleast_1d(np.asarray(upper, dtype=float))
+    if state is None:
+        zero = np.zeros(lo.size)
+        res = WindowResult(zero, zero, zero, zero, None)
+    elif isinstance(step, DiscreteStep):
         if not isinstance(state, _Atoms):
             # Grid states only arise from Gaussian steps; no engine here
             # mixes a discrete step in afterwards.
             raise NotImplementedError("discrete step after a Gaussian step is not supported")
-        pts = (state.points[:, None] + np.asarray(step.atoms)[None, :]).ravel()
-        wts = (state.weights[:, None] * np.asarray(step.probs)[None, :]).ravel()
-        pts, inv = np.unique(pts, return_inverse=True)
-        wts = np.bincount(inv, weights=wts)
-        below_mask = pts <= lower
-        above_mask = pts > upper
-        inside_mask = ~below_mask & ~above_mask
-        below = float(wts[below_mask].sum())
-        above = float(wts[above_mask].sum())
-        inside = float(wts[inside_mask].sum())
-        moment = float((wts * pts)[above_mask].sum())
-        nxt = _Atoms(pts[inside_mask], wts[inside_mask]) if inside > floor else None
-        return WindowResult(below, inside, above, moment, nxt)
-
+        res = _discrete_step(state, step, lo, hi, floor)
+    else:
+        res = _gauss_step(state, step.sigma, lo, hi, floor, kernels)
     if np.ndim(lower) == 0:
-        res = _gauss_step(state, step.sigma, np.array([float(lower)]),
-                          np.array([float(upper)]), floor, kernels)
         return WindowResult(float(res.below[0]), float(res.inside[0]), float(res.above[0]),
                             float(res.above_moment[0]), res.state)
-    return _gauss_step(state, step.sigma, np.asarray(lower, dtype=float),
-                       np.asarray(upper, dtype=float), floor, kernels)
+    return res
+
+
+def _discrete_step(state: _Atoms, step: DiscreteStep, lower: np.ndarray,
+                   upper: np.ndarray, floor: float) -> WindowResult:
+    """Exact point masses: one weight row per walk over a support shared by all walks."""
+    n = lower.size
+    pts = (state.points[:, None] + np.asarray(step.atoms)[None, :]).ravel()
+    wts = np.broadcast_to(state.weights, (n, state.points.size))
+    wts = (wts[:, :, None] * np.asarray(step.probs)).reshape(n, -1)
+    pts, inv = np.unique(pts, return_inverse=True)
+    bins = (np.arange(n)[:, None] * pts.size + inv).ravel()
+    wts = np.bincount(bins, weights=wts.ravel(), minlength=n * pts.size).reshape(n, -1)
+    below_mask = pts <= lower[:, None]
+    above_mask = pts > upper[:, None]
+    inside_mask = ~below_mask & ~above_mask
+    # Sequential sums along each row: the exact zeros of atoms that only
+    # other walks reach then vanish, so a row sums bit for bit as it would
+    # on its own support.
+    masks = np.array([below_mask, inside_mask, above_mask, above_mask])
+    terms = np.where(masks, np.array([wts, wts, wts, wts * pts]), 0.0)
+    below, inside, above, moment = np.cumsum(terms, axis=-1)[..., -1]
+    live = inside_mask & (inside > floor)[:, None]
+    keep = live.any(axis=0)
+    nxt = _Atoms(pts[keep], np.where(live, wts, 0.0)[:, keep]) if keep.any() else None
+    return WindowResult(below, inside, above, moment, nxt)
 
 
 def _gauss_kernel(ys: np.ndarray, xs: np.ndarray, sigma: float) -> np.ndarray:
@@ -301,64 +306,3 @@ def _gauss_step(state: _Atoms | _Grid, sigma: float, lower: np.ndarray,
         made = _Move(sigma, key[:, keep], kernel[keep], below_frac[keep],
                      above_frac[keep], tail_pdf[keep])
     return WindowResult(*out, _Grid(ys[keep], nxt_wts, rows[keep], made))
-
-
-def _check_bounds(n: int, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.asarray(lower, dtype=float).reshape(-1)
-    hi = np.asarray(upper, dtype=float).reshape(-1)
-    if lo.size != n or hi.size != n:
-        raise ValueError(f"bounds must have length {n}")
-    if np.any(lo > hi):
-        raise ValueError("lower bounds must not exceed upper bounds")
-    return lo, hi
-
-
-def walk_rectangle_prob(step_stds, lower, upper, final_mode: str = "interval") -> float:
-    """P(lower_j < S_j <= upper_j for j < n, final condition on S_n).
-
-    The final condition is selected by ``final_mode``: "interval" keeps
-    lower_n < S_n <= upper_n, "upper_tail" keeps S_n > upper_n and
-    "lower_tail" keeps S_n <= lower_n.
-    """
-    steps = as_steps(step_stds)
-    n = len(steps)
-    if n == 0:
-        raise ValueError("need at least one step")
-    lo, hi = _check_bounds(n, lower, upper)
-    if final_mode not in ("interval", "upper_tail", "lower_tail"):
-        raise ValueError(f"unknown final_mode {final_mode!r}")
-    state = initial_state()
-    for j in range(n - 1):
-        res = advance(state, steps[j], lo[j], hi[j])
-        state = res.state
-        if state is None:
-            return 0.0
-    res = advance(state, steps[-1], lo[-1], hi[-1])
-    if final_mode == "interval":
-        return res.inside
-    if final_mode == "upper_tail":
-        return res.above
-    return res.below
-
-
-def truncated_walk_mean(step_stds, lower, upper, final_tail: float) -> float:
-    """E[S_n | lower_j < S_j <= upper_j for j < n, S_n > final_tail].
-
-    ``lower``/``upper`` constrain the first n-1 partial sums only; the last
-    step is conditioned on exceeding ``final_tail``.
-    """
-    steps = as_steps(step_stds)
-    n = len(steps)
-    if n == 0:
-        raise ValueError("need at least one step")
-    lo, hi = _check_bounds(n - 1, lower, upper)
-    state = initial_state()
-    for j in range(n - 1):
-        res = advance(state, steps[j], lo[j], hi[j])
-        state = res.state
-        if state is None:
-            raise ZeroProbabilityError("constraint windows carry no probability mass")
-    res = advance(state, steps[-1], -np.inf, float(final_tail))
-    if res.above <= _TINY:
-        raise ZeroProbabilityError("tail event has vanishing probability")
-    return res.above_moment / res.above

@@ -1,0 +1,163 @@
+"""Reference implementations that only the tests use.
+
+Scalar walk drivers, a one-path storage subgradient, the (V, Q)
+reformulation check and a CSV reader for benchmark tables.  The library
+computes the same quantities in batch; these plain versions are the
+oracles it is checked against.
+"""
+from __future__ import annotations
+
+import csv
+
+import numpy as np
+
+from rld.benchmark import RESULT_COLUMNS, BenchmarkRow, BenchmarkTable
+from rld.model import StorageSpec
+from rld.storage import PathOutcome, _boundary_tol
+from rld.walks import _TINY, advance, as_steps, initial_state
+
+
+class ZeroProbabilityError(ValueError):
+    """Conditioning event has zero (or numerically vanished) probability."""
+
+
+def _check_bounds(n: int, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.asarray(lower, dtype=float).reshape(-1)
+    hi = np.asarray(upper, dtype=float).reshape(-1)
+    if lo.size != n or hi.size != n:
+        raise ValueError(f"bounds must have length {n}")
+    if np.any(lo > hi):
+        raise ValueError("lower bounds must not exceed upper bounds")
+    return lo, hi
+
+
+def walk_rectangle_prob(step_stds, lower, upper, final_mode: str = "interval") -> float:
+    """P(lower_j < S_j <= upper_j for j < n, final condition on S_n).
+
+    The final condition is selected by ``final_mode``: "interval" keeps
+    lower_n < S_n <= upper_n, "upper_tail" keeps S_n > upper_n and
+    "lower_tail" keeps S_n <= lower_n.
+    """
+    steps = as_steps(step_stds)
+    n = len(steps)
+    if n == 0:
+        raise ValueError("need at least one step")
+    lo, hi = _check_bounds(n, lower, upper)
+    if final_mode not in ("interval", "upper_tail", "lower_tail"):
+        raise ValueError(f"unknown final_mode {final_mode!r}")
+    state = initial_state()
+    for j in range(n - 1):
+        res = advance(state, steps[j], lo[j], hi[j])
+        state = res.state
+        if state is None:
+            return 0.0
+    res = advance(state, steps[-1], lo[-1], hi[-1])
+    if final_mode == "interval":
+        return res.inside
+    if final_mode == "upper_tail":
+        return res.above
+    return res.below
+
+
+def truncated_walk_mean(step_stds, lower, upper, final_tail: float) -> float:
+    """E[S_n | lower_j < S_j <= upper_j for j < n, S_n > final_tail].
+
+    ``lower``/``upper`` constrain the first n-1 partial sums only; the last
+    step is conditioned on exceeding ``final_tail``.
+    """
+    steps = as_steps(step_stds)
+    n = len(steps)
+    if n == 0:
+        raise ValueError("need at least one step")
+    lo, hi = _check_bounds(n - 1, lower, upper)
+    state = initial_state()
+    for j in range(n - 1):
+        res = advance(state, steps[j], lo[j], hi[j])
+        state = res.state
+        if state is None:
+            raise ZeroProbabilityError("constraint windows carry no probability mass")
+    res = advance(state, steps[-1], -np.inf, float(final_tail))
+    if res.above <= _TINY:
+        raise ZeroProbabilityError("tail event has vanishing probability")
+    return res.above_moment / res.above
+
+
+def reformulate_vq(outcome: PathOutcome, spec: StorageSpec):
+    """Extract the (V, Q) control pair and check its complementarity.
+
+    Valid for ideal storage only, where the stored level satisfies
+    b_{t+1} = -sum(D - x) + V_t + Q_t exactly.  Returns (V, Q, violations);
+    an empty violation list certifies the doubly-reflected structure.
+    """
+    if not spec.is_ideal:
+        raise ValueError("V/Q reformulation identity holds for ideal storage only")
+    tol = _boundary_tol(spec.capacity)
+    v_path = outcome.cumulative_unserved
+    q_path = outcome.cumulative_curtailed
+    violations: list[str] = []
+    T = v_path.size
+    for t in range(T):
+        dv = v_path[t] - (v_path[t - 1] if t else 0.0)
+        dq = q_path[t] - (q_path[t - 1] if t else 0.0)
+        post = outcome.levels[t + 1]
+        if dv > tol and post > tol:
+            violations.append(f"t={t}: V increased while storage not empty (b={post})")
+        if dq < -tol and post < spec.capacity - tol:
+            violations.append(f"t={t}: Q decreased while storage not full (b={post})")
+        # Deficit at stage t reconstructed from the action and residuals.
+        # b identity: b_{t+1} = b_0 - sum_{tau<=t}(D_tau - x) + V_t + Q_t
+    drift = np.cumsum(
+        outcome.unserved + outcome.curtailed - outcome.actions
+    )  # equals sum(D - x) for each prefix
+    ident = outcome.levels[0] - drift + v_path + q_path
+    err = np.max(np.abs(ident - outcome.levels[1:])) if T else 0.0
+    if err > 1e-9 * max(spec.capacity, 1.0):
+        violations.append(f"stored-energy identity violated by {err}")
+    return v_path.copy(), q_path.copy(), violations
+
+
+def per_path_subgradient_estimate(deficits: np.ndarray, supply: float,
+                                  capacity: float, voll: float = 1.0) -> float:
+    """One-path estimate of the terminal cost slope in the accumulated position.
+
+    Walks the ideal-storage path, weighting each shortfall stage by one plus
+    the number of stages since the storage last touched a boundary.  The
+    average over independent paths converges to the constrained subgradient
+    of the expected terminal cost with respect to the accumulated energy.
+    """
+    deficits = np.asarray(deficits, dtype=float)
+    T = deficits.size
+    tol = _boundary_tol(capacity)
+    b = 0.0
+    depth = 0
+    weighted = 0
+    for t in range(T):
+        if deficits[t] - b > supply:
+            weighted += depth + 1
+        b = min(capacity, max(supply - deficits[t] + b, 0.0))
+        if b <= tol or b >= capacity - tol:
+            depth = 0
+        else:
+            depth += 1
+    return -voll / T * weighted
+
+
+def read_results(path) -> BenchmarkTable:
+    """Parse a CSV written by emit_results back into a table."""
+    rows: BenchmarkTable = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != RESULT_COLUMNS:
+            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
+        for rec in reader:
+            rows.append(BenchmarkRow(
+                policy=rec["policy"],
+                d_total=float(rec["D"]),
+                capacity=float(rec["B"]),
+                n_runs=int(rec["n_runs"]),
+                mean_cost=float(rec["mean_cost"]),
+                stderr=float(rec["stderr"]),
+                integration_cost=float(rec["integration_cost"]),
+                wall_ms=float(rec["wall_ms"]),
+            ))
+    return rows

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -5,14 +7,27 @@ from click.testing import CliRunner
 from rld.benchmark import (
     emit_results,
     evaluate_policies,
-    read_results,
     run_benchmark,
     solve_schedule,
     sweep,
 )
 from rld.cli import main
+from rld.dispatch import ideal_costs_batch
 from rld.rng import draw_policy_paths, run_generator
-from conftest import make_scenario
+from conftest import DEFAULT_CURVE, make_scenario
+from oracles import read_results
+
+
+def sell_first_doc(sell_price):
+    """A scenario that sells day-ahead, then buys at 60 before delivery."""
+    return {
+        "ladder": [
+            {"lead_time_hours": 24.0, "price": sell_price, "direction": "sell"},
+            {"lead_time_hours": 1.0, "price": 60.0, "direction": "buy"},
+        ],
+        "voll": 1000.0, "storage": {"B": 0.01}, "T": 8, "d_hat": 0.3,
+        "curve": DEFAULT_CURVE,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +80,23 @@ class TestRunBenchmark:
         paired_var = np.var(a - b, ddof=1)
         independent_var = np.var(a, ddof=1) + np.var(b, ddof=1)
         assert paired_var < independent_var
+
+    def test_ideal_bounds_a_sell_first_ladder(self):
+        # a sell at -5 is below the buy at 60, so 60 prices the ideal
+        from rld.model import scenario_from_dict
+
+        scn = scenario_from_dict(sell_first_doc(-5.0))
+        base = solve_schedule(scn, "3sigma")
+        # the rule of thumb, and variants that sell or buy far more day-ahead
+        schedules = {f"{shift:+}": replace(base, offsets=base.offsets + shift,
+                                           thresholds=base.thresholds + shift)
+                     for shift in (0.0, -0.5, 0.5)}
+        costs, ideal = evaluate_policies(scn, schedules, 256, seed=4)
+        _, deficits = scn.realize(*draw_policy_paths(256, 2, scn.T, 4))
+        _, at_buy = ideal_costs_batch(deficits, scn.storage.capacity, 60.0, scn.cost.voll)
+        np.testing.assert_array_equal(ideal, at_buy)
+        for tag, c in costs.items():
+            assert np.all(c >= ideal - 1e-9), tag
 
     def test_se_scaling_with_runs(self, cheap_scenario, cheap_schedules):
         # ct's cost distribution has light tails here, so the sample std is
@@ -236,6 +268,19 @@ class TestCli:
         assert "is not in the range" in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
+
+    def test_sell_above_later_buy_exits_2(self, tmp_path, monkeypatch, capsys):
+        import json
+        from rld.cli import entry
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(sell_first_doc(70.0)))
+        monkeypatch.setattr(
+            "sys.argv",
+            ["rld", "benchmark", "--scenario", str(bad), "--out", str(tmp_path / "o.csv")],
+        )
+        assert entry() == 2
+        assert "no-arbitrage" in capsys.readouterr().err
 
     def test_non_numeric_field_exits_2(self, tmp_path, monkeypatch):
         import json

@@ -9,7 +9,6 @@ from rld.ctapprox import (
     ct_terminal_subgradient,
     h_func,
     h_prime,
-    rbm_density,
     rbm_long_run,
     simulate_reflected_walk,
 )
@@ -89,33 +88,6 @@ class TestLongRunRates:
             RbmParams(0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             RbmParams(0.0, 1.0, 0.0)
-
-
-class TestDensity:
-    def test_uniform_at_zero_drift(self):
-        p = RbmParams(0.0, 1.0, 2.0)
-        zs = np.linspace(0.0, 2.0, 5)
-        assert np.allclose(rbm_density(zs, p), 0.5)
-
-    def test_normalization(self):
-        from scipy.integrate import simpson
-
-        for mu in (-1.0, 0.0, 0.7):
-            p = RbmParams(mu, 1.3, 1.7)
-            zs = np.linspace(0.0, p.barrier, 20_001)
-            total = simpson(rbm_density(zs, p), x=zs)
-            assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_positive_drift_tilts_upward(self):
-        p = RbmParams(0.8, 1.0, 1.0)
-        zs = np.linspace(0.0, 1.0, 50)
-        dens = rbm_density(zs, p)
-        assert np.all(np.diff(dens) > 0.0)
-
-    def test_zero_outside_barrier(self):
-        p = RbmParams(0.2, 1.0, 1.0)
-        assert rbm_density(-0.1, p) == 0.0
-        assert rbm_density(1.1, p) == 0.0
 
 
 class TestCtTerminal:

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from rld import lattice
 from rld.model import ForecastModel, StorageSpec
 from rld.lattice import (
+    _boundary_visits,
+    _templates,
     build_lattice,
     closed_form_b0,
-    dump_lattice_csv,
     lattice_terminal_cost,
     lattice_terminal_subgradient,
-    node_transition_probs,
     solve_lattice,
 )
 from rld.storage import delivery_costs_batch
-from rld.walks import DiscreteStep, NormalStep
+from rld.walks import DiscreteStep, NormalStep, as_steps
+from oracles import truncated_walk_mean, walk_rectangle_prob
 
 VOLL = 1000.0
 
@@ -25,125 +27,160 @@ def constant_forecast(T, d, sigma):
     return ForecastModel.constant(T, d, sigma)
 
 
+def per_start_chains(fc, B, x):
+    """One position's boundary chains: edges [side, start, j], templates
+    [side, start, field (above, inside, below, above_moment), j] and the
+    boundary visit probabilities q (empty) and r (full) of every level."""
+    edges = build_lattice(fc, B, [x], per_start=True)
+    tmpl = _templates(edges, B, as_steps(fc.sigma), None)
+    q, r = _boundary_visits(tmpl)
+    return edges[:, :, 0], tmpl[:, :, :, 0], q[0], r[0]
+
+
+def level_states(tmpl, q, r, i):
+    """(side, start, j, visit probability) of every lattice state at level i."""
+    for side, start_probs in ((0, q), (1, r)):
+        for s in range(i + 1):
+            j = i - s
+            carry = 1.0 if j == 0 else tmpl[side, s, 1, j - 1]
+            yield side, s, j, start_probs[s] * carry
+
+
 class TestBuildLattice:
     def test_single_stage_single_node(self):
-        lat = build_lattice(constant_forecast(1, 0.3, 0.1), 0.5, 0.4)
-        assert lat.level_size(0) == 1
-        assert lat.d_eff[0][0] == pytest.approx(0.3)
-        assert lat.depth[0][0] == 0
+        edges = build_lattice(constant_forecast(1, 0.3, 0.1), 0.5, [0.4], per_start=True)
+        assert edges.shape == (2, 1, 1, 1)
+        assert edges[0, 0, 0, 0] == pytest.approx(0.4 - 0.3)
 
     def test_level_sizes_grow_by_two(self):
-        lat = build_lattice(constant_forecast(3, 0.1, 0.1), 0.5, 0.2)
-        assert [len(v) for v in lat.d_eff] == [1, 3, 5]
+        # level i holds the empty chains s <= i and the full chains 1 <= s <= i,
+        # each state with a window of its own
+        edges = build_lattice(constant_forecast(3, 0.1, 0.1), 0.5, [0.2], per_start=True)
+        assert edges.shape == (2, 3, 1, 3)
+        sizes = [len({edges[side, s, 0, i - s] for side in range(2) for s in range(side, i + 1)})
+                 for i in range(3)]
+        assert sizes == [1, 3, 5]
 
     def test_second_level_algebraic_forms(self):
+        # level 1: empty boundary, interior, full boundary; each window's
+        # upper edge is x minus the state's effective deficit
         d, x, B = 0.3, 0.4, 0.25
-        lat = build_lattice(constant_forecast(2, d, 0.1), B, x)
-        expect = [d, d - (x - d), d - B]
-        assert np.allclose(lat.d_eff[1], expect)
+        fc = constant_forecast(2, d, 0.1)
+        expect = [x - d, x - (d - (x - d)), x - (d - B)]
+        per_start = build_lattice(fc, B, [x], per_start=True)[:, :, 0]
+        assert np.allclose([per_start[0, 1, 0], per_start[0, 0, 1], per_start[1, 1, 0]], expect)
+        shared = build_lattice(fc, B, [x], per_start=False)[:, 0, 0]
+        assert shared.shape == (2, 2)
+        assert np.allclose([shared[0, 0], shared[0, 1], shared[1, 0]], expect)
 
     def test_depths(self):
-        lat = build_lattice(constant_forecast(3, 0.1, 0.1), 0.5, 0.2)
-        assert list(lat.depth[2]) == [0, 1, 2, 1, 0]
+        # a state's depth (stages since its boundary ancestor) is its chain
+        # position j, and its edge has gathered j + 1 stage margins
+        x, d, B = 0.2, 0.1, 0.5
+        edges = build_lattice(constant_forecast(3, d, 0.1), B, [x], per_start=True)[:, :, 0]
+        level2 = [(0, 2), (0, 1), (0, 0), (1, 1), (1, 2)]   # (side, start), k = 1..5
+        depths = [(edges[side, s, 2 - s] - side * B) / (x - d) - 1 for side, s in level2]
+        assert np.allclose(depths, [0, 1, 2, 1, 0])
 
     def test_varied_profile_prefix_sums(self):
         d = np.array([0.1, 0.3, 0.2])
         fc = ForecastModel(3, d, np.full(3, 0.05))
         x, B = 0.25, 0.4
-        lat = build_lattice(fc, B, x)
+        edges = build_lattice(fc, B, [x], per_start=True)[:, :, 0]
         # interior node at level 2, k=2: d2 + d1 - x
-        assert lat.d_eff[1][1] == pytest.approx(d[1] + d[0] - x)
+        assert edges[0, 0, 1] == pytest.approx(x - (d[1] + d[0] - x))
         # deepest middle node at level 3: d3 + d2 + d1 - 2x
-        assert lat.d_eff[2][2] == pytest.approx(d.sum() - 2 * x)
+        assert edges[0, 0, 2] == pytest.approx(x - (d.sum() - 2 * x))
         # full-boundary nodes carry -B
-        assert lat.d_eff[2][4] == pytest.approx(d[2] - B)
+        assert edges[1, 2, 0] == pytest.approx(x - (d[2] - B))
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            build_lattice(constant_forecast(2, 0.1, 0.1), 0.0, 0.1)
+            build_lattice(constant_forecast(2, 0.1, 0.1), 0.0, [0.1], per_start=True)
 
 
 class TestProbabilities:
     def test_level_sums_and_conservation(self):
-        fc = constant_forecast(6, 0.05, 0.02)
-        sol = solve_lattice(build_lattice(fc, 0.03, 0.06), VOLL)
+        _, tmpl, q, r = per_start_chains(constant_forecast(6, 0.05, 0.02), 0.03, 0.06)
+        start = np.array([q, r])
         for i in range(6):
-            assert sol.visit[i].sum() == pytest.approx(1.0, abs=1e-12)
-            total = sol.left[i] + sol.mid[i] + sol.right[i]
-            assert np.max(np.abs(total - sol.visit[i])) < 1e-8
+            total = 0.0
+            for side, s, j, visit in level_states(tmpl, q, r, i):
+                total += visit
+                exits = start[side, s] * tmpl[side, s, :3, j].sum()
+                assert abs(exits - visit) < 1e-8
+            assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_root_splits_half_when_supply_matches(self):
         # huge capacity: lower bound unreachable, upper bound at the mean
-        fc = constant_forecast(1, 0.5, 1.0)
-        sol = solve_lattice(build_lattice(fc, 1e9, 0.5), VOLL)
-        probs = node_transition_probs(sol, 0, 1)
-        assert probs.left == pytest.approx(0.5, abs=1e-12)
-        assert probs.mid == pytest.approx(0.5, abs=1e-12)
-        assert probs.right == pytest.approx(0.0, abs=1e-15)
+        _, tmpl, _, _ = per_start_chains(constant_forecast(1, 0.5, 1.0), 1e9, 0.5)
+        above, inside, below = tmpl[0, 0, :3, 0]
+        assert above == pytest.approx(0.5, abs=1e-12)
+        assert inside == pytest.approx(0.5, abs=1e-12)
+        assert below == pytest.approx(0.0, abs=1e-15)
 
     def test_tiny_capacity_squeezes_middle(self):
-        fc = constant_forecast(1, 0.5, 1.0)
-        sol = solve_lattice(build_lattice(fc, 1e-9, 0.5), VOLL)
-        probs = node_transition_probs(sol, 0, 1)
-        assert probs.mid < 1e-9
-        assert probs.left + probs.right == pytest.approx(1.0, abs=1e-8)
+        _, tmpl, _, _ = per_start_chains(constant_forecast(1, 0.5, 1.0), 1e-9, 0.5)
+        above, inside, below = tmpl[0, 0, :3, 0]
+        assert inside < 1e-9
+        assert above + below == pytest.approx(1.0, abs=1e-8)
 
     def test_node_probs_match_chain_engine(self):
-        fc = constant_forecast(5, 0.04, 0.015)
-        sol = solve_lattice(build_lattice(fc, 0.02, 0.05), VOLL)
+        # every state's exits, recomputed as a standalone scalar walk from
+        # its boundary ancestor's visit probability
+        B, sigma = 0.02, 0.015
+        edges, tmpl, q, r = per_start_chains(constant_forecast(5, 0.04, sigma), B, 0.05)
+        start = np.array([q, r])
         for i in (2, 3, 4):
-            for k in range(1, 2 * i + 2):
-                node = node_transition_probs(sol, i, k)
-                assert node.visit == pytest.approx(sol.visit[i][k - 1], abs=1e-12)
-                assert node.left == pytest.approx(sol.left[i][k - 1], abs=1e-12)
-                assert node.mid == pytest.approx(sol.mid[i][k - 1], abs=1e-12)
-                assert node.right == pytest.approx(sol.right[i][k - 1], abs=1e-12)
+            for side, s, j, visit in level_states(tmpl, q, r, i):
+                highs = edges[side, s, :j + 1]
+                oracle = [start[side, s] * walk_rectangle_prob([sigma] * (j + 1), highs - B,
+                                                               highs, mode)
+                          for mode in ("upper_tail", "interval", "lower_tail")]
+                assert sum(oracle) == pytest.approx(visit, abs=1e-12)
+                for field, p in enumerate(oracle):
+                    assert start[side, s] * tmpl[side, s, field, j] == pytest.approx(p, abs=1e-12)
 
     def test_node_moments_match_truncated_walk_mean(self):
-        from rld.walks import truncated_walk_mean
-
-        fc = constant_forecast(5, 0.04, 0.015)
-        lat = build_lattice(fc, 0.02, 0.05)
-        sol = solve_lattice(lat, VOLL)
-        for i, k in ((2, 2), (3, 3), (4, 2), (4, 6)):
-            if sol.left[i][k - 1] < 1e-12:
+        B, sigma = 0.02, 0.015
+        edges, tmpl, q, r = per_start_chains(constant_forecast(5, 0.04, sigma), B, 0.05)
+        start = np.array([q, r])
+        for side, s, j in ((0, 1, 1), (0, 1, 2), (0, 3, 1), (1, 1, 3)):
+            if start[side, s] * tmpl[side, s, 0, j] < 1e-12:
                 continue
-            cond_mean = sol.left_moment[i][k - 1] / sol.left[i][k - 1]
-            stds, lows, highs = lat.chain(i, k)
-            oracle = truncated_walk_mean(stds, lows[:-1], highs[:-1], highs[-1])
+            cond_mean = tmpl[side, s, 3, j] / tmpl[side, s, 0, j]
+            highs = edges[side, s, :j + 1]
+            oracle = truncated_walk_mean([sigma] * (j + 1), highs[:-1] - B, highs[:-1], highs[-1])
             assert cond_mean == pytest.approx(oracle, rel=1e-10)
 
     def test_cost_decomposes_over_left_exits(self):
-        # each node contributes voll * (d_eff + E[error | exit left] - x) * p_left
-        fc = constant_forecast(4, 0.05, 0.02)
-        lat = build_lattice(fc, 0.03, 0.06)
-        sol = solve_lattice(lat, VOLL)
+        # each state contributes voll * (E[error; exit left] - edge * p_left)
+        T, B, x = 4, 0.03, 0.06
+        fc = constant_forecast(T, 0.05, 0.02)
+        edges, tmpl, q, r = per_start_chains(fc, B, x)
+        start = np.array([q, r])
         total = 0.0
-        for i in range(4):
-            total += float(
-                (lat.d_eff[i] - lat.supply) @ sol.left[i] + sol.left_moment[i].sum()
-            )
-        assert sol.cost == pytest.approx(VOLL * total, rel=1e-12)
+        for i in range(T):
+            for side, s, j, _ in level_states(tmpl, q, r, i):
+                total += start[side, s] * (tmpl[side, s, 3, j] - edges[side, s, j] * tmpl[side, s, 0, j])
+        assert lattice_terminal_cost(T * x, fc, B, VOLL) == pytest.approx(VOLL * total, rel=1e-12)
 
     def test_interior_probs_match_mc_frequencies(self):
         T, B, x = 2, 0.5, 0.45
         d, sig = 0.4, 0.5
-        fc = constant_forecast(T, d, sig)
-        sol = solve_lattice(build_lattice(fc, B, x), VOLL)
+        _, tmpl, q, r = per_start_chains(constant_forecast(T, d, sig), B, x)
 
         rng = np.random.default_rng(17)
         n = 100_000
         deficits = d + sig * rng.standard_normal((n, T))
-        b = np.zeros(n)
         tol = 1e-12
         # classify the level-2 node: empty / interior / full after stage 1
         b1 = np.minimum(B, np.maximum(x - deficits[:, 0], 0.0))
         at_k1 = b1 <= tol
         at_k3 = b1 >= B - tol
         at_k2 = ~(at_k1 | at_k3)
-        for k, mask in ((1, at_k1), (2, at_k2), (3, at_k3)):
+        for p, mask in ((q[1], at_k1), (tmpl[0, 0, 1, 0], at_k2), (r[1], at_k3)):
             freq = mask.mean()
-            p = sol.visit[1][k - 1]
             se = math.sqrt(max(freq * (1 - freq), 1e-12) / n)
             assert abs(freq - p) < 3 * se + 1e-9
 
@@ -184,15 +221,17 @@ class TestTerminalCost:
         assert abs(cost - mc.mean()) < 3 * se
 
     def test_fast_and_general_paths_agree(self):
-        T, B = 7, 0.01
+        # explicit steps and per-start chains reproduce the shared template
+        T, B, x = 7, 0.01, 0.033
         fc = constant_forecast(T, 0.03, 0.009)
-        lat = build_lattice(fc, B, 0.033)
-        fast = solve_lattice(lat, VOLL)
-        general = solve_lattice(lat, VOLL, error_steps=[NormalStep(0.009)] * T)
-        assert fast.cost == pytest.approx(general.cost, rel=1e-12)
-        assert fast.subgradient == pytest.approx(general.subgradient, rel=1e-12)
-        for i in range(T):
-            assert np.allclose(fast.left[i], general.left[i], atol=1e-14)
+        steps = [NormalStep(0.009)] * T
+        for f in (lattice_terminal_cost, lattice_terminal_subgradient):
+            assert f(T * x, fc, B, VOLL, error_steps=steps) == pytest.approx(
+                f(T * x, fc, B, VOLL), rel=1e-12)
+        cost, grad = solve_lattice(build_lattice(fc, B, [x], per_start=True), B, steps, VOLL)
+        assert cost[0] == pytest.approx(lattice_terminal_cost(T * x, fc, B, VOLL), rel=1e-12)
+        assert grad[0] == pytest.approx(lattice_terminal_subgradient(T * x, fc, B, VOLL),
+                                        rel=1e-12)
 
     def test_discrete_errors_match_enumeration(self):
         T, B, x = 4, 0.015, 0.05
@@ -219,17 +258,69 @@ class TestTerminalCost:
         # maximum of the cumulative supply deficit
         T, sig, d = 6, 0.05, 0.02
         fc = constant_forecast(T, d, sig)
-        x_acc = T * d
         B = 10.0
-        sol = solve_lattice(build_lattice(fc, B, d), VOLL)
-        assert max(lv.max() for lv in sol.right) < 1e-12
-        cost = sol.cost
+        _, tmpl, q, r = per_start_chains(fc, B, d)
+        right = np.array([q, r])[:, :, None] * tmpl[:, :, 2]
+        assert right.max() < 1e-12   # the storage never fills
+        cost = lattice_terminal_cost(T * d, fc, B, VOLL)
         rng = np.random.default_rng(31)
         paths = d + sig * rng.standard_normal((300_000, T))
         walk = np.cumsum(paths - d, axis=1)
         oracle = VOLL * np.maximum(walk.max(axis=1), 0.0)
         se = oracle.std(ddof=1) / math.sqrt(len(oracle))
         assert abs(cost - oracle.mean()) < 3 * se
+
+    def test_varied_profile_discrete_errors_match_enumeration(self):
+        # every start level has its own template: an exact oracle for them
+        T, B, x = 4, 0.015, 0.05
+        d = np.array([0.045, 0.03, 0.06, 0.05])
+        atoms = np.linspace(-0.02, 0.02, 5)
+        w = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
+        step = DiscreteStep(tuple(atoms), tuple(w))
+        fc = ForecastModel(T, d, np.zeros(T))
+        cost = lattice_terminal_cost(T * x, fc, B, VOLL, error_steps=[step] * T)
+        total = 0.0
+        for combo in itertools.product(range(5), repeat=T):
+            prob = np.prod(w[list(combo)])
+            b = 0.0
+            path = 0.0
+            for t in range(T):
+                deficit = d[t] + atoms[combo[t]]
+                path += max(deficit - x - b, 0.0)
+                b = min(B, max(x - deficit + b, 0.0))
+            total += prob * path
+        assert cost == pytest.approx(VOLL * total, abs=1e-12)
+
+    def test_discrete_positions_batch_bitwise(self):
+        # 20 positions span two row blocks; each row sums like a walk of its own
+        T, B = 5, 0.015
+        step = DiscreteStep((-0.02, -0.01, 0.0, 0.01, 0.02), (0.1, 0.2, 0.4, 0.2, 0.1))
+        fc = constant_forecast(T, 0.045, 0.0)
+        x_acc = T * np.linspace(0.03, 0.07, 20)
+        for f in (lattice_terminal_cost, lattice_terminal_subgradient):
+            batch = f(x_acc, fc, B, VOLL, error_steps=[step] * T)
+            single = [f(float(x), fc, B, VOLL, error_steps=[step] * T) for x in x_acc]
+            np.testing.assert_array_equal(batch, single)
+
+    def test_perturbed_profile_takes_per_start_chains(self, monkeypatch):
+        T, D, sigma, B = 12, 0.4 / 60, 0.0011547, 1e-3
+        fc = constant_forecast(T, D, sigma)
+        near = ForecastModel(T, fc.d_hat * (1.0 + 1e-9 * np.sin(np.arange(T))), fc.sigma)
+        x_acc = T * D + np.linspace(-0.004, 0.004, 5)
+        layouts = []
+
+        def spy(*args, **kwargs):
+            edges = build_lattice(*args, **kwargs)
+            layouts.append(edges.shape[1])
+            return edges
+
+        monkeypatch.setattr(lattice, "build_lattice", spy)
+        cost = lattice_terminal_cost(x_acc, near, B, VOLL)
+        grad = lattice_terminal_subgradient(x_acc, near, B, VOLL)
+        assert set(layouts) == {T}
+        np.testing.assert_allclose(cost, lattice_terminal_cost(x_acc, fc, B, VOLL), rtol=3e-9)
+        np.testing.assert_allclose(grad, lattice_terminal_subgradient(x_acc, fc, B, VOLL),
+                                   rtol=3e-9)
 
 
 class TestSubgradient:
@@ -258,15 +349,17 @@ class TestSubgradient:
 
 
 class TestBatchedPositions:
-    """Array positions share template walks; each must match its own lattice."""
+    """Array positions share template walks; each must match its own chains."""
 
     T, D, SIGMA = 12, 0.4 / 60, 0.0011547
 
     def general(self, x_acc, B, fc):
+        # one position at a time, every start level walking its own chain
         steps = [NormalStep(float(fc.sigma[0]))] * fc.n_stages
-        sols = [solve_lattice(build_lattice(fc, B, x / fc.n_stages), VOLL, error_steps=steps)
+        sols = [solve_lattice(build_lattice(fc, B, [x / fc.n_stages], per_start=True),
+                              B, steps, VOLL, {})
                 for x in x_acc]
-        return np.array([s.cost for s in sols]), np.array([s.subgradient for s in sols])
+        return np.array([c[0] for c, _ in sols]), np.array([g[0] for _, g in sols])
 
     @pytest.mark.parametrize("B", [1e-4, 1e-3, 1e-2, 1e-1])
     def test_matches_per_point_chains(self, B):
@@ -356,13 +449,3 @@ class TestClosedFormB0:
         for x, c, g in zip(xs, costs, grads):
             cs, gs = closed_form_b0(float(x), fc, VOLL)
             assert c == pytest.approx(cs) and g == pytest.approx(gs)
-
-
-def test_dump_csv(tmp_path):
-    fc = constant_forecast(3, 0.05, 0.02)
-    sol = solve_lattice(build_lattice(fc, 0.03, 0.06), VOLL)
-    out = tmp_path / "lattice.csv"
-    dump_lattice_csv(sol, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,k,d_hat_eff,depth,p,p_left,p_mid,p_right"
-    assert len(lines) == 1 + 1 + 3 + 5

@@ -43,6 +43,16 @@ class TestValidateLadder:
         violations = validate_ladder(lad)
         assert any("no-arbitrage" in v for v in violations)
 
+    def test_sell_then_dearer_buy_is_arbitrage_free(self):
+        lad = MarketLadder.from_rows([(24.0, 70.0, "sell"), (1.0, 60.0, "buy")])
+        assert any("no-arbitrage" in v for v in validate_ladder(lad))
+        ok = MarketLadder.from_rows([(24.0, -5.0, "sell"), (1.0, 60.0, "buy")])
+        assert validate_ladder(ok) == []
+
+    def test_ladder_needs_a_buy_stage(self):
+        lad = MarketLadder.from_rows([(24.0, 80.0, "sell"), (1.0, 70.0, "sell")])
+        assert any("buy stage" in v for v in validate_ladder(lad))
+
     def test_sell_prices_must_decrease(self):
         lad = MarketLadder.from_rows([(24.0, 80.0, "sell"), (1.0, 90.0, "sell")])
         assert any("sell prices" in v for v in validate_ladder(lad))
@@ -195,6 +205,15 @@ class TestScenarioLoading:
         assert scn.d_total == pytest.approx(0.6)
         with pytest.raises(ValidationError):
             scenario_from_dict({**doc, "d_hat": [0.1, 0.2]})
+
+    def test_sell_only_ladder_is_a_validation_error(self):
+        doc = {
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0, "direction": "sell"}],
+            "voll": 1000.0, "storage": {"B": 0.001}, "T": 6, "d_hat": 0.4,
+            "curve": DEFAULT_CURVE,
+        }
+        with pytest.raises(ValidationError, match="buy stage"):
+            scenario_from_dict(doc)
 
     def test_scalar_d_hat_spread_per_stage(self):
         scn = make_scenario(T=10, d=0.5)

@@ -10,13 +10,12 @@ from rld.model import CostModel, StorageSpec
 from rld.storage import (
     delivery_costs_batch,
     optimal_storage_action,
-    per_path_subgradient_estimate,
-    reformulate_vq,
     simulate_delivery,
     step_storage,
     subgradient_estimates_batch,
     unserved_and_slope_batch,
 )
+from oracles import per_path_subgradient_estimate, reformulate_vq
 
 IDEAL = StorageSpec(1.0)
 COST = CostModel(1000.0)

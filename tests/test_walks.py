@@ -5,16 +5,8 @@ import pytest
 from scipy.stats import norm
 
 from rld import walks
-from rld.walks import (
-    DiscreteStep,
-    NormalStep,
-    ZeroProbabilityError,
-    advance,
-    as_steps,
-    initial_state,
-    walk_rectangle_prob,
-    truncated_walk_mean,
-)
+from rld.walks import DiscreteStep, NormalStep, advance, as_steps, initial_state
+from oracles import ZeroProbabilityError, truncated_walk_mean, walk_rectangle_prob
 
 
 class TestRectangleProb:
@@ -124,6 +116,21 @@ class TestAdvanceInternals:
         assert res.inside == 1.0
         res2 = advance(res.state, NormalStep(0.0), 0.5, 2.0)
         assert res2.below == 1.0 and res2.inside == 0.0
+
+    def test_discrete_rows_match_scalar_walks(self):
+        # the rows share one support; each sums bit for bit like a walk of its own
+        step = DiscreteStep((-0.3, 0.1, 0.25), (0.3, 0.5, 0.2))
+        lows = np.array([[-0.5, -0.4, -0.2], [-0.1, -0.6, -0.3], [-0.45, 0.0, -1.0]])
+        highs = lows + np.array([[0.6], [0.45], [0.7]])
+        state, rows = initial_state(), [initial_state() for _ in lows]
+        for j in range(3):
+            res = advance(state, step, lows[:, j], highs[:, j])
+            for i in range(len(lows)):
+                one = advance(rows[i], step, lows[i, j], highs[i, j])
+                assert (res.below[i], res.inside[i], res.above[i], res.above_moment[i]) == (
+                    one.below, one.inside, one.above, one.above_moment)
+                rows[i] = one.state
+            state = res.state
 
     def test_dead_state_passthrough(self):
         res = advance(None, NormalStep(1.0), -1.0, 1.0)
