@@ -33,30 +33,33 @@ class RbmParams:
 def h_func(x):
     """x / (e^x - 1), continued by 1 at x = 0.  Positive, strictly decreasing."""
     x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    # each branch runs only on its own elements
     small = np.abs(x) < _SERIES_CUTOFF
-    xs = np.where(small, 1.0, x)
+    exact = ~small
+    xe = x[exact]
     with np.errstate(over="ignore"):
-        exact = np.where(small, 1.0, xs / np.expm1(xs))
-    series = 1.0 - x / 2.0 + x * x / 12.0
-    out = np.where(small, series, exact)
+        out[exact] = xe / np.expm1(xe)
+    xs = x[small]
+    out[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
     return out if out.ndim else float(out)
 
 
 def h_prime(x):
     """Derivative of h: ((1-x)e^x - 1) / (e^x - 1)^2, continued by -1/2 at 0."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUTOFF
     # above ~350 the squared denominator overflows while the true value is
     # below 1e-145, so the exact branch is cut off at its limit of 0
-    big = x > 350.0
-    xs = np.where(small | big, 1.0, x)
-    with np.errstate(invalid="ignore"):   # unselected branches at +-inf
-        em1 = np.expm1(xs)
+    out = np.zeros_like(x)
+    small = np.abs(x) < _SERIES_CUTOFF
+    exact = ~(small | (x > 350.0))
+    xe = x[exact]
+    with np.errstate(invalid="ignore"):   # x = -inf gives inf * 0
+        em1 = np.expm1(xe)
         # (1-x)e^x - 1 rewritten so the cancelling terms subtract directly
-        numer = em1 - xs * np.exp(xs)
-        exact = numer / (em1 * em1)
-        series = -0.5 + x / 6.0 - x**3 / 180.0
-        out = np.where(small, series, np.where(big, 0.0, exact))
+        out[exact] = (em1 - xe * np.exp(xe)) / (em1 * em1)
+    xs = x[small]
+    out[small] = -0.5 + xs / 6.0 - xs**3 / 180.0
     return out if out.ndim else float(out)
 
 

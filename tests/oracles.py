@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
 Scalar walk drivers, a one-path storage subgradient, the (V, Q)
-reformulation check and a CSV reader for benchmark tables.  The library
-computes the same quantities in batch; these plain versions are the
+reformulation check, the all-branches form of the ct h functions and a
+CSV reader for benchmark tables.  The library computes the same
+quantities in batch or branch by branch; these plain versions are the
 oracles it is checked against.
 """
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import numpy as np
 
 from rld.benchmark import RESULT_COLUMNS, BenchmarkRow, BenchmarkTable
+from rld.ctapprox import _SERIES_CUTOFF
 from rld.model import StorageSpec
 from rld.storage import PathOutcome, _boundary_tol
 from rld.walks import _TINY, advance, as_steps, initial_state
@@ -140,6 +142,33 @@ def per_path_subgradient_estimate(deficits: np.ndarray, supply: float,
         else:
             depth += 1
     return -voll / T * weighted
+
+
+def h_func_all_branches(x):
+    """``ctapprox.h_func`` evaluating both branches everywhere, then selecting."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < _SERIES_CUTOFF
+    xs = np.where(small, 1.0, x)
+    with np.errstate(over="ignore"):
+        exact = np.where(small, 1.0, xs / np.expm1(xs))
+    series = 1.0 - x / 2.0 + x * x / 12.0
+    out = np.where(small, series, exact)
+    return out if out.ndim else float(out)
+
+
+def h_prime_all_branches(x):
+    """``ctapprox.h_prime`` evaluating every branch everywhere, then selecting."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < _SERIES_CUTOFF
+    big = x > 350.0
+    xs = np.where(small | big, 1.0, x)
+    with np.errstate(invalid="ignore"):
+        em1 = np.expm1(xs)
+        numer = em1 - xs * np.exp(xs)
+        exact = numer / (em1 * em1)
+        series = -0.5 + x / 6.0 - x**3 / 180.0
+        out = np.where(small, series, np.where(big, 0.0, exact))
+    return out if out.ndim else float(out)
 
 
 def read_results(path) -> BenchmarkTable:

@@ -98,6 +98,23 @@ class TestRunBenchmark:
         for tag, c in costs.items():
             assert np.all(c >= ideal - 1e-9), tag
 
+    @pytest.mark.parametrize("sell_price", [-5.0, 0.0])
+    @pytest.mark.parametrize("engine", ["ct", "lattice", "mc"])
+    def test_sell_at_or_below_marginal_value_never_sells(self, engine, sell_price):
+        # holding energy is worth at least 0, so selling at <= 0 never pays
+        from rld.model import scenario_from_dict
+        from rld.dispatch import simulate_policy_batch
+
+        scn = scenario_from_dict(sell_first_doc(sell_price))
+        sched = solve_schedule(scn, engine, n_samples=4096)
+        assert sched.offsets[0] == np.inf and sched.residuals[0] == 0.0
+        assert np.isfinite(sched.offsets[1])
+        purchases, _, _, _ = simulate_policy_batch(
+            sched, scn, *draw_policy_paths(256, 2, scn.T, 4))
+        assert np.all(purchases[:, 0] == 0.0)
+        costs, ideal = evaluate_policies(scn, {engine: sched}, 256, seed=4)
+        assert np.all(costs[engine] >= ideal - 1e-9)
+
     def test_se_scaling_with_runs(self, cheap_scenario, cheap_schedules):
         # ct's cost distribution has light tails here, so the sample std is
         # stable enough to see the 1/sqrt(n) law at these sizes

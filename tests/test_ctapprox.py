@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,14 @@ from rld.ctapprox import (
     simulate_reflected_walk,
 )
 from rld.rng import run_generator
+from oracles import h_func_all_branches, h_prime_all_branches
+
+# the series cutoff, the exact branch's overflow cutoff and the special values
+EDGE_ARGUMENTS = np.array([
+    0.0, -0.0, 1e-3, -1e-3, np.nextafter(1e-3, 0.0), -np.nextafter(1e-3, 0.0),
+    350.0, np.nextafter(350.0, np.inf), 1000.0, -1000.0, np.inf, -np.inf, np.nan,
+    5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+])
 
 
 class TestHFunctions:
@@ -46,6 +55,27 @@ class TestHFunctions:
             exact_hp = (em1 - x * np.exp(x)) / (em1 * em1)
             series_hp = -0.5 + x / 6.0 - x**3 / 180.0
             assert abs(exact_hp - series_hp) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 30.0, 400.0])
+    def test_branch_only_forms_bitwise(self, scale):
+        x = scale * run_generator(3, 0x68).standard_normal(4096)
+        assert h_prime(x).tobytes() == h_prime_all_branches(x).tobytes()
+        assert h_func(x).tobytes() == h_func_all_branches(x).tobytes()
+
+    def test_edge_arguments_bitwise(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = h_prime(EDGE_ARGUMENTS)
+            scalars = [h_prime(x) for x in EDGE_ARGUMENTS]
+        assert values.tobytes() == h_prime_all_branches(EDGE_ARGUMENTS).tobytes()
+        assert all(type(v) is float for v in scalars)
+        assert np.array(scalars).tobytes() == values.tobytes()
+        # x / expm1(x) is inf / inf at +inf in both forms
+        finite_or_neg = EDGE_ARGUMENTS[EDGE_ARGUMENTS != np.inf]
+        assert h_func(finite_or_neg).tobytes() == h_func_all_branches(finite_or_neg).tobytes()
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(h_func(np.inf)) and np.isnan(h_func_all_branches(np.inf))
+        assert type(h_func(0.5)) is float
 
     def test_extreme_arguments(self):
         assert h_func(1000.0) == 0.0

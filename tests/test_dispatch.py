@@ -1,15 +1,18 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, linprog
-from scipy.special import ndtri
+from scipy.special import expit, ndtri
 
+from rld import dispatch
 from rld.ctapprox import ct_terminal_cost, ct_terminal_subgradient, h_prime
 from rld.dispatch import (
     DegeneratePriceError,
+    _solve_decreasing,
     build_terminal_model,
     ideal_costs_batch,
     simulate_policy,
@@ -19,8 +22,8 @@ from rld.dispatch import (
     three_sigma_schedule,
 )
 from rld.lattice import closed_form_b0, lattice_terminal_subgradient
-from rld.model import ForecastModel, StorageSpec
-from rld.rng import draw_policy_paths
+from rld.model import ForecastModel, StorageSpec, load_scenario
+from rld.rng import draw_policy_paths, run_generator
 from rld.storage import (
     delivery_costs_batch,
     subgradient_estimates_batch,
@@ -29,6 +32,7 @@ from rld.storage import (
 from conftest import make_scenario
 
 VOLL = 1000.0
+SHIPPED = resources.files("rld").joinpath("data/vi_scenario.json")
 
 
 def last_stage_offset(price, grad, scale):
@@ -76,6 +80,97 @@ class TestSolveStageThreshold:
             last_stage_offset(VOLL + 1.0, grad, scale=1.0)
         with pytest.raises(DegeneratePriceError, match="below achievable"):
             last_stage_offset(-5.0, grad, scale=1.0)
+
+
+def assert_solved(fn, target, x, resid, resid_tol, width_tol=1e-9):
+    """The reported residual is honest, and x meets the tolerance or brackets
+    a crossing within the width stop's half-width."""
+    assert resid == abs(fn(x) - target)
+    if resid > resid_tol:
+        w = 2.0 * width_tol * max(1.0, abs(x))
+        assert fn(x - w) >= target >= fn(x + w)
+
+
+class TestRootFinder:
+    """``_solve_decreasing``: Illinois regula falsi on an expanded bracket."""
+
+    @given(
+        loc=st.floats(-50.0, 50.0),
+        log_width=st.floats(-6.0, 2.0),
+        floor=st.floats(-100.0, 100.0),
+        log_span=st.floats(-3.0, 3.0),
+        share=st.floats(0.01, 0.99),
+        centre=st.floats(-100.0, 100.0),
+        half=st.floats(0.01, 10.0),
+        log_tol=st.floats(-12.0, -3.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_saturated_sigmoids(self, loc, log_width, floor, log_span, share,
+                                centre, half, log_tol):
+        width, span = 10.0**log_width, 10.0**log_span
+
+        def fn(x):
+            # expit saturates to exactly 0 or 1 far from loc
+            return floor + span * float(expit((loc - x) / width))
+
+        target = floor + share * span
+        tol = 10.0**log_tol * span
+        x, resid, iters = _solve_decreasing(fn, target, centre - half, centre + half, tol)
+        assert 1 <= iters <= 200
+        assert_solved(fn, target, x, resid, tol)
+
+    @pytest.mark.parametrize("target", [58.0, 40.0, 12.5])
+    def test_sobol_like_step_function(self, target):
+        # first-future-action shape: a share of paths acts at a fixed price,
+        # the rest contribute a smooth decreasing terminal term
+        edges = np.sort(run_generator(5, 0x72).standard_normal(2**14))
+
+        def fn(x):
+            acts = x <= edges
+            return float(np.mean(np.where(acts, 60.0, 50.0 * expit(-4.0 * (x - edges)))))
+
+        evals = []
+
+        def counted(x):
+            evals.append(x)
+            return fn(x)
+
+        x, resid, _ = _solve_decreasing(counted, target, -1.0, 1.0, 1e-3)
+        assert_solved(fn, target, x, resid, 1e-3)
+        assert len(evals) <= 40
+
+    def test_target_hit_exactly_at_a_bracket_end(self):
+        def fn(x):
+            return 50.0 - 10.0 * x
+
+        for lo, hi, root in ((0.0, 2.0, 0.0), (-2.0, 0.0, 0.0)):
+            x, resid, _ = _solve_decreasing(fn, 50.0, lo, hi, 1e-3)
+            assert resid <= 1e-3 and resid == abs(fn(x) - 50.0)
+            assert abs(x - root) <= 1e-4
+
+    def test_shipped_sobol_stages_take_at_most_13_evaluations(self, monkeypatch):
+        counts = []
+
+        def counting(fn, *args, **kwargs):
+            calls = [0]
+
+            def wrapped(x):
+                calls[0] += 1
+                return fn(x)
+
+            out = _solve_decreasing(wrapped, *args, **kwargs)
+            counts.append(calls[0])
+            return out
+
+        monkeypatch.setattr(dispatch, "_solve_decreasing", counting)
+        scn = load_scenario(str(SHIPPED))
+        for engine in ("lattice", "mc", "ct"):
+            counts.clear()
+            sched = solve_thresholds_backward(scn, engine)
+            assert len(counts) == scn.ladder.n_stages
+            # the first call is the last stage; the others are Sobol stages
+            assert max(counts[1:]) <= 13, (engine, counts)
+            assert np.all(sched.residuals < 1e-6 * scn.cost.voll), (engine, sched.residuals)
 
 
 class TestDeltaOffsets:
@@ -560,6 +655,23 @@ class TestSimulatePolicy:
         single = simulate_policy(sched, scn, shifts[2], noise[2])
         assert single.total_cost == pytest.approx(batch[3][2], rel=1e-13)
         assert single.x_final == pytest.approx(batch[1][2], rel=1e-13)
+
+    def test_last_stage_never_selling_skips_the_polish(self):
+        # a final sell at -5 never pays, so the exact lattice has no root to polish
+        from rld.model import scenario_from_dict
+        from conftest import DEFAULT_CURVE
+
+        scn = scenario_from_dict({
+            "ladder": [
+                {"lead_time_hours": 24.0, "price": 52.0, "direction": "buy"},
+                {"lead_time_hours": 1.0, "price": -5.0, "direction": "sell"},
+            ],
+            "voll": VOLL, "storage": {"B": 0.01}, "T": 8, "d_hat": 0.3,
+            "curve": DEFAULT_CURVE,
+        })
+        sched = solve_thresholds_backward(scn, "lattice", n_samples=4096)
+        assert sched.offsets[1] == np.inf and sched.residuals[1] == 0.0
+        assert np.isfinite(sched.offsets[0]) and sched.residuals[0] <= 1e-6 * VOLL
 
     def test_sell_stage_respects_direction(self):
         from rld.model import scenario_from_dict
