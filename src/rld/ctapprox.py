@@ -33,10 +33,12 @@ class RbmParams:
 def h_func(x):
     """x / (e^x - 1), continued by 1 at x = 0.  Positive, strictly decreasing."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    # each branch runs only on its own elements
+    # each branch runs only on its own elements; above 710 expm1 overflows
+    # and x / expm1(x) is already 0, so the exact branch stops there
+    # (at +inf it would be inf / inf)
+    out = np.zeros_like(x)
     small = np.abs(x) < _SERIES_CUTOFF
-    exact = ~small
+    exact = ~(small | (x > 710.0))
     xe = x[exact]
     with np.errstate(over="ignore"):
         out[exact] = xe / np.expm1(xe)
@@ -49,15 +51,18 @@ def h_prime(x):
     """Derivative of h: ((1-x)e^x - 1) / (e^x - 1)^2, continued by -1/2 at 0."""
     x = np.asarray(x, dtype=float)
     # above ~350 the squared denominator overflows while the true value is
-    # below 1e-145, so the exact branch is cut off at its limit of 0
+    # below 1e-145, so the exact branch is cut off at its limit of 0; below
+    # -750 e^x is 0 and the exact branch is already its limit of -1 (at
+    # -inf it would be -1 - inf * 0)
     out = np.zeros_like(x)
     small = np.abs(x) < _SERIES_CUTOFF
-    exact = ~(small | (x > 350.0))
+    low = x < -750.0
+    out[low] = -1.0
+    exact = ~(small | low | (x > 350.0))
     xe = x[exact]
-    with np.errstate(invalid="ignore"):   # x = -inf gives inf * 0
-        em1 = np.expm1(xe)
-        # (1-x)e^x - 1 rewritten so the cancelling terms subtract directly
-        out[exact] = (em1 - xe * np.exp(xe)) / (em1 * em1)
+    em1 = np.expm1(xe)
+    # (1-x)e^x - 1 rewritten so the cancelling terms subtract directly
+    out[exact] = (em1 - xe * np.exp(xe)) / (em1 * em1)
     xs = x[small]
     out[small] = -0.5 + xs / 6.0 - xs**3 / 180.0
     return out if out.ndim else float(out)

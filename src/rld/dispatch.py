@@ -33,7 +33,6 @@ from .model import (
 from .rng import run_generator
 from .storage import (
     delivery_costs_batch,
-    shortfall_weights,
     subgradient_estimates_batch,
     unserved_and_slope_batch,
 )
@@ -143,7 +142,9 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
     the accumulated position, so one curve in w = x - forecast_total
     serves every forecast level.  The lattice and Monte Carlo engines are
     evaluated on a dense grid and interpolated with a shape-preserving
-    cubic; the continuous-time engine is analytic.
+    cubic; the continuous-time engine is analytic.  All three engines
+    model ideal storage of the scenario's capacity and ignore its
+    efficiencies, even at nu = 0, where the storage can deliver nothing.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -236,19 +237,21 @@ def _mc_subgradients(deficits: np.ndarray, supplies: np.ndarray, capacity: float
     Only rows whose estimate is not known yet go through the kernel.  A row
     whose supply is below its lowest deficit is short at every stage with
     empty storage: exactly ``-voll / T * T``.  A row whose estimate reached
-    0 has no short stage, and under monotone rounding its storage levels
-    only rise with the supply, so it stays at 0.  The full vector is filled
-    in row order before the mean, so every value is bitwise the plain
-    per-supply kernel mean.  ``scratch`` (a float vector of at least
-    ``deficits.size`` entries, overwritten) holds the rows sent each time;
-    the loop allocates no other (n, T) or per-stage arrays.
+    0 stays at 0, because the kernel's exact weight never grows with the
+    supply.  It counts the stages t whose first pin at or after t (a
+    shortfall, or a level at the capacity) is a shortfall, and a higher
+    supply raises every level, since each rounded step is monotone:
+    shortfalls only disappear and full levels only appear.  The full
+    vector is filled in row order before the mean, so every value is
+    bitwise the plain per-supply kernel mean.  ``scratch`` (a float vector
+    of at least ``deficits.size`` entries, overwritten) holds the rows
+    sent each time, so the loop allocates no (n, T) array.
     """
     n, T = deficits.shape
     lowest = deficits.min(axis=1)
     est = np.full(n, -voll / T * T)
     todo = np.empty(n, dtype=bool)
     unsettled = np.empty(n, dtype=bool)
-    work, flags = np.empty((4, n)), np.empty((3, n), dtype=bool)
     vals = np.empty(supplies.size)
     for i, supply in enumerate(supplies):
         np.greater_equal(supply, lowest, out=todo)
@@ -258,8 +261,7 @@ def _mc_subgradients(deficits: np.ndarray, supplies: np.ndarray, capacity: float
             # stage-major rows of the copy: the kernel reads it column-major
             by_stage = scratch[:rows.size * T].reshape(T, rows.size)
             np.take(deficits.T, rows, axis=1, out=by_stage, mode="clip")
-            weights = shortfall_weights(by_stage.T, supply, capacity, work, flags)
-            est[rows] = np.multiply(-voll / T, weights, out=weights)
+            est[rows] = subgradient_estimates_batch(by_stage.T, supply, capacity, voll)
         vals[i] = est.mean()
     return vals
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .model import CostModel, StorageSpec
 
-# Boundary classification tolerance: exact ties are measure zero for
-# continuous deficits, so only roundoff needs absorbing.
+# Roundoff allowance of the one-path feasibility checks; the batch
+# kernels classify the boundaries exactly.
 def _boundary_tol(capacity: float) -> float:
     return 1e-12 * max(capacity, 1.0)
 
@@ -139,8 +139,10 @@ def unserved_and_slope_batch(deficits: np.ndarray, supply: np.ndarray | float,
     right derivative of -V in the per-stage supply: a shortfall stage
     weighs one plus the stages since the level was last pinned (emptied
     by a shortfall, or full), each of which passes one more unit of
-    supply on to it.  Unlike ``subgradient_estimates_batch`` it has no
-    boundary tolerance, so w never grows with the supply.
+    supply on to it.  There is no boundary tolerance: a level left at
+    exactly 0 by a covered stage still passes more supply on, and one
+    that lands exactly on the capacity does not, so w never grows with
+    the supply, even through exact ties.
     """
     deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
     n, T = deficits.shape
@@ -169,42 +171,12 @@ def unserved_and_slope_batch(deficits: np.ndarray, supply: np.ndarray | float,
 
 def subgradient_estimates_batch(deficits: np.ndarray, supply: np.ndarray | float,
                                 capacity: float, voll: float) -> np.ndarray:
-    """Row-wise per-path subgradient estimates (ideal storage)."""
-    deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
-    n, T = deficits.shape
-    weights = shortfall_weights(deficits, supply, capacity,
-                                np.empty((4, n)), np.empty((3, n), dtype=bool))
-    return -voll / T * weights
+    """Row-wise per-path subgradient estimates (ideal storage).
 
-
-def shortfall_weights(deficits: np.ndarray, supply: np.ndarray | float, capacity: float,
-                      work: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """The shortfall weight of each row, -T / voll times its estimate.
-
-    Each row walks its ideal-storage path and weights every shortfall
-    stage by one plus the number of stages since the storage last touched
-    a boundary.  Every temporary is a row of ``work`` (float, 4 x at
-    least n) or ``flags`` (bool, 3 x at least n), so a caller looping over
-    many supplies allocates nothing per call; the returned weights are a
-    row of ``work``.  Each step is one of the plain expressions written with
-    ``out=``, so the values are bitwise those of the expressions.
+    Each is -voll / T times the exact shortfall weight w of
+    ``unserved_and_slope_batch``, the right derivative of the path's cost
+    in the accumulated position x = T * supply.
     """
-    n, T = deficits.shape
-    x = np.broadcast_to(np.asarray(supply, dtype=float), (n,))
-    tol = _boundary_tol(capacity)
-    b, depth, weighted, tmp = work[:, :n]
-    short, free, below_full = flags[:, :n]
-    b.fill(0.0)
-    depth.fill(0.0)
-    weighted.fill(0.0)
-    for t in range(T):
-        np.greater(np.subtract(deficits[:, t], b, out=tmp), x, out=short)
-        depth += 1.0
-        weighted += np.multiply(depth, short, out=tmp)
-        np.subtract(x, deficits[:, t], out=tmp)
-        tmp += b
-        np.minimum(capacity, np.maximum(tmp, 0.0, out=tmp), out=b)
-        np.greater(b, tol, out=free)
-        free &= np.less(b, capacity - tol, out=below_full)
-        depth *= free                   # the run restarts at a boundary
-    return weighted
+    deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
+    T = deficits.shape[1]
+    return -voll / T * unserved_and_slope_batch(deficits, supply, capacity)[1]

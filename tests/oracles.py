@@ -123,24 +123,23 @@ def per_path_subgradient_estimate(deficits: np.ndarray, supply: float,
     """One-path estimate of the terminal cost slope in the accumulated position.
 
     Walks the ideal-storage path, weighting each shortfall stage by one plus
-    the number of stages since the storage last touched a boundary.  The
+    the number of stages since the run of carried supply last restarted: on
+    an uncovered shortfall, or when the level reaches the capacity, with no
+    tolerance.  That is the exact right derivative of the path's cost; the
     average over independent paths converges to the constrained subgradient
     of the expected terminal cost with respect to the accumulated energy.
     """
     deficits = np.asarray(deficits, dtype=float)
     T = deficits.size
-    tol = _boundary_tol(capacity)
     b = 0.0
     depth = 0
     weighted = 0
     for t in range(T):
-        if deficits[t] - b > supply:
+        z = supply - deficits[t] + b
+        if z < 0.0:
             weighted += depth + 1
-        b = min(capacity, max(supply - deficits[t] + b, 0.0))
-        if b <= tol or b >= capacity - tol:
-            depth = 0
-        else:
-            depth += 1
+        depth = 0 if z < 0.0 or z >= capacity else depth + 1
+        b = min(capacity, max(z, 0.0))
     return -voll / T * weighted
 
 

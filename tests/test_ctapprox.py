@@ -67,14 +67,16 @@ class TestHFunctions:
             warnings.simplefilter("error", RuntimeWarning)
             values = h_prime(EDGE_ARGUMENTS)
             scalars = [h_prime(x) for x in EDGE_ARGUMENTS]
-        assert values.tobytes() == h_prime_all_branches(EDGE_ARGUMENTS).tobytes()
+            h_values = h_func(EDGE_ARGUMENTS)
         assert all(type(v) is float for v in scalars)
         assert np.array(scalars).tobytes() == values.tobytes()
-        # x / expm1(x) is inf / inf at +inf in both forms
-        finite_or_neg = EDGE_ARGUMENTS[EDGE_ARGUMENTS != np.inf]
-        assert h_func(finite_or_neg).tobytes() == h_func_all_branches(finite_or_neg).tobytes()
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(h_func(np.inf)) and np.isnan(h_func_all_branches(np.inf))
+        # the all-branch forms give NaN at +-inf (inf / inf, inf * 0)
+        finite = ~np.isinf(EDGE_ARGUMENTS)
+        assert values[finite].tobytes() == h_prime_all_branches(EDGE_ARGUMENTS[finite]).tobytes()
+        assert h_values[finite].tobytes() == h_func_all_branches(EDGE_ARGUMENTS[finite]).tobytes()
+        # the limits: h(x) ~ -x below 0, h'(x) -> -1; both -> 0 above
+        assert h_func(np.inf) == 0.0 and h_func(-np.inf) == np.inf
+        assert h_prime(np.inf) == 0.0 and h_prime(-np.inf) == -1.0
         assert type(h_func(0.5)) is float
 
     def test_extreme_arguments(self):
@@ -151,6 +153,15 @@ class TestCtTerminal:
             - ct_terminal_cost(x - d, 1.0, 0.2, 0.3, 1000.0)
         ) / (2 * d)
         assert ct_terminal_subgradient(x, 1.0, 0.2, 0.3, 1000.0) == pytest.approx(fd, rel=1e-6)
+
+    def test_infinite_positions_give_limits(self):
+        xs = np.array([-np.inf, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cost = ct_terminal_cost(xs, 1.0, 0.2, 0.3, 1000.0)
+            grad = ct_terminal_subgradient(xs, 1.0, 0.2, 0.3, 1000.0)
+        assert cost.tolist() == [np.inf, 0.0]
+        assert grad.tolist() == [-1000.0, 0.0]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

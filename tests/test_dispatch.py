@@ -395,9 +395,11 @@ class TestTerminalModel:
 
         rng = np.random.default_rng(seed)
         deficits = np.asfortranarray(0.05 + 0.1 * rng.standard_normal((60, 7)))
+        # every deficit and its neighbours: the pruning is exact through ties
+        ties = deficits.ravel()
         supplies = np.unique(np.concatenate([
-            rng.uniform(-0.3, 0.5, 50), deficits.min(axis=1),
-            np.nextafter(deficits.min(axis=1), np.inf),
+            rng.uniform(-0.3, 0.5, 50), ties,
+            np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf),
         ]))
         expect = [subgradient_estimates_batch(deficits, s, capacity, VOLL).mean()
                   for s in supplies]

@@ -165,9 +165,14 @@ class TestPerPathSubgradient:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         paths = 0.05 + 0.1 * rng.standard_normal((30, 6))
-        batch = subgradient_estimates_batch(paths, 0.06, 0.08, COST.voll)
-        scalar = [per_path_subgradient_estimate(p, 0.06, 0.08, COST.voll) for p in paths]
-        assert np.allclose(batch, scalar, atol=1e-12)
+        # a continuous draw, and the exact ties at each deficit and its neighbours
+        ties = paths.ravel()
+        for supply in np.concatenate([[0.06], ties, np.nextafter(ties, -np.inf),
+                                      np.nextafter(ties, np.inf)]):
+            batch = subgradient_estimates_batch(paths, supply, 0.08, COST.voll)
+            scalar = [per_path_subgradient_estimate(p, supply, 0.08, COST.voll)
+                      for p in paths]
+            assert batch.tolist() == scalar
 
     def test_mean_matches_finite_difference(self):
         # sample mean of the estimator vs central differences of mean cost
@@ -185,17 +190,20 @@ class TestPerPathSubgradient:
 
 
 def plain_subgradient_estimates(deficits, supply, capacity, voll):
-    """The estimate kernel as plain array expressions, one temporary each."""
+    """The estimate kernel as plain array expressions, one temporary each.
+
+    The run of carried supply restarts on an uncovered shortfall or when
+    the level reaches the capacity, with no tolerance.
+    """
     n, T = deficits.shape
     x = np.broadcast_to(np.asarray(supply, dtype=float), (n,))
-    tol = 1e-12 * max(capacity, 1.0)
     b, depth, weighted = np.zeros(n), np.zeros(n), np.zeros(n)
     for t in range(T):
-        short = deficits[:, t] - b > x
+        z = x - deficits[:, t] + b
+        short = z < 0.0
         weighted += np.where(short, depth + 1.0, 0.0)
-        b = np.minimum(capacity, np.maximum(x - deficits[:, t] + b, 0.0))
-        at_boundary = (b <= tol) | (b >= capacity - tol)
-        depth = np.where(at_boundary, 0.0, depth + 1.0)
+        depth = np.where(short | (z >= capacity), 0.0, depth + 1.0)
+        b = np.minimum(capacity, np.maximum(z, 0.0))
     return -voll / T * weighted
 
 
@@ -240,11 +248,17 @@ class TestMonotoneEstimates:
         assert np.all(est[below] == -COST.voll / T * T)
         reached = np.maximum.accumulate(est == 0.0, axis=0)
         assert np.all(est[reached] == 0.0)
-        # the shortfall weight -est * T / voll never grows with the supply, away
-        # from the 1e-12 band above a tie where the kernel's boundary tolerance
-        # resets the run (at a tie itself the estimate can rise and fall back)
-        spread_est = est[np.isin(supplies, np.unique(spread))]
-        assert np.all(np.diff(spread_est, axis=0) >= 0.0)
+        # the shortfall weight -est * T / voll never grows with the supply,
+        # through the ties as well
+        assert np.all(np.diff(est, axis=0) >= 0.0)
+
+    def test_tie_does_not_halve_the_estimate(self):
+        # supply 0.1 covers the first stage exactly: the empty level still
+        # passes more supply on to the second stage, so the slope stays -VOLL
+        paths = np.array([[0.1, 0.3]])
+        supplies = [np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0), 0.1 + 1e-11]
+        est = [subgradient_estimates_batch(paths, s, 0.5, 1000.0)[0] for s in supplies]
+        assert est == [-1000.0] * 4
 
 
 class TestUnservedAndSlope:
@@ -257,7 +271,6 @@ class TestUnservedAndSlope:
         unserved, weight = unserved_and_slope_batch(paths, supply, capacity)
         costs = delivery_costs_batch(paths, supply, StorageSpec(capacity), COST.voll)
         assert (COST.voll * unserved).tobytes() == costs.tobytes()
-        # off the boundary ties of continuous draws, the estimator weighs the same
         est = subgradient_estimates_batch(paths, supply, capacity, COST.voll)
         assert np.array_equal(-COST.voll / 9 * weight, est)
 
