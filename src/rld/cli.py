@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import benchmark as bench
 from .ctapprox import RbmParams, rbm_long_run
-from .dispatch import DegeneratePriceError, simulate_policy
+from .dispatch import ENGINES, DegeneratePriceError, simulate_policy_batch
 from .model import ParseError, ScenarioError, Scenario, load_scenario
 from .rng import run_generator
 from .storage import simulate_delivery
@@ -28,11 +29,35 @@ def _load(path: str | None) -> Scenario:
     return load_scenario(Path(path) if path else _default_scenario_path())
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise click.BadParameter(f"expected comma-separated numbers, got {text!r}") from exc
+def _numbers(positive: bool):
+    """Option callback: comma-separated finite numbers, all > 0 if ``positive``."""
+    def parse(ctx, param, text: str | None) -> list[float] | None:
+        if text is None:
+            return None
+        try:
+            values = [float(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise click.BadParameter(f"expected comma-separated numbers, got {text!r}") from exc
+        if not values or any(not math.isfinite(v) or (positive and v <= 0.0) for v in values):
+            kind = "positive finite" if positive else "finite"
+            raise click.BadParameter(f"expected {kind} numbers, got {text!r}")
+        return values
+    return parse
+
+
+_POLICIES = ("3sigma", *ENGINES)
+
+
+def _policy_tags(ctx, param, text: str) -> list[str]:
+    tags = [t.strip() for t in text.split(",") if t.strip()]
+    if not tags or any(tag not in _POLICIES for tag in tags):
+        raise click.BadParameter(f"expected tags from {', '.join(_POLICIES)}, got {text!r}")
+    return tags
+
+
+_policy_option = click.option(
+    "--policy", default="3sigma,lattice,ct", show_default=True, callback=_policy_tags,
+    help=f"Comma-separated policy tags from {', '.join(_POLICIES)}.")
 
 
 _samples_option = click.option(
@@ -83,9 +108,10 @@ def simulate(scenario, engine, seed, samples, out):
     gen = run_generator(seed, 0)
     shift_normals = gen.standard_normal(scn.ladder.n_stages)
     noise_normals = gen.standard_normal(scn.T)
-    result = simulate_policy(sched, scn, shift_normals, noise_normals)
+    purchases, x_final, delivery, total = (
+        a[0] for a in simulate_policy_batch(sched, scn, shift_normals, noise_normals))
     deficits = scn.realize(shift_normals, noise_normals)[1][0]
-    outcome = simulate_delivery(deficits, result.x_final / scn.T, scn.storage, scn.cost)
+    outcome = simulate_delivery(deficits, x_final / scn.T, scn.storage, scn.cost)
     if out:
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -99,16 +125,15 @@ def simulate(scenario, engine, seed, samples, out):
                 ])
         click.echo(f"wrote {out}")
     click.echo(
-        f"engine={engine} purchases={np.array2string(result.purchases, precision=6)} "
-        f"x_final={result.x_final:.6f} delivery_cost={result.delivery_cost:.4f} "
-        f"total_cost={result.total_cost:.4f}"
+        f"engine={engine} purchases={np.array2string(purchases, precision=6)} "
+        f"x_final={x_final:.6f} delivery_cost={delivery:.4f} "
+        f"total_cost={total:.4f}"
     )
 
 
 @main.command(name="benchmark")
 @click.option("--scenario", type=click.Path(exists=True), default=None)
-@click.option("--policy", default="3sigma,lattice,ct", show_default=True,
-              help="Comma-separated policy tags.")
+@_policy_option
 @click.option("--runs", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_samples_option
@@ -118,9 +143,8 @@ def simulate(scenario, engine, seed, samples, out):
 def benchmark_cmd(scenario, policy, runs, seed, samples, timing, out):
     """Monte Carlo policy comparison with common random numbers."""
     scn = _load(scenario)
-    tags = [t.strip() for t in policy.split(",") if t.strip()]
     table = bench.run_benchmark(
-        scn, tags, n_runs=runs, seed=seed,
+        scn, policy, n_runs=runs, seed=seed,
         solver_samples=samples, record_timing=timing,
     )
     bench.emit_results(table, "csv", out)
@@ -129,11 +153,14 @@ def benchmark_cmd(scenario, policy, runs, seed, samples, timing, out):
 
 @main.command()
 @click.option("--scenario", type=click.Path(exists=True), default=None)
-@click.option("--axis", type=click.Choice(["D", "B"]), required=True)
-@click.option("--grid", default=None, help="Comma-separated grid values.")
+@click.option("--axis", type=click.Choice(["D", "B"]), required=True,
+              help="D: the total mean deficit, spread evenly as D/T per stage (a "
+                   "per-stage d_hat profile is replaced); B: the storage capacity.")
+@click.option("--grid", default=None, callback=_numbers(False),
+              help="Comma-separated grid values.")
 @click.option("--grid-points", type=click.IntRange(min=1), default=9, show_default=True,
               help="Grid size when --grid is not given.")
-@click.option("--policy", default="3sigma,lattice,ct", show_default=True)
+@_policy_option
 @click.option("--runs", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_samples_option
@@ -144,15 +171,14 @@ def benchmark_cmd(scenario, policy, runs, seed, samples, timing, out):
 def sweep(scenario, axis, grid, grid_points, policy, runs, seed, samples, fmt, timing, out):
     """Benchmark along a mean-deficit or capacity grid."""
     scn = _load(scenario)
-    tags = [t.strip() for t in policy.split(",") if t.strip()]
     if grid is not None:
-        values = _parse_floats(grid)
+        values = grid
     elif axis == "D":
         values = list(np.linspace(-0.8, 0.8, grid_points))
     else:
         values = list(np.logspace(-4, -1, grid_points))
     table = bench.sweep(
-        scn, axis, values, tags, n_runs=runs, seed=seed,
+        scn, axis, values, policy, n_runs=runs, seed=seed,
         solver_samples=samples, record_timing=timing,
     )
     for written in bench.emit_results(table, fmt, out):
@@ -160,18 +186,18 @@ def sweep(scenario, axis, grid, grid_points, policy, runs, seed, samples, fmt, t
 
 
 @main.command(name="rbm-table")
-@click.option("--mu", default="-1,-0.5,0,0.5,1", show_default=True)
-@click.option("--sigma", default="0.5,1,2", show_default=True)
-@click.option("--capacity", default="0.5,1,2", show_default=True)
+@click.option("--mu", default="-1,-0.5,0,0.5,1", show_default=True, callback=_numbers(False))
+@click.option("--sigma", default="0.5,1,2", show_default=True, callback=_numbers(True))
+@click.option("--capacity", default="0.5,1,2", show_default=True, callback=_numbers(True))
 @click.option("--out", type=click.Path(), required=True)
 def rbm_table(mu, sigma, capacity, out):
     """Long-run boundary push rates of the reflected process."""
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mu", "sigma", "B", "v_rate", "q_rate"])
-        for m in _parse_floats(mu):
-            for s in _parse_floats(sigma):
-                for b in _parse_floats(capacity):
+        for m in mu:
+            for s in sigma:
+                for b in capacity:
                     v, q = rbm_long_run(RbmParams(m, s, b))
                     writer.writerow([repr(m), repr(s), repr(b), repr(v), repr(q)])
     click.echo(f"wrote {out}")

@@ -50,9 +50,7 @@ class _BelowRangeError(DegeneratePriceError):
 
 
 def _solve_decreasing(fn: Callable[[float], float], target: float,
-                      lo: float, hi: float, resid_tol: float,
-                      width_tol: float = 1e-9,
-                      max_iter: int = 200) -> tuple[float, float, int]:
+                      lo: float, hi: float, resid_tol: float) -> tuple[float, float, int]:
     """Root of a nonincreasing fn(x) = target with bracket expansion.
 
     The bracket ends grow outward until fn(lo) >= target > fn(hi).  Then
@@ -60,9 +58,9 @@ def _solve_decreasing(fn: Callable[[float], float], target: float,
     false-position point, and halves the stored residual of an end that
     is kept twice in a row, so both ends keep moving.  A point that does
     not land strictly inside the bracket is replaced by the midpoint.  The
-    search stops at |fn(x) - target| <= resid_tol, or when the bracket is
-    narrower than width_tol * max(1, |x|).  Returns (x, |fn(x) - target|,
-    steps).
+    search stops at |fn(x) - target| <= resid_tol, when the bracket is
+    narrower than 1e-9 * max(1, |x|), or after 200 steps.  Returns (x,
+    |fn(x) - target|, steps).
     """
     def finite(x: float) -> float:
         val = fn(x)
@@ -97,7 +95,7 @@ def _solve_decreasing(fn: Callable[[float], float], target: float,
     x = 0.5 * (lo + hi)
     resid = math.inf
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, 201):
         x = lo + r_lo / (r_lo - r_hi) * (hi - lo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
@@ -115,7 +113,7 @@ def _solve_decreasing(fn: Callable[[float], float], target: float,
             if kept > 0:
                 r_lo *= 0.5
             kept = 1
-        if hi - lo < width_tol * max(1.0, abs(x)):
+        if hi - lo < 1e-9 * max(1.0, abs(x)):
             x = 0.5 * (lo + hi)
             resid = abs(finite(x) - target)
             break
@@ -134,8 +132,7 @@ class TerminalModel:
 
 
 def build_terminal_model(scenario: Scenario, engine: str, *,
-                         n_mc_paths: int = 20_000, seed: int = 0,
-                         grid_points_per_scale: int = 8) -> TerminalModel:
+                         n_mc_paths: int = 20_000, seed: int = 0) -> TerminalModel:
     """Build the engine's terminal subgradient in forecast-relative form.
 
     A uniform shift of the forecast is identical to an opposite shift of
@@ -188,10 +185,11 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
 
         return TerminalModel(engine, grad_ct, scale=max(scale, sigma_sq / (2 * capacity)))
 
-    # dense grid where the subgradient transitions, coarse saturated tails
+    # dense grid (8 points per scale) where the subgradient transitions,
+    # coarse saturated tails
     core = T * capacity + 7.5 * scale
     outer = core + 8.0 * float(scenario.curve.sigmas.max()) + 0.25
-    fine = scale / grid_points_per_scale
+    fine = scale / 8
     ws = np.unique(np.concatenate([
         np.arange(-core, core + fine, fine),
         np.arange(-outer, outer + 4.0 * fine, 4.0 * fine),
@@ -404,11 +402,9 @@ class ThresholdSchedule:
 
 
 def solve_thresholds_backward(scenario: Scenario, engine: str = "lattice", *,
-                              n_samples: int = 200_000, seed: int = 0,
-                              model: TerminalModel | None = None) -> ThresholdSchedule:
+                              n_samples: int = 200_000, seed: int = 0) -> ThresholdSchedule:
     """Solve every stage's threshold offset for the chosen engine."""
-    if model is None:
-        model = build_terminal_model(scenario, engine, seed=seed)
+    model = build_terminal_model(scenario, engine, seed=seed)
     shift_stds = scenario.inter_stage_stds()
     deltas, residuals, iterations = solve_delta_offsets(
         scenario.ladder.prices, scenario.cost.voll, shift_stds, model.grad,
@@ -443,14 +439,6 @@ def three_sigma_schedule(curve: ForecastErrorCurve, ladder: MarketLadder,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PolicyResult:
-    purchases: np.ndarray
-    x_final: float
-    delivery_cost: float
-    total_cost: float
-
-
 def simulate_policy_batch(schedule: ThresholdSchedule, scenario: Scenario,
                           shift_normals: np.ndarray, noise_normals: np.ndarray):
     """Vectorized policy evaluation over standard-normal innovation rows.
@@ -478,13 +466,6 @@ def simulate_policy_batch(schedule: ThresholdSchedule, scenario: Scenario,
     return purchases, x, delivery, totals
 
 
-def simulate_policy(schedule: ThresholdSchedule, scenario: Scenario,
-                    shift_normals, noise_normals) -> PolicyResult:
-    """Run one policy path; innovations are standard normals (see batch)."""
-    p, x, d, tot = simulate_policy_batch(schedule, scenario, shift_normals, noise_normals)
-    return PolicyResult(p[0], float(x[0]), float(d[0]), float(tot[0]))
-
-
 # rows per search block; its working copy is 1.9 MB at T = 60 (8192 rows ran
 # 20% faster but raised the peak memory of a 50000-run benchmark by 1.5 MB)
 _IDEAL_BLOCK = 4096
@@ -504,33 +485,34 @@ def ideal_costs_batch(deficits: np.ndarray, capacity: float,
     # the deficits one stage column at a time
     deficits = np.asfortranarray(np.atleast_2d(np.asarray(deficits, dtype=float)))
     n, T = deficits.shape
+    spec = StorageSpec(capacity)
     supply = np.empty(n)
     work = np.empty((min(n, _IDEAL_BLOCK), T), order="F")
     for start in range(0, n, _IDEAL_BLOCK):
         rows = slice(start, start + _IDEAL_BLOCK)
-        supply[rows] = _ideal_supply(deficits[rows], capacity, day_ahead_price, voll, work)
-    costs = day_ahead_price * (T * supply) + delivery_costs_batch(
-        deficits, supply, StorageSpec(capacity), voll)
+        supply[rows] = _ideal_supply(deficits[rows], spec, day_ahead_price, voll, work)
+    costs = day_ahead_price * (T * supply) + delivery_costs_batch(deficits, supply, spec, voll)
     return supply, costs
 
 
-def _ideal_supply(deficits, capacity, price, voll, work):
+def _ideal_supply(deficits, spec, price, voll, work):
     """Minimizer of ``price*T*s + voll*V(s)`` for each row of one block.
 
     Kelley's cutting plane on a convex piecewise-linear function of one
-    variable.  Each bracket end carries its cost f and right slope
-    g = price*T - voll*w (w an integer in 0..T); g < 0 at ``lo`` and g >= 0
-    at ``hi``, so the minimum lies between.  The first ends are the exact
-    outer pieces: below the lowest deficit every stage is short (w = T),
-    above the highest none is (w = 0).  Each step evaluates the point t
-    where the two tangent lines meet.  If g(t) is 0 or equals an end's
-    slope, f is linear from that end to t, so f(t) equals the tangent
-    lower bound and t is a minimizer; a t that rounds onto an end puts the
-    minimum at that end.  Otherwise w(t) lies strictly between the ends'
-    weights and t replaces one end, so a row retires within T steps.  The
-    same count bounds a price outside [0, voll), whose cost is unbounded
-    below: the search then stops at an arbitrary point.  The working copy
-    ``work`` holds the unretired rows, compacted after every step.
+    variable on ideal storage ``spec``.  Each bracket end carries its cost
+    f and right slope g = price*T - voll*w (w an integer in 0..T); g < 0
+    at ``lo`` and g >= 0 at ``hi``, so the minimum lies between.  The first
+    ends are the exact outer pieces: below the lowest deficit every stage
+    is short (w = T), above the highest none is (w = 0).  Each step
+    evaluates the point t where the two tangent lines meet.  If g(t) is 0
+    or equals an end's slope, f is linear from that end to t, so f(t)
+    equals the tangent lower bound and t is a minimizer; a t that rounds
+    onto an end puts the minimum at that end.  Otherwise w(t) lies strictly
+    between the ends' weights and t replaces one end, so a row retires
+    within T steps.  The same count bounds a price outside [0, voll), whose
+    cost is unbounded below: the search then stops at an arbitrary
+    point.  The working copy ``work`` holds the unretired rows, compacted
+    after every step.
     """
     m, T = deficits.shape
     lo = deficits.min(axis=1) - 1.0
@@ -548,7 +530,7 @@ def _ideal_supply(deficits, capacity, price, voll, work):
     active[...] = deficits
     for _ in range(T + 1):
         t = lo + (f_hi - f_lo - g_hi * (hi - lo)) / (g_lo - g_hi)
-        unserved, weight = unserved_and_slope_batch(active, t, capacity)
+        unserved, weight = unserved_and_slope_batch(active, t, spec)
         f = price * (T * t) + voll * unserved
         g = price_T - voll * weight
         inside = (lo < t) & (t < hi)

@@ -133,10 +133,6 @@ class ForecastModel:
         object.__setattr__(self, "sigma", s)
 
     @property
-    def constant_profile(self) -> bool:
-        return bool(np.all(self.d_hat == self.d_hat[0]) and np.all(self.sigma == self.sigma[0]))
-
-    @property
     def total_mean(self) -> float:
         return float(self.d_hat.sum())
 

@@ -16,7 +16,7 @@ import numpy as np
 from .model import CostModel, StorageSpec
 
 # Roundoff allowance of the one-path feasibility checks; the batch
-# kernels classify the boundaries exactly.
+# kernel classifies the boundaries exactly.
 def _boundary_tol(capacity: float) -> float:
     return 1e-12 * max(capacity, 1.0)
 
@@ -107,65 +107,59 @@ def simulate_delivery(deficits: np.ndarray, supply: float, spec: StorageSpec,
 
 def delivery_costs_batch(deficits: np.ndarray, supply: np.ndarray | float,
                          spec: StorageSpec, voll: float) -> np.ndarray:
-    """Total VOLL cost of each row of an (n, T) deficit matrix.
-
-    The greedy rule of ``simulate_delivery`` for all rows at once: a
-    shortfall draws up to nu*b from storage, a surplus recharges mu times
-    itself up to the capacity, and the level then decays by lambda.
-    """
-    deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
-    n, T = deficits.shape
-    x = np.broadcast_to(np.asarray(supply, dtype=float), (n,))
-    lam, mu, nu = spec.storage_eff, spec.recharge_eff, spec.discharge_eff
-    b = np.zeros(n)
-    total = np.zeros(n)
-    for t in range(T):
-        short = deficits[:, t] - x     # > 0 shortfall, < 0 surplus
-        usable = nu * b
-        total += np.maximum(short - usable, 0.0)
-        drawn = np.minimum(np.maximum(short, 0.0), usable)   # zero when nu = 0
-        spent = drawn / nu if nu > 0 else drawn
-        level = b + mu * np.maximum(-short, 0.0) - spent
-        b = lam * np.minimum(np.maximum(level, 0.0), spec.capacity)
-    return voll * total
+    """VOLL times the unserved energy of ``unserved_and_slope_batch``."""
+    return voll * unserved_and_slope_batch(deficits, supply, spec)[0]
 
 
 def unserved_and_slope_batch(deficits: np.ndarray, supply: np.ndarray | float,
-                             capacity: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unserved energy V of each row and the integer weight w with V' = -w.
+                             spec: StorageSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Unserved energy V of each row of an (n, T) deficit matrix and the
+    weight w with V' = -w, its exact right derivative in the supply.
 
-    Ideal storage.  V is the total of ``delivery_costs_batch`` divided by
-    VOLL, bitwise (same level trajectory, same sums).  w is the exact
-    right derivative of -V in the per-stage supply: a shortfall stage
-    weighs one plus the stages since the level was last pinned (emptied
-    by a shortfall, or full), each of which passes one more unit of
-    supply on to it.  There is no boundary tolerance: a level left at
-    exactly 0 by a covered stage still passes more supply on, and one
-    that lands exactly on the capacity does not, so w never grows with
-    the supply, even through exact ties.
+    The greedy rule of ``simulate_delivery`` in usable energy u = nu*b: a
+    surplus adds nu*mu times itself, a shortfall draws on u, and u is then
+    clipped to [0, nu*B] and decays by lambda.  ``carried``, the right
+    derivative of u plus the stage's own share, adds to w on each
+    uncovered stage and restarts where the level is pinned (emptied by a
+    shortfall, or full).  There is no boundary tolerance, so w never grows
+    with the supply, even through exact ties; on ideal storage it is an
+    integer in 0..T.
     """
     deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
     n, T = deficits.shape
     x = np.broadcast_to(np.asarray(supply, dtype=float), (n,))
-    b = np.zeros(n)
+    lam = spec.storage_eff
+    gain = spec.discharge_eff * spec.recharge_eff
+    cap = spec.discharge_eff * spec.capacity
+    u = np.zeros(n)
     total = np.zeros(n)
     weight = np.zeros(n)
-    carried = np.zeros(n)     # right derivative of the level in the supply
+    carried = np.zeros(n)
     z = np.empty(n)
     tmp = np.empty(n)
     short = np.empty(n, dtype=bool)
     inside = np.empty(n, dtype=bool)
+    # the gain and lambda steps are exact no-ops on ideal storage; unmasked
+    # ufuncs (not where=) keep the lossy loop as fast as a cost-only one
     for t in range(T):
         np.subtract(x, deficits[:, t], out=z)
-        z += b                          # level before clipping; < 0 is unserved
-        carried += 1.0
+        if gain == 1.0:
+            carried += 1.0
+        else:
+            # gain <= 1: max(short, gain) is 1 or gain, min(z, gain*z) scales a surplus
+            carried += np.maximum(np.less(z, 0.0, out=tmp), gain, out=tmp)
+            np.minimum(z, np.multiply(z, gain, out=tmp), out=z)
+        z += u                          # usable level before clipping; < 0 is unserved
         total -= np.minimum(z, 0.0, out=tmp)
         np.less(z, 0.0, out=short)
         weight += np.multiply(carried, short, out=tmp)
-        np.less(z, capacity, out=inside)
+        np.less(z, cap, out=inside)
         inside &= ~short
         carried *= inside
-        np.clip(z, 0.0, capacity, out=b)
+        np.clip(z, 0.0, cap, out=u)
+        if lam != 1.0:
+            carried *= lam
+            u *= lam
     return total, weight
 
 
@@ -179,4 +173,4 @@ def subgradient_estimates_batch(deficits: np.ndarray, supply: np.ndarray | float
     """
     deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
     T = deficits.shape[1]
-    return -voll / T * unserved_and_slope_batch(deficits, supply, capacity)[1]
+    return -voll / T * unserved_and_slope_batch(deficits, supply, StorageSpec(capacity))[1]

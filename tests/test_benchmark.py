@@ -266,6 +266,26 @@ class TestCli:
         assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["benchmark", "--policy", "foo"],
+        ["benchmark", "--policy", ","],
+        ["sweep", "--axis", "B", "--policy", "3sigma,magic"],
+        ["sweep", "--axis", "D", "--grid", ","],
+        ["sweep", "--axis", "D", "--grid", "0.1,inf"],
+        ["rbm-table", "--sigma", "0"],
+        ["rbm-table", "--capacity", "-1"],
+        ["rbm-table", "--mu", "nan"],
+    ])
+    def test_bad_option_values_exit_2(self, tmp_path, monkeypatch, capsys, args):
+        from rld.cli import entry
+
+        monkeypatch.setattr("sys.argv", ["rld", *args, "--out", str(tmp_path / "o.csv")])
+        assert entry() == 2
+        captured = capsys.readouterr()
+        assert f"Invalid value for '{args[-2]}'" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("samples", ["-5", "0"])
     @pytest.mark.parametrize("command", [
         ["thresholds", "--engine", "ct"],

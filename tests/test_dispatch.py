@@ -15,7 +15,6 @@ from rld.dispatch import (
     _solve_decreasing,
     build_terminal_model,
     ideal_costs_batch,
-    simulate_policy,
     simulate_policy_batch,
     solve_delta_offsets,
     solve_thresholds_backward,
@@ -645,18 +644,10 @@ class TestSimulatePolicy:
             curve=[[24, 0.0], [1, 0.0], [0.25, 0.0]],
         )
         sched = solve_thresholds_backward(scn, "ct")
-        result = simulate_policy(sched, scn, np.zeros(3), np.zeros(8))
-        assert result.total_cost == pytest.approx(52.0 * 0.48, abs=1e-4)
-        assert result.purchases[1:] == pytest.approx(0.0, abs=1e-6)
-
-    def test_single_path_matches_batch(self, small_scenario):
-        scn = small_scenario
-        sched = solve_thresholds_backward(scn, "ct")
-        shifts, noise = draw_policy_paths(4, 3, scn.T, seed=7)
-        batch = simulate_policy_batch(sched, scn, shifts, noise)
-        single = simulate_policy(sched, scn, shifts[2], noise[2])
-        assert single.total_cost == pytest.approx(batch[3][2], rel=1e-13)
-        assert single.x_final == pytest.approx(batch[1][2], rel=1e-13)
+        purchases, _, _, totals = simulate_policy_batch(sched, scn, np.zeros((1, 3)),
+                                                        np.zeros((1, 8)))
+        assert totals[0] == pytest.approx(52.0 * 0.48, abs=1e-4)
+        assert purchases[0, 1:] == pytest.approx(0.0, abs=1e-6)
 
     def test_last_stage_never_selling_skips_the_polish(self):
         # a final sell at -5 never pays, so the exact lattice has no root to polish

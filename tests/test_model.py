@@ -241,11 +241,6 @@ class TestScenarioLoading:
 
 
 class TestForecastModel:
-    def test_constant_profile_flag(self):
-        assert ForecastModel.constant(4, 0.1, 0.2).constant_profile
-        varied = ForecastModel(3, np.array([0.1, 0.2, 0.1]), np.full(3, 0.2))
-        assert not varied.constant_profile
-
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValidationError):
             ForecastModel(2, np.zeros(2), np.array([0.1, -0.1]))

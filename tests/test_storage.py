@@ -268,7 +268,7 @@ class TestUnservedAndSlope:
         rng = np.random.default_rng(seed)
         paths = 0.05 + 0.1 * rng.standard_normal((30, 9))
         supply = rng.uniform(-0.1, 0.3, 30)
-        unserved, weight = unserved_and_slope_batch(paths, supply, capacity)
+        unserved, weight = unserved_and_slope_batch(paths, supply, StorageSpec(capacity))
         costs = delivery_costs_batch(paths, supply, StorageSpec(capacity), COST.voll)
         assert (COST.voll * unserved).tobytes() == costs.tobytes()
         est = subgradient_estimates_batch(paths, supply, capacity, COST.voll)
@@ -287,7 +287,7 @@ class TestUnservedAndSlope:
             rng.uniform(paths.min() - 0.1, paths.max() + 0.1, 40), paths.ravel(),
             np.nextafter(paths.ravel(), -np.inf), np.nextafter(paths.ravel(), np.inf),
         ]))
-        weights = np.array([unserved_and_slope_batch(paths, s, capacity)[1]
+        weights = np.array([unserved_and_slope_batch(paths, s, StorageSpec(capacity))[1]
                             for s in supplies])
         assert np.all(np.diff(weights, axis=0) <= 0.0)
 
@@ -296,19 +296,78 @@ class TestUnservedAndSlope:
         paths = 0.05 + 0.1 * rng.standard_normal((200, 12))
         supply = rng.uniform(-0.05, 0.2, 200)
         h = 1e-9
-        for capacity in (0.0, 0.05, 0.5):
-            unserved, weight = unserved_and_slope_batch(paths, supply, capacity)
-            ahead, _ = unserved_and_slope_batch(paths, supply + h, capacity)
+        for spec in map(StorageSpec, (0.0, 0.05, 0.5)):
+            unserved, weight = unserved_and_slope_batch(paths, supply, spec)
+            ahead, _ = unserved_and_slope_batch(paths, supply + h, spec)
             assert np.allclose((ahead - unserved) / h, -weight, rtol=0, atol=1e-5)
             assert np.all(weight == np.round(weight)) and np.all((0 <= weight) & (weight <= 12))
 
     def test_exact_ties_count_from_the_right(self):
         # supply equal to the first deficit: the level leaves 0 as supply grows
-        unserved, weight = unserved_and_slope_batch(np.array([[0.1, 0.3]]), 0.1, 1.0)
+        unserved, weight = unserved_and_slope_batch(np.array([[0.1, 0.3]]), 0.1,
+                                                    StorageSpec(1.0))
         assert unserved[0] == pytest.approx(0.2) and weight[0] == 2.0
         # the first stage fills the storage exactly: more supply is curtailed
-        unserved, weight = unserved_and_slope_batch(np.array([[-0.1, 0.5]]), 0.1, 0.2)
+        unserved, weight = unserved_and_slope_batch(np.array([[-0.1, 0.5]]), 0.1,
+                                                    StorageSpec(0.2))
         assert unserved[0] == pytest.approx(0.2) and weight[0] == 1.0
+
+
+# efficiencies in [0, 1] with both endpoints and the smallest subnormal
+efficiency = st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestLossySlope:
+    """The kernel's weight on lossy storage: the cost is convex in the supply."""
+
+    @staticmethod
+    def cost_and_slope(spec, n, T, seed):
+        # deficits on a 0.01 grid, so stages tie; the supplies hit every
+        # deficit and both of its neighbouring doubles
+        rng = np.random.default_rng(seed)
+        paths = np.asfortranarray(rng.integers(-10, 30, (n, T)) * 0.01)
+        ties = paths.ravel()
+        supplies = np.unique(np.concatenate([
+            rng.uniform(-0.15, 0.35, 10), ties,
+            np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)]))
+        unserved, weight = unserved_and_slope_batch(
+            np.tile(paths, (supplies.size, 1)), np.repeat(supplies, n), spec)
+        return paths, supplies, unserved.reshape(-1, n), weight.reshape(-1, n)
+
+    @given(
+        effs=st.tuples(efficiency, efficiency, efficiency),
+        capacity=st.sampled_from([0.0, 5e-324, 0.05, 0.5]),
+        T=st.integers(1, 10),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(effs=(0.9, 0.8, 0.7), capacity=0.5, T=8, seed=0)
+    @example(effs=(5e-324, 1.0, 5e-324), capacity=0.05, T=8, seed=1)
+    def test_weight_is_a_subgradient_that_never_grows(self, effs, capacity, T, seed):
+        paths, s, v, w = self.cost_and_slope(StorageSpec(capacity, *effs), 4, T, seed)
+        # V(s2) >= V(s1) - w(s1) * (s2 - s1), to 1e-12 of the energies involved
+        step = s[None, :, None] - s[:, None, None]
+        tangent = v[:, None, :] - w[:, None, :] * step
+        size = np.abs(v[:, None, :]) + np.abs(v[None, :, :]) + np.abs(w[:, None, :] * step)
+        assert np.all(v[None, :, :] >= tangent - 1e-12 * size)
+        assert np.all(np.diff(w, axis=0) <= 1e-12 * T)
+        assert np.all((w >= 0.0) & (w <= T))
+
+    @given(
+        effs=st.tuples(efficiency, efficiency, efficiency),
+        capacity=st.sampled_from([0.0, 5e-324, 0.05, 0.5]),
+        no_delivery=st.sampled_from(["nu", "B"]),
+        T=st.integers(1, 10),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_storage_that_delivers_nothing_counts_shortfalls(
+            self, effs, capacity, no_delivery, T, seed):
+        lam, mu, nu = effs
+        spec = (StorageSpec(capacity, lam, mu, 0.0) if no_delivery == "nu"
+                else StorageSpec(0.0, lam, mu, nu))
+        paths, s, _, w = self.cost_and_slope(spec, 4, T, seed)
+        assert np.array_equal(w, (paths[None, :, :] > s[:, None, None]).sum(axis=2))
 
 
 spec_strategy = st.builds(
