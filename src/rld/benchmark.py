@@ -137,17 +137,18 @@ def sweep(scenario: Scenario, axis: str, grid, policies=("3sigma", "lattice", "c
 
     Threshold offsets are forecast-relative, so a D sweep reuses the
     schedules solved at the first point; a B sweep re-solves per point.
+    Every point is built, and so validated, before the first solve.
     """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("sweep grid must be nonempty")
     if axis not in ("D", "B"):
         raise ValueError(f"axis must be 'D' or 'B', got {axis!r}")
+    at = scenario.with_d_total if axis == "D" else scenario.with_capacity
+    points = [at(float(value)) for value in grid]
+    if not points:
+        raise ValueError("sweep grid must be nonempty")
     table: BenchmarkTable = []
     shared: dict[str, ThresholdSchedule] | None = None
-    for i, value in enumerate(grid):
+    for i, point in enumerate(points):
         if axis == "D":
-            point = scenario.with_d_total(float(value))
             if shared is None:
                 shared = {
                     tag: solve_schedule(point, tag, n_samples=solver_samples, seed=0)
@@ -158,7 +159,6 @@ def sweep(scenario: Scenario, axis: str, grid, policies=("3sigma", "lattice", "c
                 for tag, sched in shared.items()
             }
         else:
-            point = scenario.with_capacity(float(value))
             schedules = None
         table.extend(run_benchmark(
             point, policies, n_runs=n_runs, seed=seed + i,

@@ -49,7 +49,8 @@ _POLICIES = ("3sigma", *ENGINES)
 
 
 def _policy_tags(ctx, param, text: str) -> list[str]:
-    tags = [t.strip() for t in text.split(",") if t.strip()]
+    """The listed tags, each once, in first-seen order."""
+    tags = list(dict.fromkeys(t.strip() for t in text.split(",") if t.strip()))
     if not tags or any(tag not in _POLICIES for tag in tags):
         raise click.BadParameter(f"expected tags from {', '.join(_POLICIES)}, got {text!r}")
     return tags

@@ -39,8 +39,11 @@ from .walks import Step, _npdf, advance, as_steps, initial_state
 # walks would otherwise linger for tens of steps with a window that
 # outruns their grid, rebuilding their kernels at every step.
 _NEGLIGIBLE = 1e-20
-# Positions whose template walks advance together; each walk keeps a
-# 257 x 257 Gaussian kernel (0.53 MB), so this bounds the kernel memory.
+# Positions whose template walks advance together, both sides of each, so
+# one step moves up to 2 * _BLOCK walks.  A settled walk keeps only its
+# kernel's spectrum (4.3 KB), but a step onto a still-growing grid builds a
+# dense 257 x 257 kernel (0.53 MB) per walk, so this bounds that step's
+# memory to about 17 MB.
 _BLOCK = 16
 
 
@@ -78,20 +81,24 @@ def _templates(edges: np.ndarray, capacity: float, steps: list[Step],
     """
     _, S, n, T = edges.shape
     out = np.zeros((2, S, 4, n, T))
-    for side in range(2):
-        # r_0 = 0: the interval starts with empty storage
-        for s in range(1 if side and S > 1 else 0, S):
-            for b in range(0, n, _BLOCK):
-                block = slice(b, b + _BLOCK)
-                state = initial_state()
-                for j in range(T - s):
-                    hi = edges[side, s, block, j]
-                    res = advance(state, steps[s + j], hi - capacity, hi,
-                                  floor=_NEGLIGIBLE, kernels=kernels)
-                    out[side, s, :, block, j] = res.above, res.inside, res.below, res.above_moment
-                    state = res.state
-                    if state is None:
-                        break
+    for s in range(S):
+        # Both sides of a start meet the same steps, so their walks advance
+        # together; r_0 = 0 (the interval starts with empty storage), so a
+        # per-start lattice has no full chain at level 0.
+        sides = slice(0, 1 if s == 0 and S > 1 else 2)
+        for b in range(0, n, _BLOCK):
+            block = slice(b, b + _BLOCK)
+            chains = edges[sides, s, block]
+            his = chains.reshape(-1, T)
+            state = initial_state()
+            for j in range(T - s):
+                res = advance(state, steps[s + j], his[:, j] - capacity, his[:, j],
+                              floor=_NEGLIGIBLE, kernels=kernels)
+                fields = np.array([res.above, res.inside, res.below, res.above_moment])
+                out[sides, s, :, block, j] = fields.reshape((4,) + chains.shape[:2]).swapaxes(0, 1)
+                state = res.state
+                if state is None:
+                    break
     return out
 
 

@@ -9,9 +9,14 @@ fixed-size grid clipped to SPAN standard deviations beyond the current
 support; discrete steps propagate exact point masses, so substituting a
 discrete step distribution turns the whole recursion into exact
 enumeration.  Many walks advance at once, one array row and one window
-each.  Under Gaussian steps a row keeps its transition kernel and window
-fractions for as long as its grid repeats the previous step's geometry
-up to translation, and a caller-owned dict can share them between walks.
+each.  A Gaussian step between grids of equal spacing has a Toeplitz
+kernel, so a settled row holds only the real FFT of its 2P - 1 kernel
+taps (P grid points) and convolves its density with it; steps out of a
+point mass and onto a still-growing grid use a dense P x P kernel, which
+no row keeps for its next step.  A settled row keeps its spectrum and
+window fractions for as long as its grid repeats the previous step's
+geometry up to translation, and a caller-owned dict can share spectra,
+dense kernels and fractions between walks.
 
 Masses and tail moments against window edges are always computed from the
 normal CDF/pdf (or exact atom sums), and the carried density is
@@ -25,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import ndtr
 
 SPAN = 6.0
@@ -87,15 +93,15 @@ class _Move:
 
     ``key`` holds the window edges and the last grid point relative to the
     first grid point, in step stds.  Rows whose next step has the same key
-    (within _KEY_TOL) reuse their kernel and window fractions.
+    (within _KEY_TOL) reuse their spectrum and window fractions; a row
+    stepped by a dense kernel has a NaN key, which nothing matches.
     """
 
     sigma: float
     key: np.ndarray          # (3, rows)
-    kernel: np.ndarray       # (rows, GRID_POINTS, GRID_POINTS), new grid x old grid
-    below: np.ndarray        # (rows, GRID_POINTS) step fractions ending below the window
-    above: np.ndarray        # ... ending above it
-    tail_pdf: np.ndarray     # sigma * pdf of the step reaching the upper edge
+    spectrum: np.ndarray     # (rows, _FFT_LEN // 2 + 1) rfft of the row's kernel taps
+    fractions: np.ndarray    # (rows, 3, GRID_POINTS) step fractions ending below the
+                             # window, above it, and sigma * pdf of reaching the upper edge
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +142,11 @@ _UNIT = np.arange(GRID_POINTS, dtype=float)
 # A reused kernel shifts its arguments by at most a few _KEY_TOL step stds.
 _KEY_TOL = 1e-12
 KERNEL_DICT_MAX = 128
+# Kernel taps k = -(P-1) .. P-1 of a Toeplitz step, and a real FFT length
+# at which their circular convolution with P weights leaves the P wanted
+# outputs, at indices P-1 .. 2P-2, free of wrap-around.
+_TAPS = np.arange(1 - GRID_POINTS, GRID_POINTS, dtype=float)
+_FFT_LEN = next_fast_len(_TAPS.size, real=True)
 
 
 def advance(state: WalkState, step: Step, lower, upper,
@@ -149,9 +160,10 @@ def advance(state: WalkState, step: Step, lower, upper,
     zeros from then on; the state is None once every walk is gone.
 
     ``kernels`` is an optional dict, owned by the caller, that shares
-    Gaussian kernels and window fractions between walks whose grid and
-    window match up to translation; it holds at most KERNEL_DICT_MAX
-    entries of 0.53 MB each.
+    kernels and window fractions between walks whose grid and window match
+    up to translation.  It holds at most KERNEL_DICT_MAX entries: 10.5 KB
+    for a settled step (271 complex taps and 3 x 257 fractions), 0.53 MB
+    for the dense kernel of a step onto a still-growing grid.
     """
     if isinstance(step, NormalStep) and step.sigma == 0.0:
         step = DiscreteStep((0.0,), (1.0,))
@@ -213,33 +225,56 @@ def _gauss_kernel(ys: np.ndarray, xs: np.ndarray, sigma: float) -> np.ndarray:
     return k
 
 
-def _fresh_move(ys, pts, lo, hi, sigma):
-    """Kernel and window fractions (see _Move) of a step from pts onto ys, per row."""
+def _fractions(pts, lo, hi, sigma):
+    """(rows, 3, points) window fractions of a step out of pts (see _Move)."""
     z_hi = (hi[:, None] - pts) / sigma
-    return (_gauss_kernel(ys, pts, sigma), ndtr((lo[:, None] - pts) / sigma),
-            ndtr(-z_hi), sigma * _npdf(z_hi))
+    return np.stack([ndtr((lo[:, None] - pts) / sigma), ndtr(-z_hi), sigma * _npdf(z_hi)],
+                    axis=1)
 
 
-def _shared_move(ys, pts, lo, hi, sigma, key, kernels: dict):
-    """_fresh_move per grid row, looked up in ``kernels`` by the row's key.
+def _toeplitz_move(ys, pts, lo, hi, offset, dy, sigma):
+    """Kernel spectrum and window fractions of a step onto the old grid spacing, per row.
 
-    The key fixes the row's whole geometry in step stds, so it is rounded
-    like the reuse tolerance: a hit perturbs the kernel and fraction
-    arguments by at most ~1e-12 step stds.
+    New grid point i lies offset + (i - j) * dy beyond old grid point j.
     """
+    taps = _npdf((offset[:, None] + _TAPS * dy[:, None]) / sigma)
+    return rfft(taps, _FFT_LEN), _fractions(pts, lo, hi, sigma)
+
+
+def _dense_move(ys, pts, lo, hi, offset, dy, sigma):
+    """Dense kernel and window fractions of any step, per row (_toeplitz_move's arguments)."""
+    return _gauss_kernel(ys, pts, sigma), _fractions(pts, lo, hi, sigma)
+
+
+def _moves(make, sel, grid: tuple, sigma: float, key, kernels: dict | None):
+    """make(*grid, sigma) on the selected rows, or per row through ``kernels``.
+
+    Returns each field of ``make`` as a list of blocks of consecutive rows.
+    ``grid`` holds the per-row arrays (ys, pts, lo, hi, offset, dy).  A
+    dict entry is looked up by ``make`` and the row's key, which fixes the
+    row's whole geometry in step stds, so the key is rounded like the
+    reuse tolerance: a hit perturbs the kernel and fraction arguments by at
+    most ~1e-12 step stds.
+    """
+    grid = tuple(a[sel] for a in grid)
+    if kernels is None:
+        return tuple([field] for field in make(*grid, sigma))
     parts = []
-    for r, geometry in enumerate(np.round(key.T, 12).tolist()):
-        found = kernels.get(tuple(geometry))
+    for r, geometry in enumerate(np.round(key[:, sel].T, 12).tolist()):
+        index = (make, *geometry)
+        found = kernels.get(index)
         if found is None:
             if len(kernels) >= KERNEL_DICT_MAX:
                 kernels.clear()
-            one = slice(r, r + 1)
-            found = kernels[tuple(geometry)] = _fresh_move(
-                ys[one], pts[one], lo[one], hi[one], sigma)
+            found = kernels[index] = make(*(a[r:r + 1] for a in grid), sigma)
         parts.append(found)
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(field) for field in zip(*parts))
+    return tuple(zip(*parts))
+
+
+def _convolve(spectrum: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Per row, the Toeplitz kernel whose taps have real FFT ``spectrum``, applied to ``wts``."""
+    full = irfft(spectrum * rfft(wts, _FFT_LEN), _FFT_LEN)
+    return full[:, GRID_POINTS - 1:2 * GRID_POINTS - 1]
 
 
 def _gauss_step(state: _Atoms | _Grid, sigma: float, lower: np.ndarray,
@@ -268,33 +303,49 @@ def _gauss_step(state: _Atoms | _Grid, sigma: float, lower: np.ndarray,
             stale = ~np.all(np.abs(key - move.key) <= _KEY_TOL, axis=0)
     else:
         stale = np.ones(rows.size, dtype=bool)
+    dense = None   # the rows stepped by a dense kernel, when there are any
     if not stale.any():
-        kernel, below_frac, above_frac, tail_pdf = (
-            move.kernel, move.below, move.above, move.tail_pdf)
+        spectrum, fractions = move.spectrum, move.fractions
     else:
-        sel = slice(None) if stale.all() else stale
-        if kernels is None or isinstance(state, _Atoms):
-            fresh = _fresh_move(ys[sel], pts[sel], lo[sel], hi[sel], sigma)
-        else:
-            fresh = _shared_move(ys[sel], pts[sel], lo[sel], hi[sel], sigma,
-                                 key[:, sel], kernels)
-        if stale.all():
-            kernel, below_frac, above_frac, tail_pdf = fresh
-        else:
-            kernel, below_frac, above_frac, tail_pdf = (
-                old.copy() for old in (move.kernel, move.below, move.above, move.tail_pdf))
-            for old, new in zip((kernel, below_frac, above_frac, tail_pdf), fresh):
-                old[stale] = new
+        # Toeplitz rows: a repeat, or a new grid with the old grid's spacing
+        toeplitz = ~stale
+        if isinstance(state, _Grid):
+            toeplitz |= np.abs((whi - wlo) - (x1 - x0)) <= _KEY_TOL * sigma
+        grid = ys, pts, lo, hi, wlo - x0, dy
+        shared = kernels if isinstance(state, _Grid) else None
+        spectrum = np.zeros((rows.size, _FFT_LEN // 2 + 1), dtype=complex)
+        fractions = np.empty((rows.size, 3, pts.shape[1]))
+        reused, fresh = ~stale, stale & toeplitz
+        if reused.any():
+            spectrum[reused], fractions[reused] = move.spectrum[reused], move.fractions[reused]
+        if fresh.any():
+            spectrum[fresh], fractions[fresh] = map(np.concatenate, _moves(
+                _toeplitz_move, fresh, grid, sigma, key, shared))
+        if not toeplitz.all():
+            dense = ~toeplitz
+            blocks, parts = _moves(_dense_move, dense, grid, sigma, key, shared)
+            fractions[dense] = np.concatenate(parts)
 
-    below = np.einsum("rp,rp->r", wts, below_frac)
-    above = np.einsum("rp,rp->r", wts, above_frac)
-    moment = np.einsum("rp,rp->r", wts, pts * above_frac + tail_pdf)
+    below = np.einsum("rp,rp->r", wts, fractions[:, 0])
+    above = np.einsum("rp,rp->r", wts, fractions[:, 1])
+    moment = np.einsum("rp,rp->r", wts, pts * fractions[:, 1] + fractions[:, 2])
     inside = np.where(hi > lo, np.maximum(wts.sum(axis=1) - below - above, 0.0), 0.0)
     out = np.zeros((4, n))
     out[:, rows] = below, inside, above, moment
 
-    dens = np.matmul(kernel, wts[:, :, None])[:, :, 0] / sigma
-    quad_mass = dens @ _PATTERN * dy
+    if dense is None:
+        dens = _convolve(spectrum, wts)
+    else:
+        dens = np.empty((rows.size, GRID_POINTS))
+        # row by row: stacking shared kernels would copy 0.53 MB each
+        row_kernels = (k for block in blocks for k in block)
+        dens[dense] = [k @ w for k, w in zip(row_kernels, wts[dense])]
+        if not dense.all():
+            dens[~dense] = _convolve(spectrum[~dense], wts[~dense])
+        key = np.where(dense, np.nan, key)   # never matched: dense steps keep no kernel
+    dens /= sigma
+    np.maximum(dens, 0.0, out=dens)   # FFT round-off around true zeros
+    quad_mass = np.einsum("rp,p->r", dens, _PATTERN) * dy   # row by row, as alone
     live = (whi > wlo) & (inside > floor) & (quad_mass > _TINY)
     if not live.any():
         return WindowResult(*out, None)
@@ -303,6 +354,5 @@ def _gauss_step(state: _Atoms | _Grid, sigma: float, lower: np.ndarray,
     nxt_wts = dens[keep] * ((inside[keep] / quad_mass[keep] * dy[keep])[:, None] * _PATTERN)
     made = None
     if isinstance(state, _Grid):
-        made = _Move(sigma, key[:, keep], kernel[keep], below_frac[keep],
-                     above_frac[keep], tail_pdf[keep])
+        made = _Move(sigma, key[:, keep], spectrum[keep], fractions[keep])
     return WindowResult(*out, _Grid(ys[keep], nxt_wts, rows[keep], made))

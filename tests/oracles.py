@@ -1,14 +1,16 @@
 """Reference implementations that only the tests use.
 
-Scalar walk drivers, a one-path storage subgradient, the (V, Q)
-reformulation check, the all-branches form of the ct h functions and a
-CSV reader for benchmark tables.  The library computes the same
-quantities in batch or branch by branch; these plain versions are the
-oracles it is checked against.
+Scalar walk drivers, the dense-kernel density of a Gaussian walk step, a
+one-path storage subgradient, the (V, Q) reformulation check, the
+all-branches form of the ct h functions and a CSV reader for benchmark
+tables.  The library computes the same quantities in batch, by FFT or
+branch by branch; these plain versions are the oracles it is checked
+against.
 """
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -82,6 +84,17 @@ def truncated_walk_mean(step_stds, lower, upper, final_tail: float) -> float:
     if res.above <= _TINY:
         raise ZeroProbabilityError("tail event has vanishing probability")
     return res.above_moment / res.above
+
+
+def dense_gauss_density(ys, xs, weights, sigma: float) -> np.ndarray:
+    """Density at each row of ``ys`` after a N(0, sigma^2) step from ``weights`` on ``xs``.
+
+    One dense pdf kernel per row, every (new point, old point) pair
+    evaluated at its own difference; the weights are quadrature masses.
+    """
+    z = (np.asarray(ys)[:, :, None] - np.asarray(xs)[:, None, :]) / sigma
+    kernel = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+    return np.einsum("rij,rj->ri", kernel, weights)
 
 
 def reformulate_vq(outcome: PathOutcome, spec: StorageSpec):

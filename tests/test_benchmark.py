@@ -417,3 +417,30 @@ class TestCli:
         v_final = float(out.read_text().strip().splitlines()[-1].split(",")[5])
         assert v_final > 0.0
         assert printed == pytest.approx(1000.0 * v_final, abs=5e-5)
+
+    def test_repeated_policy_tags_give_one_row_each(self, tmp_path, monkeypatch):
+        from rld.cli import entry
+
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr("sys.argv", [
+            "rld", "benchmark", "--policy", "3sigma,3sigma, ct,3sigma", "--runs", "10",
+            "--no-timing", "--out", str(out)])
+        assert entry() == 0
+        assert [row.policy for row in read_results(out)] == ["3sigma", "ct", "ideal"]
+
+    def test_sweep_validates_every_point_before_solving(self, tmp_path, monkeypatch, capsys):
+        from rld import benchmark
+        from rld.cli import entry
+
+        calls = []
+        real = benchmark.solve_schedule
+        monkeypatch.setattr(benchmark, "solve_schedule",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr("sys.argv", [
+            "rld", "sweep", "--axis", "B", "--grid", "1e-3,-1", "--policy", "3sigma,ct",
+            "--out", str(out)])
+        assert entry() == 2
+        assert calls == []
+        assert "storage.B" in capsys.readouterr().err
+        assert not out.exists()

@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from rld import walks
 from rld.walks import DiscreteStep, NormalStep, advance, as_steps, initial_state
-from oracles import ZeroProbabilityError, truncated_walk_mean, walk_rectangle_prob
+from oracles import (
+    ZeroProbabilityError,
+    dense_gauss_density,
+    truncated_walk_mean,
+    walk_rectangle_prob,
+)
 
 
 class TestRectangleProb:
@@ -150,8 +157,10 @@ class TestAdvanceInternals:
 
 
 class TestSharedKernels:
-    # every step moves the window differently, so no kernel repeats within the walk
-    WINDOWS = [(-0.5, 0.4), (-0.3, 0.5), (-0.6, 0.2), (-0.2, 0.7), (-0.4, 0.4)]
+    # One width, so the grid is the window from the first step on and every
+    # later step is Toeplitz; every step moves the window differently, so no
+    # kernel repeats within the walk.
+    WINDOWS = [(-0.5, 0.4), (-0.3, 0.6), (-0.6, 0.3), (-0.2, 0.7), (-0.4, 0.5)]
 
     def walk(self, kernels):
         state, out = initial_state(), []
@@ -174,3 +183,79 @@ class TestSharedKernels:
         kernels = {}
         self.walk(kernels)
         assert 0 < len(kernels) <= 2
+
+    def test_entries_hold_spectra_not_dense_kernels(self):
+        kernels = {}
+        self.walk(kernels)
+        for spectrum, fractions in kernels.values():
+            assert spectrum.shape == (1, 271)
+            assert fractions.shape == (1, 3, walks.GRID_POINTS)
+
+    def test_growing_grids_share_dense_kernels(self):
+        # the grid grows by SPAN step stds a side until it fills the window:
+        # those three steps share dense kernels, the first settled step shares
+        # a spectrum, and the repeat after it reuses the walk's own spectrum
+        kernels, state = {}, initial_state()
+        for _ in range(6):
+            state = advance(state, NormalStep(0.05), -1.0, 1.0, kernels=kernels).state
+        shapes = [kernel.shape for kernel, _ in kernels.values()]
+        assert shapes == [(1, walks.GRID_POINTS, walks.GRID_POINTS)] * 3 + [(1, 271)]
+
+
+# about the per-stage error std of the shipped scenario
+SIGMA = 1.15e-3
+# B << sigma: flat kernel taps; B >> sigma: banded taps, and the grid grows for
+# several steps before it fills the window
+CAPACITIES = st.sampled_from([1e-4, 1e-3, 0.1])
+
+
+def chain_windows(capacity, drift, seed, rows, steps):
+    """Windows (edge - B, edge] of lattice-like chains: edges are running margin sums plus B."""
+    rng = np.random.default_rng(seed)
+    margins = SIGMA * (drift + 0.5 * rng.standard_normal((rows, steps)))
+    edges = capacity + np.cumsum(margins, axis=1)
+    return edges - capacity, edges
+
+
+class TestToeplitzStep:
+    """Steps between equally spaced grids convolve by FFT; a dense kernel is the oracle."""
+
+    @given(capacity=CAPACITIES, drift=st.floats(-1.0, 1.0), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense_kernel(self, capacity, drift, seed):
+        lows, highs = chain_windows(capacity, drift, seed, 4, 20)
+        state, toeplitz_rows = initial_state(), 0
+        for j in range(lows.shape[1]):
+            res = advance(state, NormalStep(SIGMA), lows[:, j], highs[:, j])
+            nxt = res.state
+            assert nxt is not None
+            assert np.all(nxt.weights >= 0.0)
+            if isinstance(state, walks._Grid):
+                old = np.searchsorted(state.rows, nxt.rows)
+                xs, inside = state.xs[old], res.inside[nxt.rows]
+                masses = dense_gauss_density(nxt.xs, xs, state.weights[old], SIGMA)
+                masses *= walks._PATTERN
+                # the step renormalizes its density to the CDF-exact inside mass
+                expected = masses * (inside / masses.sum(axis=1))[:, None]
+                assert np.all(np.abs(nxt.weights - expected) <= 1e-14 * inside[:, None])
+                old_width, new_width = xs[:, -1] - xs[:, 0], nxt.xs[:, -1] - nxt.xs[:, 0]
+                toeplitz_rows += np.count_nonzero(
+                    np.abs(new_width - old_width) <= walks._KEY_TOL * SIGMA)
+            state = nxt
+        assert toeplitz_rows > 0
+
+    @given(capacity=CAPACITIES, drift=st.floats(-1.0, 1.0), seed=st.integers(0, 2**16))
+    @settings(max_examples=8, deadline=None)
+    def test_batch_rows_walk_as_alone(self, capacity, drift, seed):
+        lows, highs = chain_windows(capacity, drift, seed, 16, 20)
+        state, alone = initial_state(), [initial_state()] * len(lows)
+        for j in range(lows.shape[1]):
+            res = advance(state, NormalStep(SIGMA), lows[:, j], highs[:, j])
+            for i in range(len(lows)):
+                one = advance(alone[i], NormalStep(SIGMA), lows[i, j], highs[i, j])
+                assert (res.below[i], res.inside[i], res.above[i], res.above_moment[i]) == (
+                    one.below, one.inside, one.above, one.above_moment)
+                alone[i] = one.state
+            state = res.state
+            for k, i in enumerate(state.rows):
+                np.testing.assert_array_equal(state.weights[k], alone[i].weights[0])
