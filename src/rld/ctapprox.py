@@ -7,7 +7,6 @@ unserved energy, hence of the terminal cost and its derivative.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,55 +101,3 @@ def ct_terminal_subgradient(x_accumulated, d_hat_total: float, sigma_sq: float,
     out = voll * h_prime(y)
     return out if np.ndim(out) else float(out)
 
-
-def simulate_reflected_walk(params: RbmParams, dt: float, n_steps: int,
-                            rng: np.random.Generator,
-                            start: float | None = None) -> tuple[float, float]:
-    """Simulate the doubly reflected walk; returns (V_t/t, Q_t/t).
-
-    Each Gaussian step is augmented with the Brownian-bridge extremum over
-    the step, so boundary pushes missed between sample points are counted;
-    plain endpoint reflection underestimates the push rates by O(sqrt(dt)).
-    Simultaneous hits of both barriers within one step are ignored, which
-    is negligible whenever the barrier width is many step sizes.  The
-    start level defaults to a draw from the steady-state density to
-    suppress the initial transient.
-    """
-    B = params.barrier
-    if start is None:
-        # inverse-CDF draw from the steady-state density
-        u = rng.random()
-        if params.drift == 0.0:
-            b = u * B
-        else:
-            a = 2.0 * params.drift / params.volatility**2
-            b = np.log1p(u * np.expm1(a * B)) / a
-    else:
-        b = float(start)
-    step_var = params.volatility**2 * dt
-    incs = params.drift * dt + np.sqrt(step_var) * rng.standard_normal(n_steps)
-    bridge = -2.0 * step_var * np.log(rng.random(n_steps))  # for extremum draws
-    v_total = 0.0
-    q_total = 0.0
-    b = float(b)
-    for inc, r in zip(incs.tolist(), bridge.tolist()):
-        c = b + inc
-        gap = inc * inc + r
-        lo = 0.5 * (b + c - math.sqrt(gap))   # bridge minimum over the step
-        hi = 0.5 * (b + c + math.sqrt(gap))   # bridge maximum (same draw; one
-        # barrier at most is reachable per step, so reusing r is harmless)
-        if lo < 0.0:
-            v_total -= lo
-            c -= lo
-            if c > B:       # pushed across after touching the floor
-                q_total += c - B
-                c = B
-        elif hi > B:
-            q_total += hi - B
-            c -= hi - B
-            if c < 0.0:
-                v_total -= c
-                c = 0.0
-        b = c
-    t_total = dt * n_steps
-    return v_total / t_total, -q_total / t_total

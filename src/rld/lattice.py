@@ -23,6 +23,11 @@ visited by a renewal recursion over the templates, and sums the chains'
 shortfall costs and depths weighted by those visits.  When the profile is
 constant and every stage has the same error step, every start level
 shares start 0's template, so two walks cover the whole lattice.
+
+Chain (side, s) meets the error step of stage t = s + j at chain position
+j, so both layouts walk their templates in one sweep over the stages: at
+stage t every running chain of a block of positions advances in one call,
+and the chains that start at t step out of a point mass and join them.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.special import ndtr
 
 from .model import ForecastModel
-from .walks import Step, _npdf, advance, as_steps, initial_state
+from .walks import NormalStep, Step, _join, _npdf, advance, as_steps, initial_state
 
 # A chain walk starts with at most unit mass, so dropping it once its
 # surviving mass is this small moves a cost or subgradient by about 1e-20
@@ -39,11 +44,10 @@ from .walks import Step, _npdf, advance, as_steps, initial_state
 # walks would otherwise linger for tens of steps with a window that
 # outruns their grid, rebuilding their kernels at every step.
 _NEGLIGIBLE = 1e-20
-# Positions whose template walks advance together, both sides of each, so
-# one step moves up to 2 * _BLOCK walks.  A settled walk keeps only its
-# kernel's spectrum (4.3 KB), but a step onto a still-growing grid builds a
-# dense 257 x 257 kernel (0.53 MB) per walk, so this bounds that step's
-# memory to about 17 MB.
+# Positions whose chains advance together in one stage sweep.  A walk
+# carries about 15 KB (grid, weights, kernel spectrum, window fractions),
+# and a block moves 2 * _BLOCK walks per step on a constant profile, up to
+# 2 * T * _BLOCK (29 MB at T = 60) on a per-start lattice.
 _BLOCK = 16
 
 
@@ -71,34 +75,42 @@ def build_lattice(forecast: ForecastModel, capacity: float, supply,
     return edges + sides
 
 
-def _templates(edges: np.ndarray, capacity: float, steps: list[Step],
-               kernels: dict | None) -> np.ndarray:
+def _templates(edges: np.ndarray, capacity: float, steps: list[Step]) -> np.ndarray:
     """Window results of every boundary chain, per unit start mass.
 
     Returns an array indexed [side, start, field (above, inside, below,
     above_moment), row, j]; the fields are zero past the chain's last level
-    and once its walk has died.
+    and once its walk has died.  Each block of positions is one sweep over
+    the stages (see the module docstring).
     """
     _, S, n, T = edges.shape
     out = np.zeros((2, S, 4, n, T))
-    for s in range(S):
-        # Both sides of a start meet the same steps, so their walks advance
-        # together; r_0 = 0 (the interval starts with empty storage), so a
-        # per-start lattice has no full chain at level 0.
-        sides = slice(0, 1 if s == 0 and S > 1 else 2)
-        for b in range(0, n, _BLOCK):
-            block = slice(b, b + _BLOCK)
-            chains = edges[sides, s, block]
-            his = chains.reshape(-1, T)
-            state = initial_state()
-            for j in range(T - s):
-                res = advance(state, steps[s + j], his[:, j] - capacity, his[:, j],
-                              floor=_NEGLIGIBLE, kernels=kernels)
-                fields = np.array([res.above, res.inside, res.below, res.above_moment])
-                out[sides, s, :, block, j] = fields.reshape((4,) + chains.shape[:2]).swapaxes(0, 1)
+    for b in range(0, n, _BLOCK):
+        block = slice(b, b + _BLOCK)
+        # window edges by stage t = s + j, NaN before a chain starts
+        his = np.full(edges[:, :, block].shape, np.nan)
+        for s in range(S):
+            his[:, s, :, s:] = edges[:, s, block, :T - s]
+        chains = np.arange(his[..., 0].size).reshape(his.shape[:3])
+        fields = np.zeros((T, 4) + chains.shape)   # [t, field, side, start, row]
+        state = None
+        for t in range(T):
+            hi = his[..., t].ravel()
+            lo = hi - capacity
+            stage = fields[t].reshape(4, -1)
+            if state is not None:
+                res = advance(state, steps[t], lo, hi, floor=_NEGLIGIBLE)
+                stage[:] = res.above, res.inside, res.below, res.above_moment
                 state = res.state
-                if state is None:
-                    break
+            if t < S:
+                # r_0 = 0 (the interval starts with empty storage), so a
+                # per-start lattice has no full chain at level 0
+                born = chains[:1 if t == 0 and S > 1 else 2, t].ravel()
+                res = advance(initial_state(), steps[t], lo[born], hi[born], floor=_NEGLIGIBLE)
+                stage[:, born] = res.above, res.inside, res.below, res.above_moment
+                state = _join(state, res.state, born, hi.size)
+        for s in range(S):
+            out[:, s, :, block, :T - s] = fields[s:, :, :, s].transpose(2, 1, 3, 0)
     return out
 
 
@@ -145,15 +157,14 @@ def _chain_totals(visits: np.ndarray, per_position: np.ndarray) -> np.ndarray:
     return sum(np.einsum("ns,ns->n", visits[c], _anti_diagonal(tail[c], T)) for c in range(2))
 
 
-def solve_lattice(edges: np.ndarray, capacity: float, steps: list[Step], voll: float,
-                  kernels: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def solve_lattice(edges: np.ndarray, capacity: float, steps: list[Step],
+                  voll: float) -> tuple[np.ndarray, np.ndarray]:
     """Expected cost and subgradient of each row of ``build_lattice`` edges.
 
-    ``steps`` holds one error step per delivery stage; ``kernels`` shares
-    walk kernels between the chains (see ``walks.advance``).
+    ``steps`` holds one error step per delivery stage.
     """
     T = edges.shape[-1]
-    tmpl = _templates(edges, capacity, steps, kernels)
+    tmpl = _templates(edges, capacity, steps)
     visits = _boundary_visits(tmpl)
     above, moment = tmpl[:, :, 0], tmpl[:, :, 3]
     # the state at chain position j has depth j and shortfall gap -edge_j
@@ -171,16 +182,17 @@ def _terminal(x_accumulated, forecast: ForecastModel, capacity: float, voll: flo
     if error_steps is not None and len(error_steps) != T:
         raise ValueError("need one error step per delivery stage")
     steps = as_steps(forecast.sigma if error_steps is None else error_steps)
+    # a chain walks a density after its first Gaussian step, and a density
+    # takes no discrete step (see walks.advance)
+    gaussian = np.array([isinstance(step, NormalStep) and step.sigma > 0 for step in steps])
+    late = np.flatnonzero(~gaussian & (np.cumsum(gaussian) > 0))
+    if late.size:
+        raise ValueError(f"delivery stage {late[0]}: the lattice takes no discrete or "
+                         "zero-std error step after a Gaussian one")
     per_start = bool(np.any(forecast.d_hat[1:] != forecast.d_hat[:-1])) \
         or any(step != steps[0] for step in steps)
-    # Per-start chains run one position at a time and share kernels through a
-    # dict: the chains of one position meet the same windows at each level,
-    # while batching positions, which differ in every window, crowds the dict.
-    rows, kernels = (1, {}) if per_start else (max(supply.size, 1), None)
-    parts = [solve_lattice(build_lattice(forecast, capacity, supply[b:b + rows], per_start),
-                           capacity, steps, voll, kernels)
-             for b in range(0, supply.size or 1, rows)]
-    cost, subgrad = (np.concatenate(field) for field in zip(*parts))
+    cost, subgrad = solve_lattice(build_lattice(forecast, capacity, supply, per_start),
+                                  capacity, steps, voll)
     if x_acc.ndim == 0:
         return float(cost[0]), float(subgrad[0])
     return cost.reshape(x_acc.shape), subgrad.reshape(x_acc.shape)

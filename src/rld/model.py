@@ -92,10 +92,6 @@ class StorageSpec:
             if not 0.0 <= val <= 1.0:
                 raise ValidationError(f"storage.{name}: efficiency must be in [0, 1], got {val}")
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.storage_eff == 1.0 and self.recharge_eff == 1.0 and self.discharge_eff == 1.0
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -135,14 +131,6 @@ class ForecastModel:
     @property
     def total_mean(self) -> float:
         return float(self.d_hat.sum())
-
-    @staticmethod
-    def constant(n_stages: int, d_hat: float, sigma: float) -> "ForecastModel":
-        return ForecastModel(
-            n_stages,
-            np.full(n_stages, float(d_hat)),
-            np.full(n_stages, float(sigma)),
-        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,14 +9,14 @@ fixed-size grid clipped to SPAN standard deviations beyond the current
 support; discrete steps propagate exact point masses, so substituting a
 discrete step distribution turns the whole recursion into exact
 enumeration.  Many walks advance at once, one array row and one window
-each.  A Gaussian step between grids of equal spacing has a Toeplitz
-kernel, so a settled row holds only the real FFT of its 2P - 1 kernel
-taps (P grid points) and convolves its density with it; steps out of a
-point mass and onto a still-growing grid use a dense P x P kernel, which
-no row keeps for its next step.  A settled row keeps its spectrum and
-window fractions for as long as its grid repeats the previous step's
-geometry up to translation, and a caller-owned dict can share spectra,
-dense kernels and fractions between walks.
+each, and walks that start later can join the rows of a running state.
+A Gaussian step between grids of equal spacing has a Toeplitz kernel, so
+a settled row holds only the real FFT of its 2P - 1 kernel taps (P grid
+points) and convolves its density with it; steps out of a point mass and
+onto a still-growing grid use a dense P x P kernel, built for one row at
+a time and kept by none.  A settled row keeps its spectrum and window
+fractions for as long as its grid repeats the previous step's geometry
+up to translation.
 
 Masses and tail moments against window edges are always computed from the
 normal CDF/pdf (or exact atom sums), and the carried density is
@@ -94,7 +94,8 @@ class _Move:
     ``key`` holds the window edges and the last grid point relative to the
     first grid point, in step stds.  Rows whose next step has the same key
     (within _KEY_TOL) reuse their spectrum and window fractions; a row
-    stepped by a dense kernel has a NaN key, which nothing matches.
+    stepped by a dense kernel, or joined without a move, has a NaN key,
+    which nothing matches.
     """
 
     sigma: float
@@ -141,7 +142,6 @@ _PATTERN = _simpson_pattern(GRID_POINTS)
 _UNIT = np.arange(GRID_POINTS, dtype=float)
 # A reused kernel shifts its arguments by at most a few _KEY_TOL step stds.
 _KEY_TOL = 1e-12
-KERNEL_DICT_MAX = 128
 # Kernel taps k = -(P-1) .. P-1 of a Toeplitz step, and a real FFT length
 # at which their circular convolution with P weights leaves the P wanted
 # outputs, at indices P-1 .. 2P-2, free of wrap-around.
@@ -150,7 +150,7 @@ _FFT_LEN = next_fast_len(_TAPS.size, real=True)
 
 
 def advance(state: WalkState, step: Step, lower, upper,
-            floor: float = _TINY, kernels: dict | None = None) -> WindowResult:
+            floor: float = _TINY) -> WindowResult:
     """Push the walk one step and split its mass against (lower, upper].
 
     Scalar bounds give float results.  Bounds of shape (n,) push n walks
@@ -158,12 +158,6 @@ def advance(state: WalkState, step: Step, lower, upper,
     arrays, and the initial state is shared by every walk.
     A walk whose inside mass is ``floor`` or less is dropped and reports
     zeros from then on; the state is None once every walk is gone.
-
-    ``kernels`` is an optional dict, owned by the caller, that shares
-    kernels and window fractions between walks whose grid and window match
-    up to translation.  It holds at most KERNEL_DICT_MAX entries: 10.5 KB
-    for a settled step (271 complex taps and 3 x 257 fractions), 0.53 MB
-    for the dense kernel of a step onto a still-growing grid.
     """
     if isinstance(step, NormalStep) and step.sigma == 0.0:
         step = DiscreteStep((0.0,), (1.0,))
@@ -179,7 +173,7 @@ def advance(state: WalkState, step: Step, lower, upper,
             raise NotImplementedError("discrete step after a Gaussian step is not supported")
         res = _discrete_step(state, step, lo, hi, floor)
     else:
-        res = _gauss_step(state, step.sigma, lo, hi, floor, kernels)
+        res = _gauss_step(state, step.sigma, lo, hi, floor)
     if np.ndim(lower) == 0:
         return WindowResult(float(res.below[0]), float(res.inside[0]), float(res.above[0]),
                             float(res.above_moment[0]), res.state)
@@ -212,11 +206,11 @@ def _discrete_step(state: _Atoms, step: DiscreteStep, lower: np.ndarray,
 
 
 def _gauss_kernel(ys: np.ndarray, xs: np.ndarray, sigma: float) -> np.ndarray:
-    """Standard normal pdf of (y - x) / sigma for every grid pair, one matrix per row.
+    """Standard normal pdf of (y - x) / sigma for every pair of one row's grid points.
 
     The same arithmetic as _npdf, done in place on one buffer.
     """
-    k = ys[:, :, None] - xs[:, None, :]
+    k = ys[:, None] - xs[None, :]
     k /= sigma
     np.square(k, out=k)
     k *= -0.5
@@ -232,43 +226,13 @@ def _fractions(pts, lo, hi, sigma):
                     axis=1)
 
 
-def _toeplitz_move(ys, pts, lo, hi, offset, dy, sigma):
+def _toeplitz_move(pts, lo, hi, offset, dy, sigma):
     """Kernel spectrum and window fractions of a step onto the old grid spacing, per row.
 
     New grid point i lies offset + (i - j) * dy beyond old grid point j.
     """
     taps = _npdf((offset[:, None] + _TAPS * dy[:, None]) / sigma)
     return rfft(taps, _FFT_LEN), _fractions(pts, lo, hi, sigma)
-
-
-def _dense_move(ys, pts, lo, hi, offset, dy, sigma):
-    """Dense kernel and window fractions of any step, per row (_toeplitz_move's arguments)."""
-    return _gauss_kernel(ys, pts, sigma), _fractions(pts, lo, hi, sigma)
-
-
-def _moves(make, sel, grid: tuple, sigma: float, key, kernels: dict | None):
-    """make(*grid, sigma) on the selected rows, or per row through ``kernels``.
-
-    Returns each field of ``make`` as a list of blocks of consecutive rows.
-    ``grid`` holds the per-row arrays (ys, pts, lo, hi, offset, dy).  A
-    dict entry is looked up by ``make`` and the row's key, which fixes the
-    row's whole geometry in step stds, so the key is rounded like the
-    reuse tolerance: a hit perturbs the kernel and fraction arguments by at
-    most ~1e-12 step stds.
-    """
-    grid = tuple(a[sel] for a in grid)
-    if kernels is None:
-        return tuple([field] for field in make(*grid, sigma))
-    parts = []
-    for r, geometry in enumerate(np.round(key[:, sel].T, 12).tolist()):
-        index = (make, *geometry)
-        found = kernels.get(index)
-        if found is None:
-            if len(kernels) >= KERNEL_DICT_MAX:
-                kernels.clear()
-            found = kernels[index] = make(*(a[r:r + 1] for a in grid), sigma)
-        parts.append(found)
-    return tuple(zip(*parts))
 
 
 def _convolve(spectrum: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -278,7 +242,7 @@ def _convolve(spectrum: np.ndarray, wts: np.ndarray) -> np.ndarray:
 
 
 def _gauss_step(state: _Atoms | _Grid, sigma: float, lower: np.ndarray,
-                upper: np.ndarray, floor: float, kernels: dict | None) -> WindowResult:
+                upper: np.ndarray, floor: float) -> WindowResult:
     n = lower.size
     if isinstance(state, _Atoms):
         rows = np.arange(n)
@@ -311,20 +275,17 @@ def _gauss_step(state: _Atoms | _Grid, sigma: float, lower: np.ndarray,
         toeplitz = ~stale
         if isinstance(state, _Grid):
             toeplitz |= np.abs((whi - wlo) - (x1 - x0)) <= _KEY_TOL * sigma
-        grid = ys, pts, lo, hi, wlo - x0, dy
-        shared = kernels if isinstance(state, _Grid) else None
         spectrum = np.zeros((rows.size, _FFT_LEN // 2 + 1), dtype=complex)
         fractions = np.empty((rows.size, 3, pts.shape[1]))
         reused, fresh = ~stale, stale & toeplitz
         if reused.any():
             spectrum[reused], fractions[reused] = move.spectrum[reused], move.fractions[reused]
         if fresh.any():
-            spectrum[fresh], fractions[fresh] = map(np.concatenate, _moves(
-                _toeplitz_move, fresh, grid, sigma, key, shared))
+            spectrum[fresh], fractions[fresh] = _toeplitz_move(
+                pts[fresh], lo[fresh], hi[fresh], (wlo - x0)[fresh], dy[fresh], sigma)
         if not toeplitz.all():
             dense = ~toeplitz
-            blocks, parts = _moves(_dense_move, dense, grid, sigma, key, shared)
-            fractions[dense] = np.concatenate(parts)
+            fractions[dense] = _fractions(pts[dense], lo[dense], hi[dense], sigma)
 
     below = np.einsum("rp,rp->r", wts, fractions[:, 0])
     above = np.einsum("rp,rp->r", wts, fractions[:, 1])
@@ -337,9 +298,9 @@ def _gauss_step(state: _Atoms | _Grid, sigma: float, lower: np.ndarray,
         dens = _convolve(spectrum, wts)
     else:
         dens = np.empty((rows.size, GRID_POINTS))
-        # row by row: stacking shared kernels would copy 0.53 MB each
-        row_kernels = (k for block in blocks for k in block)
-        dens[dense] = [k @ w for k, w in zip(row_kernels, wts[dense])]
+        # one row at a time: a growing grid's kernel is 257 x 257 (0.53 MB)
+        for r in np.flatnonzero(dense):
+            dens[r] = _gauss_kernel(ys[r], pts[r], sigma) @ wts[r]
         if not dense.all():
             dens[~dense] = _convolve(spectrum[~dense], wts[~dense])
         key = np.where(dense, np.nan, key)   # never matched: dense steps keep no kernel
@@ -356,3 +317,32 @@ def _gauss_step(state: _Atoms | _Grid, sigma: float, lower: np.ndarray,
     if isinstance(state, _Grid):
         made = _Move(sigma, key[:, keep], spectrum[keep], fractions[keep])
     return WindowResult(*out, _Grid(ys[keep], nxt_wts, rows[keep], made))
+
+
+def _join(state: WalkState, born: WalkState, rows: np.ndarray, n: int) -> WalkState:
+    """``state`` with the walks of ``born`` added as walks ``rows`` of n.
+
+    Both states come out of the same step, and ``state`` holds none of
+    ``rows``.  Born grid rows carry no _Move, so they get NaN keys and
+    build their next kernels afresh, as they would alone; atoms move onto
+    the union of both supports, with zero weight where a walk has none.
+    """
+    if born is None:
+        return state
+    if isinstance(born, _Atoms):
+        points = born.points if state is None else np.union1d(state.points, born.points)
+        weights = np.zeros((n, points.size))
+        if state is not None:
+            weights[:, np.searchsorted(points, state.points)] = state.weights
+        weights[rows[:, None], np.searchsorted(points, born.points)] = born.weights
+        return _Atoms(points, weights)
+    rows = rows[born.rows]
+    if state is None:
+        return _Grid(born.xs, born.weights, rows, None)
+    move, k = state.move, rows.size
+    if move is not None:
+        move = _Move(move.sigma, np.hstack([move.key, np.full((3, k), np.nan)]),
+                     np.vstack([move.spectrum, np.zeros((k,) + move.spectrum.shape[1:])]),
+                     np.vstack([move.fractions, np.zeros((k,) + move.fractions.shape[1:])]))
+    return _Grid(np.vstack([state.xs, born.xs]), np.vstack([state.weights, born.weights]),
+                 np.concatenate([state.rows, rows]), move)

@@ -1,11 +1,18 @@
+import numpy as np
 import pytest
 
-from rld.model import scenario_from_dict
+from rld.model import ForecastModel, scenario_from_dict
 
 DEFAULT_CURVE = [
     [24, 0.040], [12, 0.033], [8, 0.029], [4, 0.0235],
     [2, 0.019], [1, 0.015], [0.5, 0.012], [0.25, 0.010],
 ]
+
+
+def constant_forecast(n_stages, d_hat, sigma):
+    """T stages that share one predicted deficit and one error std."""
+    return ForecastModel(n_stages, np.full(n_stages, float(d_hat)),
+                         np.full(n_stages, float(sigma)))
 
 
 def make_scenario(T=60, B=0.001, d=0.4, prices=(52.0, 60.0, 72.0),

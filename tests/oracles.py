@@ -2,10 +2,10 @@
 
 Scalar walk drivers, the dense-kernel density of a Gaussian walk step, a
 one-path storage subgradient, the (V, Q) reformulation check, the
-all-branches form of the ct h functions and a CSV reader for benchmark
-tables.  The library computes the same quantities in batch, by FFT or
-branch by branch; these plain versions are the oracles it is checked
-against.
+all-branches form of the ct h functions, a bridge-corrected simulator of
+the reflected walk and a CSV reader for benchmark tables.  The library
+computes the same quantities in batch, by FFT, branch by branch or in
+closed form; these plain versions are the oracles it is checked against.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from rld.benchmark import RESULT_COLUMNS, BenchmarkRow, BenchmarkTable
-from rld.ctapprox import _SERIES_CUTOFF
+from rld.ctapprox import _SERIES_CUTOFF, RbmParams
 from rld.model import StorageSpec
 from rld.storage import PathOutcome, _boundary_tol
 from rld.walks import _TINY, advance, as_steps, initial_state
@@ -86,6 +86,44 @@ def truncated_walk_mean(step_stds, lower, upper, final_tail: float) -> float:
     return res.above_moment / res.above
 
 
+def lattice_chain_by_chain(x_accumulated: float, forecast, capacity: float,
+                           voll: float) -> tuple[float, float]:
+    """Exact lattice cost and subgradient at one position, one chain window at a time.
+
+    Chain (side, s) holds the errors e_s + ... + e_{s+j} in (edge - B, edge]
+    with edge = sum_{m=s}^{s+j} (x - d_m) + side * B; every window result
+    is its own scalar walk (``walk_rectangle_prob``, ``truncated_walk_mean``),
+    and the boundary visits q (empty) and r (full) follow the renewal
+    recursion in plain floats.  Gaussian error steps only.
+    """
+    T = forecast.n_stages
+    x = x_accumulated / T
+    stds = [float(s) for s in forecast.sigma]
+    above, below, moment, edges = {}, {}, {}, {}
+    for side in (0, 1):
+        for s in range(side, T):
+            highs = np.cumsum(x - forecast.d_hat[s:]) + side * capacity
+            for j in range(T - s):
+                window = (stds[s:s + j + 1], highs[:j + 1] - capacity, highs[:j + 1])
+                key = side, s, j
+                edges[key] = highs[j]
+                above[key] = walk_rectangle_prob(*window, "upper_tail")
+                below[key] = walk_rectangle_prob(*window, "lower_tail")
+                moment[key] = 0.0
+                if above[key] > _TINY:
+                    moment[key] = above[key] * truncated_walk_mean(
+                        window[0], window[1][:-1], window[2][:-1], highs[j])
+    visits = {(0, 0): 1.0, (1, 0): 0.0}
+    for i in range(1, T):
+        for side, exits in ((0, above), (1, below)):   # leaving above empties, below fills
+            visits[side, i] = sum(visits[c, s] * exits.get((c, s, i - 1 - s), 0.0)
+                                  for c in (0, 1) for s in range(i))
+    cost = voll * sum(visits[key[:2]] * (moment[key] - edges[key] * above[key])
+                      for key in edges)
+    subgrad = -voll / T * sum(visits[key[:2]] * (key[2] + 1) * above[key] for key in edges)
+    return cost, subgrad
+
+
 def dense_gauss_density(ys, xs, weights, sigma: float) -> np.ndarray:
     """Density at each row of ``ys`` after a N(0, sigma^2) step from ``weights`` on ``xs``.
 
@@ -104,7 +142,7 @@ def reformulate_vq(outcome: PathOutcome, spec: StorageSpec):
     b_{t+1} = -sum(D - x) + V_t + Q_t exactly.  Returns (V, Q, violations);
     an empty violation list certifies the doubly-reflected structure.
     """
-    if not spec.is_ideal:
+    if (spec.storage_eff, spec.recharge_eff, spec.discharge_eff) != (1.0, 1.0, 1.0):
         raise ValueError("V/Q reformulation identity holds for ideal storage only")
     tol = _boundary_tol(spec.capacity)
     v_path = outcome.cumulative_unserved
@@ -181,6 +219,59 @@ def h_prime_all_branches(x):
         series = -0.5 + x / 6.0 - x**3 / 180.0
         out = np.where(small, series, np.where(big, 0.0, exact))
     return out if out.ndim else float(out)
+
+
+def simulate_reflected_walk(params: RbmParams, dt: float, n_steps: int,
+                            rng: np.random.Generator,
+                            start: float | None = None) -> tuple[float, float]:
+    """Simulate the doubly reflected walk; returns (V_t/t, Q_t/t).
+
+    Each Gaussian step is augmented with the Brownian-bridge extremum over
+    the step, so boundary pushes missed between sample points are counted;
+    plain endpoint reflection underestimates the push rates by O(sqrt(dt)).
+    Simultaneous hits of both barriers within one step are ignored, which
+    is negligible whenever the barrier width is many step sizes.  The
+    start level defaults to a draw from the steady-state density to
+    suppress the initial transient.
+    """
+    B = params.barrier
+    if start is None:
+        # inverse-CDF draw from the steady-state density
+        u = rng.random()
+        if params.drift == 0.0:
+            b = u * B
+        else:
+            a = 2.0 * params.drift / params.volatility**2
+            b = np.log1p(u * np.expm1(a * B)) / a
+    else:
+        b = float(start)
+    step_var = params.volatility**2 * dt
+    incs = params.drift * dt + np.sqrt(step_var) * rng.standard_normal(n_steps)
+    bridge = -2.0 * step_var * np.log(rng.random(n_steps))  # for extremum draws
+    v_total = 0.0
+    q_total = 0.0
+    b = float(b)
+    for inc, r in zip(incs.tolist(), bridge.tolist()):
+        c = b + inc
+        gap = inc * inc + r
+        lo = 0.5 * (b + c - math.sqrt(gap))   # bridge minimum over the step
+        hi = 0.5 * (b + c + math.sqrt(gap))   # bridge maximum (same draw; one
+        # barrier at most is reachable per step, so reusing r is harmless)
+        if lo < 0.0:
+            v_total -= lo
+            c -= lo
+            if c > B:       # pushed across after touching the floor
+                q_total += c - B
+                c = B
+        elif hi > B:
+            q_total += hi - B
+            c -= hi - B
+            if c < 0.0:
+                v_total -= c
+                c = 0.0
+        b = c
+    t_total = dt * n_steps
+    return v_total / t_total, -q_total / t_total
 
 
 def read_results(path) -> BenchmarkTable:

@@ -18,15 +18,15 @@ from rld.ctapprox import (
     ct_terminal_cost,
     ct_terminal_subgradient,
     rbm_long_run,
-    simulate_reflected_walk,
 )
 from rld.dispatch import solve_thresholds_backward
 from rld.lattice import closed_form_b0, lattice_terminal_cost, lattice_terminal_subgradient
-from rld.model import ForecastModel, StorageSpec
+from rld.model import StorageSpec
 from rld.rng import run_generator
 from rld.storage import delivery_costs_batch
 from rld.walks import DiscreteStep
-from conftest import make_scenario
+from conftest import constant_forecast, make_scenario
+from oracles import simulate_reflected_walk
 
 VOLL = 1000.0
 SIGMA_TOTAL = math.sqrt(0.8) * 0.010   # delivery fluctuation std of the shipped scenario
@@ -83,7 +83,7 @@ def test_02_rbm_vs_simulation():
 def _mc_grid_cases():
     for T in (2, 5, 10, 20):
         sig_stage = SIGMA_TOTAL / math.sqrt(T)
-        fc = ForecastModel.constant(T, 0.4 / T, sig_stage)
+        fc = constant_forecast(T, 0.4 / T, sig_stage)
         for B in (0.001, 0.01):
             gen = run_generator(888, T * 1000 + int(B * 10_000))
             paths = 0.4 / T + sig_stage * gen.standard_normal((100_000, T))
@@ -107,7 +107,7 @@ def test_04_subgradient_consistency():
         delta = 1e-3
         for T in (2, 5, 10, 20):
             sig_stage = SIGMA_TOTAL / math.sqrt(T)
-            fc = ForecastModel.constant(T, 0.4 / T, sig_stage)
+            fc = constant_forecast(T, 0.4 / T, sig_stage)
             for B in (0.001, 0.01):
                 grid = [0.4 + k * SIGMA_TOTAL for k in (-2, -1, 0, 1, 2)]
                 grads = []
@@ -128,7 +128,7 @@ def test_05_closed_form_b0():
         import mpmath
 
         T, sig, d = 8, 0.004, 0.05
-        fc = ForecastModel.constant(T, d, sig)
+        fc = constant_forecast(T, d, sig)
         for x_acc in (0.35, 0.4, 0.45):
             cost0, _ = closed_form_b0(x_acc, fc, VOLL)
             cost_lat = lattice_terminal_cost(x_acc, fc, 1e-6, VOLL)
@@ -155,7 +155,7 @@ def test_06_brute_force_discrete():
         w = np.exp(-0.5 * (atoms / 0.006) ** 2)
         w /= w.sum()
         step = DiscreteStep(tuple(atoms), tuple(w))
-        fc = ForecastModel.constant(T, d, 0.0)
+        fc = constant_forecast(T, d, 0.0)
         cost = lattice_terminal_cost(T * x, fc, B, VOLL, error_steps=[step] * T)
 
         total = 0.0

@@ -11,10 +11,9 @@ from rld.ctapprox import (
     h_func,
     h_prime,
     rbm_long_run,
-    simulate_reflected_walk,
 )
 from rld.rng import run_generator
-from oracles import h_func_all_branches, h_prime_all_branches
+from oracles import h_func_all_branches, h_prime_all_branches, simulate_reflected_walk
 
 # the series cutoff, the exact branch's overflow cutoff and the special values
 EDGE_ARGUMENTS = np.array([

@@ -21,14 +21,14 @@ from rld.dispatch import (
     three_sigma_schedule,
 )
 from rld.lattice import closed_form_b0, lattice_terminal_subgradient
-from rld.model import ForecastModel, StorageSpec, load_scenario
+from rld.model import StorageSpec, load_scenario
 from rld.rng import draw_policy_paths, run_generator
 from rld.storage import (
     delivery_costs_batch,
     subgradient_estimates_batch,
     unserved_and_slope_batch,
 )
-from conftest import make_scenario
+from conftest import constant_forecast, make_scenario
 
 VOLL = 1000.0
 SHIPPED = resources.files("rld").joinpath("data/vi_scenario.json")
@@ -59,7 +59,7 @@ class TestSolveStageThreshold:
     def test_gaussian_quantile_oracle(self):
         # no storage, single delivery stage: threshold is a normal quantile
         d_hat, sigma, T = 0.4, 0.1, 1
-        fc = ForecastModel.constant(T, d_hat, sigma)
+        fc = constant_forecast(T, d_hat, sigma)
 
         def grad(w):
             return closed_form_b0(np.asarray(w, dtype=float) + T * d_hat, fc, VOLL)[1]
@@ -70,7 +70,7 @@ class TestSolveStageThreshold:
         assert resid <= 1e-6 * VOLL
 
     def test_degenerate_price_raises(self):
-        fc = ForecastModel.constant(1, 0.0, 1.0)
+        fc = constant_forecast(1, 0.0, 1.0)
 
         def grad(w):
             return closed_form_b0(np.asarray(w, dtype=float), fc, VOLL)[1]
@@ -175,7 +175,7 @@ class TestRootFinder:
 class TestDeltaOffsets:
     def test_single_stage_reduces_to_inverse(self):
         # R=1 with no final revelation: plain subgradient inversion
-        fc = ForecastModel.constant(1, 0.0, 0.3)
+        fc = constant_forecast(1, 0.0, 0.3)
 
         def grad(w):
             return closed_form_b0(np.asarray(w, dtype=float), fc, VOLL)[1]
@@ -188,7 +188,7 @@ class TestDeltaOffsets:
 
     def test_final_revelation_widens_the_quantile(self):
         # with a mean revelation the effective std grows in quadrature
-        fc = ForecastModel.constant(1, 0.0, 0.3)
+        fc = constant_forecast(1, 0.0, 0.3)
 
         def grad(w):
             return closed_form_b0(np.asarray(w, dtype=float), fc, VOLL)[1]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from rld import lattice
@@ -18,13 +20,10 @@ from rld.lattice import (
 )
 from rld.storage import delivery_costs_batch
 from rld.walks import DiscreteStep, NormalStep, as_steps
-from oracles import truncated_walk_mean, walk_rectangle_prob
+from conftest import constant_forecast
+from oracles import lattice_chain_by_chain, truncated_walk_mean, walk_rectangle_prob
 
 VOLL = 1000.0
-
-
-def constant_forecast(T, d, sigma):
-    return ForecastModel.constant(T, d, sigma)
 
 
 def per_start_chains(fc, B, x):
@@ -32,7 +31,7 @@ def per_start_chains(fc, B, x):
     [side, start, field (above, inside, below, above_moment), j] and the
     boundary visit probabilities q (empty) and r (full) of every level."""
     edges = build_lattice(fc, B, [x], per_start=True)
-    tmpl = _templates(edges, B, as_steps(fc.sigma), None)
+    tmpl = _templates(edges, B, as_steps(fc.sigma))
     q, r = _boundary_visits(tmpl)
     return edges[:, :, 0], tmpl[:, :, :, 0], q[0], r[0]
 
@@ -357,7 +356,7 @@ class TestBatchedPositions:
         # one position at a time, every start level walking its own chain
         steps = [NormalStep(float(fc.sigma[0]))] * fc.n_stages
         sols = [solve_lattice(build_lattice(fc, B, [x / fc.n_stages], per_start=True),
-                              B, steps, VOLL, {})
+                              B, steps, VOLL)
                 for x in x_acc]
         return np.array([c[0] for c, _ in sols]), np.array([g[0] for _, g in sols])
 
@@ -402,6 +401,58 @@ class TestBatchedPositions:
         grads = lattice_terminal_subgradient(x_acc, fc, 0.02, VOLL)
         for x, g in zip(x_acc, grads):
             assert g == lattice_terminal_subgradient(float(x), fc, 0.02, VOLL)
+
+
+class TestStageSweep:
+    """Per-start chains advance together, one sweep over the stages per position block."""
+
+    T, D, SIGMA = 12, 0.4 / 60, 0.0011547
+
+    @given(T=st.integers(1, 6), data=st.data(), B=st.sampled_from([1e-4, 1e-3, 0.1]))
+    @settings(max_examples=8, deadline=None)
+    def test_matches_chain_by_chain_oracle(self, T, data, B):
+        profile = st.lists(st.floats(0.5, 1.5), min_size=T, max_size=T).map(np.array)
+        sigma = 0.01 * data.draw(profile)
+        fc = ForecastModel(T, 0.04 * data.draw(profile), sigma)
+        # 14 positions within 3 interval stds and 4 deep tails, where every
+        # chain's first window holds less than 1e-20 of its mass: two blocks
+        w = np.linspace(-3.0, 3.0, 14) * math.sqrt(T * np.sum(sigma ** 2))
+        x = np.concatenate([fc.d_hat.mean() + w / T + 0.5 * B * (w > 0),
+                            fc.d_hat.min() - B - 12 * sigma.max() - [0.0, 1.0],
+                            fc.d_hat.max() + B + 12 * sigma.max() + [0.0, 1.0]])
+        cost = lattice_terminal_cost(T * x, fc, B, VOLL)
+        grad = lattice_terminal_subgradient(T * x, fc, B, VOLL)
+        oracle = np.array([lattice_chain_by_chain(T * xi, fc, B, VOLL) for xi in x])
+        np.testing.assert_allclose(cost, oracle[:, 0], rtol=1e-12, atol=3e-15 * VOLL)
+        np.testing.assert_allclose(grad, oracle[:, 1], rtol=1e-12, atol=3e-15 * VOLL)
+
+    @pytest.mark.parametrize("varied", [False, True])
+    def test_one_advance_per_stage_and_birth(self, monkeypatch, varied):
+        # a block of positions advances every running chain in one call per
+        # stage, plus one call for the chains that start there
+        fc = constant_forecast(self.T, self.D, self.SIGMA)
+        if varied:
+            shape = 1.0 + 0.3 * np.sin(2 * np.pi * np.arange(self.T) / self.T)
+            fc = ForecastModel(self.T, fc.d_hat * shape, fc.sigma)
+        calls, advance = [], lattice.advance
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "advance", counting)
+        x_acc = self.T * self.D + np.linspace(-0.004, 0.004, lattice._BLOCK)
+        lattice_terminal_cost(x_acc, fc, 1e-3, VOLL)
+        assert 0 < len(calls) <= (2 if varied else 1) * self.T
+
+    def test_discrete_step_after_gaussian_fails_before_walking(self, monkeypatch):
+        fc = ForecastModel(3, np.array([0.02, 0.03, 0.02]), np.array([0.01, 0.0, 0.01]))
+        monkeypatch.setattr(lattice, "advance", None)   # any walk would raise TypeError
+        with pytest.raises(ValueError, match="delivery stage 1"):
+            lattice_terminal_cost(0.06, fc, 0.01, VOLL)
+        steps = [NormalStep(0.01), NormalStep(0.01), DiscreteStep((0.0,), (1.0,))]
+        with pytest.raises(ValueError, match="delivery stage 2"):
+            lattice_terminal_subgradient(0.06, fc, 0.01, VOLL, error_steps=steps)
 
 
 class TestClosedFormB0:

@@ -156,52 +156,6 @@ class TestAdvanceInternals:
             NormalStep(-1.0)
 
 
-class TestSharedKernels:
-    # One width, so the grid is the window from the first step on and every
-    # later step is Toeplitz; every step moves the window differently, so no
-    # kernel repeats within the walk.
-    WINDOWS = [(-0.5, 0.4), (-0.3, 0.6), (-0.6, 0.3), (-0.2, 0.7), (-0.4, 0.5)]
-
-    def walk(self, kernels):
-        state, out = initial_state(), []
-        for lo, hi in self.WINDOWS:
-            res = advance(state, NormalStep(0.3), lo, hi, kernels=kernels)
-            out.append((res.below, res.inside, res.above, res.above_moment))
-            state = res.state
-        return np.array(out)
-
-    def test_shared_dict_matches_own_kernels(self):
-        kernels = {}
-        first = self.walk(kernels)
-        assert len(kernels) == len(self.WINDOWS) - 1   # the first step leaves a point mass
-        np.testing.assert_allclose(first, self.walk(None), rtol=1e-14, atol=1e-17)
-        np.testing.assert_array_equal(self.walk(kernels), first)   # all hits
-        assert len(kernels) == len(self.WINDOWS) - 1
-
-    def test_dict_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(walks, "KERNEL_DICT_MAX", 2)
-        kernels = {}
-        self.walk(kernels)
-        assert 0 < len(kernels) <= 2
-
-    def test_entries_hold_spectra_not_dense_kernels(self):
-        kernels = {}
-        self.walk(kernels)
-        for spectrum, fractions in kernels.values():
-            assert spectrum.shape == (1, 271)
-            assert fractions.shape == (1, 3, walks.GRID_POINTS)
-
-    def test_growing_grids_share_dense_kernels(self):
-        # the grid grows by SPAN step stds a side until it fills the window:
-        # those three steps share dense kernels, the first settled step shares
-        # a spectrum, and the repeat after it reuses the walk's own spectrum
-        kernels, state = {}, initial_state()
-        for _ in range(6):
-            state = advance(state, NormalStep(0.05), -1.0, 1.0, kernels=kernels).state
-        shapes = [kernel.shape for kernel, _ in kernels.values()]
-        assert shapes == [(1, walks.GRID_POINTS, walks.GRID_POINTS)] * 3 + [(1, 271)]
-
-
 # about the per-stage error std of the shipped scenario
 SIGMA = 1.15e-3
 # B << sigma: flat kernel taps; B >> sigma: banded taps, and the grid grows for
@@ -259,3 +213,32 @@ class TestToeplitzStep:
             state = res.state
             for k, i in enumerate(state.rows):
                 np.testing.assert_array_equal(state.weights[k], alone[i].weights[0])
+
+
+class TestJoin:
+    """Walks that start late join a running state and step as they would alone."""
+
+    @pytest.mark.parametrize("step", [
+        NormalStep(SIGMA), DiscreteStep((-SIGMA, 0.0, 0.5 * SIGMA), (0.25, 0.5, 0.25))])
+    def test_joined_walks_step_as_alone(self, step):
+        # walks 0-3 start at step 0 and walks 4-7 join at step 2; the windows
+        # of B = 1e-3 let some walks die before the last step
+        lows, highs = chain_windows(1e-3, 0.3, 7, 8, 6)
+        starts = np.repeat([0, 2], 4)
+        state, alone = None, [initial_state()] * 8
+        for j in range(lows.shape[1]):
+            got = np.zeros((4, 8))
+            if state is not None:
+                res = advance(state, step, lows[:, j], highs[:, j])
+                got[:] = res.below, res.inside, res.above, res.above_moment
+                state = res.state
+            born = np.flatnonzero(starts == j)
+            if born.size:
+                res = advance(initial_state(), step, lows[born, j], highs[born, j])
+                got[:, born] = res.below, res.inside, res.above, res.above_moment
+                state = walks._join(state, res.state, born, 8)
+            for i in np.flatnonzero(starts <= j):
+                one = advance(alone[i], step, lows[i, j], highs[i, j])
+                assert tuple(got[:, i]) == (one.below, one.inside, one.above, one.above_moment)
+                alone[i] = one.state
+            assert not got[:, starts > j].any()
