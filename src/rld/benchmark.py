@@ -37,13 +37,12 @@ class BenchmarkRow:
 BenchmarkTable = list[BenchmarkRow]
 
 
-def solve_schedule(scenario: Scenario, policy: str, *, n_samples: int = 200_000,
-                   seed: int = 0) -> ThresholdSchedule:
+def solve_schedule(scenario: Scenario, policy: str, *, seed: int = 0) -> ThresholdSchedule:
     if policy == "3sigma":
         return three_sigma_schedule(
             scenario.curve, scenario.ladder, scenario.delivery_forecast()
         )
-    return solve_thresholds_backward(scenario, policy, n_samples=n_samples, seed=seed)
+    return solve_thresholds_backward(scenario, policy, seed=seed)
 
 
 def evaluate_policies(scenario: Scenario, schedules: dict[str, ThresholdSchedule],
@@ -73,7 +72,6 @@ def evaluate_policies(scenario: Scenario, schedules: dict[str, ThresholdSchedule
 def run_benchmark(scenario: Scenario, policies=("3sigma", "lattice", "ct"),
                   n_runs: int = 2000, seed: int = 0, *,
                   schedules: dict[str, ThresholdSchedule] | None = None,
-                  solver_samples: int = 200_000,
                   record_timing: bool = True) -> BenchmarkTable:
     """Estimate each policy's expected cost and integration cost.
 
@@ -90,9 +88,7 @@ def run_benchmark(scenario: Scenario, policies=("3sigma", "lattice", "ct"),
     for tag in policies:
         t0 = time.perf_counter()
         try:
-            solved[tag] = schedules.get(tag) or solve_schedule(
-                scenario, tag, n_samples=solver_samples, seed=0
-            )
+            solved[tag] = schedules.get(tag) or solve_schedule(scenario, tag)
         except Exception as exc:
             # keep the exception as raised: its type picks the CLI exit code
             exc.__notes__ = [*getattr(exc, "__notes__", ()), f"policy {tag!r}"]
@@ -131,8 +127,7 @@ def run_benchmark(scenario: Scenario, policies=("3sigma", "lattice", "ct"),
 
 
 def sweep(scenario: Scenario, axis: str, grid, policies=("3sigma", "lattice", "ct"),
-          n_runs: int = 2000, seed: int = 0, *, solver_samples: int = 200_000,
-          record_timing: bool = True) -> BenchmarkTable:
+          n_runs: int = 2000, seed: int = 0, *, record_timing: bool = True) -> BenchmarkTable:
     """Run the benchmark along a D or B grid, one seed offset per point.
 
     Threshold offsets are forecast-relative, so a D sweep reuses the
@@ -150,10 +145,7 @@ def sweep(scenario: Scenario, axis: str, grid, policies=("3sigma", "lattice", "c
     for i, point in enumerate(points):
         if axis == "D":
             if shared is None:
-                shared = {
-                    tag: solve_schedule(point, tag, n_samples=solver_samples, seed=0)
-                    for tag in policies
-                }
+                shared = {tag: solve_schedule(point, tag) for tag in policies}
             schedules = {
                 tag: replace(sched, thresholds=point.d_total + sched.offsets)
                 for tag, sched in shared.items()
@@ -162,8 +154,7 @@ def sweep(scenario: Scenario, axis: str, grid, policies=("3sigma", "lattice", "c
             schedules = None
         table.extend(run_benchmark(
             point, policies, n_runs=n_runs, seed=seed + i,
-            schedules=schedules, solver_samples=solver_samples,
-            record_timing=record_timing,
+            schedules=schedules, record_timing=record_timing,
         ))
     return table
 

@@ -61,12 +61,6 @@ _policy_option = click.option(
     help=f"Comma-separated policy tags from {', '.join(_POLICIES)}.")
 
 
-_samples_option = click.option(
-    "--samples", type=click.IntRange(min=1), default=200_000, show_default=True,
-    help="Quasi Monte Carlo samples in the stage recursion, rounded up to a power "
-         "of two of at least 1024 Sobol points.")
-
-
 @click.group()
 def main():
     """Risk-limiting dispatch with fast storage."""
@@ -75,13 +69,12 @@ def main():
 @main.command()
 @click.option("--scenario", type=click.Path(exists=True), default=None)
 @click.option("--engine", type=click.Choice(["lattice", "mc", "ct", "3sigma"]), default="lattice")
-@_samples_option
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-def thresholds(scenario, engine, samples, seed, out):
+def thresholds(scenario, engine, seed, out):
     """Solve the per-stage thresholds and write them as CSV."""
     scn = _load(scenario)
-    sched = bench.solve_schedule(scn, engine, n_samples=samples, seed=seed)
+    sched = bench.solve_schedule(scn, engine, seed=seed)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "lead_time", "price", "threshold", "engine", "residual"])
@@ -99,13 +92,12 @@ def thresholds(scenario, engine, samples, seed, out):
 @click.option("--engine", "--policy", "engine",
               type=click.Choice(["lattice", "mc", "ct", "3sigma"]), default="lattice")
 @click.option("--seed", type=int, default=0, show_default=True)
-@_samples_option
 @click.option("--out", type=click.Path(), default=None,
               help="Optional delivery-path dump (t,D_t,u_t,b_t,unserved,V,Q).")
-def simulate(scenario, engine, seed, samples, out):
+def simulate(scenario, engine, seed, out):
     """Run one seeded policy path and report its realized cost."""
     scn = _load(scenario)
-    sched = bench.solve_schedule(scn, engine, n_samples=samples, seed=0)
+    sched = bench.solve_schedule(scn, engine, seed=0)
     gen = run_generator(seed, 0)
     shift_normals = gen.standard_normal(scn.ladder.n_stages)
     noise_normals = gen.standard_normal(scn.T)
@@ -137,17 +129,13 @@ def simulate(scenario, engine, seed, samples, out):
 @_policy_option
 @click.option("--runs", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_samples_option
 @click.option("--timing/--no-timing", default=True, show_default=True,
               help="Record wall times (disable for byte-stable output).")
 @click.option("--out", type=click.Path(), required=True)
-def benchmark_cmd(scenario, policy, runs, seed, samples, timing, out):
+def benchmark_cmd(scenario, policy, runs, seed, timing, out):
     """Monte Carlo policy comparison with common random numbers."""
     scn = _load(scenario)
-    table = bench.run_benchmark(
-        scn, policy, n_runs=runs, seed=seed,
-        solver_samples=samples, record_timing=timing,
-    )
+    table = bench.run_benchmark(scn, policy, n_runs=runs, seed=seed, record_timing=timing)
     bench.emit_results(table, "csv", out)
     click.echo(f"wrote {out}")
 
@@ -164,12 +152,11 @@ def benchmark_cmd(scenario, policy, runs, seed, samples, timing, out):
 @_policy_option
 @click.option("--runs", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_samples_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "plotdata"]), default="csv",
               show_default=True)
 @click.option("--timing/--no-timing", default=True, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-def sweep(scenario, axis, grid, grid_points, policy, runs, seed, samples, fmt, timing, out):
+def sweep(scenario, axis, grid, grid_points, policy, runs, seed, fmt, timing, out):
     """Benchmark along a mean-deficit or capacity grid."""
     scn = _load(scenario)
     if grid is not None:
@@ -178,10 +165,8 @@ def sweep(scenario, axis, grid, grid_points, policy, runs, seed, samples, fmt, t
         values = list(np.linspace(-0.8, 0.8, grid_points))
     else:
         values = list(np.logspace(-4, -1, grid_points))
-    table = bench.sweep(
-        scn, axis, values, policy, n_runs=runs, seed=seed,
-        solver_samples=samples, record_timing=timing,
-    )
+    table = bench.sweep(scn, axis, values, policy, n_runs=runs, seed=seed,
+                        record_timing=timing)
     for written in bench.emit_results(table, fmt, out):
         click.echo(f"wrote {written}")
 

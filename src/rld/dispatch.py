@@ -2,8 +2,8 @@
 
 Each market stage buys (or sells) up to an information-dependent target.
 The last stage's target inverts the terminal cost subgradient; earlier
-stages solve a nested expansion over the first future stage that ends up
-purchasing, with expectations over the inter-stage forecast revisions.
+stages solve a nested expansion over the first future stage that acts, by
+quadrature over the inter-stage forecast revisions.
 Targets are solved as offsets relative to the current total-deficit
 forecast, which makes them reusable across forecast levels: the realized
 threshold at stage r is the current forecast plus the stage offset.
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
 from .ctapprox import ct_terminal_subgradient
 from .lattice import closed_form_b0, lattice_terminal_subgradient
@@ -157,14 +156,10 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
         profile = fc.d_hat
 
         def grad_hard(w):
-            w = np.atleast_1d(np.asarray(w, dtype=float))
-            if w.size == 0:
-                return np.empty(0)
-            # rows are independent, so each distinct w is evaluated once
-            uniq, inverse = np.unique(w, return_inverse=True)
-            ds = np.broadcast_to(profile, (uniq.size, T))
-            vals = subgradient_estimates_batch(ds, (uniq + m_total) / T, capacity, voll)
-            return vals[inverse.reshape(w.shape)]
+            w = np.asarray(w, dtype=float)
+            ds = np.broadcast_to(profile, (w.size, T))
+            return subgradient_estimates_batch(ds, (w.ravel() + m_total) / T, capacity,
+                                               voll).reshape(w.shape)
 
         return TerminalModel(engine, grad_hard, scale=max(T * capacity, 1.0))
 
@@ -264,36 +259,80 @@ def _mc_subgradients(deficits: np.ndarray, supplies: np.ndarray, capacity: float
     return vals
 
 
-def _sobol_normals(dims: int, n_samples: int, seed: int) -> np.ndarray:
-    m = max(10, math.ceil(math.log2(max(n_samples, 2))))
-    eng = qmc.Sobol(d=dims, scramble=True, seed=seed)
-    u = eng.random_base2(m)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return ndtri(u)
+# Gauss-Legendre rule of the stage expectations on [-8.5, 8.5] stds (1.9e-17 of the
+# mass lies beyond); spline points per revision std, capped per window reach
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(96)
+_GRID_PER_STD, _GRID_MAX = 16, 4096
+
+
+def _expectation(stages, base: Callable, s: float) -> Callable:
+    """y -> E[W(y - s Z)], Z standard normal, W(u) the price of the first of
+    ``stages`` (offset, sells, price) acting at u (a buy at u <= offset, a sell
+    at u > offset), else ``base(u)``: per cell between offsets, a price times
+    its Gaussian mass or Gauss-Legendre over the smooth base."""
+    edges = [-np.inf, *np.unique([d for d, _, _ in stages if math.isfinite(d)]), np.inf]
+    cells = [(lo, hi, next((p for d, sells, p in stages if (d <= lo if sells else d >= hi)), None))
+             for lo, hi in zip(edges[:-1], edges[1:])]
+
+    def expect(y: np.ndarray) -> np.ndarray:
+        out = np.zeros(y.shape)
+        for lo, hi, price in cells:
+            # y - s z lies in (lo, hi] for z in [(y - hi) / s, (y - lo) / s)
+            if s == 0.0:
+                inside = (lo < y) & (y <= hi)
+                out[inside] = base(y[inside]) if price is None else price
+            elif price is not None:
+                out += price * (ndtr((y - lo) / s) - ndtr((y - hi) / s))
+            else:
+                a, b = np.maximum((y - hi) / s, -8.5), np.minimum((y - lo) / s, 8.5)
+                rows = np.flatnonzero(a < b)
+                half = 0.5 * (b[rows] - a[rows])
+                z = (a[rows] + half)[:, None] + half[:, None] * _GL_X
+                vals = base((y[rows, None] - s * z).ravel()).reshape(z.shape)
+                out[rows] += half * ((vals * np.exp(-0.5 * z * z)) @ _GL_W) / math.sqrt(2 * math.pi)
+        return out
+
+    return expect
+
+
+def _tabulate(fn: Callable, far: Callable, spans, step: float) -> Callable:
+    """``fn`` by a cubic spline per run of multiples of ``step`` in ``spans``; ``far`` elsewhere."""
+    ticks = np.unique([t for lo, hi in spans
+                       for t in range(math.floor(lo / step), math.ceil(hi / step) + 1)])
+    runs = np.split(ticks, np.flatnonzero(np.diff(ticks) > 1) + 1)
+    splines = [CubicSpline(t * step, fn(t * step)) for t in runs if t.size > 1]
+
+    def table(u: np.ndarray) -> np.ndarray:
+        out = np.full(u.shape, np.nan)
+        for spline in splines:
+            inside = (u >= spline.x[0]) & (u <= spline.x[-1])
+            out[inside] = spline(u[inside])
+        rest = np.isnan(out)
+        out[rest] = far(u[rest])
+        return out
+
+    return table
 
 
 def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
-                        grad, *, scale: float = 1.0, n_samples: int = 200_000,
-                        seed: int = 0, grad_exact: Callable | None = None,
+                        grad, *, scale: float = 1.0, grad_exact: Callable | None = None,
                         directions: tuple[str, ...] | None = None):
     """Backward recursion for the per-stage threshold offsets.
 
     ``shift_stds[r]`` is the std of the forecast revision after stage r+1
     (the last entry is the revision between the final market and
-    delivery).  The last stage inverts the expected terminal subgradient
-    by Gauss-Hermite quadrature over that final revision: the 44 of 64
-    nodes whose normalized weight is at least 1e-18 (the other 20 carry
-    3.6e-20 of the mass together).  Earlier stages solve the
-    first-future-action expansion with the revision sequence sampled once
-    per path (scrambled Sobol, common random numbers across root-finder
-    iterates).  A future buy stage acts when the position sits below its
-    threshold; a future sell stage acts when it sits above.  Every stage
-    equation is solved by Illinois regula falsi (``_solve_decreasing``);
-    with ``grad_exact`` the last stage then takes Newton steps against it.
-    A sell stage whose right-hand side never falls below its price never
-    pays to sell: its offset is +inf (residual 0).  Returns (offsets,
-    residuals, iterations); an iteration count is root-finder steps plus
-    Newton steps.
+    delivery).  Stage r solves U_r(delta) = price_r in the position minus
+    the current forecast.  U_{R-1} is the expected terminal subgradient by
+    Gauss-Hermite quadrature over the final revision (the 44 of 64 nodes of
+    normalized weight >= 1e-18).  Earlier stages follow the first future
+    action: U_{k-1}(y) = E[W_k(y - s_{k-1} Z)], with W_k = price_k where
+    stage k acts and U_k elsewhere (``_expectation``); a level with a
+    positive std is tabulated near the later offsets.  Every stage equation
+    is solved by Illinois regula falsi (``_solve_decreasing``); with
+    ``grad_exact`` the last stage then takes Newton steps against it.  A
+    sell stage whose right-hand side never falls below its price never pays
+    to sell: its offset is +inf (residual 0).  Returns (offsets, residuals,
+    iterations); an iteration count is root-finder steps plus Newton steps.
     """
     prices = np.asarray(prices, dtype=float)
     shift_stds = np.asarray(shift_stds, dtype=float)
@@ -302,87 +341,71 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
         raise ValueError("need one forecast-revision std per market stage")
     if directions is None:
         directions = (BUY,) * R
-    deltas = np.empty(R)
-    residuals = np.empty(R)
+    deltas, residuals = np.empty(R), np.empty(R)
     iterations = np.zeros(R, dtype=int)
     resid_tol = 1e-6 * voll
 
-    def solve_stage(r: int, fn: Callable[[float], float], lo: float, hi: float):
-        try:
-            return _solve_decreasing(fn, float(prices[r]), lo, hi, resid_tol)
-        except _BelowRangeError:
-            if directions[r] != SELL:
-                raise
-            return math.inf, 0.0, 0
+    gh_x, weights = np.polynomial.hermite.hermgauss(64)
+    weights /= math.sqrt(math.pi)
+    gh_x, weights = gh_x[weights >= 1e-18], weights[weights >= 1e-18]
 
-    gh_x, gh_w = np.polynomial.hermite.hermgauss(64)
-    weights = gh_w / math.sqrt(math.pi)
-    heavy = weights >= 1e-18
-    nodes = math.sqrt(2.0) * shift_stds[R - 1] * gh_x[heavy]
-    weights = weights[heavy]
+    def terminal(std: float, g: Callable = grad) -> Callable:
+        """u -> -E[g(u - std Z)] by Gauss-Hermite quadrature."""
+        shifts = math.sqrt(2.0) * std * gh_x
+        return lambda u: -(g((u[:, None] - shifts).ravel()).reshape(u.size, shifts.size) @ weights)
 
-    def rhs_last(delta: float) -> float:
-        return -float(weights @ np.asarray(grad(delta - nodes)))
+    # level k's spline windows reach 9 total stds plus 8.5 per revision before k
+    tail_std = np.sqrt(np.cumsum(shift_stds[::-1] ** 2)[::-1])
+    reach = 9.0 * tail_std[0] + 8.5 * (np.cumsum(shift_stds) - shift_stds)
+    later, stages = [], []   # (offset, sells, price): solved, and acting at U_k's position
+    expect = terminal(float(shift_stds[R - 1]))
+    for idx in range(R - 1, -1, -1):
+        if idx < R - 1:
+            k = idx + 1
+            if shift_stds[k] > 0.0:
+                # tabulate U_k near the later offsets where stage k does not act;
+                # beyond 9 tail stds it is its first later action or terminal value
+                step = max(shift_stds[k] / _GRID_PER_STD, reach[k] / _GRID_MAX)
+                d_k, sells, _ = later[0]
+                keep = (-math.inf, d_k + 4 * step) if sells else (d_k - 4 * step, math.inf)
+                spans = [(max(d - reach[k], keep[0]), min(d + reach[k], keep[1]))
+                         for d, _, _ in later if math.isfinite(d)]
+                far = _expectation(later[1:], terminal(float(tail_std[k])), 0.0)
+                base = _tabulate(base, far, spans, step)
+            stages = [later[0], *stages]
+            expect = _expectation(stages, base, float(shift_stds[idx]))
 
-    lo0 = -4.0 * scale - 6.0 * float(shift_stds[R - 1])
-    hi0 = 4.0 * scale + 6.0 * float(shift_stds[R - 1])
-    deltas[R - 1], residuals[R - 1], iterations[R - 1] = solve_stage(R - 1, rhs_last, lo0, hi0)
+        def rhs(delta: float, expect=expect) -> float:
+            return float(expect(np.array([delta]))[0])
 
-    if grad_exact is not None and math.isfinite(deltas[R - 1]):
-        # Newton polish against the non-interpolated engine so the recorded
-        # residual is honest with respect to the exact subgradient.
-        def rhs_exact(delta: float) -> float:
-            return -float(weights @ grad_exact(delta - nodes))
-
-        d_cur = float(deltas[R - 1])
-        h = 1e-5 * max(scale, 1.0)
-        for _ in range(6):
-            val = rhs_exact(d_cur)
-            resid = val - float(prices[R - 1])
-            residuals[R - 1] = abs(resid)
-            if abs(resid) <= resid_tol:
-                break
-            slope = (rhs_last(d_cur + h) - rhs_last(d_cur - h)) / (2.0 * h)
-            if slope >= 0.0:
-                break
-            step = resid / slope
-            d_cur -= math.copysign(min(abs(step), 0.5 * scale), step)
-            iterations[R - 1] += 1
-        deltas[R - 1] = d_cur
-
-    for idx in range(R - 2, -1, -1):
-        dims = R - idx
-        z = _sobol_normals(dims, n_samples, seed + 7919 * idx)
-        cum = np.cumsum(z * shift_stds[idx:], axis=1)
-        future_deltas = deltas[idx + 1:]
-        future_prices = prices[idx + 1:]
-        future_dirs = directions[idx + 1:]
-        # each future stage's action edge per path, built once per stage
-        edges = [future_deltas[j] + cum[:, j] for j in range(dims - 1)]
-        final_cum = np.ascontiguousarray(cum[:, -1])
-        n_paths = final_cum.size
-        del z, cum
-
-        def rhs(delta: float) -> float:
-            contrib = np.empty(n_paths)
-            alive = np.ones(n_paths, dtype=bool)
-            for j, edge in enumerate(edges):
-                above = delta > edge
-                acts = above if future_dirs[j] == SELL else ~above
-                newly = alive & acts
-                contrib[newly] = future_prices[j]
-                alive &= ~acts
-            if alive.any():
-                contrib[alive] = -np.asarray(grad(delta - final_cum[alive]))
-            return float(contrib.mean())
-
-        spread = 6.0 * float(np.sqrt(np.sum(shift_stds[idx:] ** 2)))
         # a never-selling stage (offset +inf) does not place the bracket
-        finite = future_deltas[np.isfinite(future_deltas)]
-        low, high = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 0.0)
-        deltas[idx], residuals[idx], iterations[idx] = solve_stage(
-            idx, rhs, low - spread - 4.0 * scale, high + spread + 4.0 * scale
-        )
+        finite = [d for d, _, _ in later if math.isfinite(d)] or [0.0]
+        spread = 6.0 * float(tail_std[idx]) + 4.0 * scale
+        try:
+            deltas[idx], residuals[idx], iterations[idx] = _solve_decreasing(
+                rhs, float(prices[idx]), min(finite) - spread, max(finite) + spread, resid_tol)
+        except _BelowRangeError:
+            if directions[idx] != SELL:
+                raise
+            deltas[idx], residuals[idx] = math.inf, 0.0
+        if idx == R - 1 and grad_exact is not None and math.isfinite(deltas[idx]):
+            # Newton polish against the exact engine: the recorded residual is honest
+            rhs_exact = terminal(float(shift_stds[idx]), grad_exact)
+            h = 1e-5 * max(scale, 1.0)
+            for _ in range(6):
+                resid = float(rhs_exact(deltas[idx:idx + 1])[0]) - float(prices[idx])
+                residuals[idx] = abs(resid)
+                if abs(resid) <= resid_tol:
+                    break
+                slope = (rhs(deltas[idx] + h) - rhs(deltas[idx] - h)) / (2.0 * h)
+                if slope >= 0.0:
+                    break
+                step = resid / slope
+                deltas[idx] -= math.copysign(min(abs(step), 0.5 * scale), step)
+                iterations[idx] += 1
+        later.insert(0, (float(deltas[idx]), directions[idx] == SELL, float(prices[idx])))
+        if idx == R - 1 or shift_stds[idx] > 0.0:
+            stages, base = [], expect
 
     return deltas, residuals, iterations
 
@@ -402,14 +425,14 @@ class ThresholdSchedule:
 
 
 def solve_thresholds_backward(scenario: Scenario, engine: str = "lattice", *,
-                              n_samples: int = 200_000, seed: int = 0) -> ThresholdSchedule:
-    """Solve every stage's threshold offset for the chosen engine."""
+                              seed: int = 0) -> ThresholdSchedule:
+    """Solve every stage's threshold offset; ``seed`` keys the mc engine's paths."""
     model = build_terminal_model(scenario, engine, seed=seed)
     shift_stds = scenario.inter_stage_stds()
     deltas, residuals, iterations = solve_delta_offsets(
         scenario.ladder.prices, scenario.cost.voll, shift_stds, model.grad,
-        scale=model.scale, n_samples=n_samples, seed=seed,
-        grad_exact=model.grad_exact, directions=scenario.ladder.directions,
+        scale=model.scale, grad_exact=model.grad_exact,
+        directions=scenario.ladder.directions,
     )
     return ThresholdSchedule(
         engine=engine,

@@ -3,9 +3,11 @@
 Scalar walk drivers, the dense-kernel density of a Gaussian walk step, a
 one-path storage subgradient, the (V, Q) reformulation check, the
 all-branches form of the ct h functions, a bridge-corrected simulator of
-the reflected walk and a CSV reader for benchmark tables.  The library
-computes the same quantities in batch, by FFT, branch by branch or in
-closed form; these plain versions are the oracles it is checked against.
+the reflected walk, two evaluators of the stage right-hand sides
+(scrambled-Sobol paths and untabulated nested quadrature) and a CSV reader
+for benchmark tables.  The library computes the same quantities in batch,
+by FFT, branch by branch, in closed form or from tabulated stage
+functions; these plain versions are the oracles it is checked against.
 """
 from __future__ import annotations
 
@@ -13,10 +15,12 @@ import csv
 import math
 
 import numpy as np
+from scipy.special import ndtr, ndtri
+from scipy.stats import qmc
 
 from rld.benchmark import RESULT_COLUMNS, BenchmarkRow, BenchmarkTable
 from rld.ctapprox import _SERIES_CUTOFF, RbmParams
-from rld.model import StorageSpec
+from rld.model import BUY, SELL, StorageSpec
 from rld.storage import PathOutcome, _boundary_tol
 from rld.walks import _TINY, advance, as_steps, initial_state
 
@@ -272,6 +276,140 @@ def simulate_reflected_walk(params: RbmParams, dt: float, n_steps: int,
         b = c
     t_total = dt * n_steps
     return v_total / t_total, -q_total / t_total
+
+
+def _sobol_normals(dims: int, n_samples: int, seed: int) -> np.ndarray:
+    m = max(10, math.ceil(math.log2(max(n_samples, 2))))
+    eng = qmc.Sobol(d=dims, scramble=True, seed=seed)
+    u = eng.random_base2(m)
+    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    return ndtri(u)
+
+
+def sobol_stage_rhs(idx: int, prices, deltas, shift_stds, grad, directions=None, *,
+                    n_samples: int = 200_000, seed: int = 0):
+    """Stage ``idx``'s right-hand side as a scrambled-Sobol mean over revision paths.
+
+    Each path draws the revisions after stage idx once and pays the price
+    of the first later stage that acts on it (a buy when the position sits
+    at or below its threshold, a sell when above), or the terminal
+    subgradient at the end if none acts.  ``deltas`` holds the later
+    stages' offsets.  Common random numbers across calls; the seed picks
+    the scrambling.
+    """
+    prices = np.asarray(prices, dtype=float)
+    shift_stds = np.asarray(shift_stds, dtype=float)
+    deltas = np.asarray(deltas, dtype=float)
+    R = prices.size
+    if directions is None:
+        directions = (BUY,) * R
+    dims = R - idx
+    z = _sobol_normals(dims, n_samples, seed + 7919 * idx)
+    cum = np.cumsum(z * shift_stds[idx:], axis=1)
+    future_deltas = deltas[idx + 1:]
+    future_prices = prices[idx + 1:]
+    future_dirs = directions[idx + 1:]
+    # each future stage's action edge per path, built once per stage
+    edges = [future_deltas[j] + cum[:, j] for j in range(dims - 1)]
+    final_cum = np.ascontiguousarray(cum[:, -1])
+    n_paths = final_cum.size
+    del z, cum
+
+    def rhs(delta: float) -> float:
+        contrib = np.empty(n_paths)
+        alive = np.ones(n_paths, dtype=bool)
+        for j, edge in enumerate(edges):
+            above = delta > edge
+            acts = above if future_dirs[j] == SELL else ~above
+            newly = alive & acts
+            contrib[newly] = future_prices[j]
+            alive &= ~acts
+        if alive.any():
+            contrib[alive] = -np.asarray(grad(delta - final_cum[alive]))
+        return float(contrib.mean())
+
+    return rhs
+
+
+def nested_stage_rhs(idx: int, prices, deltas, shift_stds, grad, directions=None, *,
+                     rhs_last=None, n_nodes: int = 128):
+    """Stage ``idx``'s right-hand side U_idx by nested Gauss-Legendre, untabulated.
+
+    U_{R-1} is ``rhs_last`` (default: -E[grad(y - s Z)] over the final
+    revision s by 64-node Gauss-Hermite).  W_k(y) is price_k where stage k
+    acts and U_k(y) elsewhere, and U_{k-1}(y) = E[W_k(y - s_{k-1} Z)].
+    Stages joined by zero-std revisions see the same position, so each
+    expectation runs over the first action among stage k and the stages
+    after it up to the next positive std: the offsets of that group cut
+    the Gaussian, a cell where a stage acts adds its price times the
+    cell's mass, and a cell where none acts takes ``n_nodes``-point
+    Gauss-Legendre over its part of [-8.5, 8.5], each node recursing into
+    the level after the group.  Returns a vectorized function of y.
+    """
+    prices = np.asarray(prices, dtype=float)
+    shift_stds = np.asarray(shift_stds, dtype=float)
+    deltas = np.asarray(deltas, dtype=float)
+    R = prices.size
+    if directions is None:
+        directions = (BUY,) * R
+    if rhs_last is None:
+        gh_x, gh_w = np.polynomial.hermite.hermgauss(64)
+        nodes = math.sqrt(2.0) * shift_stds[R - 1] * gh_x
+
+        def rhs_last(y):
+            vals = np.asarray(grad((y[:, None] - nodes).ravel()), dtype=float)
+            return -(vals.reshape(y.size, nodes.size) @ gh_w) / math.sqrt(math.pi)
+
+    gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
+
+    def acts(j, u):
+        return u > deltas[j] if directions[j] == SELL else u <= deltas[j]
+
+    def level(k, y):
+        """U_k at positions y."""
+        if k == R - 1:
+            return rhs_last(y)
+        group = [k + 1]   # stages at the position y - s_k Z, in order
+        while group[-1] < R - 1 and shift_stds[group[-1]] == 0.0:
+            group.append(group[-1] + 1)
+        after = group[-1]
+
+        def first_action(u):
+            out = np.full(u.shape, np.nan)
+            for j in reversed(group):
+                out[acts(j, u)] = prices[j]
+            return out
+
+        s = shift_stds[k]
+        if s == 0.0:
+            out = first_action(y)
+            rest = np.isnan(out)
+            out[rest] = level(after, y[rest])
+            return out
+        cuts = np.unique([deltas[j] for j in group if math.isfinite(deltas[j])])
+        bounds = np.concatenate([[-np.inf], cuts, [np.inf]])
+        out = np.zeros(y.shape)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            # the first action is constant on the cell (lo, hi]; probe it at hi,
+            # or above lo in the last cell
+            if math.isfinite(hi):
+                probe = hi
+            else:
+                probe = lo + max(1.0, abs(lo)) if math.isfinite(lo) else 0.0
+            price = first_action(np.array([probe]))[0]
+            a, b = (y - hi) / s, (y - lo) / s     # y - s z in (lo, hi] for z in [a, b)
+            if not math.isnan(price):
+                out += price * (ndtr(b) - ndtr(a))
+                continue
+            a, b = np.maximum(a, -8.5), np.minimum(b, 8.5)
+            rows = np.flatnonzero(a < b)
+            half = 0.5 * (b[rows] - a[rows])
+            z = (a[rows] + half)[:, None] + half[:, None] * gl_x
+            vals = level(after, (y[rows, None] - s * z).ravel()).reshape(z.shape)
+            out[rows] += half * ((vals * np.exp(-0.5 * z * z)) @ gl_w) / math.sqrt(2.0 * math.pi)
+        return out
+
+    return lambda y: level(idx, np.atleast_1d(np.asarray(y, dtype=float)))
 
 
 def read_results(path) -> BenchmarkTable:

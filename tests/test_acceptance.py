@@ -255,7 +255,7 @@ def test_11_benchmark_determinism(tmp_path):
             out = tmp_path / name
             result = runner.invoke(main, [
                 "benchmark", "--policy", "3sigma,ct", "--runs", "200",
-                "--seed", "123", "--samples", "20000", "--no-timing",
+                "--seed", "123", "--no-timing",
                 "--out", str(out),
             ])
             assert result.exit_code == 0, result.output

@@ -1,12 +1,18 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, linprog
-from scipy.special import expit, ndtri
+from scipy.special import expit, ndtr, ndtri
 
 from rld import dispatch
 from rld.ctapprox import ct_terminal_cost, ct_terminal_subgradient, h_prime
@@ -21,7 +27,7 @@ from rld.dispatch import (
     three_sigma_schedule,
 )
 from rld.lattice import closed_form_b0, lattice_terminal_subgradient
-from rld.model import StorageSpec, load_scenario
+from rld.model import BUY, SELL, StorageSpec, load_scenario
 from rld.rng import draw_policy_paths, run_generator
 from rld.storage import (
     delivery_costs_batch,
@@ -29,6 +35,7 @@ from rld.storage import (
     unserved_and_slope_batch,
 )
 from conftest import constant_forecast, make_scenario
+from oracles import nested_stage_rhs, sobol_stage_rhs
 
 VOLL = 1000.0
 SHIPPED = resources.files("rld").joinpath("data/vi_scenario.json")
@@ -147,7 +154,7 @@ class TestRootFinder:
             assert resid <= 1e-3 and resid == abs(fn(x) - 50.0)
             assert abs(x - root) <= 1e-4
 
-    def test_shipped_sobol_stages_take_at_most_13_evaluations(self, monkeypatch):
+    def test_shipped_stages_take_at_most_13_evaluations(self, monkeypatch):
         counts = []
 
         def counting(fn, *args, **kwargs):
@@ -167,7 +174,7 @@ class TestRootFinder:
             counts.clear()
             sched = solve_thresholds_backward(scn, engine)
             assert len(counts) == scn.ladder.n_stages
-            # the first call is the last stage; the others are Sobol stages
+            # the first call is the last stage; the others are the earlier stages
             assert max(counts[1:]) <= 13, (engine, counts)
             assert np.all(sched.residuals < 1e-6 * scn.cost.voll), (engine, sched.residuals)
 
@@ -260,6 +267,163 @@ class TestDeltaOffsets:
             purchases, _, _, _ = simulate_policy_batch(sched, scn, shifts, noise)
             assert np.all(purchases[:, 1:] < 1e-8)
             assert np.all(purchases[:, 0] > 0.0)
+
+
+def gaussian_terminal(sigma):
+    """A Gaussian-CDF terminal subgradient and its exact last-stage right-hand side."""
+    def grad(w):
+        return -VOLL * ndtr(-np.asarray(w, dtype=float) / sigma)
+
+    def rhs_last(std):
+        return lambda y: VOLL * ndtr(-y / math.hypot(sigma, std))
+
+    return grad, rhs_last
+
+
+@st.composite
+def recursion_ladders(draw):
+    """(prices, directions, shift_stds, terminal std) of up to five stages.
+
+    Buy prices rise along the ladder and every sell is priced below every
+    buy; a sell priced <= 0, or not above a later sell, may never pay
+    (offset +inf).  From R = 3 on one middle revision may be zero (R = 5
+    always has one), so that no stage sits more than three Gaussian
+    levels above the terminal one.
+    """
+    R = draw(st.integers(1, 5))
+    sells = [draw(st.booleans()) for _ in range(R)]
+    buys = sorted(draw(st.lists(st.floats(45.0, 90.0), min_size=R, max_size=R)))
+    prices = [draw(st.sampled_from([-5.0, 0.0]) | st.floats(1.0, 40.0)) if sell else p
+              for sell, p in zip(sells, buys)]
+    stds = draw(st.lists(st.floats(0.2, 1.0), min_size=R, max_size=R))
+    stds[-1] = draw(st.sampled_from([0.0]) | st.floats(0.1, 0.6))
+    if R >= 3 and (R == 5 or draw(st.booleans())):
+        stds[draw(st.integers(1, R - 2))] = 0.0
+    directions = tuple(SELL if sell else BUY for sell in sells)
+    return np.array(prices), directions, np.array(stds), draw(st.floats(0.3, 1.5))
+
+
+class TestStageRecursion:
+    """The tabulated stage recursion against the untabulated and Sobol oracles."""
+
+    @given(ladder=recursion_ladders())
+    @settings(max_examples=25, deadline=None)
+    def test_offsets_solve_the_oracle_stages(self, ladder):
+        prices, directions, stds, sigma = ladder
+        grad, rhs_last = gaussian_terminal(sigma)
+        deltas, residuals, _ = solve_delta_offsets(prices, VOLL, stds, grad, scale=sigma,
+                                                   directions=directions)
+        gate = 1e-6 * VOLL
+        assert np.all(residuals < gate)
+        finite = np.isfinite(deltas)
+        far = (deltas[finite].max() if finite.any() else 0.0) + 12.0 * (stds.sum() + sigma)
+        for idx in range(len(prices)):
+            stage = nested_stage_rhs(idx, prices, deltas, stds, grad, directions,
+                                     rhs_last=rhs_last(stds[-1]))
+            if not finite[idx]:
+                # a sell that never pays: even far above every offset the
+                # stage is worth at least its price
+                assert directions[idx] == SELL and stage(far)[0] > prices[idx] - gate
+                continue
+            exact = stage(deltas[idx])[0]
+            assert abs(exact - prices[idx]) < gate, (idx, exact)
+            # 8 independent scramblings of 2^17 points; a tail no point
+            # reaches hides from the spread, hence the floor of one gate
+            runs = [sobol_stage_rhs(idx, prices, deltas, stds, grad, directions,
+                                    n_samples=2**17, seed=seed)(deltas[idx])
+                    for seed in range(8)]
+            se = np.std(runs, ddof=1) / math.sqrt(len(runs))
+            assert abs(np.mean(runs) - exact) <= 10.0 * se + gate, (idx, runs, exact)
+
+    @pytest.mark.parametrize("engine, capacity", [
+        ("lattice", 1e-3), ("mc", 1e-3), ("ct", 1e-3), ("lattice", 1e-4), ("ct", 1e-4),
+        ("lattice", 1e-2), ("ct", 1e-2), ("ct", 1e-1),
+    ])
+    def test_shipped_oracle_residuals(self, engine, capacity):
+        scn = load_scenario(str(SHIPPED)).with_capacity(capacity)
+        check_oracle_residuals(scn, engine)
+
+    @pytest.mark.parametrize("engine", ["lattice", "ct"])
+    def test_zero_std_middle_revision(self, engine):
+        scn = make_scenario(T=12, B=0.01, prices=(50.0, 55.0, 60.0, 72.0),
+                            leads=(24.0, 4.0, 1.0, 0.25),
+                            curve=[[24, 0.04], [4, 0.03], [1, 0.03], [0.25, 0.01]])
+        assert scn.inter_stage_stds()[1] == 0.0
+        check_oracle_residuals(scn, engine)
+
+    @pytest.mark.parametrize("engine", ["lattice", "ct"])
+    def test_nanoscale_capacity_keeps_the_grid_bounded(self, engine, spline_sizes):
+        # ct's width sigma^2 / 2B is 4e4 here: the offsets spread by ~1e4,
+        # but every spline grid stays as small as at the shipped capacity
+        scn = load_scenario(str(SHIPPED)).with_capacity(1e-9)
+        model = check_oracle_residuals(scn, engine)
+        if engine == "ct":
+            assert model.scale > 1e4
+        assert spline_sizes and max(spline_sizes) <= 4000, spline_sizes
+
+    @pytest.mark.parametrize("tiny", [1e-5, 1e-12])
+    def test_near_zero_std_keeps_the_grid_bounded(self, tiny, spline_sizes):
+        # a curve flat up to rounding leaves a tiny positive revision std;
+        # 16 grid points per std would ask for 1e6 to 1e13 points
+        grad, _ = gaussian_terminal(0.07)
+        prices, stds = np.array([52.0, 60.0, 72.0]), np.array([0.037, tiny, 0.0045])
+        deltas, residuals, _ = solve_delta_offsets(prices, VOLL, stds, grad, scale=0.07)
+        assert max(spline_sizes) <= 2 * dispatch._GRID_MAX + 16, spline_sizes
+        assert np.all(residuals < 1e-6 * VOLL)
+        for idx in range(2):
+            exact = nested_stage_rhs(idx, prices, deltas, stds, grad)(deltas[idx])[0]
+            assert abs(exact - prices[idx]) < 1e-6 * VOLL, (idx, exact)
+
+    def test_shipped_lattice_passes_few_points_to_grad(self, monkeypatch):
+        build = dispatch.build_terminal_model
+        points = [0]
+
+        def counting(*args, **kwargs):
+            model = build(*args, **kwargs)
+
+            def grad(w):
+                points[0] += np.size(w)
+                return model.grad(w)
+
+            return dataclasses.replace(model, grad=grad)
+
+        monkeypatch.setattr(dispatch, "build_terminal_model", counting)
+        solve_thresholds_backward(load_scenario(str(SHIPPED)), "lattice")
+        # the 2^18-path Sobol right-hand side passed 2,030,769 points
+        assert 0 < points[0] <= 200_000
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, rld, rld.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(dispatch.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
+
+
+@pytest.fixture
+def spline_sizes(monkeypatch):
+    """Grid sizes of the stage splines built while the test runs."""
+    sizes = []
+
+    def spline(x, y):
+        sizes.append(len(x))
+        return CubicSpline(x, y)
+
+    monkeypatch.setattr(dispatch, "CubicSpline", spline)
+    return sizes
+
+
+def check_oracle_residuals(scn, engine):
+    """Every finite stage offset solves the untabulated nested-quadrature stage."""
+    sched = solve_thresholds_backward(scn, engine)
+    model = build_terminal_model(scn, engine)
+    gate = 1e-6 * scn.cost.voll
+    assert np.all(sched.residuals < gate)
+    for idx in np.flatnonzero(np.isfinite(sched.offsets[:-1])):
+        exact = nested_stage_rhs(idx, sched.prices, sched.offsets, scn.inter_stage_stds(),
+                                 model.grad, sched.directions)(sched.offsets[idx])[0]
+        assert abs(exact - sched.prices[idx]) < gate, (idx, exact)
+    return model
 
 
 class TestNonConstantProfile:
@@ -440,7 +604,7 @@ class TestPolicyFeasibility:
     @settings(max_examples=25, deadline=None)
     def test_policy_results_feasible_on_random_scenarios(self, d, capacity, seed):
         scn = make_scenario(T=6, B=capacity, d=d)
-        sched = solve_thresholds_backward(scn, "ct", n_samples=4096)
+        sched = solve_thresholds_backward(scn, "ct")
         shifts, noise = draw_policy_paths(30, 3, 6, seed=seed)
         purchases, x_final, delivery, totals = simulate_policy_batch(
             sched, scn, shifts, noise
@@ -457,7 +621,7 @@ class TestSubnormalCapacity:
     @pytest.mark.parametrize("capacity", [5e-324, 1e-310])
     def test_ct_policy_finite_and_feasible(self, capacity):
         scn = make_scenario(T=6, B=capacity, d=0.1)
-        sched = solve_thresholds_backward(scn, "ct", n_samples=4096)
+        sched = solve_thresholds_backward(scn, "ct")
         assert np.all(np.isfinite(sched.offsets))
         shifts, noise = draw_policy_paths(30, 3, 6, seed=0)
         purchases, x_final, delivery, totals = simulate_policy_batch(
@@ -469,7 +633,7 @@ class TestSubnormalCapacity:
     def test_tiny_normal_capacity_approaches_b0(self):
         tiny = make_scenario(T=6, B=1e-310, d=0.1)
         none = make_scenario(T=6, B=5e-324, d=0.1)
-        offsets = [solve_thresholds_backward(scn, "ct", n_samples=4096).offsets
+        offsets = [solve_thresholds_backward(scn, "ct").offsets
                    for scn in (tiny, none)]
         sigma = math.sqrt(tiny.delivery_fluctuation_variance)
         assert np.all(np.abs(offsets[0] - offsets[1]) < sigma)
@@ -662,7 +826,7 @@ class TestSimulatePolicy:
             "voll": VOLL, "storage": {"B": 0.01}, "T": 8, "d_hat": 0.3,
             "curve": DEFAULT_CURVE,
         })
-        sched = solve_thresholds_backward(scn, "lattice", n_samples=4096)
+        sched = solve_thresholds_backward(scn, "lattice")
         assert sched.offsets[1] == np.inf and sched.residuals[1] == 0.0
         assert np.isfinite(sched.offsets[0]) and sched.residuals[0] <= 1e-6 * VOLL
 

@@ -13,7 +13,7 @@ from rld.benchmark import solve_schedule
 
 @pytest.mark.parametrize("policy", ["3sigma", "ct", "lattice", "mc"])
 def test_residuals_and_iterations_are_per_stage_arrays(small_scenario, policy):
-    sched = solve_schedule(small_scenario, policy, n_samples=4096)
+    sched = solve_schedule(small_scenario, policy)
     R = small_scenario.ladder.n_stages
     for field in (sched.residuals, sched.iterations):
         assert isinstance(field, np.ndarray) and field.shape == (R,)
