@@ -16,7 +16,7 @@ from .dispatch import (
     three_sigma_schedule,
 )
 from .model import BUY, Scenario
-from .rng import draw_policy_paths
+from .rng import policy_path_blocks
 
 RESULT_COLUMNS = ("policy", "D", "B", "n_runs", "mean_cost", "stderr",
                   "integration_cost", "wall_ms")
@@ -50,22 +50,23 @@ def evaluate_policies(scenario: Scenario, schedules: dict[str, ThresholdSchedule
     """Per-run realized costs for each policy plus the perfect-foresight runs.
 
     All policies see the same innovation draws per run index, so cost
-    differences are directly comparable path by path.
+    differences are directly comparable path by path.  Runs are drawn,
+    realized and scored one ``policy_path_blocks`` block at a time, so no
+    (n_runs, T) array is built.
     """
-    shifts, noise = draw_policy_paths(n_runs, scenario.ladder.n_stages, scenario.T, seed)
-    costs: dict[str, np.ndarray] = {}
-    for tag, schedule in schedules.items():
-        _, _, _, totals = simulate_policy_batch(schedule, scenario, shifts, noise)
-        costs[tag] = totals
-
     # perfect-foresight benchmark on the identical realized deficit paths, at
     # the first buy price: buy prices rise toward delivery and every sell
     # price lies below every buy price, so no policy path buys cheaper
-    _, deficits = scenario.realize(shifts, noise)
     cheapest = next(s.price for s in scenario.ladder.stages if s.direction == BUY)
-    _, ideal = ideal_costs_batch(
-        deficits, scenario.storage.capacity, cheapest, scenario.cost.voll
-    )
+    costs = {tag: np.empty(n_runs) for tag in schedules}
+    ideal = np.empty(n_runs)
+    for rows, shifts, noise in policy_path_blocks(
+            n_runs, scenario.ladder.n_stages, scenario.T, seed):
+        forecasts, deficits = scenario.realize(shifts, noise)
+        for tag, schedule in schedules.items():
+            costs[tag][rows] = simulate_policy_batch(schedule, scenario, forecasts, deficits)[3]
+        ideal[rows] = ideal_costs_batch(
+            deficits, scenario.storage.capacity, cheapest, scenario.cost.voll)[1]
     return costs, ideal
 
 

@@ -14,7 +14,7 @@ from . import benchmark as bench
 from .ctapprox import RbmParams, rbm_long_run
 from .dispatch import ENGINES, DegeneratePriceError, simulate_policy_batch
 from .model import ParseError, ScenarioError, Scenario, load_scenario
-from .rng import run_generator
+from .rng import draw_policy_paths
 from .storage import simulate_delivery
 
 EXIT_VALIDATION = 2
@@ -98,12 +98,10 @@ def simulate(scenario, engine, seed, out):
     """Run one seeded policy path and report its realized cost."""
     scn = _load(scenario)
     sched = bench.solve_schedule(scn, engine, seed=0)
-    gen = run_generator(seed, 0)
-    shift_normals = gen.standard_normal(scn.ladder.n_stages)
-    noise_normals = gen.standard_normal(scn.T)
+    forecasts, deficits = scn.realize(*draw_policy_paths(1, scn.ladder.n_stages, scn.T, seed))
     purchases, x_final, delivery, total = (
-        a[0] for a in simulate_policy_batch(sched, scn, shift_normals, noise_normals))
-    deficits = scn.realize(shift_normals, noise_normals)[1][0]
+        a[0] for a in simulate_policy_batch(sched, scn, forecasts, deficits))
+    deficits = deficits[0]
     outcome = simulate_delivery(deficits, x_final / scn.T, scn.storage, scn.cost)
     if out:
         with open(out, "w", newline="") as fh:

@@ -42,6 +42,8 @@ class DegeneratePriceError(RuntimeError):
 
 
 ENGINES = ("lattice", "mc", "ct")
+# the mc engine's Philox index: above every evaluation block (rng.BLOCK_RUNS)
+MC_STREAM = 0x6D63
 
 
 class _BelowRangeError(DegeneratePriceError):
@@ -193,7 +195,7 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
     if engine == "lattice":
         vals = lattice_terminal_subgradient(ws + m_total, fc, capacity, voll)
     else:
-        gen = run_generator(seed, 0x6D63)  # dedicated stream for the mc engine
+        gen = run_generator(seed, MC_STREAM)
         noise = gen.standard_normal((n_mc_paths, T))
         # column-major, like Scenario.realize: the kernel reads one stage at a time
         deficits = np.multiply(fc.sigma, noise, out=np.empty_like(noise, order="F"))
@@ -463,14 +465,14 @@ def three_sigma_schedule(curve: ForecastErrorCurve, ladder: MarketLadder,
 
 
 def simulate_policy_batch(schedule: ThresholdSchedule, scenario: Scenario,
-                          shift_normals: np.ndarray, noise_normals: np.ndarray):
-    """Vectorized policy evaluation over standard-normal innovation rows.
+                          forecasts: np.ndarray, deficits: np.ndarray):
+    """Vectorized policy evaluation over realized paths.
 
-    Returns (purchases (n, R), x_final (n,), delivery_costs (n,),
-    total_costs (n,)).  ``Scenario.realize`` scales the innovations, so the
-    same draws give common random numbers across policies and scenarios.
+    ``forecasts`` (n, R) and ``deficits`` (n, T) are ``Scenario.realize``
+    output, so one realization serves every policy and the ideal with
+    common random numbers.  Returns (purchases (n, R), x_final (n,),
+    delivery_costs (n,), total_costs (n,)).
     """
-    forecasts, deficits = scenario.realize(shift_normals, noise_normals)
     n, R = forecasts.shape
     purchases = np.empty((n, R))
     x = np.zeros(n)

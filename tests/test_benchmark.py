@@ -1,4 +1,6 @@
+import tracemalloc
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from rld.benchmark import (
     sweep,
 )
 from rld.cli import main
-from rld.dispatch import ideal_costs_batch
-from rld.rng import draw_policy_paths, run_generator
+from rld.dispatch import MC_STREAM, ideal_costs_batch
+from rld.model import load_scenario
+from rld.rng import BLOCK_RUNS, draw_policy_paths, run_generator
 from conftest import DEFAULT_CURVE, make_scenario
 from oracles import read_results
 
@@ -110,7 +113,7 @@ class TestRunBenchmark:
         assert sched.offsets[0] == np.inf and sched.residuals[0] == 0.0
         assert np.isfinite(sched.offsets[1])
         purchases, _, _, _ = simulate_policy_batch(
-            sched, scn, *draw_policy_paths(256, 2, scn.T, 4))
+            sched, scn, *scn.realize(*draw_policy_paths(256, 2, scn.T, 4)))
         assert np.all(purchases[:, 0] == 0.0)
         costs, ideal = evaluate_policies(scn, {engine: sched}, 256, seed=4)
         assert np.all(costs[engine] >= ideal - 1e-9)
@@ -128,6 +131,40 @@ class TestRunBenchmark:
     def test_bad_inputs(self, cheap_scenario):
         with pytest.raises(ValueError):
             run_benchmark(cheap_scenario, ("ct",), n_runs=0)
+
+
+# conditional-QMC expected costs of the shipped scenario (ROADMAP baseline)
+QMC_REFERENCE = {"3sigma": 27.53637, "lattice": 26.21248, "ct": 29.75888}
+
+
+class TestStreamedEvaluation:
+    def test_costs_do_not_depend_on_n_runs(self, cheap_scenario, cheap_schedules):
+        short, ideal_short = evaluate_policies(cheap_scenario, cheap_schedules,
+                                               BLOCK_RUNS + 7, seed=3)
+        long, ideal_long = evaluate_policies(cheap_scenario, cheap_schedules,
+                                             2 * BLOCK_RUNS + 3, seed=3)
+        for tag in cheap_schedules:
+            assert short[tag].tobytes() == long[tag][:BLOCK_RUNS + 7].tobytes()
+        assert ideal_short.tobytes() == ideal_long[:BLOCK_RUNS + 7].tobytes()
+
+    def test_peak_memory_below_one_path_array(self):
+        scn = make_scenario()
+        schedules = {tag: solve_schedule(scn, tag) for tag in ("3sigma", "ct")}
+        n = 50_000
+        tracemalloc.start()
+        try:
+            evaluate_policies(scn, schedules, n, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * scn.T * 8
+
+    def test_shipped_means_match_conditional_qmc(self):
+        scn = load_scenario(str(resources.files("rld").joinpath("data/vi_scenario.json")))
+        table = run_benchmark(scn, tuple(QMC_REFERENCE), n_runs=20_000, seed=0,
+                              record_timing=False)
+        for row in table[:-1]:
+            assert abs(row.mean_cost - QMC_REFERENCE[row.policy]) < 4.0 * row.stderr, row
 
 
 class TestSweep:
@@ -184,12 +221,45 @@ class TestRng:
     @pytest.mark.parametrize("seed", [0, 13, 2**64 - 1, -1])
     @pytest.mark.parametrize("n_runs", [0, 1, 5])
     def test_paths_equal_per_run_generators(self, seed, n_runs):
+        # every run below BLOCK_RUNS is a row of block 0's generator, and run
+        # 0 is the first draws of key (seed, 0), as `rld simulate` uses it
         shifts, noise = draw_policy_paths(n_runs, 3, 6, seed)
         assert shifts.shape == (n_runs, 3) and noise.shape == (n_runs, 6)
+        g = run_generator(seed, 0)
         for i in range(n_runs):
-            g = run_generator(seed, i)
             assert shifts[i].tobytes() == g.standard_normal(3).tobytes()
             assert noise[i].tobytes() == g.standard_normal(6).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 13, 2**64 - 1, -1])
+    def test_block_rows_equal_block_generators_row_major(self, seed):
+        n = 2 * BLOCK_RUNS + 3
+        shifts, noise = draw_policy_paths(n, 3, 6, seed)
+        for k, start in enumerate(range(0, n, BLOCK_RUNS)):
+            rows = slice(start, min(start + BLOCK_RUNS, n))
+            block = run_generator(seed, k).standard_normal((rows.stop - start, 9))
+            assert block.tobytes() == np.hstack([shifts[rows], noise[rows]]).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 13, 2**64 - 1, -1])
+    def test_paths_are_prefixes_across_a_block_boundary(self, seed):
+        short = draw_policy_paths(BLOCK_RUNS + 7, 3, 6, seed)
+        long = draw_policy_paths(2 * BLOCK_RUNS + 3, 3, 6, seed)
+        for a, b in zip(short, long):
+            assert a.tobytes() == b[:BLOCK_RUNS + 7].tobytes()
+
+    def test_rows_of_different_blocks_differ(self):
+        shifts, noise = draw_policy_paths(3 * BLOCK_RUNS, 3, 6, seed=0)
+        rows = np.hstack([shifts, noise]).reshape(3, BLOCK_RUNS, 9)
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            assert not np.any(np.all(rows[a] == rows[b], axis=1))
+
+    def test_no_evaluation_block_replays_the_mc_engine_stream(self):
+        # the mc engine draws from key (seed, MC_STREAM); a block with that
+        # index would replay its training paths as evaluation runs
+        assert (2**27 - 1) // BLOCK_RUNS < MC_STREAM
+        engine = run_generator(0, MC_STREAM).standard_normal(63)
+        shifts, noise = draw_policy_paths(MC_STREAM + 1, 3, 60, seed=0)
+        replays = np.all(np.hstack([shifts, noise]) == engine, axis=1)
+        assert not replays.any()
 
     def test_paths_deterministic(self):
         s1, n1 = draw_policy_paths(4, 3, 6, seed=13)

@@ -264,7 +264,7 @@ class TestDeltaOffsets:
             sched = solve_thresholds_backward(scn, engine)
             assert np.all(np.diff(sched.offsets) < 1e-9)
             shifts, noise = draw_policy_paths(50, 3, 10, seed=5)
-            purchases, _, _, _ = simulate_policy_batch(sched, scn, shifts, noise)
+            purchases, _, _, _ = simulate_policy_batch(sched, scn, *scn.realize(shifts, noise))
             assert np.all(purchases[:, 1:] < 1e-8)
             assert np.all(purchases[:, 0] > 0.0)
 
@@ -588,7 +588,7 @@ class TestThreeSigma:
         sched = three_sigma_schedule(scn.curve, scn.ladder, scn.delivery_forecast())
         shifts, noise = draw_policy_paths(20, 3, scn.T, seed=2)
         purchases, x_final, delivery, totals = simulate_policy_batch(
-            sched, scn, shifts, noise
+            sched, scn, *scn.realize(shifts, noise)
         )
         assert np.all(purchases >= 0.0)
         assert np.allclose(purchases.sum(axis=1), x_final)
@@ -607,7 +607,7 @@ class TestPolicyFeasibility:
         sched = solve_thresholds_backward(scn, "ct")
         shifts, noise = draw_policy_paths(30, 3, 6, seed=seed)
         purchases, x_final, delivery, totals = simulate_policy_batch(
-            sched, scn, shifts, noise
+            sched, scn, *scn.realize(shifts, noise)
         )
         assert np.all(purchases >= 0.0)            # buy-only ladder
         assert np.allclose(purchases.sum(axis=1), x_final, atol=1e-12)
@@ -625,7 +625,7 @@ class TestSubnormalCapacity:
         assert np.all(np.isfinite(sched.offsets))
         shifts, noise = draw_policy_paths(30, 3, 6, seed=0)
         purchases, x_final, delivery, totals = simulate_policy_batch(
-            sched, scn, shifts, noise
+            sched, scn, *scn.realize(shifts, noise)
         )
         assert np.all(purchases >= 0.0)
         assert np.all(np.isfinite(totals)) and np.all(delivery >= 0.0)
@@ -808,8 +808,8 @@ class TestSimulatePolicy:
             curve=[[24, 0.0], [1, 0.0], [0.25, 0.0]],
         )
         sched = solve_thresholds_backward(scn, "ct")
-        purchases, _, _, totals = simulate_policy_batch(sched, scn, np.zeros((1, 3)),
-                                                        np.zeros((1, 8)))
+        purchases, _, _, totals = simulate_policy_batch(
+            sched, scn, *scn.realize(np.zeros((1, 3)), np.zeros((1, 8))))
         assert totals[0] == pytest.approx(52.0 * 0.48, abs=1e-4)
         assert purchases[0, 1:] == pytest.approx(0.0, abs=1e-6)
 
@@ -850,7 +850,7 @@ class TestSimulatePolicy:
         scn = scenario_from_dict(doc)
         sched = solve_thresholds_backward(scn, "ct")
         shifts, noise = draw_policy_paths(60, 3, 6, seed=19)
-        purchases, x_final, _, _ = simulate_policy_batch(sched, scn, shifts, noise)
+        purchases, x_final, _, _ = simulate_policy_batch(sched, scn, *scn.realize(shifts, noise))
         assert np.all(purchases[:, 0] >= 0.0)
         assert np.all(purchases[:, 1] <= 0.0)
         assert np.all(purchases[:, 2] >= 0.0)
@@ -860,7 +860,7 @@ class TestSimulatePolicy:
         scn = make_scenario(T=6, B=0.05, efficiencies=(0.98, 0.9, 0.9))
         sched = solve_thresholds_backward(scn, "ct")
         shifts, noise = draw_policy_paths(5, 3, 6, seed=3)
-        _, _, delivery, totals = simulate_policy_batch(sched, scn, shifts, noise)
+        _, _, delivery, totals = simulate_policy_batch(sched, scn, *scn.realize(shifts, noise))
         assert np.all(np.isfinite(totals))
         assert np.all(delivery >= 0.0)
 
@@ -871,7 +871,7 @@ class TestSimulatePolicy:
         scn = make_scenario(efficiencies=(efficiency,) * 3)
         sched = solve_thresholds_backward(scn, "ct")
         shifts, noise = draw_policy_paths(200, 3, scn.T, seed=11)
-        _, _, _, totals = simulate_policy_batch(sched, scn, shifts, noise)
+        _, _, _, totals = simulate_policy_batch(sched, scn, *scn.realize(shifts, noise))
         _, deficits = scn.realize(shifts, noise)
         _, ideal = ideal_costs_batch(deficits, scn.storage.capacity, 52.0, VOLL)
         assert np.all(totals >= ideal - 1e-9)
