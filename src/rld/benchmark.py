@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +15,9 @@ from .dispatch import (
     solve_thresholds_backward,
     three_sigma_schedule,
 )
-from .model import BUY, Scenario
+from .model import BUY, SELL, Scenario, StorageSpec
 from .rng import policy_path_blocks
+from .storage import delivery_costs_batch
 
 RESULT_COLUMNS = ("policy", "D", "B", "n_runs", "mean_cost", "stderr",
                   "integration_cost", "wall_ms")
@@ -39,9 +40,7 @@ BenchmarkTable = list[BenchmarkRow]
 
 def solve_schedule(scenario: Scenario, policy: str, *, seed: int = 0) -> ThresholdSchedule:
     if policy == "3sigma":
-        return three_sigma_schedule(
-            scenario.curve, scenario.ladder, scenario.delivery_forecast()
-        )
+        return three_sigma_schedule(scenario)
     return solve_thresholds_backward(scenario, policy, seed=seed)
 
 
@@ -54,10 +53,13 @@ def evaluate_policies(scenario: Scenario, schedules: dict[str, ThresholdSchedule
     realized and scored one ``policy_path_blocks`` block at a time, so no
     (n_runs, T) array is built.
     """
-    # perfect-foresight benchmark on the identical realized deficit paths, at
-    # the first buy price: buy prices rise toward delivery and every sell
-    # price lies below every buy price, so no policy path buys cheaper
-    cheapest = next(s.price for s in scenario.ladder.stages if s.direction == BUY)
+    # perfect-foresight benchmark on the identical realized deficit paths:
+    # buys at the first buy price and sells at the highest sell price, the
+    # best each direction offers (buy prices rise toward delivery, sell
+    # prices fall, and every sell price lies below every buy price)
+    stages = scenario.ladder.stages
+    buy = next(s.price for s in stages if s.direction == BUY)
+    sell = max((s.price for s in stages if s.direction == SELL), default=0.0)
     costs = {tag: np.empty(n_runs) for tag in schedules}
     ideal = np.empty(n_runs)
     for rows, shifts, noise in policy_path_blocks(
@@ -65,9 +67,31 @@ def evaluate_policies(scenario: Scenario, schedules: dict[str, ThresholdSchedule
         forecasts, deficits = scenario.realize(shifts, noise)
         for tag, schedule in schedules.items():
             costs[tag][rows] = simulate_policy_batch(schedule, scenario, forecasts, deficits)[3]
-        ideal[rows] = ideal_costs_batch(
-            deficits, scenario.storage.capacity, cheapest, scenario.cost.voll)[1]
+        ideal[rows] = _ideal_costs(deficits, scenario, buy, sell)
     return costs, ideal
+
+
+def _ideal_costs(deficits: np.ndarray, scenario: Scenario, buy: float,
+                 sell: float) -> np.ndarray:
+    """Perfect-foresight cost of each row when it may buy at ``buy`` and sell
+    at ``sell`` (0 when no sell stage exists).
+
+    With sell < buy the cost is the larger of the buy-priced and the
+    sell-priced costs, so it is convex with a kink at zero supply: a row
+    whose buy-priced minimizer s_b is >= 0 keeps it, any other row takes the
+    sell-priced minimizer capped at 0, or 0 when no sell stage pays.
+    """
+    capacity, voll = scenario.storage.capacity, scenario.cost.voll
+    supply, costs = ideal_costs_batch(deficits, capacity, buy, voll)
+    short = np.flatnonzero(supply < 0.0)
+    if short.size:
+        rows = deficits[short]
+        s = np.zeros(short.size)
+        if sell > 0.0:
+            s = np.minimum(ideal_costs_batch(rows, capacity, sell, voll)[0], 0.0)
+        costs[short] = sell * (scenario.T * s) + delivery_costs_batch(
+            rows, s, StorageSpec(capacity), voll)
+    return costs
 
 
 def run_benchmark(scenario: Scenario, policies=("3sigma", "lattice", "ct"),
@@ -141,21 +165,12 @@ def sweep(scenario: Scenario, axis: str, grid, policies=("3sigma", "lattice", "c
     points = [at(float(value)) for value in grid]
     if not points:
         raise ValueError("sweep grid must be nonempty")
+    shared = {tag: solve_schedule(points[0], tag) for tag in policies} if axis == "D" else None
     table: BenchmarkTable = []
-    shared: dict[str, ThresholdSchedule] | None = None
     for i, point in enumerate(points):
-        if axis == "D":
-            if shared is None:
-                shared = {tag: solve_schedule(point, tag) for tag in policies}
-            schedules = {
-                tag: replace(sched, thresholds=point.d_total + sched.offsets)
-                for tag, sched in shared.items()
-            }
-        else:
-            schedules = None
         table.extend(run_benchmark(
             point, policies, n_runs=n_runs, seed=seed + i,
-            schedules=schedules, record_timing=record_timing,
+            schedules=shared, record_timing=record_timing,
         ))
     return table
 

@@ -68,7 +68,7 @@ def main():
 
 @main.command()
 @click.option("--scenario", type=click.Path(exists=True), default=None)
-@click.option("--engine", type=click.Choice(["lattice", "mc", "ct", "3sigma"]), default="lattice")
+@click.option("--engine", type=click.Choice(_POLICIES), default="lattice")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def thresholds(scenario, engine, seed, out):
@@ -78,11 +78,10 @@ def thresholds(scenario, engine, seed, out):
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "lead_time", "price", "threshold", "engine", "residual"])
-        for r in range(len(sched.prices)):
+        for stage, offset, residual in zip(scn.ladder.stages, sched.offsets, sched.residuals):
             writer.writerow([
-                r + 1, repr(float(sched.lead_times[r])), repr(float(sched.prices[r])),
-                repr(float(sched.thresholds[r])), sched.engine,
-                repr(float(sched.residuals[r])),
+                stage.index, repr(float(stage.lead_time_hours)), repr(float(stage.price)),
+                repr(float(scn.d_total + offset)), sched.engine, repr(float(residual)),
             ])
     click.echo(f"wrote {out}")
 
@@ -90,7 +89,7 @@ def thresholds(scenario, engine, seed, out):
 @main.command()
 @click.option("--scenario", type=click.Path(exists=True), default=None)
 @click.option("--engine", "--policy", "engine",
-              type=click.Choice(["lattice", "mc", "ct", "3sigma"]), default="lattice")
+              type=click.Choice(_POLICIES), default="lattice")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help="Optional delivery-path dump (t,D_t,u_t,b_t,unserved,V,Q).")

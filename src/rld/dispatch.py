@@ -20,15 +20,7 @@ from scipy.special import ndtr, ndtri
 
 from .ctapprox import ct_terminal_subgradient
 from .lattice import closed_form_b0, lattice_terminal_subgradient
-from .model import (
-    BUY,
-    SELL,
-    ForecastErrorCurve,
-    ForecastModel,
-    MarketLadder,
-    Scenario,
-    StorageSpec,
-)
+from .model import BUY, SELL, Scenario, StorageSpec
 from .rng import run_generator
 from .storage import (
     delivery_costs_batch,
@@ -195,11 +187,9 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
     if engine == "lattice":
         vals = lattice_terminal_subgradient(ws + m_total, fc, capacity, voll)
     else:
-        gen = run_generator(seed, MC_STREAM)
-        noise = gen.standard_normal((n_mc_paths, T))
-        # column-major, like Scenario.realize: the kernel reads one stage at a time
-        deficits = np.multiply(fc.sigma, noise, out=np.empty_like(noise, order="F"))
-        deficits += fc.d_hat
+        noise = run_generator(seed, MC_STREAM).standard_normal((n_mc_paths, T))
+        # no forecast revisions: the delivery fluctuations around d_hat alone
+        deficits = scenario.realize(np.zeros((n_mc_paths, scenario.ladder.n_stages)), noise)[1]
         # the spent draws hold the grid's row copies: no new large blocks
         vals = _mc_subgradients(deficits, (ws + m_total) / T, capacity, voll,
                                 scratch=noise.reshape(-1))
@@ -385,7 +375,8 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
         spread = 6.0 * float(tail_std[idx]) + 4.0 * scale
         try:
             deltas[idx], residuals[idx], iterations[idx] = _solve_decreasing(
-                rhs, float(prices[idx]), min(finite) - spread, max(finite) + spread, resid_tol)
+                rhs, float(prices[idx]), min(finite) - spread, max(finite) + spread,
+                0.1 * resid_tol)
         except _BelowRangeError:
             if directions[idx] != SELL:
                 raise
@@ -414,54 +405,36 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class ThresholdSchedule:
-    """Per-stage dispatch targets plus solver diagnostics."""
+    """Per-stage threshold offsets plus solver diagnostics.
+
+    Stage r's threshold is its current total-deficit forecast plus
+    ``offsets[r]``; its price, lead time and direction are those of stage r
+    of the scenario's ladder.
+    """
 
     engine: str
     offsets: np.ndarray       # target minus current total forecast
-    thresholds: np.ndarray    # targets at the scenario's nominal forecast
     residuals: np.ndarray     # |stage right-hand side - price|, one per stage
     iterations: np.ndarray    # root-finder steps plus Newton steps, one per stage
-    prices: np.ndarray
-    lead_times: np.ndarray
-    directions: tuple[str, ...]
 
 
 def solve_thresholds_backward(scenario: Scenario, engine: str = "lattice", *,
                               seed: int = 0) -> ThresholdSchedule:
     """Solve every stage's threshold offset; ``seed`` keys the mc engine's paths."""
     model = build_terminal_model(scenario, engine, seed=seed)
-    shift_stds = scenario.inter_stage_stds()
     deltas, residuals, iterations = solve_delta_offsets(
-        scenario.ladder.prices, scenario.cost.voll, shift_stds, model.grad,
-        scale=model.scale, grad_exact=model.grad_exact,
-        directions=scenario.ladder.directions,
+        scenario.ladder.prices, scenario.cost.voll, scenario.inter_stage_stds(), model.grad,
+        scale=model.scale, grad_exact=model.grad_exact, directions=scenario.ladder.directions,
     )
-    return ThresholdSchedule(
-        engine=engine,
-        offsets=deltas,
-        thresholds=scenario.d_total + deltas,
-        residuals=residuals,
-        iterations=iterations,
-        prices=scenario.ladder.prices,
-        lead_times=scenario.ladder.lead_times,
-        directions=scenario.ladder.directions,
-    )
+    return ThresholdSchedule(engine, deltas, residuals, iterations)
 
 
-def three_sigma_schedule(curve: ForecastErrorCurve, ladder: MarketLadder,
-                         forecast: ForecastModel) -> ThresholdSchedule:
+def three_sigma_schedule(scenario: Scenario) -> ThresholdSchedule:
     """Rule-of-thumb schedule: hedge each stage by three lead-time sigmas."""
-    offsets = np.array([3.0 * curve.sigma_at(float(lt)) for lt in ladder.lead_times])
-    return ThresholdSchedule(
-        engine="3sigma",
-        offsets=offsets,
-        thresholds=forecast.total_mean + offsets,
-        residuals=np.full(ladder.n_stages, np.nan),
-        iterations=np.zeros(ladder.n_stages, dtype=int),
-        prices=ladder.prices,
-        lead_times=ladder.lead_times,
-        directions=ladder.directions,
-    )
+    ladder = scenario.ladder
+    offsets = np.array([3.0 * scenario.curve.sigma_at(float(lt)) for lt in ladder.lead_times])
+    return ThresholdSchedule("3sigma", offsets, np.full(ladder.n_stages, np.nan),
+                             np.zeros(ladder.n_stages, dtype=int))
 
 
 def simulate_policy_batch(schedule: ThresholdSchedule, scenario: Scenario,
@@ -470,15 +443,20 @@ def simulate_policy_batch(schedule: ThresholdSchedule, scenario: Scenario,
 
     ``forecasts`` (n, R) and ``deficits`` (n, T) are ``Scenario.realize``
     output, so one realization serves every policy and the ideal with
-    common random numbers.  Returns (purchases (n, R), x_final (n,),
-    delivery_costs (n,), total_costs (n,)).
+    common random numbers.  Stages trade in the directions and at the
+    prices of the scenario's ladder.  Returns (purchases (n, R), x_final
+    (n,), delivery_costs (n,), total_costs (n,)).
     """
+    ladder = scenario.ladder
+    if np.shape(schedule.offsets) != (ladder.n_stages,):
+        raise ValueError(f"schedule has {np.size(schedule.offsets)} offsets for "
+                         f"{ladder.n_stages} ladder stages")
     n, R = forecasts.shape
     purchases = np.empty((n, R))
     x = np.zeros(n)
-    for r in range(R):
+    for r, direction in enumerate(ladder.directions):
         target = forecasts[:, r] + schedule.offsets[r]
-        if schedule.directions[r] == BUY:
+        if direction == BUY:
             s_r = np.maximum(target - x, 0.0)
         else:
             s_r = np.minimum(target - x, 0.0)
@@ -487,7 +465,7 @@ def simulate_policy_batch(schedule: ThresholdSchedule, scenario: Scenario,
 
     delivery = delivery_costs_batch(deficits, x / scenario.T, scenario.storage,
                                     scenario.cost.voll)
-    totals = purchases @ schedule.prices + delivery
+    totals = purchases @ ladder.prices + delivery
     return purchases, x, delivery, totals
 
 

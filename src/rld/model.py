@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -284,24 +284,11 @@ class Scenario:
         return forecasts[:, :R], deficits
 
     def with_capacity(self, capacity: float) -> "Scenario":
-        storage = StorageSpec(
-            capacity,
-            self.storage.storage_eff,
-            self.storage.recharge_eff,
-            self.storage.discharge_eff,
-        )
-        return Scenario(
-            self.ladder, storage, self.cost, self.curve,
-            self.n_delivery_stages, self.d_hat_stage, self.mean_share,
-        )
+        return replace(self, storage=replace(self.storage, capacity=capacity))
 
     def with_d_total(self, d_total: float) -> "Scenario":
         """Same scenario at a different mean deficit (flat per-stage profile)."""
-        d = np.full(self.T, float(d_total) / self.T)
-        return Scenario(
-            self.ladder, self.storage, self.cost, self.curve,
-            self.n_delivery_stages, d, self.mean_share,
-        )
+        return replace(self, d_hat_stage=np.full(self.T, float(d_total) / self.T))
 
 
 def validate_ladder(ladder: MarketLadder, cost: CostModel | None = None) -> list[str]:
@@ -406,7 +393,7 @@ def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
     def number(key, value, kind=float):
         try:
             return kind(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{key}: not a number: {value!r}") from exc
 
     ladder_rows = need("ladder")
@@ -433,7 +420,11 @@ def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"storage: malformed block: {exc}") from exc
 
-    n_stages = number("T", need("T"), int)
+    t_doc = need("T")
+    t_value = number("T", t_doc)
+    if isinstance(t_doc, bool) or not t_value.is_integer():
+        raise ParseError(f"T: not an integer: {t_doc!r}")
+    n_stages = int(t_value)
     if n_stages < 1:
         raise ValidationError(f"T must be >= 1, got {n_stages}")
 

@@ -179,7 +179,7 @@ def test_07_threshold_sanity(vi, vi_schedules):
         sched = solve_thresholds_backward(scn, "lattice")
         sigma_final = 0.1
         target = 0.4 + sigma_final * ndtri(1.0 - 72.0 / VOLL)
-        assert abs(sched.thresholds[-1] / scn.T - target) < 1e-4
+        assert abs((scn.d_total + sched.offsets[-1]) / scn.T - target) < 1e-4
 
         for tag in ("lattice", "ct"):
             residuals = vi_schedules[tag].residuals

@@ -15,8 +15,9 @@ from rld.benchmark import (
 )
 from rld.cli import main
 from rld.dispatch import MC_STREAM, ideal_costs_batch
-from rld.model import load_scenario
+from rld.model import StorageSpec, load_scenario, scenario_from_dict
 from rld.rng import BLOCK_RUNS, draw_policy_paths, run_generator
+from rld.storage import delivery_costs_batch
 from conftest import DEFAULT_CURVE, make_scenario
 from oracles import read_results
 
@@ -31,6 +32,44 @@ def sell_first_doc(sell_price):
         "voll": 1000.0, "storage": {"B": 0.01}, "T": 8, "d_hat": 0.3,
         "curve": DEFAULT_CURVE,
     }
+
+
+def sell_then_buy_doc(d_hat):
+    """A scenario that sells day-ahead at 40, then buys at 52 and 60."""
+    return {
+        "ladder": [
+            {"lead_time_hours": 24.0, "price": 40.0, "direction": "sell"},
+            {"lead_time_hours": 1.0, "price": 52.0, "direction": "buy"},
+            {"lead_time_hours": 0.25, "price": 60.0, "direction": "buy"},
+        ],
+        "voll": 1000.0, "storage": {"B": 0.01}, "T": 8, "d_hat": d_hat,
+        "curve": DEFAULT_CURVE,
+    }
+
+
+def check_ideal_bounds_policies(scn, sell, n=256, seed=4):
+    """The ideal row lies below every policy path and below the cost of every
+    supply on a grid, each bought at 52 or, when ``sell`` is given, sold at
+    ``sell``; returns the realized deficits and the ideal costs."""
+    base = solve_schedule(scn, "3sigma")
+    schedules = {"ct": solve_schedule(scn, "ct"),
+                 **{f"{shift:+}": replace(base, offsets=base.offsets + shift)
+                    for shift in (0.0, -0.5, 0.5)}}
+    costs, ideal = evaluate_policies(scn, schedules, n, seed)
+    for tag, c in costs.items():
+        assert np.all(c >= ideal - 1e-9), tag
+    _, deficits = scn.realize(*draw_policy_paths(n, scn.ladder.n_stages, scn.T, seed))
+    spec, voll, T = StorageSpec(scn.storage.capacity), scn.cost.voll, scn.T
+    grid = np.linspace(min(deficits.min(), 0.0) - 0.01, max(deficits.max(), 0.0) + 0.01, 2001)
+    if sell is None:
+        grid = grid[grid >= 0.0]
+    for row in range(0, n, 16):
+        path = np.broadcast_to(deficits[row], (grid.size, T))
+        g = np.maximum(52.0 * T * grid, (sell or 0.0) * T * grid)
+        g = g + delivery_costs_batch(path, grid, spec, voll)
+        assert ideal[row] <= g.min() + 1e-9
+        assert ideal[row] >= g.min() - (voll + 52.0) * T * (grid[1] - grid[0])
+    return deficits, ideal
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +130,7 @@ class TestRunBenchmark:
         scn = scenario_from_dict(sell_first_doc(-5.0))
         base = solve_schedule(scn, "3sigma")
         # the rule of thumb, and variants that sell or buy far more day-ahead
-        schedules = {f"{shift:+}": replace(base, offsets=base.offsets + shift,
-                                           thresholds=base.thresholds + shift)
+        schedules = {f"{shift:+}": replace(base, offsets=base.offsets + shift)
                      for shift in (0.0, -0.5, 0.5)}
         costs, ideal = evaluate_policies(scn, schedules, 256, seed=4)
         _, deficits = scn.realize(*draw_policy_paths(256, 2, scn.T, 4))
@@ -100,6 +138,30 @@ class TestRunBenchmark:
         np.testing.assert_array_equal(ideal, at_buy)
         for tag, c in costs.items():
             assert np.all(c >= ideal - 1e-9), tag
+
+    @pytest.mark.parametrize("d", [-0.8, 0.0])
+    def test_ideal_on_a_buy_only_ladder_never_sells(self, d):
+        # the unconstrained ideal would sell at the 52 buy price, which no stage offers
+        scn = make_scenario(T=8, B=0.01, d=d)
+        deficits, ideal = check_ideal_bounds_policies(scn, sell=None)
+        s_b, at_buy = ideal_costs_batch(deficits, scn.storage.capacity, 52.0, scn.cost.voll)
+        assert np.any(s_b < 0.0)
+        at_zero = delivery_costs_batch(deficits, 0.0, StorageSpec(0.01), scn.cost.voll)
+        np.testing.assert_array_equal(ideal, np.where(s_b >= 0.0, at_buy, at_zero))
+        if d < 0.0:
+            assert np.all(s_b < 0.0) and np.all(ideal >= 0.0)
+
+    @pytest.mark.parametrize("d", [-0.3, 0.0])
+    def test_ideal_sells_at_the_best_sell_price(self, d):
+        scn = scenario_from_dict(sell_then_buy_doc(d))
+        deficits, ideal = check_ideal_bounds_policies(scn, sell=40.0)
+        capacity, voll, T = scn.storage.capacity, scn.cost.voll, scn.T
+        s_b, at_buy = ideal_costs_batch(deficits, capacity, 52.0, voll)
+        s_s = np.minimum(ideal_costs_batch(deficits, capacity, 40.0, voll)[0], 0.0)
+        at_sell = 40.0 * (T * s_s) + delivery_costs_batch(deficits, s_s, StorageSpec(capacity),
+                                                          voll)
+        np.testing.assert_array_equal(ideal, np.where(s_b >= 0.0, at_buy, at_sell))
+        assert np.any((s_b < 0.0) & (s_s < 0.0))   # some rows sell
 
     @pytest.mark.parametrize("sell_price", [-5.0, 0.0])
     @pytest.mark.parametrize("engine", ["ct", "lattice", "mc"])
@@ -168,11 +230,25 @@ class TestStreamedEvaluation:
 
 
 class TestSweep:
-    def test_d_axis_reuses_offsets(self, cheap_scenario):
-        table = sweep(cheap_scenario, "D", [0.2, 0.4], ("ct",), n_runs=64, seed=0,
+    def test_d_axis_reuses_offsets(self, cheap_scenario, monkeypatch):
+        from rld import benchmark
+
+        solved = []
+        monkeypatch.setattr(benchmark, "solve_schedule", lambda point, tag, **kwargs:
+                            solved.append(tag) or solve_schedule(point, tag, **kwargs))
+        policies, grid = ("3sigma", "ct"), [0.2, 0.4, -0.1]
+        table = sweep(cheap_scenario, "D", grid, policies, n_runs=64, seed=7,
                       record_timing=False)
-        ds = sorted({row.d_total for row in table})
-        assert ds == [0.2, 0.4]
+        assert sorted(solved) == sorted(policies)
+        # every point is scored with the first point's schedules, unchanged
+        first = {tag: solve_schedule(cheap_scenario.with_d_total(grid[0]), tag)
+                 for tag in policies}
+        expect = [row for i, d in enumerate(grid)
+                  for row in run_benchmark(cheap_scenario.with_d_total(d), policies,
+                                           n_runs=64, seed=7 + i, schedules=first,
+                                           record_timing=False)]
+        assert table == expect
+        assert [row.d_total for row in table[::3]] == grid
         for row in table:
             assert row.integration_cost >= -1e-9
 
@@ -389,6 +465,24 @@ class TestCli:
         )
         assert entry() == 2
         assert "no-arbitrage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("T", [60.7, True])
+    def test_non_integer_T_exits_2(self, tmp_path, monkeypatch, capsys, T):
+        import json
+        from rld.cli import entry
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0}],
+            "voll": 1000.0, "storage": {"B": 0.001}, "T": T, "d_hat": 0.4,
+            "curve": DEFAULT_CURVE,
+        }))
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr(
+            "sys.argv", ["rld", "thresholds", "--scenario", str(bad), "--out", str(out)])
+        assert entry() == 2
+        assert "T: not an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_numeric_field_exits_2(self, tmp_path, monkeypatch):
         import json

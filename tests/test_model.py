@@ -176,6 +176,27 @@ class TestScenarioLoading:
         with pytest.raises(ParseError, match=field):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [60.7, True, False, float("inf"), float("nan"), 10**400])
+    def test_non_integer_T_is_a_parse_error(self, value):
+        doc = {
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0}],
+            "voll": 1000.0, "storage": {"B": 0.001}, "T": value, "d_hat": 0.4,
+            "curve": DEFAULT_CURVE,
+        }
+        with pytest.raises(ParseError, match="T"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("value, expect", [(60, 60), (60.0, 60), (1e3, 1000)])
+    def test_integral_T_loads(self, value, expect):
+        doc = {
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0}],
+            "voll": 1000.0, "storage": {"B": 0.001}, "T": value, "d_hat": 0.4,
+            "curve": DEFAULT_CURVE,
+        }
+        scn = scenario_from_dict(doc)
+        assert scn.T == expect and type(scn.T) is int
+        assert scn.d_hat_stage.shape == (expect,)
+
     @pytest.mark.parametrize("field, value", [
         ("voll", float("inf")), ("d_hat", float("nan")), ("d_hat", [0.1, float("nan")] * 3),
         ("storage", {"B": float("nan")}), ("storage", {"B": float("inf")}),
@@ -238,6 +259,33 @@ class TestScenarioLoading:
         fc = scn.delivery_forecast()
         with pytest.raises(ValueError):
             fc.sigma[0] = 1.0
+
+
+class TestVariants:
+    def test_with_capacity_keeps_everything_else(self):
+        scn = make_scenario(T=4, efficiencies=(0.9, 0.8, 0.7))
+        point = scn.with_capacity(0.05)
+        assert point.storage.capacity == 0.05
+        assert (point.storage.storage_eff, point.storage.recharge_eff,
+                point.storage.discharge_eff) == (0.9, 0.8, 0.7)
+        assert point.ladder is scn.ladder and point.curve is scn.curve
+        assert np.array_equal(point.d_hat_stage, scn.d_hat_stage)
+
+    def test_with_d_total_spreads_evenly(self):
+        scn = make_scenario(T=4, B=0.02)
+        point = scn.with_d_total(-0.8)
+        assert np.array_equal(point.d_hat_stage, np.full(4, -0.2))
+        assert point.storage is scn.storage and point.mean_share == scn.mean_share
+        with pytest.raises(ValueError):
+            point.d_hat_stage[0] = 1.0
+
+    @pytest.mark.parametrize("variant, value", [
+        ("with_capacity", -1.0), ("with_capacity", float("inf")),
+        ("with_capacity", float("nan")), ("with_d_total", float("nan")),
+    ])
+    def test_variants_are_validated(self, variant, value):
+        with pytest.raises(ValidationError):
+            getattr(make_scenario(T=4), variant)(value)
 
 
 class TestForecastModel:
