@@ -125,10 +125,8 @@ def run_benchmark(scenario: Scenario, policies=("3sigma", "lattice", "ct"),
     eval_ms = (time.perf_counter() - t0) * 1e3
 
     ideal_mean = float(ideal.mean())
-    rows: BenchmarkTable = []
-    for tag in policies:
-        c = costs[tag]
-        rows.append(BenchmarkRow(
+    return [
+        BenchmarkRow(
             policy=tag,
             d_total=scenario.d_total,
             capacity=scenario.storage.capacity,
@@ -136,19 +134,10 @@ def run_benchmark(scenario: Scenario, policies=("3sigma", "lattice", "ct"),
             mean_cost=float(c.mean()),
             stderr=float(c.std(ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0,
             integration_cost=float(c.mean() - ideal_mean),
-            wall_ms=(solve_ms[tag] + eval_ms) if record_timing else 0.0,
-        ))
-    rows.append(BenchmarkRow(
-        policy="ideal",
-        d_total=scenario.d_total,
-        capacity=scenario.storage.capacity,
-        n_runs=n_runs,
-        mean_cost=ideal_mean,
-        stderr=float(ideal.std(ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0,
-        integration_cost=0.0,
-        wall_ms=eval_ms if record_timing else 0.0,
-    ))
-    return rows
+            wall_ms=(solve_ms.get(tag, 0.0) + eval_ms) if record_timing else 0.0,
+        )
+        for tag, c in [(tag, costs[tag]) for tag in policies] + [("ideal", ideal)]
+    ]
 
 
 def sweep(scenario: Scenario, axis: str, grid, policies=("3sigma", "lattice", "ct"),

@@ -100,9 +100,9 @@ def simulate(scenario, engine, seed, out):
     forecasts, deficits = scn.realize(*draw_policy_paths(1, scn.ladder.n_stages, scn.T, seed))
     purchases, x_final, delivery, total = (
         a[0] for a in simulate_policy_batch(sched, scn, forecasts, deficits))
-    deficits = deficits[0]
-    outcome = simulate_delivery(deficits, x_final / scn.T, scn.storage, scn.cost)
     if out:
+        deficits = deficits[0]
+        outcome = simulate_delivery(deficits, x_final / scn.T, scn.storage, scn.cost)
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "D_t", "u_t", "b_t", "unserved", "V", "Q"])

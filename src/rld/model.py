@@ -206,12 +206,21 @@ class Scenario:
 
     def __post_init__(self):
         d = np.asarray(self.d_hat_stage, dtype=float)
+        violations = validate_ladder(self.ladder, self.cost)
+        if not self.n_delivery_stages >= 1:
+            violations.append(f"T must be >= 1, got {self.n_delivery_stages}")
         if d.shape != (self.n_delivery_stages,):
-            raise ValidationError("scenario: d_hat profile must have length T")
-        if not np.all(np.isfinite(d)):
-            raise ValidationError("d_hat: deficits must be finite")
+            violations.append("d_hat: profile must have length T")
+        elif not np.all(np.isfinite(d)):
+            violations.append("d_hat: deficits must be finite")
         if not 0.0 <= self.mean_share <= 1.0:
-            raise ValidationError(f"mean_share must be in [0, 1], got {self.mean_share}")
+            violations.append(f"mean_share must be in [0, 1], got {self.mean_share}")
+        lo, hi = self.curve.min_horizon, self.curve.max_horizon
+        violations += [
+            f"stage {s.index}: lead time {s.lead_time_hours}h outside curve range [{lo}, {hi}]"
+            for s in self.ladder.stages if not lo <= s.lead_time_hours <= hi]
+        if violations:
+            raise ValidationError("scenario validation failed:\n  " + "\n  ".join(violations))
         d.setflags(write=False)
         object.__setattr__(self, "d_hat_stage", d)
 
@@ -244,14 +253,13 @@ class Scenario:
 
         Entry r (0-based) is the shift between stage r+1 and stage r+2; the
         last entry is the final mean revelation between the last market and
-        delivery (the mean_share split of the residual variance).
+        delivery (the mean_share split of the residual variance).  A shift's
+        variance is the drop of the curve variance between the two lead
+        times, clamped at zero so roundoff never makes it negative.
         """
-        R = self.ladder.n_stages
-        out = np.empty(R)
-        for r in range(R - 1):
-            out[r] = math.sqrt(stage_error_variance(self.curve, r + 2, self.ladder))
-        out[R - 1] = math.sqrt(self.mean_share * self.final_horizon_variance)
-        return out
+        var = np.array([self.curve.variance_at(t) for t in self.ladder.lead_times.tolist()])
+        return np.sqrt(np.append(np.maximum(var[:-1] - var[1:], 0.0),
+                                 self.mean_share * var[-1]))
 
     def realize(self, shift_normals, noise_normals) -> tuple[np.ndarray, np.ndarray]:
         """Turn standard-normal innovation rows into realized forecasts and deficits.
@@ -292,48 +300,45 @@ class Scenario:
 
 
 def validate_ladder(ladder: MarketLadder, cost: CostModel | None = None) -> list[str]:
-    """Check every pairwise price and lead-time constraint.
+    """Check the ladder's price and lead-time rules.
 
-    Returns the list of violated constraints; an empty list means ok.
+    Lead times fall strictly toward delivery, and so do sell prices; buy
+    prices rise strictly, and every sell price lies below every buy price
+    (no arbitrage in either order).  Returns the list of violated
+    constraints; an empty list means ok.
     Violations are data, not faults, so nothing raises here.
     """
     if ladder.n_stages == 0:
         raise ValueError("ladder must be nonempty")
     violations: list[str] = []
     stages = ladder.stages
-    if BUY not in ladder.directions:
+    buys = [s for s in stages if s.direction == BUY]
+    sells = [s for s in stages if s.direction == SELL]
+    if not buys:
         violations.append("ladder needs at least one buy stage")
     for s in stages:
+        if not (math.isfinite(s.lead_time_hours) and math.isfinite(s.price)):
+            violations.append(f"stage {s.index}: lead time and price must be finite")
         if s.direction not in (BUY, SELL):
             violations.append(f"stage {s.index}: direction must be 'buy' or 'sell'")
         if s.direction == BUY and s.price <= 0:
             violations.append(f"stage {s.index}: buy price must be positive, got {s.price}")
-    for i, a in enumerate(stages):
-        for b in stages[i + 1:]:
-            if a.direction == BUY and b.direction == BUY and not a.price < b.price:
-                violations.append(
-                    f"stages {a.index}<{b.index}: buy prices must increase "
-                    f"toward delivery ({a.price} !< {b.price})"
-                )
-            if a.direction == SELL and b.direction == SELL and not a.price > b.price:
-                violations.append(
-                    f"stages {a.index}<{b.index}: sell prices must decrease "
-                    f"toward delivery ({a.price} !> {b.price})"
-                )
-            if a.direction == BUY and b.direction == SELL and not a.price > b.price:
-                violations.append(
-                    f"stages {a.index}<{b.index}: no-arbitrage requires buy price "
-                    f"{a.price} > later sell price {b.price}"
-                )
-            if a.direction == SELL and b.direction == BUY and not a.price < b.price:
-                violations.append(
-                    f"stages {a.index}<{b.index}: no-arbitrage requires sell price "
-                    f"{a.price} < later buy price {b.price}"
-                )
-            if not a.lead_time_hours > b.lead_time_hours:
-                violations.append(
-                    f"stages {a.index}<{b.index}: lead times must strictly decrease"
-                )
+    for a, b in zip(stages, stages[1:]):
+        if not a.lead_time_hours > b.lead_time_hours:
+            violations.append(f"stages {a.index}<{b.index}: lead times must strictly decrease")
+    for a, b in zip(buys, buys[1:]):
+        if not a.price < b.price:
+            violations.append(f"stages {a.index}<{b.index}: buy prices must increase "
+                              f"toward delivery ({a.price} !< {b.price})")
+    for a, b in zip(sells, sells[1:]):
+        if not a.price > b.price:
+            violations.append(f"stages {a.index}<{b.index}: sell prices must decrease "
+                              f"toward delivery ({a.price} !> {b.price})")
+    if buys and sells:
+        sell, buy = max(s.price for s in sells), min(s.price for s in buys)
+        if not sell < buy:
+            violations.append(f"no-arbitrage requires the highest sell price {sell} "
+                              f"< the lowest buy price {buy}")
     if cost is not None:
         top = max(s.price for s in stages)
         if not cost.voll > top:
@@ -342,20 +347,6 @@ def validate_ladder(ladder: MarketLadder, cost: CostModel | None = None) -> list
                 "otherwise no threshold solves the stage equation"
             )
     return violations
-
-
-def stage_error_variance(curve: ForecastErrorCurve, r: int, ladder: MarketLadder) -> float:
-    """Variance of the forecast error explained between stages r-1 and r.
-
-    r is 1-based; for r = 1 the predecessor horizon is the curve's largest
-    tabulated horizon (the epoch at which the scenario forecast is quoted).
-    Clamped at zero so roundoff never produces a negative variance.
-    """
-    if not 1 <= r <= ladder.n_stages:
-        raise ValueError(f"stage index {r} outside 1..{ladder.n_stages}")
-    t_cur = float(ladder.lead_times[r - 1])
-    t_prev = curve.max_horizon if r == 1 else float(ladder.lead_times[r - 2])
-    return max(curve.variance_at(t_prev) - curve.variance_at(t_cur), 0.0)
 
 
 def load_curve(path: str | Path) -> ForecastErrorCurve:
@@ -383,16 +374,16 @@ def load_curve(path: str | Path) -> ForecastErrorCurve:
 
 
 def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
-    """Build and fully validate a Scenario from a parsed JSON document."""
+    """Read a Scenario from a parsed JSON document; the Scenario validates itself."""
 
     def need(key):
         if key not in doc:
             raise ParseError(f"scenario: missing required field '{key}'")
         return doc[key]
 
-    def number(key, value, kind=float):
-        try:
-            return kind(value)
+    def number(key, value) -> float:
+        try:   # a JSON boolean is not a number: float(None) refuses it
+            return float(None if isinstance(value, bool) else value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{key}: not a number: {value!r}") from exc
 
@@ -401,10 +392,11 @@ def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
         raise ParseError("ladder: must be a nonempty list of stages")
     try:
         ladder = MarketLadder.from_rows(
-            (row["lead_time_hours"], row["price"], row.get("direction", BUY))
-            for row in ladder_rows
+            (number(f"ladder[{i}].lead_time_hours", row["lead_time_hours"]),
+             number(f"ladder[{i}].price", row["price"]), row.get("direction", BUY))
+            for i, row in enumerate(ladder_rows)
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"ladder: malformed stage entry: {exc}") from exc
 
     cost = CostModel(voll=number("voll", need("voll")))
@@ -412,51 +404,34 @@ def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
     st = need("storage")
     try:
         storage = StorageSpec(
-            capacity=float(st["B"]),
-            storage_eff=float(st.get("lambda", 1.0)),
-            recharge_eff=float(st.get("mu", 1.0)),
-            discharge_eff=float(st.get("nu", 1.0)),
+            capacity=number("storage.B", st["B"]),
+            storage_eff=number("storage.lambda", st.get("lambda", 1.0)),
+            recharge_eff=number("storage.mu", st.get("mu", 1.0)),
+            discharge_eff=number("storage.nu", st.get("nu", 1.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"storage: malformed block: {exc}") from exc
 
     t_doc = need("T")
-    t_value = number("T", t_doc)
-    if isinstance(t_doc, bool) or not t_value.is_integer():
+    if isinstance(t_doc, bool) or not number("T", t_doc).is_integer():
         raise ParseError(f"T: not an integer: {t_doc!r}")
-    n_stages = int(t_value)
-    if n_stages < 1:
-        raise ValidationError(f"T must be >= 1, got {n_stages}")
+    n_stages = int(float(t_doc))
 
     d_hat = need("d_hat")
-    if isinstance(d_hat, (int, float)):
-        d_stage = np.full(n_stages, float(d_hat) / n_stages)
-    else:
-        d_stage = number("d_hat", d_hat, lambda v: np.asarray(v, dtype=float))
-        if d_stage.shape != (n_stages,):
-            raise ValidationError(f"d_hat: array must have length T={n_stages}")
+    if isinstance(d_hat, list):
+        d_stage = np.array([number("d_hat", v) for v in d_hat])
+    else:   # the interval total, spread evenly (T < 1 leaves it empty)
+        d_stage = np.full(max(n_stages, 0), number("d_hat", d_hat)) / n_stages
 
     if "curve" in doc:
         try:
-            curve = ForecastErrorCurve.from_table(doc["curve"])
+            curve = ForecastErrorCurve.from_table(
+                (number("curve", h), number("curve", s)) for h, s in doc["curve"])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"curve: rows must be [horizon_hours, sigma] pairs: {exc}") from exc
     else:
         curve_path = Path(base_dir) / need("curve_file")
         curve = load_curve(curve_path)
-
-    mean_share = number("mean_share", doc.get("mean_share", 0.2))
-
-    violations = validate_ladder(ladder, cost)
-    for stage in ladder.stages:
-        lt = stage.lead_time_hours
-        if lt < curve.min_horizon or lt > curve.max_horizon:
-            violations.append(
-                f"stage {stage.index}: lead time {lt}h outside curve range "
-                f"[{curve.min_horizon}, {curve.max_horizon}]"
-            )
-    if violations:
-        raise ValidationError("scenario validation failed:\n  " + "\n  ".join(violations))
 
     return Scenario(
         ladder=ladder,
@@ -465,7 +440,7 @@ def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
         curve=curve,
         n_delivery_stages=n_stages,
         d_hat_stage=d_stage,
-        mean_share=mean_share,
+        mean_share=number("mean_share", doc.get("mean_share", 0.2)),
     )
 
 

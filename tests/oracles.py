@@ -4,10 +4,12 @@ Scalar walk drivers, the dense-kernel density of a Gaussian walk step, a
 one-path storage subgradient, the (V, Q) reformulation check, the
 all-branches form of the ct h functions, a bridge-corrected simulator of
 the reflected walk, two evaluators of the stage right-hand sides
-(scrambled-Sobol paths and untabulated nested quadrature) and a CSV reader
-for benchmark tables.  The library computes the same quantities in batch,
-by FFT, branch by branch, in closed form or from tabulated stage
-functions; these plain versions are the oracles it is checked against.
+(scrambled-Sobol paths and untabulated nested quadrature), a CSV reader
+for benchmark tables, the ladder rules checked pair by pair and the
+forecast-revision stds computed stage by stage.  The library computes the
+same quantities in batch, by FFT, branch by branch, in closed form, from
+tabulated stage functions or between neighbouring stages only; these
+plain versions are the oracles it is checked against.
 """
 from __future__ import annotations
 
@@ -431,3 +433,70 @@ def read_results(path) -> BenchmarkTable:
                 wall_ms=float(rec["wall_ms"]),
             ))
     return rows
+
+
+def validate_ladder_pairwise(ladder, cost=None) -> list[str]:
+    """Check every pairwise price and lead-time constraint.
+
+    Returns the list of violated constraints; an empty list means ok.
+    Violations are data, not faults, so nothing raises here.
+    """
+    if ladder.n_stages == 0:
+        raise ValueError("ladder must be nonempty")
+    violations: list[str] = []
+    stages = ladder.stages
+    if BUY not in ladder.directions:
+        violations.append("ladder needs at least one buy stage")
+    for s in stages:
+        if s.direction not in (BUY, SELL):
+            violations.append(f"stage {s.index}: direction must be 'buy' or 'sell'")
+        if s.direction == BUY and s.price <= 0:
+            violations.append(f"stage {s.index}: buy price must be positive, got {s.price}")
+    for i, a in enumerate(stages):
+        for b in stages[i + 1:]:
+            if a.direction == BUY and b.direction == BUY and not a.price < b.price:
+                violations.append(
+                    f"stages {a.index}<{b.index}: buy prices must increase "
+                    f"toward delivery ({a.price} !< {b.price})"
+                )
+            if a.direction == SELL and b.direction == SELL and not a.price > b.price:
+                violations.append(
+                    f"stages {a.index}<{b.index}: sell prices must decrease "
+                    f"toward delivery ({a.price} !> {b.price})"
+                )
+            if a.direction == BUY and b.direction == SELL and not a.price > b.price:
+                violations.append(
+                    f"stages {a.index}<{b.index}: no-arbitrage requires buy price "
+                    f"{a.price} > later sell price {b.price}"
+                )
+            if a.direction == SELL and b.direction == BUY and not a.price < b.price:
+                violations.append(
+                    f"stages {a.index}<{b.index}: no-arbitrage requires sell price "
+                    f"{a.price} < later buy price {b.price}"
+                )
+            if not a.lead_time_hours > b.lead_time_hours:
+                violations.append(
+                    f"stages {a.index}<{b.index}: lead times must strictly decrease"
+                )
+    if cost is not None:
+        top = max(s.price for s in stages)
+        if not cost.voll > top:
+            violations.append(
+                f"voll {cost.voll} must exceed the highest ladder price {top}; "
+                "otherwise no threshold solves the stage equation"
+            )
+    return violations
+
+
+def inter_stage_stds_per_stage(scenario) -> np.ndarray:
+    """``Scenario.inter_stage_stds`` one stage at a time: the clamped drop of
+    the curve variance from each lead time to the next, then the mean_share
+    part of the variance left at the last lead time."""
+    curve, lead_times = scenario.curve, scenario.ladder.lead_times
+    R = len(lead_times)
+    out = np.empty(R)
+    for r in range(R - 1):
+        out[r] = math.sqrt(max(curve.variance_at(float(lead_times[r]))
+                               - curve.variance_at(float(lead_times[r + 1])), 0.0))
+    out[R - 1] = math.sqrt(scenario.mean_share * scenario.final_horizon_variance)
+    return out

@@ -484,6 +484,52 @@ class TestCli:
         assert "T: not an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("voll", True), ("d_hat", True), ("d_hat", [True] * 12), ("mean_share", True),
+        ("storage", {"B": True}), ("storage", {"B": 0.001, "nu": False}),
+        ("ladder", [{"lead_time_hours": True, "price": 52.0}]),
+        ("ladder", [{"lead_time_hours": 24.0, "price": True}]),
+    ])
+    def test_boolean_field_exits_2(self, tmp_path, monkeypatch, capsys, field, value):
+        import json
+        from rld.cli import entry
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0}],
+            "voll": 1000.0, "storage": {"B": 0.001}, "T": 12, "d_hat": 0.4,
+            "curve": DEFAULT_CURVE, field: value,
+        }))
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr(
+            "sys.argv", ["rld", "benchmark", "--scenario", str(bad), "--out", str(out)])
+        assert entry() == 2
+        captured = capsys.readouterr()
+        assert "not a number" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lead, price", [
+        (24.0, "-inf"), (24.0, "nan"), ("inf", -5.0), ("nan", -5.0)])
+    def test_non_finite_ladder_number_exits_2(self, tmp_path, monkeypatch, capsys,
+                                              lead, price):
+        import json
+        from rld.cli import entry
+
+        doc = sell_first_doc(price)
+        doc["ladder"][0]["lead_time_hours"] = lead
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "T": 12}))
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr(
+            "sys.argv", ["rld", "benchmark", "--policy", "3sigma,ct", "--scenario", str(bad),
+                         "--out", str(out)])
+        assert entry() == 2
+        captured = capsys.readouterr()
+        assert "lead time and price must be finite" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
     def test_non_numeric_field_exits_2(self, tmp_path, monkeypatch):
         import json
         from conftest import DEFAULT_CURVE
@@ -552,6 +598,19 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,D_t,u_t,b_t,unserved,V,Q"
         assert len(lines) == 6
+
+    def test_simulate_replays_the_path_only_for_out(self, tmp_path, monkeypatch):
+        from rld import cli
+
+        def replay(*args):
+            raise AssertionError("simulate_delivery runs without --out")
+
+        printed = CliRunner().invoke(main, ["simulate", "--engine", "ct", "--seed", "2"])
+        assert printed.exit_code == 0, printed.output
+        monkeypatch.setattr(cli, "simulate_delivery", replay)
+        again = CliRunner().invoke(main, ["simulate", "--engine", "ct", "--seed", "2"])
+        assert again.exit_code == 0, again.output
+        assert again.output == printed.output
 
     def test_simulate_lossy_storage_cost_matches_dumped_path(self, tmp_path):
         import json

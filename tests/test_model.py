@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,10 +17,12 @@ from rld.model import (
     load_curve,
     load_scenario,
     scenario_from_dict,
-    stage_error_variance,
     validate_ladder,
 )
 from conftest import DEFAULT_CURVE, make_scenario
+from oracles import inter_stage_stds_per_stage, validate_ladder_pairwise
+
+SHIPPED = resources.files("rld").joinpath("data/vi_scenario.json")
 
 
 def ladder_of(prices, leads=None, directions=None):
@@ -77,6 +81,35 @@ class TestValidateLadder:
         ok = validate_ladder(lad) == []
         assert ok == all(a < b for a, b in zip(prices, prices[1:]))
 
+    @pytest.mark.parametrize("lead, price", [
+        (24.0, -np.inf), (24.0, np.nan), (np.inf, -5.0), (np.nan, -5.0)])
+    def test_non_finite_stage_flagged(self, lead, price):
+        lad = MarketLadder.from_rows([(lead, price, "sell"), (1.0, 60.0, "buy")])
+        assert any("must be finite" in v for v in validate_ladder(lad, CostModel(1000.0)))
+
+    @given(st.data(), st.integers(1, 5), st.sampled_from([None, 70.0, 1000.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_neighbour_rules_equal_pairwise_rules(self, data, n, voll):
+        # tied lead times, tied prices and both directions; the rules on
+        # neighbours flag a ladder exactly when some pair of stages breaks one
+        price = st.one_of(st.sampled_from([-5.0, 0.0, 40.0, 52.0, 60.0, 72.0]),
+                          st.floats(-5.0, 80.0))
+        leads = sorted(data.draw(st.lists(st.sampled_from([24.0, 12.0, 1.0, 0.25]),
+                                          min_size=n, max_size=n)), reverse=True)
+        directions = data.draw(st.lists(st.sampled_from(["buy", "sell"]),
+                                        min_size=n, max_size=n))
+        prices = data.draw(st.lists(price, min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            # buy prices rising and sell prices falling: only ties and the
+            # sell/buy gap can break a rule
+            buys = iter(sorted(p for p, d in zip(prices, directions) if d == "buy"))
+            sells = iter(sorted((p for p, d in zip(prices, directions) if d == "sell"),
+                                reverse=True))
+            prices = [next(buys) if d == "buy" else next(sells) for d in directions]
+        lad = MarketLadder.from_rows(zip(leads, prices, directions))
+        cost = None if voll is None else CostModel(voll)
+        assert bool(validate_ladder(lad, cost)) == bool(validate_ladder_pairwise(lad, cost))
+
 
 class TestCurve:
     def test_interpolation_linear_in_variance(self):
@@ -101,27 +134,30 @@ class TestCurve:
 
 
 class TestStageErrorVariance:
+    """The variance of the forecast error revealed between market stages,
+    as ``Scenario.inter_stage_stds`` squares it."""
+
     def test_difference_of_squares(self):
-        curve = ForecastErrorCurve.from_table([[24.0, 0.2], [1.0, 0.15]])
-        lad = ladder_of([52.0, 60.0], leads=[24.0, 1.0])
-        assert stage_error_variance(curve, 2, lad) == pytest.approx(0.0175, abs=1e-12)
+        scn = make_scenario(prices=(52.0, 60.0), leads=(24.0, 1.0),
+                            curve=[[24.0, 0.2], [1.0, 0.15]])
+        assert scn.inter_stage_stds()[0] ** 2 == pytest.approx(0.0175, abs=1e-12)
 
     def test_no_information_gain_is_zero(self):
-        curve = ForecastErrorCurve.from_table([[24.0, 0.2], [1.0, 0.2]])
-        lad = ladder_of([52.0, 60.0], leads=[24.0, 1.0])
-        assert stage_error_variance(curve, 2, lad) == 0.0
-
-    def test_stage_one_uses_curve_start(self):
-        curve = ForecastErrorCurve.from_table([[30.0, 0.25], [24.0, 0.2], [1.0, 0.1]])
-        lad = ladder_of([52.0, 60.0], leads=[24.0, 1.0])
-        assert stage_error_variance(curve, 1, lad) == pytest.approx(0.25**2 - 0.2**2)
+        scn = make_scenario(prices=(52.0, 60.0), leads=(24.0, 1.0),
+                            curve=[[24.0, 0.2], [1.0, 0.2]])
+        assert scn.inter_stage_stds()[0] == 0.0
 
     def test_telescoping_sum(self):
-        curve = ForecastErrorCurve.from_table(DEFAULT_CURVE)
-        lad = ladder_of([52.0, 60.0, 72.0], leads=[24.0, 1.0, 0.25])
-        total = sum(stage_error_variance(curve, r, lad) for r in (1, 2, 3))
-        expect = curve.variance_at(curve.max_horizon) - curve.variance_at(0.25)
+        scn = make_scenario(leads=(24.0, 1.0, 0.25))
+        total = np.sum(scn.inter_stage_stds()[:-1] ** 2)
+        expect = scn.curve.variance_at(24.0) - scn.curve.variance_at(0.25)
         assert total == pytest.approx(expect, abs=1e-15)
+
+    @pytest.mark.parametrize("curve", [None, [[24.0, 0.2], [1.0, 0.2], [0.25, 0.1]]],
+                             ids=["shipped", "flat-segment"])
+    def test_equals_per_stage_formula_bitwise(self, curve):
+        scn = load_scenario(SHIPPED) if curve is None else make_scenario(curve=curve)
+        assert scn.inter_stage_stds().tobytes() == inter_stage_stds_per_stage(scn).tobytes()
 
     def test_delivery_split_uses_mean_share(self):
         scn = make_scenario(mean_share=0.2)
@@ -133,10 +169,7 @@ class TestStageErrorVariance:
 
 class TestScenarioLoading:
     def test_shipped_scenario(self):
-        from importlib import resources
-
-        path = resources.files("rld").joinpath("data/vi_scenario.json")
-        scn = load_scenario(str(path))
+        scn = load_scenario(str(SHIPPED))
         assert scn.ladder.n_stages == 3
         assert scn.T == 60
         assert scn.d_total == pytest.approx(0.4)
@@ -166,6 +199,11 @@ class TestScenarioLoading:
     @pytest.mark.parametrize("field, value", [
         ("voll", "abc"), ("T", "x"), ("mean_share", "x"), ("curve", [[24]]),
         ("d_hat", ["x"]), ("storage", {"B": "abc"}),
+        ("voll", True), ("T", True), ("d_hat", True), ("d_hat", [True] * 6),
+        ("mean_share", True), ("storage", {"B": True}), ("storage", {"B": 0.001, "nu": False}),
+        ("ladder", [{"lead_time_hours": True, "price": 52.0}]),
+        ("ladder", [{"lead_time_hours": 24.0, "price": True}]),
+        ("curve", [[24.0, True], [0.25, 0.01]]),
     ])
     def test_malformed_values_are_parse_errors(self, field, value):
         doc = {
@@ -236,6 +274,16 @@ class TestScenarioLoading:
         with pytest.raises(ValidationError, match="buy stage"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("T", [0, -3])
+    def test_non_positive_T_is_a_validation_error(self, T):
+        doc = {
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0}],
+            "voll": 1000.0, "storage": {"B": 0.001}, "T": T, "d_hat": 0.4,
+            "curve": DEFAULT_CURVE,
+        }
+        with pytest.raises(ValidationError, match="T must be >= 1"):
+            scenario_from_dict(doc)
+
     def test_scalar_d_hat_spread_per_stage(self):
         scn = make_scenario(T=10, d=0.5)
         assert np.allclose(scn.d_hat_stage, 0.05)
@@ -259,6 +307,34 @@ class TestScenarioLoading:
         fc = scn.delivery_forecast()
         with pytest.raises(ValueError):
             fc.sigma[0] = 1.0
+
+
+class TestScenarioConstruction:
+    """Every construction runs the same checks as a scenario file."""
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(ladder=ladder_of([72.0, 60.0, 52.0], leads=[24.0, 1.0, 0.25])),
+         "buy prices must increase"),
+        (dict(cost=CostModel(50.0)), "voll 50.0 must exceed"),
+        (dict(n_delivery_stages=0, d_hat_stage=np.zeros(0)), "T must be >= 1"),
+        (dict(d_hat_stage=np.zeros(3)), "length T"),
+        (dict(mean_share=-0.1), "mean_share"),
+        (dict(ladder=ladder_of([52.0, 60.0, 72.0], leads=[48.0, 1.0, 0.25])),
+         "outside curve range"),
+        (dict(ladder=MarketLadder.from_rows(
+            [(24.0, -np.inf, "sell"), (1.0, 60.0, "buy"), (0.25, 72.0, "buy")])),
+         "must be finite"),
+    ], ids=["falling-buys", "low-voll", "T-0", "short-d_hat", "mean_share",
+            "48h-lead", "inf-price"])
+    def test_replace_is_validated(self, change, message):
+        with pytest.raises(ValidationError, match=message):
+            replace(make_scenario(T=4), **change)
+
+    def test_violations_reported_together(self):
+        with pytest.raises(ValidationError) as info:
+            replace(make_scenario(T=4), cost=CostModel(50.0), mean_share=2.0)
+        assert str(info.value).startswith("scenario validation failed:")
+        assert "voll" in str(info.value) and "mean_share" in str(info.value)
 
 
 class TestVariants:
