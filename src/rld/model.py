@@ -31,6 +31,8 @@ class ValidationError(ScenarioError):
 BUY = "buy"
 SELL = "sell"
 
+MAX_T = 4096   # policy evaluation blocks hold 8192 runs x T doubles: 256 MiB each here
+
 
 @dataclass(frozen=True)
 class MarketStage:
@@ -207,9 +209,9 @@ class Scenario:
     def __post_init__(self):
         d = np.asarray(self.d_hat_stage, dtype=float)
         violations = validate_ladder(self.ladder, self.cost)
-        if not self.n_delivery_stages >= 1:
-            violations.append(f"T must be >= 1, got {self.n_delivery_stages}")
-        if d.shape != (self.n_delivery_stages,):
+        if not 1 <= self.n_delivery_stages <= MAX_T:
+            violations.append(f"T must be >= 1 and <= {MAX_T}, got {self.n_delivery_stages}")
+        elif d.shape != (self.n_delivery_stages,):
             violations.append("d_hat: profile must have length T")
         elif not np.all(np.isfinite(d)):
             violations.append("d_hat: deficits must be finite")
@@ -309,7 +311,7 @@ def validate_ladder(ladder: MarketLadder, cost: CostModel | None = None) -> list
     Violations are data, not faults, so nothing raises here.
     """
     if ladder.n_stages == 0:
-        raise ValueError("ladder must be nonempty")
+        return ["ladder must be nonempty"]
     violations: list[str] = []
     stages = ladder.stages
     buys = [s for s in stages if s.direction == BUY]
@@ -420,8 +422,9 @@ def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
     d_hat = need("d_hat")
     if isinstance(d_hat, list):
         d_stage = np.array([number("d_hat", v) for v in d_hat])
-    else:   # the interval total, spread evenly (T < 1 leaves it empty)
-        d_stage = np.full(max(n_stages, 0), number("d_hat", d_hat)) / n_stages
+    else:   # the interval total, spread evenly (a T out of range leaves it empty)
+        d_stage = np.full(n_stages if 1 <= n_stages <= MAX_T else 0,
+                          number("d_hat", d_hat)) / n_stages
 
     if "curve" in doc:
         try:

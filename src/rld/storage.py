@@ -15,19 +15,13 @@ import numpy as np
 
 from .model import CostModel, StorageSpec
 
-# Roundoff allowance of the one-path feasibility checks; the batch
-# kernel classifies the boundaries exactly.
-def _boundary_tol(capacity: float) -> float:
-    return 1e-12 * max(capacity, 1.0)
-
 
 @dataclass(frozen=True, eq=False)
 class PathOutcome:
     """Realized storage trajectory over one delivery interval."""
 
-    supply: float                 # per-stage conventional supply x
     actions: np.ndarray           # u_t, length T (signed, grid-side energy)
-    levels: np.ndarray            # b_t, length T+1, levels[0] is the initial level
+    levels: np.ndarray            # b_t, length T+1 stored energy, levels[0] = 0
     unserved: np.ndarray          # [D_t - x + u_t]_+, length T
     curtailed: np.ndarray         # [D_t - x + u_t]_-, length T (nonpositive)
     cumulative_unserved: np.ndarray    # V_t, length T
@@ -35,71 +29,36 @@ class PathOutcome:
     cost: float
 
 
-def optimal_storage_action(level: float, deficit: float, supply: float,
-                           spec: StorageSpec) -> float:
-    """Greedy storage action: cover shortfall first, then store surplus."""
-    if not 0.0 <= level <= spec.capacity + _boundary_tol(spec.capacity):
-        raise ValueError(f"storage level {level} outside [0, {spec.capacity}]")
-    surplus = max(supply - deficit, 0.0)
-    shortfall = max(deficit - supply, 0.0)
-    recharge = min(surplus, (spec.capacity - level) / spec.recharge_eff) if spec.recharge_eff > 0 else 0.0
-    discharge = min(shortfall, spec.discharge_eff * level)
-    return recharge - discharge
-
-
-def step_storage(level: float, action: float, spec: StorageSpec) -> float:
-    """Advance the stored energy by one stage under action u."""
-    tol = _boundary_tol(spec.capacity)
-    up = max(action, 0.0)
-    down = min(action, 0.0)
-    if spec.recharge_eff > 0:
-        if up > (spec.capacity - level) / spec.recharge_eff + tol:
-            raise ValueError(f"recharge {up} exceeds remaining capacity at level {level}")
-    elif up > tol:
-        raise ValueError("cannot recharge with zero recharge efficiency")
-    if -down > spec.discharge_eff * level + tol:
-        raise ValueError(f"discharge {-down} exceeds usable stored energy at level {level}")
-    # dividing by nu (not multiplying by 1/nu) stays finite for a subnormal nu
-    spent = down / spec.discharge_eff if spec.discharge_eff > 0 else 0.0
-    new = spec.storage_eff * (level + spec.recharge_eff * up + spent)
-    return float(min(max(new, 0.0), spec.capacity))
-
-
 def simulate_delivery(deficits: np.ndarray, supply: float, spec: StorageSpec,
                       cost: CostModel) -> PathOutcome:
     """Run the delivery interval under the optimal storage policy.
 
-    The storage starts empty; whatever remains at the end is discarded.
-    Cost is the VOLL penalty on total unserved energy.
+    The trajectory of ``unserved_and_slope_batch`` on one row, read from the
+    usable level z it records before each stage's clip: the action is the
+    change of the clipped level, over nu*mu where it charges.  The storage
+    starts empty and what remains at the end is discarded; the cost is VOLL
+    times the unserved energy.  Storage that can deliver nothing (nu*mu or
+    nu*B is 0) is never charged, so Q carries the whole surplus.  Levels and
+    charges are usable energy over nu and nu*mu: where those are subnormal
+    they keep few digits, the costs do not.
     """
     deficits = np.asarray(deficits, dtype=float)
     T = deficits.size
-    actions = np.empty(T)
-    levels = np.empty(T + 1)
-    unserved = np.empty(T)
-    curtailed = np.empty(T)
-    levels[0] = 0.0
-    b = 0.0
-    for t in range(T):
-        u = optimal_storage_action(b, deficits[t], supply, spec) if spec.capacity > 0 else 0.0
-        resid = deficits[t] - supply + u
-        actions[t] = u
-        unserved[t] = max(resid, 0.0)
-        curtailed[t] = min(resid, 0.0)
-        b = step_storage(b, u, spec) if spec.capacity > 0 else 0.0
-        levels[t + 1] = b
-    v_path = np.cumsum(unserved)
-    q_path = np.cumsum(curtailed)
+    z = np.empty(T)
+    total = unserved_and_slope_batch(deficits[None], supply, spec, z[None])[0][0]
+    nu, gain = spec.discharge_eff, spec.discharge_eff * spec.recharge_eff
+    cap = nu * spec.capacity
+    filled = np.clip(z, 0.0, cap)
+    usable = np.zeros(T + 1)            # nu * b after each stage's decay
+    usable[1:] = spec.storage_eff * filled
+    change = filled - usable[:-1]       # > 0 only where nu*mu > 0
+    actions = np.divide(change, gain, out=change.copy(), where=change > 0.0)
+    unserved = np.maximum(-z, 0.0)
+    curtailed = np.minimum(deficits - supply + actions, 0.0)
     return PathOutcome(
-        supply=float(supply),
-        actions=actions,
-        levels=levels,
-        unserved=unserved,
-        curtailed=curtailed,
-        cumulative_unserved=v_path,
-        cumulative_curtailed=q_path,
-        cost=float(cost.voll * v_path[-1]) if T else 0.0,
-    )
+        actions=actions, levels=usable / nu if nu > 0.0 else usable,
+        unserved=unserved, curtailed=curtailed, cumulative_unserved=np.cumsum(unserved),
+        cumulative_curtailed=np.cumsum(curtailed), cost=float(cost.voll * total))
 
 
 # Vectorized kernels shared by the Monte Carlo engines, policy evaluation
@@ -112,18 +71,19 @@ def delivery_costs_batch(deficits: np.ndarray, supply: np.ndarray | float,
 
 
 def unserved_and_slope_batch(deficits: np.ndarray, supply: np.ndarray | float,
-                             spec: StorageSpec) -> tuple[np.ndarray, np.ndarray]:
+                             spec: StorageSpec, unclipped: np.ndarray | None = None,
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """Unserved energy V of each row of an (n, T) deficit matrix and the
     weight w with V' = -w, its exact right derivative in the supply.
 
-    The greedy rule of ``simulate_delivery`` in usable energy u = nu*b: a
-    surplus adds nu*mu times itself, a shortfall draws on u, and u is then
-    clipped to [0, nu*B] and decays by lambda.  ``carried``, the right
-    derivative of u plus the stage's own share, adds to w on each
-    uncovered stage and restarts where the level is pinned (emptied by a
-    shortfall, or full).  There is no boundary tolerance, so w never grows
-    with the supply, even through exact ties; on ideal storage it is an
-    integer in 0..T.
+    The greedy rule in usable energy u = nu*b: a surplus adds nu*mu times
+    itself, a shortfall draws on u, and u is then clipped to [0, nu*B] and
+    decays by lambda.  ``unclipped`` (n, T), if given, receives each
+    stage's level z before the clip.  ``carried``, the right derivative of
+    u plus the stage's own share, adds to w on each uncovered stage and
+    restarts where the level is pinned (emptied by a shortfall, or full).
+    There is no boundary tolerance, so w never grows with the supply, even
+    through exact ties; on ideal storage it is an integer in 0..T.
     """
     deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
     n, T = deficits.shape
@@ -150,6 +110,8 @@ def unserved_and_slope_batch(deficits: np.ndarray, supply: np.ndarray | float,
             carried += np.maximum(np.less(z, 0.0, out=tmp), gain, out=tmp)
             np.minimum(z, np.multiply(z, gain, out=tmp), out=z)
         z += u                          # usable level before clipping; < 0 is unserved
+        if unclipped is not None:
+            unclipped[:, t] = z
         total -= np.minimum(z, 0.0, out=tmp)
         np.less(z, 0.0, out=short)
         weight += np.multiply(carried, short, out=tmp)
@@ -171,6 +133,5 @@ def subgradient_estimates_batch(deficits: np.ndarray, supply: np.ndarray | float
     ``unserved_and_slope_batch``, the right derivative of the path's cost
     in the accumulated position x = T * supply.
     """
-    deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
-    T = deficits.shape[1]
+    T = np.shape(deficits)[-1]
     return -voll / T * unserved_and_slope_batch(deficits, supply, StorageSpec(capacity))[1]

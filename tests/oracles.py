@@ -1,15 +1,15 @@
 """Reference implementations that only the tests use.
 
-Scalar walk drivers, the dense-kernel density of a Gaussian walk step, a
-one-path storage subgradient, the (V, Q) reformulation check, the
-all-branches form of the ct h functions, a bridge-corrected simulator of
-the reflected walk, two evaluators of the stage right-hand sides
-(scrambled-Sobol paths and untabulated nested quadrature), a CSV reader
-for benchmark tables, the ladder rules checked pair by pair and the
-forecast-revision stds computed stage by stage.  The library computes the
-same quantities in batch, by FFT, branch by branch, in closed form, from
-tabulated stage functions or between neighbouring stages only; these
-plain versions are the oracles it is checked against.
+Scalar walk drivers, the dense-kernel density of a Gaussian walk step, the
+greedy storage rule stage by stage, a one-path storage subgradient, the
+(V, Q) reformulation check, the all-branches form of the ct h functions, a
+bridge-corrected simulator of the reflected walk, two evaluators of the
+stage right-hand sides (scrambled-Sobol paths and untabulated nested
+quadrature), a CSV reader for benchmark tables, the ladder rules checked
+pair by pair and the forecast-revision stds computed stage by stage.  The
+library computes the same quantities in batch, by FFT, branch by branch,
+in closed form, from tabulated stage functions or between neighbouring
+stages only; these plain versions are the oracles it is checked against.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from scipy.stats import qmc
 
 from rld.benchmark import RESULT_COLUMNS, BenchmarkRow, BenchmarkTable
 from rld.ctapprox import _SERIES_CUTOFF, RbmParams
-from rld.model import BUY, SELL, StorageSpec
-from rld.storage import PathOutcome, _boundary_tol
+from rld.model import BUY, SELL, CostModel, StorageSpec
+from rld.storage import PathOutcome
 from rld.walks import _TINY, advance, as_steps, initial_state
 
 
@@ -139,6 +139,78 @@ def dense_gauss_density(ys, xs, weights, sigma: float) -> np.ndarray:
     z = (np.asarray(ys)[:, :, None] - np.asarray(xs)[:, None, :]) / sigma
     kernel = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
     return np.einsum("rij,rj->ri", kernel, weights)
+
+
+# Roundoff allowance of the one-path feasibility checks; the batch
+# kernel classifies the boundaries exactly.
+def _boundary_tol(capacity: float) -> float:
+    return 1e-12 * max(capacity, 1.0)
+
+
+def optimal_storage_action(level: float, deficit: float, supply: float,
+                           spec: StorageSpec) -> float:
+    """Greedy storage action: cover shortfall first, then store surplus."""
+    if not 0.0 <= level <= spec.capacity + _boundary_tol(spec.capacity):
+        raise ValueError(f"storage level {level} outside [0, {spec.capacity}]")
+    surplus = max(supply - deficit, 0.0)
+    shortfall = max(deficit - supply, 0.0)
+    recharge = min(surplus, (spec.capacity - level) / spec.recharge_eff) if spec.recharge_eff > 0 else 0.0
+    discharge = min(shortfall, spec.discharge_eff * level)
+    return recharge - discharge
+
+
+def step_storage(level: float, action: float, spec: StorageSpec) -> float:
+    """Advance the stored energy by one stage under action u."""
+    tol = _boundary_tol(spec.capacity)
+    up = max(action, 0.0)
+    down = min(action, 0.0)
+    if spec.recharge_eff > 0:
+        if up > (spec.capacity - level) / spec.recharge_eff + tol:
+            raise ValueError(f"recharge {up} exceeds remaining capacity at level {level}")
+    elif up > tol:
+        raise ValueError("cannot recharge with zero recharge efficiency")
+    if -down > spec.discharge_eff * level + tol:
+        raise ValueError(f"discharge {-down} exceeds usable stored energy at level {level}")
+    # dividing by nu (not multiplying by 1/nu) stays finite for a subnormal nu
+    spent = down / spec.discharge_eff if spec.discharge_eff > 0 else 0.0
+    new = spec.storage_eff * (level + spec.recharge_eff * up + spent)
+    return float(min(max(new, 0.0), spec.capacity))
+
+
+def scalar_delivery(deficits: np.ndarray, supply: float, spec: StorageSpec,
+                    cost: CostModel) -> PathOutcome:
+    """Run the delivery interval under the optimal storage policy.
+
+    The storage starts empty; whatever remains at the end is discarded.
+    Cost is the VOLL penalty on total unserved energy.
+    """
+    deficits = np.asarray(deficits, dtype=float)
+    T = deficits.size
+    actions = np.empty(T)
+    levels = np.empty(T + 1)
+    unserved = np.empty(T)
+    curtailed = np.empty(T)
+    levels[0] = 0.0
+    b = 0.0
+    for t in range(T):
+        u = optimal_storage_action(b, deficits[t], supply, spec) if spec.capacity > 0 else 0.0
+        resid = deficits[t] - supply + u
+        actions[t] = u
+        unserved[t] = max(resid, 0.0)
+        curtailed[t] = min(resid, 0.0)
+        b = step_storage(b, u, spec) if spec.capacity > 0 else 0.0
+        levels[t + 1] = b
+    v_path = np.cumsum(unserved)
+    q_path = np.cumsum(curtailed)
+    return PathOutcome(
+        actions=actions,
+        levels=levels,
+        unserved=unserved,
+        curtailed=curtailed,
+        cumulative_unserved=v_path,
+        cumulative_curtailed=q_path,
+        cost=float(cost.voll * v_path[-1]) if T else 0.0,
+    )
 
 
 def reformulate_vq(outcome: PathOutcome, spec: StorageSpec):

@@ -15,7 +15,7 @@ from rld.benchmark import (
 )
 from rld.cli import main
 from rld.dispatch import MC_STREAM, ideal_costs_batch
-from rld.model import StorageSpec, load_scenario, scenario_from_dict
+from rld.model import MAX_T, StorageSpec, load_scenario, scenario_from_dict
 from rld.rng import BLOCK_RUNS, draw_policy_paths, run_generator
 from rld.storage import delivery_costs_batch
 from conftest import DEFAULT_CURVE, make_scenario
@@ -482,6 +482,24 @@ class TestCli:
             "sys.argv", ["rld", "thresholds", "--scenario", str(bad), "--out", str(out)])
         assert entry() == 2
         assert "T: not an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("T", [1e30, MAX_T + 1])
+    def test_T_above_bound_exits_2(self, tmp_path, monkeypatch, capsys, T):
+        import json
+        from rld.cli import entry
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0}],
+            "voll": 1000.0, "storage": {"B": 0.001}, "T": T, "d_hat": 0.4,
+            "curve": DEFAULT_CURVE,
+        }))
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr("sys.argv", ["rld", "thresholds", "--engine", "3sigma",
+                                         "--scenario", str(bad), "--out", str(out)])
+        assert entry() == 2
+        assert f"T must be >= 1 and <= {MAX_T}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [

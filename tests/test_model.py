@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rld.model import (
+    MAX_T,
     CostModel,
     ForecastErrorCurve,
     ForecastModel,
@@ -71,8 +72,9 @@ class TestValidateLadder:
         assert validate_ladder(lad, CostModel(61.0)) == []
 
     def test_empty_ladder_rejected(self):
-        with pytest.raises(ValueError):
-            validate_ladder(MarketLadder(()))
+        assert validate_ladder(MarketLadder(())) == ["ladder must be nonempty"]
+        with pytest.raises(ValidationError, match="ladder must be nonempty"):
+            replace(make_scenario(T=4), ladder=MarketLadder(()))
 
     @given(st.lists(st.floats(1.0, 500.0), min_size=2, max_size=6, unique=True))
     @settings(max_examples=60, deadline=None)
@@ -283,6 +285,19 @@ class TestScenarioLoading:
         }
         with pytest.raises(ValidationError, match="T must be >= 1"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("T", [1e30, MAX_T + 1])
+    def test_T_above_bound_is_a_validation_error(self, T):
+        # a scalar d_hat is spread over T stages only once T is in range
+        doc = {
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0}],
+            "voll": 1000.0, "storage": {"B": 0.001}, "T": T, "d_hat": 0.4,
+            "curve": DEFAULT_CURVE,
+        }
+        with pytest.raises(ValidationError, match=f"T must be >= 1 and <= {MAX_T}"):
+            scenario_from_dict(doc)
+        with pytest.raises(ValidationError, match=f"<= {MAX_T}"):
+            replace(make_scenario(T=4), n_delivery_stages=int(T))
 
     def test_scalar_d_hat_spread_per_stage(self):
         scn = make_scenario(T=10, d=0.5)

@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -6,31 +8,56 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from rld.model import CostModel, StorageSpec
+from rld.benchmark import solve_schedule
+from rld.dispatch import simulate_policy_batch
+from rld.model import CostModel, StorageSpec, load_scenario
+from rld.rng import draw_policy_paths
 from rld.storage import (
     delivery_costs_batch,
-    optimal_storage_action,
     simulate_delivery,
-    step_storage,
     subgradient_estimates_batch,
     unserved_and_slope_batch,
 )
-from oracles import per_path_subgradient_estimate, reformulate_vq
+from oracles import (
+    optimal_storage_action,
+    per_path_subgradient_estimate,
+    reformulate_vq,
+    scalar_delivery,
+    step_storage,
+)
 
 IDEAL = StorageSpec(1.0)
 COST = CostModel(1000.0)
+SHIPPED = resources.files("rld").joinpath("data/vi_scenario.json")
+FIELDS = ("actions", "levels", "unserved", "curtailed", "cumulative_unserved",
+          "cumulative_curtailed", "cost")
+
+# efficiencies in [0, 1] with both endpoints and the smallest subnormal
+efficiency = st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
 
 
 class TestOptimalAction:
+    """The greedy action, read from ``simulate_delivery`` trajectories."""
+
     def test_discharge_all_usable(self):
-        assert optimal_storage_action(0.5, 2.0, 1.0, StorageSpec(1.0)) == -0.5
+        # stage 1 stores 0.5; stage 2 falls 2.0 short and draws all of it
+        out = simulate_delivery(np.array([0.5, 3.0]), 1.0, StorageSpec(1.0), COST)
+        assert out.actions.tolist() == [0.5, -0.5]
+        assert out.unserved.tolist() == [0.0, 1.5]
 
     def test_full_storage_cannot_charge(self):
-        assert optimal_storage_action(1.0, 0.2, 1.0, StorageSpec(1.0)) == 0.0
+        out = simulate_delivery(np.array([0.0, 0.2]), 1.0, StorageSpec(1.0), COST)
+        assert out.levels.tolist() == [0.0, 1.0, 1.0]
+        assert out.actions.tolist() == [1.0, 0.0]
+        assert out.curtailed[1] == pytest.approx(-0.8)
 
     def test_recharge_cap_scales_with_conversion_loss(self):
+        # a 0.3 surplus fits whole; then the room left, 0.73, takes 0.73 / 0.9
         spec = StorageSpec(1.0, recharge_eff=0.9)
-        assert optimal_storage_action(0.0, 0.0, 0.3, spec) == pytest.approx(0.3)
+        out = simulate_delivery(np.array([0.0, -2.0]), 0.3, spec, COST)
+        assert out.actions == pytest.approx([0.3, 0.73 / 0.9])
+        assert out.levels == pytest.approx([0.0, 0.27, 1.0])
+        assert out.curtailed == pytest.approx([0.0, -2.3 + 0.73 / 0.9])
 
     def test_level_out_of_range(self):
         with pytest.raises(ValueError):
@@ -38,16 +65,25 @@ class TestOptimalAction:
 
 
 class TestStepStorage:
+    """The level update, read from ``simulate_delivery`` trajectories."""
+
     def test_charging_with_losses(self):
+        # the first charge leaves 0.95 * 0.9 * (1 / 0.855) = 1.0 stored
         spec = StorageSpec(2.0, storage_eff=0.95, recharge_eff=0.9)
-        assert step_storage(1.0, 1.0, spec) == pytest.approx(1.805)
+        out = simulate_delivery(np.array([-1.0 / 0.855, -1.0]), 0.0, spec, COST)
+        assert out.levels == pytest.approx([0.0, 1.0, 1.805])
 
     def test_identity_when_idle(self):
-        assert step_storage(0.7, 0.0, StorageSpec(1.0)) == pytest.approx(0.7)
+        out = simulate_delivery(np.array([-0.7, 0.0]), 0.0, StorageSpec(1.0), COST)
+        assert out.levels == pytest.approx([0.0, 0.7, 0.7])
+        assert out.actions[1] == 0.0
 
     def test_full_discharge_via_nu_bound(self):
         spec = StorageSpec(1.0, discharge_eff=0.8)
-        assert step_storage(1.0, -0.8, spec) == pytest.approx(0.0)
+        out = simulate_delivery(np.array([-1.0, 2.0]), 0.0, spec, COST)
+        assert out.levels == pytest.approx([0.0, 1.0, 0.0])
+        assert out.actions == pytest.approx([1.0, -0.8])
+        assert out.unserved == pytest.approx([0.0, 1.2])
 
     def test_infeasible_action_rejected(self):
         with pytest.raises(ValueError):
@@ -96,8 +132,70 @@ class TestSimulateDelivery:
         paths = 0.1 + 0.2 * rng.standard_normal((20, 7))
         spec = StorageSpec(capacity, *effs)
         batch = delivery_costs_batch(paths, supply, spec, COST.voll)
-        scalar = [simulate_delivery(p, supply, spec, COST).cost for p in paths]
+        scalar = [scalar_delivery(p, supply, spec, COST).cost for p in paths]
         assert np.allclose(batch, scalar, rtol=1e-12, atol=0)
+
+    @given(
+        capacity=st.one_of(st.sampled_from([0.0, 5e-324, 1e-310]), st.floats(0.0, 0.3)),
+        effs=st.tuples(efficiency, efficiency, efficiency),
+        supply=st.floats(-0.2, 0.4),
+        T=st.integers(1, 12),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(capacity=0.15, effs=(0.95, 0.95, 0.95), supply=0.12, T=12, seed=0)
+    @example(capacity=0.15, effs=(0.9, 0.8, 0.0), supply=0.12, T=12, seed=1)
+    @example(capacity=0.15, effs=(1.0, 0.0, 0.7), supply=0.12, T=12, seed=2)
+    @example(capacity=0.15, effs=(5e-324, 5e-324, 5e-324), supply=0.12, T=12, seed=3)
+    @example(capacity=0.15, effs=(5e-324, 1.0, 1.0), supply=0.12, T=12, seed=4)
+    @example(capacity=0.15, effs=(1.0, 1.0, 1e-310), supply=0.12, T=12, seed=5)
+    def test_trajectory_matches_scalar_oracle(self, capacity, effs, supply, T, seed):
+        rng = np.random.default_rng(seed)
+        deficits = 0.1 + 0.2 * rng.standard_normal(T)
+        spec = StorageSpec(capacity, *effs)
+        got = simulate_delivery(deficits, supply, spec, COST)
+        usable, gain = spec.discharge_eff * capacity, spec.discharge_eff * spec.recharge_eff
+        fields = FIELDS
+        if usable == 0.0 or gain == 0.0:
+            # storage that can deliver nothing is never charged
+            spec = replace(spec, recharge_eff=0.0)
+        elif min(usable, gain) < np.finfo(float).tiny:
+            # levels and charges are usable energy over nu and nu*mu: below
+            # the normal range they keep too few digits; the costs do not
+            fields = ("unserved", "cumulative_unserved", "cost")
+        want = scalar_delivery(deficits, supply, spec, COST)
+        for name in fields:
+            scale = COST.voll if name == "cost" else 1.0
+            assert np.allclose(getattr(got, name), getattr(want, name),
+                               rtol=0.0, atol=1e-12 * scale), name
+
+    @pytest.mark.parametrize("engine", ["ct", "lattice"])
+    def test_shipped_ideal_paths_match_oracle_bitwise(self, engine):
+        # the path `rld simulate --engine <engine> --seed <seed> --out` writes
+        scn = load_scenario(str(SHIPPED))
+        sched = solve_schedule(scn, engine, seed=0)
+        for seed in range(4):
+            forecasts, deficits = scn.realize(
+                *draw_policy_paths(1, scn.ladder.n_stages, scn.T, seed))
+            x_final = simulate_policy_batch(sched, scn, forecasts, deficits)[1][0]
+            supply = x_final / scn.T
+            got = simulate_delivery(deficits[0], supply, scn.storage, scn.cost)
+            want = scalar_delivery(deficits[0], supply, scn.storage, scn.cost)
+            for name in FIELDS:
+                assert (np.asarray(getattr(got, name)).tobytes()
+                        == np.asarray(getattr(want, name)).tobytes()), (seed, name)
+
+    @given(effs=st.tuples(efficiency, efficiency), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_storage_that_delivers_nothing_stays_empty(self, effs, seed):
+        rng = np.random.default_rng(seed)
+        deficits = 0.1 + 0.2 * rng.standard_normal(10)
+        spec = StorageSpec(0.15, effs[0], effs[1], 0.0)
+        out = simulate_delivery(deficits, 0.12, spec, COST)
+        surplus = np.maximum(0.12 - deficits, 0.0)
+        assert np.all(out.levels == 0.0) and np.all(out.actions == 0.0)
+        assert np.array_equal(out.cumulative_curtailed, -np.cumsum(surplus))
+        assert np.array_equal(out.unserved, np.maximum(deficits - 0.12, 0.0))
 
 
 class TestMemoryLayout:
@@ -311,10 +409,6 @@ class TestUnservedAndSlope:
         unserved, weight = unserved_and_slope_batch(np.array([[-0.1, 0.5]]), 0.1,
                                                     StorageSpec(0.2))
         assert unserved[0] == pytest.approx(0.2) and weight[0] == 1.0
-
-
-# efficiencies in [0, 1] with both endpoints and the smallest subnormal
-efficiency = st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
 
 
 class TestLossySlope:
