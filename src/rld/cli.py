@@ -81,7 +81,8 @@ def thresholds(scenario, engine, seed, out):
         for stage, offset, residual in zip(scn.ladder.stages, sched.offsets, sched.residuals):
             writer.writerow([
                 stage.index, repr(float(stage.lead_time_hours)), repr(float(stage.price)),
-                repr(float(scn.d_total + offset)), sched.engine, repr(float(residual)),
+                repr(float(scn.d_total + offset)), sched.engine,
+                "" if math.isnan(residual) else repr(float(residual)),
             ])
     click.echo(f"wrote {out}")
 

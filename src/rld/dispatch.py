@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.special import ndtr, ndtri
 
 from .ctapprox import ct_terminal_subgradient
@@ -131,10 +131,11 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
     A uniform shift of the forecast is identical to an opposite shift of
     the accumulated position, so one curve in w = x - forecast_total
     serves every forecast level.  The lattice and Monte Carlo engines are
-    evaluated on a dense grid and interpolated with a shape-preserving
-    cubic; the continuous-time engine is analytic.  All three engines
-    model ideal storage of the scenario's capacity and ignore its
-    efficiencies, even at nu = 0, where the storage can deliver nothing.
+    evaluated on a dense grid and interpolated in probit space by a
+    monotone cubic with filtered spline slopes (``_monotone_cubic``); the
+    continuous-time engine is analytic.  All three engines model ideal
+    storage of the scenario's capacity and ignore its efficiencies, even
+    at nu = 0, where the storage can deliver nothing.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -196,11 +197,11 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
 
     vals = np.maximum.accumulate(vals)   # roundoff/MC noise must not break monotonicity
     # The subgradient is a steep sigmoid in w; its probit transform is close
-    # to linear, so interpolating there keeps the inverse accurate in both
-    # the transition region and the tails.
+    # to linear and smooth, so a spline-accurate monotone cubic there keeps
+    # the inverse accurate in both the transition region and the tails.
     frac = np.clip(-vals / voll, 1e-15, 1.0 - 1e-15)
     zs = np.minimum.accumulate(ndtri(frac))
-    interp = PchipInterpolator(ws, zs)
+    interp = _monotone_cubic(ws, zs)
 
     def grad_interp(w):
         w = np.asarray(w, dtype=float)
@@ -213,6 +214,24 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
                                                 fc, capacity, voll)
 
     return TerminalModel(engine, grad_interp, scale, grad_exact=grad_exact)
+
+
+def _monotone_cubic(x: np.ndarray, y: np.ndarray) -> CubicHermiteSpline:
+    """Monotone cubic Hermite interpolant of monotone data.
+
+    Its node slopes are the not-a-knot cubic spline's, filtered (Hyman,
+    SIAM J. Sci. Stat. Comput. 4, 1983): 0 where the adjacent secants
+    differ in sign or either is 0, else clipped into [0, 3 min |secant|]
+    with the secants' sign, which keeps every piece monotone (Fritsch &
+    Carlson, SIAM J. Numer. Anal. 17, 1980).  An end node takes its one
+    secant for both.
+    """
+    secants = np.diff(y) / np.diff(x)
+    left, right = np.concatenate([secants[:1], secants]), np.concatenate([secants, secants[-1:]])
+    sign = np.where(left * right > 0.0, np.sign(left), 0.0)
+    bound = 3.0 * np.minimum(np.abs(left), np.abs(right))
+    slopes = sign * np.clip(sign * CubicSpline(x, y)(x, 1), 0.0, bound)
+    return CubicHermiteSpline(x, y, slopes)
 
 
 def _mc_subgradients(deficits: np.ndarray, supplies: np.ndarray, capacity: float,
@@ -320,8 +339,11 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
     action: U_{k-1}(y) = E[W_k(y - s_{k-1} Z)], with W_k = price_k where
     stage k acts and U_k elsewhere (``_expectation``); a level with a
     positive std is tabulated near the later offsets.  Every stage equation
-    is solved by Illinois regula falsi (``_solve_decreasing``); with
-    ``grad_exact`` the last stage then takes Newton steps against it.  A
+    is solved by Illinois regula falsi (``_solve_decreasing``).  With
+    ``grad_exact`` the last stage's offset is then checked against the
+    exact right-hand side; only while that misses the 1e-6 * voll gate does
+    it take Newton steps (at most 6, slopes from the interpolated side),
+    and its recorded residual is the exact one at the returned offset.  A
     sell stage whose right-hand side never falls below its price never pays
     to sell: its offset is +inf (residual 0).  Returns (offsets, residuals,
     iterations); an iteration count is root-finder steps plus Newton steps.
@@ -382,12 +404,12 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
                 raise
             deltas[idx], residuals[idx] = math.inf, 0.0
         if idx == R - 1 and grad_exact is not None and math.isfinite(deltas[idx]):
-            # Newton polish against the exact engine: the recorded residual is honest
+            # check against the exact engine, with Newton steps while the gate
+            # is missed: the recorded residual is that of the returned offset
             rhs_exact = terminal(float(shift_stds[idx]), grad_exact)
             h = 1e-5 * max(scale, 1.0)
+            resid = float(rhs_exact(deltas[idx:idx + 1])[0]) - float(prices[idx])
             for _ in range(6):
-                resid = float(rhs_exact(deltas[idx:idx + 1])[0]) - float(prices[idx])
-                residuals[idx] = abs(resid)
                 if abs(resid) <= resid_tol:
                     break
                 slope = (rhs(deltas[idx] + h) - rhs(deltas[idx] - h)) / (2.0 * h)
@@ -396,6 +418,8 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
                 step = resid / slope
                 deltas[idx] -= math.copysign(min(abs(step), 0.5 * scale), step)
                 iterations[idx] += 1
+                resid = float(rhs_exact(deltas[idx:idx + 1])[0]) - float(prices[idx])
+            residuals[idx] = abs(resid)
         later.insert(0, (float(deltas[idx]), directions[idx] == SELL, float(prices[idx])))
         if idx == R - 1 or shift_stds[idx] > 0.0:
             stages, base = [], expect
@@ -414,7 +438,7 @@ class ThresholdSchedule:
 
     engine: str
     offsets: np.ndarray       # target minus current total forecast
-    residuals: np.ndarray     # |stage right-hand side - price|, one per stage
+    residuals: np.ndarray     # |stage right-hand side - price| per stage; nan: none solved
     iterations: np.ndarray    # root-finder steps plus Newton steps, one per stage
 
 

@@ -3,8 +3,7 @@
 Random scenario files go through ``rld thresholds`` for every policy and a
 200-run ``rld benchmark``, each through ``cli.entry`` as the ``rld``
 command runs it: the exit code is 0, 2 (validation) or 3 (solver), no
-exception escapes (which would be a traceback), and no output says nan
-apart from the residual column of the 3-sigma schedule.
+exception escapes (which would be a traceback), and no output says nan.
 """
 import json
 import re
@@ -82,7 +81,4 @@ def test_every_scenario_is_solved_or_rejected(doc):
             code, printed = run_rld([*args, "--scenario", str(path), "--out", str(out)])
             assert code in (0, 2, 3), (args, code, printed)
             written = out.read_text() if out.exists() else ""
-            if args[-1] == "3sigma":
-                # the 3-sigma rule solves no stage equation: its residual column is nan
-                written = "\n".join(line.rsplit(",", 1)[0] for line in written.splitlines())
             assert not NAN.search(printed + written), (args, printed, written)

@@ -237,6 +237,25 @@ class TestDeltaOffsets:
         delta1_dp = crossing(wide, np.gradient(ej2, h), -52.0, 0.25)
         assert deltas[0] == pytest.approx(delta1_dp, abs=1e-3)
 
+    def test_polish_records_the_returned_offsets_residual(self):
+        # the exact slope is 2.5x the interpolated one, so every Newton step
+        # overshoots and all six run; the residual must be the last offset's
+        sigma, s, k, shift = 0.1, 0.01, 2.5, 0.002
+        grad, _ = gaussian_terminal(sigma)
+        calls = []
+
+        def grad_exact(w):
+            calls.append(np.size(w))
+            return grad(k * (np.asarray(w, dtype=float) - shift))
+
+        deltas, residuals, _ = solve_delta_offsets(
+            np.array([500.0]), VOLL, np.array([s]), grad, scale=sigma, grad_exact=grad_exact)
+        # the 2.5x steeper Gaussian smoothed by the revision std s
+        exact = VOLL * ndtr(-k * (deltas[0] - shift) / math.hypot(sigma, k * s))
+        assert len(calls) == 7, calls
+        assert residuals[0] == pytest.approx(abs(exact - 500.0), rel=1e-9)
+        assert residuals[0] > 1e-6 * VOLL
+
     def test_own_price_comparative_static(self):
         # raising one stage's price lowers its threshold offset
         scn = make_scenario(T=12, B=0.005)
@@ -489,12 +508,46 @@ class TestTerminalModel:
             )
             assert abs(float(model.grad(w)) - direct) < 2e-2
 
-    def test_grad_monotone_and_bounded(self, small_scenario):
-        model = build_terminal_model(small_scenario, "lattice")
-        ws = np.linspace(-2.0, 2.0, 101)
-        g = model.grad(ws)
-        assert np.all(g <= 1e-12) and np.all(g >= -VOLL - 1e-9)
-        assert np.all(np.diff(g) >= -1e-9)
+    @pytest.mark.parametrize("engine, capacity", [
+        pytest.param("lattice", None, id="small-lattice"),
+        *[(engine, capacity) for engine in ("lattice", "mc")
+          for capacity in (1e-4, 1e-3, 1e-2, 1e-1)],
+    ])
+    def test_grad_monotone_and_bounded(self, small_scenario, engine, capacity):
+        # a plain cubic spline through the probit grid overshoots in the
+        # clipped tails by up to 2.4e-11 VOLL: no slack is allowed here
+        scn = (small_scenario if capacity is None
+               else load_scenario(str(SHIPPED)).with_capacity(capacity))
+        model = build_terminal_model(scn, engine)
+        g = model.grad(np.linspace(-1.5, 1.5, 60_001))
+        assert np.all(g <= 0.0) and np.all(g >= -scn.cost.voll)
+        assert np.all(np.diff(g) >= 0.0)
+
+    def test_shipped_lattice_model_within_the_gate(self):
+        # probes off the interpolation grid, across the whole transition
+        scn = load_scenario(str(SHIPPED))
+        fc, voll, capacity = scn.delivery_forecast(), scn.cost.voll, scn.storage.capacity
+        units = np.linspace(-2.4, 2.4, 11) + 1 / 32
+        ws = units * math.sqrt(scn.T * scn.delivery_fluctuation_variance)
+        exact = np.array([lattice_terminal_subgradient(w + fc.total_mean, fc, capacity, voll)
+                          for w in ws])
+        approx = build_terminal_model(scn, "lattice").grad(ws)
+        assert np.max(np.abs(approx - exact)) < 1e-6 * voll
+
+    def test_shipped_lattice_solve_checks_once(self, monkeypatch):
+        # one exact solve for the grid and one that finds the interpolated
+        # last-stage root within the gate: no Newton step is needed
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(np.size(args[0]))
+            return lattice_terminal_subgradient(*args, **kwargs)
+
+        monkeypatch.setattr(dispatch, "lattice_terminal_subgradient", counting)
+        scn = load_scenario(str(SHIPPED))
+        sched = solve_thresholds_backward(scn, "lattice")
+        assert len(calls) == 2, calls
+        assert sched.residuals[-1] <= 1e-6 * scn.cost.voll
 
     def test_ct_engine_is_analytic(self, small_scenario):
         scn = small_scenario
