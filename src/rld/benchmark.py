@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import csv
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,12 +101,14 @@ def run_benchmark(scenario: Scenario, policies=("3sigma", "lattice", "ct"),
                   record_timing: bool = True) -> BenchmarkTable:
     """Estimate each policy's expected cost and integration cost.
 
-    Identical (scenario, seed, n_runs) triples give identical tables;
-    pass ``record_timing=False`` for byte-stable output (wall times are
+    A repeated policy tag counts once, in first-seen order.  Identical
+    (scenario, seed, n_runs) triples give identical tables; pass
+    ``record_timing=False`` for byte-stable output (wall times are
     reported as zero).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    policies = tuple(dict.fromkeys(policies))
     if schedules is None:
         schedules = {}
     solved: dict[str, ThresholdSchedule] = {}
@@ -164,8 +167,24 @@ def sweep(scenario: Scenario, axis: str, grid, policies=("3sigma", "lattice", "c
     return table
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and ``rows`` as one CSV file and return its path.
+
+    A float cell (Python or numpy) is written as ``repr(float(v))``, which
+    reads back to the same double, and a NaN as an empty field; every other
+    cell is written unchanged.
+    """
+    def cell(v):
+        if not isinstance(v, (float, np.floating)):
+            return v
+        return "" if math.isnan(v) else repr(float(v))
+
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([cell(v) for v in row] for row in rows)
+    return path
 
 
 def emit_results(table: BenchmarkTable, fmt: str, path) -> list[Path]:
@@ -179,29 +198,11 @@ def emit_results(table: BenchmarkTable, fmt: str, path) -> list[Path]:
         raise ValueError("cannot emit an empty table")
     path = Path(path)
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RESULT_COLUMNS)
-            for row in table:
-                writer.writerow([
-                    row.policy, _fmt(row.d_total), _fmt(row.capacity),
-                    row.n_runs, _fmt(row.mean_cost), _fmt(row.stderr),
-                    _fmt(row.integration_cost), _fmt(row.wall_ms),
-                ])
-        return [path]
+        return [write_csv(path, RESULT_COLUMNS, map(astuple, table))]
     if fmt == "plotdata":
-        written = []
-        for policy in dict.fromkeys(row.policy for row in table):
-            target = path.parent / f"{path.name}_{policy}.csv"
-            with open(target, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["D", "B", "mean_cost", "integration_cost"])
-                for row in table:
-                    if row.policy == policy:
-                        writer.writerow([
-                            _fmt(row.d_total), _fmt(row.capacity),
-                            _fmt(row.mean_cost), _fmt(row.integration_cost),
-                        ])
-            written.append(target)
-        return written
+        return [write_csv(path.parent / f"{path.name}_{policy}.csv",
+                          ("D", "B", "mean_cost", "integration_cost"),
+                          [(row.d_total, row.capacity, row.mean_cost, row.integration_cost)
+                           for row in table if row.policy == policy])
+                for policy in dict.fromkeys(row.policy for row in table)]
     raise ValueError(f"unknown format {fmt!r}")

@@ -1,9 +1,10 @@
 """Command-line surface: threshold tables, simulation, benchmarks, sweeps."""
 from __future__ import annotations
 
-import csv
 import math
+import os
 import sys
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -49,8 +50,8 @@ _POLICIES = ("3sigma", *ENGINES)
 
 
 def _policy_tags(ctx, param, text: str) -> list[str]:
-    """The listed tags, each once, in first-seen order."""
-    tags = list(dict.fromkeys(t.strip() for t in text.split(",") if t.strip()))
+    """The listed tags; ``run_benchmark`` counts a repeated one once."""
+    tags = [t.strip() for t in text.split(",") if t.strip()]
     if not tags or any(tag not in _POLICIES for tag in tags):
         raise click.BadParameter(f"expected tags from {', '.join(_POLICIES)}, got {text!r}")
     return tags
@@ -59,6 +60,20 @@ def _policy_tags(ctx, param, text: str) -> list[str]:
 _policy_option = click.option(
     "--policy", default="3sigma,lattice,ct", show_default=True, callback=_policy_tags,
     help=f"Comma-separated policy tags from {', '.join(_POLICIES)}.")
+
+
+def _out_path(ctx, param, out: str | None) -> str | None:
+    """Option callback: a file to write, in a directory that exists.  Under
+    ``--format plotdata`` (eager, so read first) it is a file-name prefix."""
+    if out is not None:
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise click.BadParameter(f"the directory of {out!r} does not exist")
+        if os.path.isdir(out) and ctx.params.get("fmt") != "plotdata":
+            raise click.BadParameter(f"{out!r} is a directory")
+    return out
+
+
+_out_option = partial(click.option, "--out", type=click.Path(), callback=_out_path)
 
 
 @click.group()
@@ -70,20 +85,15 @@ def main():
 @click.option("--scenario", type=click.Path(exists=True), default=None)
 @click.option("--engine", type=click.Choice(_POLICIES), default="lattice")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), required=True)
+@_out_option(required=True)
 def thresholds(scenario, engine, seed, out):
     """Solve the per-stage thresholds and write them as CSV."""
     scn = _load(scenario)
     sched = bench.solve_schedule(scn, engine, seed=seed)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "lead_time", "price", "threshold", "engine", "residual"])
-        for stage, offset, residual in zip(scn.ladder.stages, sched.offsets, sched.residuals):
-            writer.writerow([
-                stage.index, repr(float(stage.lead_time_hours)), repr(float(stage.price)),
-                repr(float(scn.d_total + offset)), sched.engine,
-                "" if math.isnan(residual) else repr(float(residual)),
-            ])
+    bench.write_csv(out, ("stage", "lead_time", "price", "threshold", "engine", "residual"), [
+        (stage.index, stage.lead_time_hours, stage.price, scn.d_total + offset, sched.engine,
+         residual)
+        for stage, offset, residual in zip(scn.ladder.stages, sched.offsets, sched.residuals)])
     click.echo(f"wrote {out}")
 
 
@@ -92,8 +102,7 @@ def thresholds(scenario, engine, seed, out):
 @click.option("--engine", "--policy", "engine",
               type=click.Choice(_POLICIES), default="lattice")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), default=None,
-              help="Optional delivery-path dump (t,D_t,u_t,b_t,unserved,V,Q).")
+@_out_option(default=None, help="Optional delivery-path dump (t,D_t,u_t,b_t,unserved,V,Q).")
 def simulate(scenario, engine, seed, out):
     """Run one seeded policy path and report its realized cost."""
     scn = _load(scenario)
@@ -102,18 +111,10 @@ def simulate(scenario, engine, seed, out):
     purchases, x_final, delivery, total = (
         a[0] for a in simulate_policy_batch(sched, scn, forecasts, deficits))
     if out:
-        deficits = deficits[0]
-        outcome = simulate_delivery(deficits, x_final / scn.T, scn.storage, scn.cost)
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "D_t", "u_t", "b_t", "unserved", "V", "Q"])
-            for t in range(scn.T):
-                writer.writerow([
-                    t + 1, repr(float(deficits[t])), repr(float(outcome.actions[t])),
-                    repr(float(outcome.levels[t + 1])), repr(float(outcome.unserved[t])),
-                    repr(float(outcome.cumulative_unserved[t])),
-                    repr(float(outcome.cumulative_curtailed[t])),
-                ])
+        outcome = simulate_delivery(deficits[0], x_final / scn.T, scn.storage, scn.cost)
+        bench.write_csv(out, ("t", "D_t", "u_t", "b_t", "unserved", "V", "Q"), zip(
+            range(1, scn.T + 1), deficits[0], outcome.actions, outcome.levels[1:],
+            outcome.unserved, outcome.cumulative_unserved, outcome.cumulative_curtailed))
         click.echo(f"wrote {out}")
     click.echo(
         f"engine={engine} purchases={np.array2string(purchases, precision=6)} "
@@ -129,7 +130,7 @@ def simulate(scenario, engine, seed, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--timing/--no-timing", default=True, show_default=True,
               help="Record wall times (disable for byte-stable output).")
-@click.option("--out", type=click.Path(), required=True)
+@_out_option(required=True)
 def benchmark_cmd(scenario, policy, runs, seed, timing, out):
     """Monte Carlo policy comparison with common random numbers."""
     scn = _load(scenario)
@@ -151,9 +152,9 @@ def benchmark_cmd(scenario, policy, runs, seed, timing, out):
 @click.option("--runs", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "plotdata"]), default="csv",
-              show_default=True)
+              show_default=True, is_eager=True)
 @click.option("--timing/--no-timing", default=True, show_default=True)
-@click.option("--out", type=click.Path(), required=True)
+@_out_option(required=True)
 def sweep(scenario, axis, grid, grid_points, policy, runs, seed, fmt, timing, out):
     """Benchmark along a mean-deficit or capacity grid."""
     scn = _load(scenario)
@@ -173,17 +174,12 @@ def sweep(scenario, axis, grid, grid_points, policy, runs, seed, fmt, timing, ou
 @click.option("--mu", default="-1,-0.5,0,0.5,1", show_default=True, callback=_numbers(False))
 @click.option("--sigma", default="0.5,1,2", show_default=True, callback=_numbers(True))
 @click.option("--capacity", default="0.5,1,2", show_default=True, callback=_numbers(True))
-@click.option("--out", type=click.Path(), required=True)
+@_out_option(required=True)
 def rbm_table(mu, sigma, capacity, out):
     """Long-run boundary push rates of the reflected process."""
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mu", "sigma", "B", "v_rate", "q_rate"])
-        for m in mu:
-            for s in sigma:
-                for b in capacity:
-                    v, q = rbm_long_run(RbmParams(m, s, b))
-                    writer.writerow([repr(m), repr(s), repr(b), repr(v), repr(q)])
+    bench.write_csv(out, ("mu", "sigma", "B", "v_rate", "q_rate"), [
+        (m, s, b, *rbm_long_run(RbmParams(m, s, b)))
+        for m in mu for s in sigma for b in capacity])
     click.echo(f"wrote {out}")
 
 

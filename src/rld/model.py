@@ -351,28 +351,31 @@ def validate_ladder(ladder: MarketLadder, cost: CostModel | None = None) -> list
     return violations
 
 
+def number(key: str, value) -> float:
+    """``value`` as a float, or a ParseError naming ``key``."""
+    try:   # a JSON boolean is not a number: float(None) refuses it
+        return float(None if isinstance(value, bool) else value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{key}: not a number: {value!r}") from exc
+
+
 def load_curve(path: str | Path) -> ForecastErrorCurve:
     """Read a forecast error curve CSV with header ``horizon_hours,sigma``."""
     path = Path(path)
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            if "horizon_hours" not in fields or "sigma" not in fields:
-                raise ParseError(
-                    f"{path}: curve CSV must have columns horizon_hours,sigma; got {fields}"
-                )
-            rows = [(row["horizon_hours"], row["sigma"]) for row in reader]
-    except OSError as exc:
+            if not {"horizon_hours", "sigma"} <= set(reader.fieldnames or ()):
+                raise ParseError(f"{path}: curve CSV must have columns horizon_hours,sigma; "
+                                 f"got {reader.fieldnames}")
+            # a short row's missing cell is None, which is not a number
+            rows = [tuple(number(f"{path} line {reader.line_num}: {key}", row[key])
+                          for key in ("horizon_hours", "sigma")) for row in reader]
+    except (OSError, ValueError, csv.Error) as exc:   # undecodable text is a ValueError
         raise ParseError(f"{path}: {exc}") from exc
-    except (ValueError, KeyError) as exc:
-        raise ParseError(f"{path}: malformed curve row: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: curve CSV has no data rows")
-    try:
-        return ForecastErrorCurve.from_table(rows)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return ForecastErrorCurve.from_table(rows)
 
 
 def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
@@ -382,12 +385,6 @@ def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
         if key not in doc:
             raise ParseError(f"scenario: missing required field '{key}'")
         return doc[key]
-
-    def number(key, value) -> float:
-        try:   # a JSON boolean is not a number: float(None) refuses it
-            return float(None if isinstance(value, bool) else value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{key}: not a number: {value!r}") from exc
 
     ladder_rows = need("ladder")
     if not isinstance(ladder_rows, list) or not ladder_rows:
@@ -432,9 +429,10 @@ def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
                 (number("curve", h), number("curve", s)) for h, s in doc["curve"])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"curve: rows must be [horizon_hours, sigma] pairs: {exc}") from exc
+    elif isinstance(doc.get("curve_file"), str):
+        curve = load_curve(Path(base_dir) / doc["curve_file"])
     else:
-        curve_path = Path(base_dir) / need("curve_file")
-        curve = load_curve(curve_path)
+        raise ParseError(f"curve_file: not a file name: {need('curve_file')!r}")
 
     return Scenario(
         ladder=ladder,

@@ -3,9 +3,9 @@
 Scalar walk drivers, the dense-kernel density of a Gaussian walk step, the
 greedy storage rule stage by stage, a one-path storage subgradient, the
 (V, Q) reformulation check, the all-branches form of the ct h functions, a
-bridge-corrected simulator of the reflected walk, two evaluators of the
-stage right-hand sides (scrambled-Sobol paths and untabulated nested
-quadrature), a CSV reader for benchmark tables, the ladder rules checked
+bridge-corrected simulator of the reflected walk, three evaluators of the
+stage right-hand sides (scrambled-Sobol paths, untabulated nested
+quadrature and a dense uniform rule for the last stage), a CSV reader for benchmark tables, the ladder rules checked
 pair by pair and the forecast-revision stds computed stage by stage.  The
 library computes the same quantities in batch, by FFT, branch by branch,
 in closed form, from tabulated stage functions or between neighbouring
@@ -484,6 +484,20 @@ def nested_stage_rhs(idx: int, prices, deltas, shift_stds, grad, directions=None
         return out
 
     return lambda y: level(idx, np.atleast_1d(np.asarray(y, dtype=float)))
+
+
+def dense_last_stage_residual(grad, offset: float, std: float, price: float, *,
+                              n_points: int = 200_001) -> float:
+    """|-E[grad(offset - std Z)] - price| by a uniform rule over z in [-9, 9].
+
+    Every node weighs the standard normal density times the node spacing,
+    so a subgradient step narrower than ``std`` is resolved once the
+    spacing is well below the step's width, where the solver's 44
+    Gauss-Hermite nodes can miss it.
+    """
+    z = np.linspace(-9.0, 9.0, n_points)
+    weights = np.exp(-0.5 * z * z) * (z[1] - z[0]) / math.sqrt(2.0 * math.pi)
+    return abs(-float(np.asarray(grad(offset - std * z)) @ weights) - price)
 
 
 def read_results(path) -> BenchmarkTable:

@@ -92,6 +92,11 @@ class TestRunBenchmark:
         b = run_benchmark(cheap_scenario, ("3sigma", "ct"), **kw)
         assert a == b
 
+    def test_repeated_tags_count_once(self, cheap_scenario, cheap_schedules):
+        table = run_benchmark(cheap_scenario, ("ct", "ct"), n_runs=16, seed=0,
+                              schedules=cheap_schedules, record_timing=False)
+        assert [row.policy for row in table] == ["ct", "ideal"]
+
     def test_different_seed_differs(self, cheap_scenario, cheap_schedules):
         a = run_benchmark(cheap_scenario, ("ct",), n_runs=64, seed=1,
                           schedules=cheap_schedules, record_timing=False)
@@ -669,6 +674,60 @@ class TestCli:
             "--no-timing", "--out", str(out)])
         assert entry() == 0
         assert [row.policy for row in read_results(out)] == ["3sigma", "ct", "ideal"]
+
+    @pytest.mark.parametrize("curve", [
+        {"curve_file": "curve.csv"}, {"curve_file": 5}, {"curve_file": None},
+    ])
+    def test_bad_curve_file_exits_2(self, tmp_path, monkeypatch, capsys, curve):
+        import json
+        from rld.cli import entry
+
+        rows = "".join(f"{h},{s}\n" for h, s in DEFAULT_CURVE)
+        (tmp_path / "curve.csv").write_text(f"horizon_hours,sigma\n{rows}1\n")   # a short row
+        doc = {**sell_then_buy_doc(0.3), **curve}
+        del doc["curve"]
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr("sys.argv", [
+            "rld", "thresholds", "--engine", "ct", "--scenario", str(path), "--out", str(out)])
+        assert entry() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "curve" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    @pytest.mark.parametrize("command", [
+        ["thresholds"], ["simulate"], ["benchmark"], ["sweep", "--axis", "D"], ["rbm-table"],
+    ])
+    def test_unwritable_out_exits_2_before_solving(self, tmp_path, monkeypatch, capsys,
+                                                   command, target):
+        from rld import benchmark, cli
+
+        def solver(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        for name in ("solve_schedule", "run_benchmark", "sweep"):
+            monkeypatch.setattr(benchmark, name, solver)
+        monkeypatch.setattr(cli, "rbm_long_run", solver)
+        out = tmp_path / "missing" / "o.csv" if target == "missing directory" else tmp_path
+        monkeypatch.setattr("sys.argv", ["rld", *command, "--out", str(out)])
+        assert cli.entry() == 2
+        err = capsys.readouterr().err
+        assert "Invalid value for '--out'" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_plotdata_out_is_a_prefix_even_when_a_directory(self, tmp_path, monkeypatch):
+        from rld.cli import entry
+
+        (tmp_path / "curves").mkdir()
+        # --out comes first: --format is read before it all the same
+        monkeypatch.setattr("sys.argv", [
+            "rld", "sweep", "--axis", "D", "--grid", "0.1", "--policy", "ct", "--runs", "8",
+            "--no-timing", "--out", str(tmp_path / "curves"), "--format", "plotdata"])
+        assert entry() == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "curves", "curves_ct.csv", "curves_ideal.csv"]
 
     def test_sweep_validates_every_point_before_solving(self, tmp_path, monkeypatch, capsys):
         from rld import benchmark

@@ -188,6 +188,27 @@ class TestScenarioLoading:
         with pytest.raises(ParseError):
             load_curve(curve)
 
+    @pytest.mark.parametrize("row, cell", [
+        ("0.1", "sigma"), ("0.1,", "sigma"), (",0.01", "horizon_hours"),
+        ("abc,0.01", "horizon_hours"), ("0.1,true", "sigma"),
+    ])
+    def test_bad_curve_cells_are_parse_errors(self, tmp_path, row, cell):
+        # a short row's missing cell reads as None, which is not a number
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"horizon_hours,sigma\n24,0.04\n1,0.015\n{row}\n")
+        with pytest.raises(ParseError, match=f"line 4: {cell}: not a number"):
+            load_curve(curve)
+
+    @pytest.mark.parametrize("value", [5, None, ["curve.csv"], True])
+    def test_non_string_curve_file_is_a_parse_error(self, value):
+        doc = {
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0}],
+            "voll": 1000.0, "storage": {"B": 0.001}, "T": 6, "d_hat": 0.4,
+            "curve_file": value,
+        }
+        with pytest.raises(ParseError, match="curve_file: not a file name"):
+            scenario_from_dict(doc)
+
     def test_bad_json(self, tmp_path):
         f = tmp_path / "scn.json"
         f.write_text("{not json")
