@@ -16,9 +16,8 @@ from .dispatch import (
     solve_thresholds_backward,
     three_sigma_schedule,
 )
-from .model import BUY, SELL, Scenario, StorageSpec
+from .model import BUY, SELL, Scenario
 from .rng import policy_path_blocks
-from .storage import delivery_costs_batch
 
 RESULT_COLUMNS = ("policy", "D", "B", "n_runs", "mean_cost", "stderr",
                   "integration_cost", "wall_ms")
@@ -57,10 +56,12 @@ def evaluate_policies(scenario: Scenario, schedules: dict[str, ThresholdSchedule
     # perfect-foresight benchmark on the identical realized deficit paths:
     # buys at the first buy price and sells at the highest sell price, the
     # best each direction offers (buy prices rise toward delivery, sell
-    # prices fall, and every sell price lies below every buy price)
+    # prices fall, and every sell price lies below every buy price).  With
+    # no sell stage, selling at 0 never beats holding: it gains nothing.
     stages = scenario.ladder.stages
     buy = next(s.price for s in stages if s.direction == BUY)
     sell = max((s.price for s in stages if s.direction == SELL), default=0.0)
+    capacity, voll = scenario.storage.capacity, scenario.cost.voll
     costs = {tag: np.empty(n_runs) for tag in schedules}
     ideal = np.empty(n_runs)
     for rows, shifts, noise in policy_path_blocks(
@@ -68,31 +69,8 @@ def evaluate_policies(scenario: Scenario, schedules: dict[str, ThresholdSchedule
         forecasts, deficits = scenario.realize(shifts, noise)
         for tag, schedule in schedules.items():
             costs[tag][rows] = simulate_policy_batch(schedule, scenario, forecasts, deficits)[3]
-        ideal[rows] = _ideal_costs(deficits, scenario, buy, sell)
+        ideal[rows] = ideal_costs_batch(deficits, capacity, buy, sell, voll)[1]
     return costs, ideal
-
-
-def _ideal_costs(deficits: np.ndarray, scenario: Scenario, buy: float,
-                 sell: float) -> np.ndarray:
-    """Perfect-foresight cost of each row when it may buy at ``buy`` and sell
-    at ``sell`` (0 when no sell stage exists).
-
-    With sell < buy the cost is the larger of the buy-priced and the
-    sell-priced costs, so it is convex with a kink at zero supply: a row
-    whose buy-priced minimizer s_b is >= 0 keeps it, any other row takes the
-    sell-priced minimizer capped at 0, or 0 when no sell stage pays.
-    """
-    capacity, voll = scenario.storage.capacity, scenario.cost.voll
-    supply, costs = ideal_costs_batch(deficits, capacity, buy, voll)
-    short = np.flatnonzero(supply < 0.0)
-    if short.size:
-        rows = deficits[short]
-        s = np.zeros(short.size)
-        if sell > 0.0:
-            s = np.minimum(ideal_costs_batch(rows, capacity, sell, voll)[0], 0.0)
-        costs[short] = sell * (scenario.T * s) + delivery_costs_batch(
-            rows, s, StorageSpec(capacity), voll)
-    return costs
 
 
 def run_benchmark(scenario: Scenario, policies=("3sigma", "lattice", "ct"),

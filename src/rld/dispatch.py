@@ -498,75 +498,90 @@ def simulate_policy_batch(schedule: ThresholdSchedule, scenario: Scenario,
 _IDEAL_BLOCK = 4096
 
 
-def ideal_costs_batch(deficits: np.ndarray, capacity: float,
-                      day_ahead_price: float, voll: float):
+def ideal_costs_batch(deficits: np.ndarray, capacity: float, buy_price: float,
+                      sell_price: float, voll: float):
     """Perfect-foresight per-stage supply and cost of each deficit row.
 
-    Ideal storage.  Each row's cost ``p*T*s + VOLL*V(s)`` is convex and
-    piecewise linear in the per-stage supply s with integer-weighted
-    slopes (``storage.unserved_and_slope_batch``), so a tangent-cut
-    (Kelley) search finds its minimum exactly; see ``_ideal_supply``.  The
-    cost is ``p*(T*s) + delivery_costs_batch(...)`` at the returned s.
+    Ideal storage.  A row buys a supply s >= 0 at ``buy_price`` or sells
+    -s at ``sell_price``; its cost ``p(s)*T*s + VOLL*V(s)``, with p the
+    buy price at s >= 0 and the sell price below 0, is piecewise linear
+    in s with integer-weighted slopes (``storage.unserved_and_slope_batch``).
+    A sell price at or below the buy price only raises the slope at the
+    kink s = 0, so the cost stays convex and a tangent-cut (Kelley) search
+    finds its minimum exactly; see ``_ideal_supply``.  Equal prices give
+    the one-price cost.  The cost returned is the search's own
+    ``p*(T*s) + VOLL*V(s)`` at the returned s.
     """
+    if sell_price > buy_price:
+        raise ValueError(f"sell price {sell_price} above buy price {buy_price}: "
+                         "the ideal's cost is not convex")
     # column-major (a no-op on Scenario.realize output): the search reads
     # the deficits one stage column at a time
     deficits = np.asfortranarray(np.atleast_2d(np.asarray(deficits, dtype=float)))
     n, T = deficits.shape
     spec = StorageSpec(capacity)
-    supply = np.empty(n)
+    supply, costs = np.empty(n), np.empty(n)
     work = np.empty((min(n, _IDEAL_BLOCK), T), order="F")
     for start in range(0, n, _IDEAL_BLOCK):
         rows = slice(start, start + _IDEAL_BLOCK)
-        supply[rows] = _ideal_supply(deficits[rows], spec, day_ahead_price, voll, work)
-    costs = day_ahead_price * (T * supply) + delivery_costs_batch(deficits, supply, spec, voll)
+        supply[rows], costs[rows] = _ideal_supply(deficits[rows], spec, buy_price, sell_price,
+                                                  voll, work)
     return supply, costs
 
 
-def _ideal_supply(deficits, spec, price, voll, work):
-    """Minimizer of ``price*T*s + voll*V(s)`` for each row of one block.
+def _ideal_supply(deficits, spec, buy, sell, voll, work):
+    """Minimizer and minimum of ``p(s)*T*s + voll*V(s)`` for each row of one block.
 
     Kelley's cutting plane on a convex piecewise-linear function of one
-    variable on ideal storage ``spec``.  Each bracket end carries its cost
-    f and right slope g = price*T - voll*w (w an integer in 0..T); g < 0
-    at ``lo`` and g >= 0 at ``hi``, so the minimum lies between.  The first
-    ends are the exact outer pieces: below the lowest deficit every stage
-    is short (w = T), above the highest none is (w = 0).  Each step
-    evaluates the point t where the two tangent lines meet.  If g(t) is 0
-    or equals an end's slope, f is linear from that end to t, so f(t)
-    equals the tangent lower bound and t is a minimizer; a t that rounds
-    onto an end puts the minimum at that end.  Otherwise w(t) lies strictly
-    between the ends' weights and t replaces one end, so a row retires
-    within T steps.  The same count bounds a price outside [0, voll), whose
-    cost is unbounded below: the search then stops at an arbitrary
-    point.  The working copy ``work`` holds the unretired rows, compacted
-    after every step.
+    variable on ideal storage ``spec``, p = ``buy`` at s >= 0 and ``sell``
+    below.  Each bracket end carries its cost f and right slope
+    g = p*T - voll*w (w an integer in 0..T); g < 0 at ``lo`` and g >= 0 at
+    ``hi``, so the minimum lies between.  The first ends are the exact
+    outer pieces, widened to contain the kink at 0: below the lowest
+    deficit every stage is short (w = T), above the highest none is
+    (w = 0).  Each step evaluates the point t where the two tangent lines
+    meet.  The right slope of a convex function never decreases, so if
+    g(t) equals an end's slope it is that slope everywhere between, f is
+    linear from that end to t, and f(t) equals the tangent lower bound: t
+    is a minimizer, as it is where g(t) is 0.  A t that rounds onto an end
+    puts the minimum at that end.  Otherwise g(t) lies strictly between
+    the ends' slopes and t replaces one end.  The w in 0..T and the kink
+    make at most T + 2 linear pieces, and each such step leaves fewer
+    pieces strictly between the ends' pieces, T at first, so a row
+    retires within T + 1 steps.  The same count bounds a price outside
+    [0, voll), whose cost is unbounded below: the search then stops at an
+    arbitrary point.  The working copy ``work`` holds the unretired rows,
+    compacted after every step.  Returns (supply, cost).
     """
     m, T = deficits.shape
-    lo = deficits.min(axis=1) - 1.0
-    hi = deficits.max(axis=1) + 1.0
+    lo = np.minimum(deficits.min(axis=1) - 1.0, 0.0)
+    hi = np.maximum(deficits.max(axis=1) + 1.0, 0.0)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("deficits must be finite")
-    price_T = price * T
-    f_lo = price_T * lo + voll * (deficits.sum(axis=1) - T * lo)
-    f_hi = price_T * hi
-    g_lo = np.full(m, price_T - voll * T)
-    g_hi = np.full(m, price_T)
+    price_lo = np.where(lo < 0.0, sell * T, buy * T)
+    f_lo = price_lo * lo + voll * (deficits.sum(axis=1) - T * lo)
+    f_hi = buy * T * hi
+    g_lo = price_lo - voll * T
+    g_hi = np.full(m, buy * T)
     rows = np.arange(m)
-    out = np.empty(m)
+    supply, cost = np.empty(m), np.empty(m)
     active = work[:m]
     active[...] = deficits
     for _ in range(T + 1):
         t = lo + (f_hi - f_lo - g_hi * (hi - lo)) / (g_lo - g_hi)
         unserved, weight = unserved_and_slope_batch(active, t, spec)
+        price = np.where(t < 0.0, sell, buy)
         f = price * (T * t) + voll * unserved
-        g = price_T - voll * weight
+        g = price * T - voll * weight
         inside = (lo < t) & (t < hi)
         done = ~inside | (g == 0.0) | (g == g_lo) | (g == g_hi)
-        out[rows[done]] = np.where(inside, t, np.where(t <= lo, lo, hi))[done]
+        below = t <= lo
+        supply[rows[done]] = np.where(inside, t, np.where(below, lo, hi))[done]
+        cost[rows[done]] = np.where(inside, f, np.where(below, f_lo, f_hi))[done]
         keep = ~done
         k = int(keep.sum())
         if k == 0:
-            return out
+            return supply, cost
         if k < rows.size:
             for col in range(T):
                 work[:k, col] = active[:, col][keep]

@@ -6,7 +6,8 @@ leaving below the window, the mass staying inside, the mass leaving above,
 and the first moment of the upward-leaving mass, then carries the surviving
 sub-density forward.  Gaussian steps propagate a density sampled on a
 fixed-size grid clipped to SPAN standard deviations beyond the current
-support; discrete steps propagate exact point masses, so substituting a
+support (a window farther out than that keeps its near SPAN standard
+deviations); discrete steps propagate exact point masses, so substituting a
 discrete step distribution turns the whole recursion into exact
 enumeration.  Many walks advance at once, one array row and one window
 each, and walks that start later can join the rows of a running state.
@@ -255,8 +256,9 @@ def _gauss_step(state: _Atoms | _Grid, sigma: float, lower: np.ndarray,
         x0, x1 = pts[:, 0], pts[:, -1]
     lo = lower[rows]
     hi = upper[rows]
-    wlo = np.maximum(lo, x0 - SPAN * sigma)
-    whi = np.minimum(hi, x1 + SPAN * sigma)
+    # a window at or beyond SPAN stds of the support keeps the SPAN stds on its near side
+    wlo = np.maximum(lo, np.minimum(x0 - SPAN * sigma, hi - SPAN * sigma))
+    whi = np.minimum(hi, np.maximum(x1 + SPAN * sigma, lo + SPAN * sigma))
     dy = (whi - wlo) / (GRID_POINTS - 1)
     ys = _UNIT * dy[:, None] + wlo[:, None]
     ys[:, -1] = whi

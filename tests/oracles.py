@@ -5,7 +5,9 @@ greedy storage rule stage by stage, a one-path storage subgradient, the
 (V, Q) reformulation check, the all-branches form of the ct h functions, a
 bridge-corrected simulator of the reflected walk, three evaluators of the
 stage right-hand sides (scrambled-Sobol paths, untabulated nested
-quadrature and a dense uniform rule for the last stage), a CSV reader for benchmark tables, the ladder rules checked
+quadrature and a dense uniform rule for the last stage), the
+perfect-foresight ideal as a linear program and by two one-price
+searches, a CSV reader for benchmark tables, the ladder rules checked
 pair by pair and the forecast-revision stds computed stage by stage.  The
 library computes the same quantities in batch, by FFT, branch by branch,
 in closed form, from tabulated stage functions or between neighbouring
@@ -17,13 +19,15 @@ import csv
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
 from rld.benchmark import RESULT_COLUMNS, BenchmarkRow, BenchmarkTable
 from rld.ctapprox import _SERIES_CUTOFF, RbmParams
+from rld.dispatch import ideal_costs_batch
 from rld.model import BUY, SELL, CostModel, StorageSpec
-from rld.storage import PathOutcome
+from rld.storage import PathOutcome, delivery_costs_batch
 from rld.walks import _TINY, advance, as_steps, initial_state
 
 
@@ -498,6 +502,44 @@ def dense_last_stage_residual(grad, offset: float, std: float, price: float, *,
     z = np.linspace(-9.0, 9.0, n_points)
     weights = np.exp(-0.5 * z * z) * (z[1] - z[0]) / math.sqrt(2.0 * math.pi)
     return abs(-float(np.asarray(grad(offset - std * z)) @ weights) - price)
+
+
+def linear_program_ideal(deficits, capacity, buy, sell, voll):
+    """Perfect-foresight optimum of one row as an LP over (s+, s-, b, u, c).
+
+    The per-stage supply s = s+ - s- is bought at ``buy`` and sold at
+    ``sell``; b is the storage level, u the unserved energy and c the
+    curtailment: b_t = b_{t-1} + s - D_t + u_t - c_t, b_0 = 0.
+    """
+    T = deficits.size
+    eye = np.eye(T)
+    storage = eye - np.eye(T, k=-1)
+    a_eq = np.hstack([-np.ones((T, 1)), np.ones((T, 1)), storage, -eye, eye])
+    cost = np.concatenate([[buy * T, -sell * T], np.zeros(T), np.full(T, voll), np.zeros(T)])
+    bounds = [(0.0, None)] * 2 + [(0.0, capacity)] * T + [(0.0, None)] * (2 * T)
+    res = linprog(cost, A_eq=a_eq, b_eq=-deficits, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def two_pass_ideal(deficits, capacity, buy, sell, voll):
+    """Perfect-foresight cost of each row by two one-price searches.
+
+    With sell <= buy the cost is the larger of the buy-priced and the
+    sell-priced costs: a row whose buy-priced minimizer s_b is >= 0 keeps
+    its cost, any other row takes the sell-priced minimizer capped at 0,
+    or 0 when selling does not pay (sell <= 0).
+    """
+    supply, costs = ideal_costs_batch(deficits, capacity, buy, buy, voll)
+    short = np.flatnonzero(supply < 0.0)
+    if short.size:
+        rows = deficits[short]
+        s = np.zeros(short.size)
+        if sell > 0.0:
+            s = np.minimum(ideal_costs_batch(rows, capacity, sell, sell, voll)[0], 0.0)
+        costs[short] = sell * (rows.shape[1] * s) + delivery_costs_batch(
+            rows, s, StorageSpec(capacity), voll)
+    return costs
 
 
 def read_results(path) -> BenchmarkTable:

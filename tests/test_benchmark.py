@@ -19,7 +19,7 @@ from rld.model import MAX_T, StorageSpec, load_scenario, scenario_from_dict
 from rld.rng import BLOCK_RUNS, draw_policy_paths, run_generator
 from rld.storage import delivery_costs_batch
 from conftest import DEFAULT_CURVE, make_scenario
-from oracles import read_results
+from oracles import read_results, two_pass_ideal
 
 
 def sell_first_doc(sell_price):
@@ -70,6 +70,21 @@ def check_ideal_bounds_policies(scn, sell, n=256, seed=4):
         assert ideal[row] <= g.min() + 1e-9
         assert ideal[row] >= g.min() - (voll + 52.0) * T * (grid[1] - grid[0])
     return deficits, ideal
+
+
+def check_ideal_is_one_search(scn, deficits, ideal, buy, sell):
+    """The ideal row is bitwise one kinked search at (``buy``, ``sell``), and
+    within 1e-12 of the largest cost of the two one-price searches it replaced.
+
+    Each search stops on its own tangent cuts, so a row's rounding is that of
+    the block's cost scale: in the D = 0 buy-only case one 0.0186 cost lies
+    2.2e-14 (1.2e-12 of itself) closer to the LP optimum than the two-pass one.
+    """
+    capacity, voll = scn.storage.capacity, scn.cost.voll
+    _, expect = ideal_costs_batch(deficits, capacity, buy, sell, voll)
+    assert ideal.tobytes() == expect.tobytes()
+    ref = two_pass_ideal(deficits, capacity, buy, sell, voll)
+    np.testing.assert_allclose(ideal, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +154,7 @@ class TestRunBenchmark:
                      for shift in (0.0, -0.5, 0.5)}
         costs, ideal = evaluate_policies(scn, schedules, 256, seed=4)
         _, deficits = scn.realize(*draw_policy_paths(256, 2, scn.T, 4))
-        _, at_buy = ideal_costs_batch(deficits, scn.storage.capacity, 60.0, scn.cost.voll)
-        np.testing.assert_array_equal(ideal, at_buy)
+        check_ideal_is_one_search(scn, deficits, ideal, 60.0, -5.0)
         for tag, c in costs.items():
             assert np.all(c >= ideal - 1e-9), tag
 
@@ -149,24 +163,19 @@ class TestRunBenchmark:
         # the unconstrained ideal would sell at the 52 buy price, which no stage offers
         scn = make_scenario(T=8, B=0.01, d=d)
         deficits, ideal = check_ideal_bounds_policies(scn, sell=None)
-        s_b, at_buy = ideal_costs_batch(deficits, scn.storage.capacity, 52.0, scn.cost.voll)
+        check_ideal_is_one_search(scn, deficits, ideal, 52.0, 0.0)
+        s_b = ideal_costs_batch(deficits, scn.storage.capacity, 52.0, 52.0, scn.cost.voll)[0]
         assert np.any(s_b < 0.0)
-        at_zero = delivery_costs_batch(deficits, 0.0, StorageSpec(0.01), scn.cost.voll)
-        np.testing.assert_array_equal(ideal, np.where(s_b >= 0.0, at_buy, at_zero))
         if d < 0.0:
-            assert np.all(s_b < 0.0) and np.all(ideal >= 0.0)
+            assert np.all(s_b < 0.0) and np.all(ideal == 0.0)
 
     @pytest.mark.parametrize("d", [-0.3, 0.0])
     def test_ideal_sells_at_the_best_sell_price(self, d):
         scn = scenario_from_dict(sell_then_buy_doc(d))
         deficits, ideal = check_ideal_bounds_policies(scn, sell=40.0)
-        capacity, voll, T = scn.storage.capacity, scn.cost.voll, scn.T
-        s_b, at_buy = ideal_costs_batch(deficits, capacity, 52.0, voll)
-        s_s = np.minimum(ideal_costs_batch(deficits, capacity, 40.0, voll)[0], 0.0)
-        at_sell = 40.0 * (T * s_s) + delivery_costs_batch(deficits, s_s, StorageSpec(capacity),
-                                                          voll)
-        np.testing.assert_array_equal(ideal, np.where(s_b >= 0.0, at_buy, at_sell))
-        assert np.any((s_b < 0.0) & (s_s < 0.0))   # some rows sell
+        check_ideal_is_one_search(scn, deficits, ideal, 52.0, 40.0)
+        supply = ideal_costs_batch(deficits, scn.storage.capacity, 52.0, 40.0, scn.cost.voll)[0]
+        assert np.any(supply < 0.0)   # some rows sell
 
     @pytest.mark.parametrize("sell_price", [-5.0, 0.0])
     @pytest.mark.parametrize("engine", ["ct", "lattice", "mc"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, linprog
+from scipy.optimize import brentq
 from scipy.special import expit, ndtr, ndtri
 
 from rld import dispatch
@@ -35,7 +35,13 @@ from rld.storage import (
     unserved_and_slope_batch,
 )
 from conftest import constant_forecast, make_scenario
-from oracles import dense_last_stage_residual, nested_stage_rhs, sobol_stage_rhs
+from oracles import (
+    dense_last_stage_residual,
+    linear_program_ideal,
+    nested_stage_rhs,
+    sobol_stage_rhs,
+    two_pass_ideal,
+)
 
 VOLL = 1000.0
 SHIPPED = resources.files("rld").joinpath("data/vi_scenario.json")
@@ -769,23 +775,6 @@ def hundred_sweep_ideal(deficits, capacity, price, voll):
     return x_acc / T, costs
 
 
-def linear_program_ideal(deficits, capacity, price, voll):
-    """Perfect-foresight optimum of one row as an LP over (s, b, u, c).
-
-    s is the per-stage supply, b the storage level, u the unserved energy
-    and c the curtailment: b_t = b_{t-1} + s - D_t + u_t - c_t, b_0 = 0.
-    """
-    T = deficits.size
-    eye = np.eye(T)
-    storage = eye - np.eye(T, k=-1)
-    a_eq = np.hstack([-np.ones((T, 1)), storage, -eye, eye])
-    cost = np.concatenate([[price * T], np.zeros(T), np.full(T, voll), np.zeros(T)])
-    bounds = [(None, None)] + [(0.0, capacity)] * T + [(0.0, None)] * (2 * T)
-    res = linprog(cost, A_eq=a_eq, b_eq=-deficits, bounds=bounds, method="highs")
-    assert res.status == 0, res.message
-    return res.fun
-
-
 ideal_inputs = dict(
     T=st.integers(1, 12),
     capacity=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
@@ -801,7 +790,7 @@ class TestIdealPolicy:
     def test_no_worse_than_hundred_sweeps(self, n, T, capacity, price, order, seed):
         rng = np.random.default_rng(seed)
         deficits = np.asarray(0.05 + 0.1 * rng.standard_normal((n, T)), order=order)
-        supply, cost = ideal_costs_batch(deficits, capacity, price, VOLL)
+        supply, cost = ideal_costs_batch(deficits, capacity, price, price, VOLL)
         _, cost_ref = hundred_sweep_ideal(deficits, capacity, price, VOLL)
         assert np.all(cost <= cost_ref + 1e-12 * VOLL)
         at_supply = price * (T * supply) + delivery_costs_batch(
@@ -813,9 +802,9 @@ class TestIdealPolicy:
     def test_matches_linear_program(self, n, T, capacity, price, order, seed):
         rng = np.random.default_rng(seed)
         deficits = np.asarray(0.05 + 0.1 * rng.standard_normal((n, T)), order=order)
-        _, cost = ideal_costs_batch(deficits, capacity, price, VOLL)
+        _, cost = ideal_costs_batch(deficits, capacity, price, price, VOLL)
         for row, c in zip(deficits, cost):
-            assert abs(c - linear_program_ideal(row, capacity, price, VOLL)) <= 1e-9 * VOLL
+            assert abs(c - linear_program_ideal(row, capacity, price, price, VOLL)) <= 1e-9 * VOLL
 
     def test_search_passes_bounded(self, monkeypatch):
         import rld.dispatch as dispatch
@@ -828,7 +817,8 @@ class TestIdealPolicy:
 
         monkeypatch.setattr(dispatch, "unserved_and_slope_batch", counted)
         rng = np.random.default_rng(3)
-        ideal_costs_batch(0.05 + 0.1 * rng.standard_normal((50, 10)), 0.05, 52.0, VOLL)
+        ideal_costs_batch(0.05 + 0.1 * rng.standard_normal((50, 10)), 0.05, 52.0, 52.0,
+                          VOLL)
         # every step retires a row or narrows its integer slope range 0..T
         assert 1 <= len(passes) <= 10
 
@@ -847,12 +837,12 @@ class TestIdealPolicy:
         if step:
             # kinks of many rows coincide, so tangent lines meet on a bracket end
             deficits = step * np.round(deficits / step)
-        supply, cost = ideal_costs_batch(deficits, capacity, price, VOLL)
+        supply, cost = ideal_costs_batch(deficits, capacity, price, price, VOLL)
         _, cost_ref = hundred_sweep_ideal(deficits, capacity, price, VOLL)
         assert supply.shape == cost.shape == (shape[0],)
         assert np.all(np.isfinite(cost)) and np.all(cost <= cost_ref + 1e-12 * VOLL)
         for row, c in zip(deficits[:5], cost):
-            assert abs(c - linear_program_ideal(row, capacity, price, VOLL)) <= 1e-9 * VOLL
+            assert abs(c - linear_program_ideal(row, capacity, price, price, VOLL)) <= 1e-9 * VOLL
         if price == 0.0:
             # the optimum is the flat piece where nothing goes unserved;
             # the search stops at its kink, up to the rounding of the kink
@@ -861,16 +851,16 @@ class TestIdealPolicy:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_deficits_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            ideal_costs_batch(np.array([[bad, 0.1]]), 0.05, 52.0, VOLL)
+            ideal_costs_batch(np.array([[bad, 0.1]]), 0.05, 52.0, 52.0, VOLL)
 
     def test_constant_deficit_buys_exactly(self):
         deficits = np.full((1, 6), 0.25)
-        x_stage, cost = ideal_costs_batch(deficits, 0.3, 52.0, VOLL)
+        x_stage, cost = ideal_costs_batch(deficits, 0.3, 52.0, 52.0, VOLL)
         assert x_stage[0] == pytest.approx(0.25, abs=1e-9)
         assert cost[0] == pytest.approx(52.0 * 6 * 0.25, abs=1e-6)
 
     def test_two_stage_storage_trace(self):
-        x_stage, cost = ideal_costs_batch(np.array([[-1.0, 3.0]]), 1.0, 52.0, VOLL)
+        x_stage, cost = ideal_costs_batch(np.array([[-1.0, 3.0]]), 1.0, 52.0, 52.0, VOLL)
         assert x_stage[0] == pytest.approx(2.0, abs=1e-9)
         assert cost[0] == pytest.approx(208.0, abs=1e-6)
 
@@ -889,7 +879,7 @@ class TestIdealPolicy:
     def test_minimum_beats_grid_search(self):
         rng = np.random.default_rng(14)
         deficits = 0.05 + 0.1 * rng.standard_normal(8)
-        _, cost = ideal_costs_batch(deficits[None, :], 0.05, 52.0, VOLL)
+        _, cost = ideal_costs_batch(deficits[None, :], 0.05, 52.0, 52.0, VOLL)
         from rld.storage import delivery_costs_batch
 
         xs = np.linspace(-0.5, 1.5, 4001)
@@ -898,6 +888,92 @@ class TestIdealPolicy:
             for x in xs
         ])
         assert cost[0] <= grid + 1e-6
+
+
+kinked_inputs = dict(
+    T=st.integers(1, 12),
+    capacity=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    buy=st.floats(0.0, 999.0),
+    spread=st.one_of(st.just(0.0), st.floats(0.0, 1500.0)),
+    shift=st.floats(-0.3, 0.3),
+    seed=st.integers(0, 10_000),
+)
+
+
+def kinked_cost_at(deficits, supply, capacity, buy, sell):
+    """p(s)*(T*s) + VOLL*V(s), the cost the kinked search evaluates."""
+    price = np.where(supply < 0.0, sell, buy)
+    return price * (deficits.shape[1] * supply) + delivery_costs_batch(
+        deficits, supply, StorageSpec(capacity), VOLL)
+
+
+class TestKinkedIdeal:
+    """The ideal that buys at one price and sells at a lower one."""
+
+    @given(n=st.integers(1, 3), **kinked_inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_linear_program(self, n, T, capacity, buy, spread, shift, seed):
+        rng = np.random.default_rng(seed)
+        deficits = shift + 0.1 * rng.standard_normal((n, T))
+        supply, cost = ideal_costs_batch(deficits, capacity, buy, buy - spread, VOLL)
+        assert cost.tobytes() == kinked_cost_at(deficits, supply, capacity, buy,
+                                                buy - spread).tobytes()
+        for row, c in zip(deficits, cost):
+            lp = linear_program_ideal(row, capacity, buy, buy - spread, VOLL)
+            assert abs(c - lp) <= 1e-9 * VOLL
+
+    @given(n=st.integers(1, 30), **kinked_inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_search_steps_bounded(self, n, T, capacity, buy, spread, shift, seed):
+        # T + 2 linear pieces: at most T pieces lie strictly between the first ends
+        passes = []
+
+        def counted(*args):
+            passes.append(1)
+            return unserved_and_slope_batch(*args)
+
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dispatch, "unserved_and_slope_batch", counted)
+            ideal_costs_batch(shift + 0.1 * rng.standard_normal((n, T)), capacity, buy,
+                              buy - spread, VOLL)
+        assert 1 <= len(passes) <= T + 1
+
+    def test_rows_on_both_sides_of_the_kink(self):
+        rng = np.random.default_rng(5)
+        T, capacity = 8, 0.05
+        deficits = 0.1 * rng.standard_normal((300, T))
+        # s = 0 is a kink of V(s) too: w falls from T to 0 there, so the
+        # minimum sits exactly on it and the first tangent lines meet there
+        deficits[:3] = 0.0
+        supply, cost = ideal_costs_batch(deficits, capacity, 52.0, 40.0, VOLL)
+        assert np.all(supply[:3] == 0.0)
+        assert np.any(supply < 0.0) and np.any(supply > 0.0)
+        # on either side the search stops where the one-price search would
+        one_buy = ideal_costs_batch(deficits, capacity, 52.0, 52.0, VOLL)[1]
+        one_sell = ideal_costs_batch(deficits, capacity, 40.0, 40.0, VOLL)[1]
+        assert np.all(cost >= np.maximum(one_buy, one_sell) - 1e-12 * VOLL)
+        np.testing.assert_allclose(cost, two_pass_ideal(deficits, capacity, 52.0, 40.0, VOLL),
+                                   rtol=0.0, atol=1e-12 * VOLL)
+        assert cost.tobytes() == kinked_cost_at(deficits, supply, capacity, 52.0,
+                                                40.0).tobytes()
+        for row, c in zip(deficits[::30], cost[::30]):
+            assert abs(c - linear_program_ideal(row, capacity, 52.0, 40.0, VOLL)) <= 1e-9 * VOLL
+
+    def test_no_sale_pays_below_minus_one(self):
+        # every stage has a surplus of more than 1, so the first bracket's
+        # upper end is the kink, where a sale at -5 only costs more.  The
+        # last tangent lines meet at 0 up to rounding: some rows stop an
+        # ulp or two to its left, on the linear piece that ends there.
+        rng = np.random.default_rng(6)
+        deficits = -1.0 - rng.uniform(0.01, 2.0, (50, 8))
+        supply, cost = ideal_costs_batch(deficits, 0.05, 52.0, -5.0, VOLL)
+        assert np.all((supply <= 0.0) & (supply >= -1e-15)) and np.any(supply == 0.0)
+        np.testing.assert_array_equal(cost, -5.0 * (8 * supply))
+
+    def test_sell_above_buy_rejected(self):
+        with pytest.raises(ValueError, match="not convex"):
+            ideal_costs_batch(np.zeros((2, 3)), 0.05, 40.0, 52.0, VOLL)
 
 
 class TestSimulatePolicy:
@@ -972,5 +1048,5 @@ class TestSimulatePolicy:
         shifts, noise = draw_policy_paths(200, 3, scn.T, seed=11)
         _, _, _, totals = simulate_policy_batch(sched, scn, *scn.realize(shifts, noise))
         _, deficits = scn.realize(shifts, noise)
-        _, ideal = ideal_costs_batch(deficits, scn.storage.capacity, 52.0, VOLL)
+        _, ideal = ideal_costs_batch(deficits, scn.storage.capacity, 52.0, 52.0, VOLL)
         assert np.all(totals >= ideal - 1e-9)

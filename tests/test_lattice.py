@@ -1,5 +1,6 @@
 import itertools
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from rld import lattice
-from rld.model import ForecastModel, StorageSpec
+from rld.model import ForecastModel, StorageSpec, load_scenario
 from rld.lattice import (
     _boundary_visits,
     _templates,
@@ -329,6 +330,18 @@ class TestSubgradient:
         vals = [lattice_terminal_subgradient(x, fc, 0.01, VOLL) for x in grid]
         assert all(-VOLL <= v <= 0.0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_nondecreasing_across_the_shipped_scenario(self):
+        # far-short positions push walks into windows beyond the walks' SPAN
+        # stds; a walk dropped there while it still held mass made the
+        # subgradient fall by 3e-5 * VOLL from -6.0 to -5.9 scales
+        scn = load_scenario(resources.files("rld") / "data" / "vi_scenario.json")
+        fc = scn.delivery_forecast()
+        scale = math.sqrt(scn.T * scn.delivery_fluctuation_variance)
+        u = np.arange(-90, 91) / 10.0
+        vals = lattice_terminal_subgradient(u * scale + fc.total_mean, fc,
+                                            scn.storage.capacity, scn.cost.voll)
+        assert np.all(np.diff(vals) >= 0.0)
 
     def test_saturates_at_extremes(self):
         fc = constant_forecast(4, 0.05, 0.01)

@@ -139,6 +139,23 @@ class TestAdvanceInternals:
                 rows[i] = one.state
             state = res.state
 
+    @pytest.mark.parametrize("beyond", [6.0, 6.5, 7.5])
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+    def test_walk_survives_a_window_beyond_the_span(self, side, beyond):
+        # a window at or past SPAN stds of the support holds far more than the
+        # floor, so the walk and its inside mass carry on: from the point
+        # mass, then from a grid on (-1, 1]
+        far = (-np.inf, side * beyond) if side < 0 else (side * beyond, np.inf)
+        res = advance(initial_state(), NormalStep(1.0), *far)
+        assert res.inside == pytest.approx(norm.sf(beyond), rel=1e-12)
+        grid = advance(initial_state(), NormalStep(1.0), -1.0, 1.0).state
+        edge = side * (1.0 + beyond * 0.5)
+        res2 = advance(grid, NormalStep(0.5), *((-np.inf, edge) if side < 0 else (edge, np.inf)))
+        for r in (res, res2):
+            assert r.inside > 1e-30 and r.state is not None
+            nxt = advance(r.state, NormalStep(0.5), -np.inf, np.inf)
+            assert nxt.inside == pytest.approx(r.inside, rel=1e-12)
+
     def test_dead_state_passthrough(self):
         res = advance(None, NormalStep(1.0), -1.0, 1.0)
         assert res.inside == 0.0 and res.state is None
