@@ -125,9 +125,9 @@ def sweep(scenario: Scenario, axis: str, grid, policies=("3sigma", "lattice", "c
           n_runs: int = 2000, seed: int = 0, *, record_timing: bool = True) -> BenchmarkTable:
     """Run the benchmark along a D or B grid, one seed offset per point.
 
-    Threshold offsets are forecast-relative, so a D sweep reuses the
-    schedules solved at the first point; a B sweep re-solves per point.
-    Every point is built, and so validated, before the first solve.
+    Offsets are forecast-relative: a D sweep reuses the first point's
+    schedules; a B sweep re-solves.  Points are validated before the first
+    solve, but a B too large for a lattice or mc grid only at its own solve.
     """
     if axis not in ("D", "B"):
         raise ValueError(f"axis must be 'D' or 'B', got {axis!r}")

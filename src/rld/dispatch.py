@@ -20,7 +20,7 @@ from scipy.special import ndtr, ndtri
 
 from .ctapprox import ct_terminal_subgradient
 from .lattice import closed_form_b0, lattice_terminal_subgradient
-from .model import BUY, SELL, Scenario, StorageSpec
+from .model import BUY, SELL, Scenario, StorageSpec, ValidationError
 from .rng import run_generator
 from .storage import (
     delivery_costs_batch,
@@ -115,13 +115,14 @@ def _solve_decreasing(fn: Callable[[float], float], target: float,
 
 @dataclass(frozen=True, eq=False)
 class TerminalModel:
-    """Terminal-cost subgradient as a function of the accumulated position
-    minus the current total forecast (vectorized)."""
+    """Terminal-cost subgradient as a function of the accumulated position minus
+    the current total forecast (vectorized), smooth on a revision's scale between ``cuts``."""
 
     engine: str
     grad: Callable
     scale: float      # characteristic width, used to seed brackets
     grad_exact: Callable | None = None   # vectorized, set when grad interpolates
+    cuts: tuple[float, ...] | np.ndarray = ()
 
 
 def build_terminal_model(scenario: Scenario, engine: str, *,
@@ -173,13 +174,17 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
         def grad_ct(w):
             return ct_terminal_subgradient(w, 0.0, sigma_sq, capacity, voll)
 
-        return TerminalModel(engine, grad_ct, scale=max(scale, sigma_sq / (2 * capacity)))
+        width = sigma_sq / (2 * capacity)   # h' turns within 40 widths of 0: cut every 4
+        return TerminalModel(engine, grad_ct, max(scale, width), cuts=width * np.r_[-40:41:4])
 
     # dense grid (8 points per scale) where the subgradient transitions,
     # coarse saturated tails
     core = T * capacity + 7.5 * scale
     outer = core + 8.0 * float(scenario.curve.sigmas.max()) + 0.25
     fine = scale / 8
+    if 2 * core / fine + outer / (2 * fine) > 2**20:   # B ~ 60 on the shipped curve
+        raise ValidationError(f"storage.B: {capacity} needs a {engine} terminal grid of over "
+                              "2**20 points; the ct engine solves any B")
     ws = np.unique(np.concatenate([
         np.arange(-core, core + fine, fine),
         np.arange(-outer, outer + 4.0 * fine, 4.0 * fine),
@@ -270,37 +275,45 @@ def _mc_subgradients(deficits: np.ndarray, supplies: np.ndarray, capacity: float
     return vals
 
 
-# Gauss-Legendre rule of the stage expectations on [-8.5, 8.5] stds (1.9e-17 of the
-# mass lies beyond); spline points per revision std, capped per window reach
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(96)
+# quadrature: 22 Gauss-Legendre nodes on a cell's part of each z panel, 87% of the mass in the
+# middle one and 1.9e-17 beyond 8.5 stds (the exact lattice check takes the halves: 44
+# positions); spline points per revision std, capped per window reach
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(22)
+_PANELS, _HALVES = np.array([-8.5, -1.5, 1.5, 8.5]), np.array([-8.5, 0.0, 8.5])
 _GRID_PER_STD, _GRID_MAX = 16, 4096
 
 
-def _expectation(stages, base: Callable, s: float) -> Callable:
+def _expectation(stages, base: Callable, s: float, cuts=(), panels=_PANELS) -> Callable:
     """y -> E[W(y - s Z)], Z standard normal, W(u) the price of the first of
     ``stages`` (offset, sells, price) acting at u (a buy at u <= offset, a sell
-    at u > offset), else ``base(u)``: per cell between offsets, a price times
-    its Gaussian mass or Gauss-Legendre over the smooth base."""
-    edges = [-np.inf, *np.unique([d for d, _, _ in stages if math.isfinite(d)]), np.inf]
+    at u > offset), else ``base(u)``: per cell between offsets and ``cuts``, a
+    price times its Gaussian mass or 22 Gauss-Legendre nodes over the base on
+    its part of each z panel (edges ``panels``; skipped beyond 8.5 s of all y)."""
+    edges = [-np.inf, *np.unique([*cuts, *(d for d, _, _ in stages if math.isfinite(d))]), np.inf]
     cells = [(lo, hi, next((p for d, sells, p in stages if (d <= lo if sells else d >= hi)), None))
              for lo, hi in zip(edges[:-1], edges[1:])]
 
     def expect(y: np.ndarray) -> np.ndarray:
         out = np.zeros(y.shape)
+        reach = np.min(y, initial=np.inf) - 8.5 * s, np.max(y, initial=-np.inf) + 8.5 * s
         for lo, hi, price in cells:
             # y - s z lies in (lo, hi] for z in [(y - hi) / s, (y - lo) / s)
+            if price is None and not (lo < reach[1] and hi >= reach[0]):
+                continue
             if s == 0.0:
                 inside = (lo < y) & (y <= hi)
                 out[inside] = base(y[inside]) if price is None else price
             elif price is not None:
                 out += price * (ndtr((y - lo) / s) - ndtr((y - hi) / s))
             else:
-                a, b = np.maximum((y - hi) / s, -8.5), np.minimum((y - lo) / s, 8.5)
-                rows = np.flatnonzero(a < b)
-                half = 0.5 * (b[rows] - a[rows])
-                z = (a[rows] + half)[:, None] + half[:, None] * _GL_X
-                vals = base((y[rows, None] - s * z).ravel()).reshape(z.shape)
-                out[rows] += half * ((vals * np.exp(-0.5 * z * z)) @ _GL_W) / math.sqrt(2 * math.pi)
+                a = np.maximum((y - hi) / s, panels[:-1, None])   # a row per panel
+                half = np.maximum(0.5 * (np.minimum((y - lo) / s, panels[1:, None]) - a), 0.0)
+                p, r = np.nonzero(half)   # the (panel, y) parts of the cell, in one base call
+                h = half[p, r]
+                z = (a[p, r] + h)[:, None] + h[:, None] * _GL_X
+                vals = base((y[r, None] - s * z).ravel()).reshape(z.shape)
+                part = h * ((vals * np.exp(-0.5 * z * z)) @ _GL_W) / math.sqrt(2 * math.pi)
+                out += np.bincount(r, part, minlength=y.size)
         return out
 
     return expect
@@ -326,27 +339,25 @@ def _tabulate(fn: Callable, far: Callable, spans, step: float) -> Callable:
 
 
 def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
-                        grad, *, scale: float = 1.0, grad_exact: Callable | None = None,
-                        directions: tuple[str, ...] | None = None):
+                        model: TerminalModel, *, directions: tuple[str, ...] | None = None):
     """Backward recursion for the per-stage threshold offsets.
 
     ``shift_stds[r]`` is the std of the forecast revision after stage r+1
     (the last entry is the revision between the final market and
     delivery).  Stage r solves U_r(delta) = price_r in the position minus
-    the current forecast.  U_{R-1} is the expected terminal subgradient by
-    Gauss-Hermite quadrature over the final revision (the 44 of 64 nodes of
-    normalized weight >= 1e-18).  Earlier stages follow the first future
-    action: U_{k-1}(y) = E[W_k(y - s_{k-1} Z)], with W_k = price_k where
-    stage k acts and U_k elsewhere (``_expectation``); a level with a
-    positive std is tabulated near the later offsets.  Every stage equation
-    is solved by Illinois regula falsi (``_solve_decreasing``).  With
-    ``grad_exact`` the last stage's offset is then checked against the
-    exact right-hand side; only while that misses the 1e-6 * voll gate does
-    it take Newton steps (at most 6, slopes from the interpolated side),
-    and its recorded residual is the exact one at the returned offset.  A
-    sell stage whose right-hand side never falls below its price never pays
-    to sell: its offset is +inf (residual 0).  Returns (offsets, residuals,
-    iterations); an iteration count is root-finder steps plus Newton steps.
+    the current forecast, for the ``model``'s terminal subgradient grad:
+    U_{R-1}(y) = -E[grad(y - s_{R-1} Z)], U_{k-1}(y) = E[W_k(y - s_{k-1} Z)],
+    W_k = price_k where stage k acts and U_k elsewhere, each one
+    ``_expectation`` split at the model's ``cuts`` while no revision has
+    smoothed grad, tabulated near the later offsets where its std is
+    positive; every equation is solved by Illinois regula falsi.  With
+    ``model.grad_exact`` the last offset is then checked against the exact
+    right-hand side (on the two z halves: 44 positions); only while that
+    misses the 1e-6 * voll gate does it take Newton steps (at most 6,
+    slopes from the interpolated side), and its recorded residual is the
+    exact one at the returned offset.  A sell stage whose right-hand side
+    never falls below its price never pays to sell: offset +inf, residual
+    0.  Returns (offsets, residuals, iterations: root-finder plus Newton steps).
     """
     prices = np.asarray(prices, dtype=float)
     shift_stds = np.asarray(shift_stds, dtype=float)
@@ -355,24 +366,16 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
         raise ValueError("need one forecast-revision std per market stage")
     if directions is None:
         directions = (BUY,) * R
+    grad, scale, grad_exact, cuts = model.grad, model.scale, model.grad_exact, model.cuts
     deltas, residuals = np.empty(R), np.empty(R)
     iterations = np.zeros(R, dtype=int)
     resid_tol = 1e-6 * voll
-
-    gh_x, weights = np.polynomial.hermite.hermgauss(64)
-    weights /= math.sqrt(math.pi)
-    gh_x, weights = gh_x[weights >= 1e-18], weights[weights >= 1e-18]
-
-    def terminal(std: float, g: Callable = grad) -> Callable:
-        """u -> -E[g(u - std Z)] by Gauss-Hermite quadrature."""
-        shifts = math.sqrt(2.0) * std * gh_x
-        return lambda u: -(g((u[:, None] - shifts).ravel()).reshape(u.size, shifts.size) @ weights)
 
     # level k's spline windows reach 9 total stds plus 8.5 per revision before k
     tail_std = np.sqrt(np.cumsum(shift_stds[::-1] ** 2)[::-1])
     reach = 9.0 * tail_std[0] + 8.5 * (np.cumsum(shift_stds) - shift_stds)
     later, stages = [], []   # (offset, sells, price): solved, and acting at U_k's position
-    expect = terminal(float(shift_stds[R - 1]))
+    expect = _expectation([], lambda u: -grad(u), float(shift_stds[R - 1]), cuts)
     for idx in range(R - 1, -1, -1):
         if idx < R - 1:
             k = idx + 1
@@ -384,10 +387,12 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
                 keep = (-math.inf, d_k + 4 * step) if sells else (d_k - 4 * step, math.inf)
                 spans = [(max(d - reach[k], keep[0]), min(d + reach[k], keep[1]))
                          for d, _, _ in later if math.isfinite(d)]
-                far = _expectation(later[1:], terminal(float(tail_std[k])), 0.0)
+                far = _expectation(later[1:], _expectation([], lambda u: -grad(u),
+                                                           float(tail_std[k]), cuts), 0.0)
                 base = _tabulate(base, far, spans, step)
             stages = [later[0], *stages]
-            expect = _expectation(stages, base, float(shift_stds[idx]))
+            expect = _expectation(stages, base, float(shift_stds[idx]),
+                                  cuts if tail_std[k] == 0.0 else ())
 
         def rhs(delta: float, expect=expect) -> float:
             return float(expect(np.array([delta]))[0])
@@ -406,7 +411,7 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
         if idx == R - 1 and grad_exact is not None and math.isfinite(deltas[idx]):
             # check against the exact engine, with Newton steps while the gate
             # is missed: the recorded residual is that of the returned offset
-            rhs_exact = terminal(float(shift_stds[idx]), grad_exact)
+            rhs_exact = _expectation([], lambda u: -grad_exact(u), shift_stds[idx], cuts, _HALVES)
             h = 1e-5 * max(scale, 1.0)
             resid = float(rhs_exact(deltas[idx:idx + 1])[0]) - float(prices[idx])
             for _ in range(6):
@@ -447,9 +452,8 @@ def solve_thresholds_backward(scenario: Scenario, engine: str = "lattice", *,
     """Solve every stage's threshold offset; ``seed`` keys the mc engine's paths."""
     model = build_terminal_model(scenario, engine, seed=seed)
     deltas, residuals, iterations = solve_delta_offsets(
-        scenario.ladder.prices, scenario.cost.voll, scenario.inter_stage_stds(), model.grad,
-        scale=model.scale, grad_exact=model.grad_exact, directions=scenario.ladder.directions,
-    )
+        scenario.ladder.prices, scenario.cost.voll, scenario.inter_stage_stds(), model,
+        directions=scenario.ladder.directions)
     return ThresholdSchedule(engine, deltas, residuals, iterations)
 
 

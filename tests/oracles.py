@@ -496,8 +496,8 @@ def dense_last_stage_residual(grad, offset: float, std: float, price: float, *,
 
     Every node weighs the standard normal density times the node spacing,
     so a subgradient step narrower than ``std`` is resolved once the
-    spacing is well below the step's width, where the solver's 44
-    Gauss-Hermite nodes can miss it.
+    spacing is well below the step's width, with no knowledge of where
+    the step lies: the solver's rule needs the model's cuts to see it.
     """
     z = np.linspace(-9.0, 9.0, n_points)
     weights = np.exp(-0.5 * z * z) * (z[1] - z[0]) / math.sqrt(2.0 * math.pi)

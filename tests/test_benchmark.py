@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from rld.rng import BLOCK_RUNS, draw_policy_paths, run_generator
 from rld.storage import delivery_costs_batch
 from conftest import DEFAULT_CURVE, make_scenario
 from oracles import read_results, two_pass_ideal
+
+SHIPPED = Path(str(resources.files("rld").joinpath("data/vi_scenario.json")))
 
 
 def sell_first_doc(sell_price):
@@ -703,6 +706,30 @@ class TestCli:
         assert entry() == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "curve" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("engine", ["lattice", "mc", "ct"])
+    def test_huge_capacity_grid_exits_2(self, tmp_path, monkeypatch, capsys, engine):
+        # at B = 1e6 the lattice and mc terminal grid would hold about 1e10
+        # points: it is counted and refused before it is laid out.  The
+        # analytic ct engine needs no grid and solves it
+        import json
+        from rld.cli import entry
+
+        doc = json.loads(SHIPPED.read_text())
+        doc["storage"]["B"] = 1e6
+        doc["curve_file"] = str(SHIPPED.parent / doc["curve_file"])
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr("sys.argv", [
+            "rld", "thresholds", "--engine", engine, "--scenario", str(path), "--out", str(out)])
+        if engine == "ct":
+            assert entry() == 0
+            return
+        assert entry() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: storage.B") and engine in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("target", ["missing directory", "directory"])

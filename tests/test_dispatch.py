@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
@@ -18,6 +18,7 @@ from rld import dispatch
 from rld.ctapprox import ct_terminal_cost, ct_terminal_subgradient, h_prime
 from rld.dispatch import (
     DegeneratePriceError,
+    TerminalModel,
     _solve_decreasing,
     build_terminal_model,
     ideal_costs_batch,
@@ -50,7 +51,7 @@ SHIPPED = resources.files("rld").joinpath("data/vi_scenario.json")
 def last_stage_offset(price, grad, scale):
     """(offset, residual) of a single buy stage with no final revision."""
     deltas, residuals, _ = solve_delta_offsets(
-        np.array([price]), VOLL, np.array([0.0]), grad, scale=scale
+        np.array([price]), VOLL, np.array([0.0]), TerminalModel("test", grad, scale)
     )
     return deltas[0], residuals[0]
 
@@ -63,7 +64,7 @@ def ct_offsets(prices, shift_stds, capacity, sigma_sq):
     scale = max(sigma_sq / (2.0 * capacity), math.sqrt(sigma_sq))
     deltas, _, _ = solve_delta_offsets(
         np.asarray(prices, dtype=float), VOLL, np.asarray(shift_stds, dtype=float),
-        grad, scale=scale,
+        TerminalModel("ct", grad, scale),
     )
     return deltas
 
@@ -207,7 +208,7 @@ class TestDeltaOffsets:
             return closed_form_b0(np.asarray(w, dtype=float), fc, VOLL)[1]
 
         deltas, _, _ = solve_delta_offsets(
-            np.array([72.0]), VOLL, np.array([0.4]), grad, scale=0.5
+            np.array([72.0]), VOLL, np.array([0.4]), TerminalModel("test", grad, 0.5)
         )
         target = math.sqrt(0.3**2 + 0.4**2) * ndtri(1.0 - 72.0 / VOLL)
         assert deltas[0] == pytest.approx(target, abs=1e-5)
@@ -255,7 +256,8 @@ class TestDeltaOffsets:
             return grad(k * (np.asarray(w, dtype=float) - shift))
 
         deltas, residuals, _ = solve_delta_offsets(
-            np.array([500.0]), VOLL, np.array([s]), grad, scale=sigma, grad_exact=grad_exact)
+            np.array([500.0]), VOLL, np.array([s]),
+            TerminalModel("test", grad, sigma, grad_exact=grad_exact))
         # the 2.5x steeper Gaussian smoothed by the revision std s
         exact = VOLL * ndtr(-k * (deltas[0] - shift) / math.hypot(sigma, k * s))
         assert len(calls) == 7, calls
@@ -333,10 +335,16 @@ class TestStageRecursion:
 
     @given(ladder=recursion_ladders())
     @settings(max_examples=25, deadline=None)
+    # stage 0 misses the gate by 1.13x under a single 44-node Gauss-Legendre
+    # panel per cell, and clears it at 0.044x under 22 nodes on each half;
+    # the solver's three 22-node panels clear it at 0.003x, as 96 nodes did
+    @example(ladder=(np.array([45., -5., 46., 54.]), ("buy", "sell", "buy", "buy"),
+                     np.array([1., .25, 1., 0.]), 1.0))
     def test_offsets_solve_the_oracle_stages(self, ladder):
         prices, directions, stds, sigma = ladder
         grad, rhs_last = gaussian_terminal(sigma)
-        deltas, residuals, _ = solve_delta_offsets(prices, VOLL, stds, grad, scale=sigma,
+        deltas, residuals, _ = solve_delta_offsets(prices, VOLL, stds,
+                                                   TerminalModel("test", grad, sigma),
                                                    directions=directions)
         gate = 1e-6 * VOLL
         assert np.all(residuals < gate)
@@ -369,18 +377,16 @@ class TestStageRecursion:
         check_oracle_residuals(scn, engine)
 
     @pytest.mark.parametrize("engine, capacity", [
-        *[(engine, capacity) for engine in ("mc", "ct") for capacity in (1e-4, 1e-3, 1e-2)],
-        ("mc", 1e-1),
-        pytest.param("ct", 1e-1, marks=pytest.mark.xfail(strict=True, reason=(
-            "the last stage's 44 Gauss-Hermite nodes miss the ct subgradient step of "
-            "width sigma^2/2B = 4e-4: 1.8e-4 VOLL recomputed against 4.7e-12 reported "
-            "(CHANGES.md FOUND line; ROADMAP open item 'Honest last-stage residuals')"))),
-        ("lattice", 1e-3),
+        *[(engine, capacity) for engine in ("mc", "ct") for capacity in (1e-4, 1e-3, 1e-2, 1e-1)],
+        # the ct step of width sigma^2/2B = 4e-5 against a final revision std
+        # of 4.5e-3: a rule without ct's cuts recomputes at 1.1e-2 VOLL
+        ("ct", 1.0),
+        ("lattice", 1e-3), ("lattice", 1e-2),
     ])
     def test_dense_rule_last_stage_residual(self, engine, capacity, monkeypatch):
         # recompute against the model the solver built: the interpolated or
-        # analytic subgradient, and for the lattice its exact engine on at
-        # most 201 nodes (each node is one exact lattice position)
+        # analytic subgradient, and for the lattice its exact engine on 201
+        # nodes (each node is one exact lattice position)
         scn = load_scenario(str(SHIPPED)).with_capacity(capacity)
         built = []
         build = dispatch.build_terminal_model
@@ -406,6 +412,21 @@ class TestStageRecursion:
         assert np.all(unpolished <= 1e-7 * scn.cost.voll), residuals
         assert np.all(residuals < 1e-6 * scn.cost.voll), residuals
 
+    def test_unrevised_terminal_keeps_the_cuts(self):
+        # with no final revision the middle stage integrates the raw ct
+        # subgradient, a step of width sigma^2/2B = 4e-5 at B = 1: without the
+        # model's cuts there, the dense rule recomputes it at 3.6e-5 VOLL
+        scn = load_scenario(str(SHIPPED)).with_capacity(1.0)
+        model = build_terminal_model(scn, "ct")
+        prices, stds = scn.ladder.prices, scn.inter_stage_stds() * [1.0, 1.0, 0.0]
+        deltas, _, _ = solve_delta_offsets(prices, scn.cost.voll, stds, model)
+
+        def last_stage_acting(u):
+            return np.where(u <= deltas[2], -prices[2], model.grad(u))
+
+        resid = dense_last_stage_residual(last_stage_acting, deltas[1], stds[1], prices[1])
+        assert resid < 1e-6 * scn.cost.voll, resid
+
     @pytest.mark.parametrize("engine", ["lattice", "ct"])
     def test_zero_std_middle_revision(self, engine):
         scn = make_scenario(T=12, B=0.01, prices=(50.0, 55.0, 60.0, 72.0),
@@ -430,7 +451,8 @@ class TestStageRecursion:
         # 16 grid points per std would ask for 1e6 to 1e13 points
         grad, _ = gaussian_terminal(0.07)
         prices, stds = np.array([52.0, 60.0, 72.0]), np.array([0.037, tiny, 0.0045])
-        deltas, residuals, _ = solve_delta_offsets(prices, VOLL, stds, grad, scale=0.07)
+        deltas, residuals, _ = solve_delta_offsets(prices, VOLL, stds,
+                                                   TerminalModel("test", grad, 0.07))
         assert max(spline_sizes) <= 2 * dispatch._GRID_MAX + 16, spline_sizes
         assert np.all(residuals < 1e-6 * VOLL)
         for idx in range(2):
@@ -566,9 +588,10 @@ class TestTerminalModel:
         approx = build_terminal_model(scn, "lattice").grad(ws)
         assert np.max(np.abs(approx - exact)) < 1e-6 * voll
 
-    def test_shipped_lattice_solve_checks_once(self, monkeypatch):
-        # one exact solve for the grid and one that finds the interpolated
-        # last-stage root within the gate: no Newton step is needed
+    @staticmethod
+    def exact_lattice_positions(monkeypatch, capacity):
+        """Positions per ``lattice_terminal_subgradient`` call of one shipped
+        lattice solve at ``capacity``."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -576,10 +599,21 @@ class TestTerminalModel:
             return lattice_terminal_subgradient(*args, **kwargs)
 
         monkeypatch.setattr(dispatch, "lattice_terminal_subgradient", counting)
-        scn = load_scenario(str(SHIPPED))
+        scn = load_scenario(str(SHIPPED)).with_capacity(capacity)
         sched = solve_thresholds_backward(scn, "lattice")
-        assert len(calls) == 2, calls
         assert sched.residuals[-1] <= 1e-6 * scn.cost.voll
+        return calls
+
+    def test_shipped_lattice_solve_checks_once(self, monkeypatch):
+        # one exact solve for the 203-point grid and one check of the last
+        # stage, a position per quadrature node: no Newton step is needed
+        assert self.exact_lattice_positions(monkeypatch, 1e-3) == [203, 44]
+
+    def test_lattice_polish_checks_at_most_44_positions(self, monkeypatch):
+        # at B = 1e-2 the interpolated root misses the gate: one Newton step,
+        # checked again, so a rule with more nodes costs twice
+        calls = self.exact_lattice_positions(monkeypatch, 1e-2)
+        assert len(calls) == 3 and max(calls[1:]) <= 44, calls
 
     def test_ct_engine_is_analytic(self, small_scenario):
         scn = small_scenario
