@@ -126,8 +126,7 @@ def sweep(scenario: Scenario, axis: str, grid, policies=("3sigma", "lattice", "c
     """Run the benchmark along a D or B grid, one seed offset per point.
 
     Offsets are forecast-relative: a D sweep reuses the first point's
-    schedules; a B sweep re-solves.  Points are validated before the first
-    solve, but a B too large for a lattice or mc grid only at its own solve.
+    schedules; a B sweep re-solves.  Points are validated before the first solve.
     """
     if axis not in ("D", "B"):
         raise ValueError(f"axis must be 'D' or 'B', got {axis!r}")

@@ -132,11 +132,12 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
     A uniform shift of the forecast is identical to an opposite shift of
     the accumulated position, so one curve in w = x - forecast_total
     serves every forecast level.  The lattice and Monte Carlo engines are
-    evaluated on a dense grid and interpolated in probit space by a
-    monotone cubic with filtered spline slopes (``_monotone_cubic``); the
-    continuous-time engine is analytic.  All three engines model ideal
-    storage of the scenario's capacity and ignore its efficiencies, even
-    at nu = 0, where the storage can deliver nothing.
+    evaluated on one uniform grid, whatever the capacity, and interpolated
+    in probit space by a monotone cubic with filtered spline slopes
+    (``_monotone_cubic``), held at the grid ends; the continuous-time engine
+    is analytic.  All three engines model ideal storage of the scenario's
+    capacity and ignore its efficiencies, even at nu = 0, where the storage
+    can deliver nothing.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -177,18 +178,17 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
         width = sigma_sq / (2 * capacity)   # h' turns within 40 widths of 0: cut every 4
         return TerminalModel(engine, grad_ct, max(scale, width), cuts=width * np.r_[-40:41:4])
 
-    # dense grid (8 points per scale) where the subgradient transitions,
-    # coarse saturated tails
-    core = T * capacity + 7.5 * scale
-    outer = core + 8.0 * float(scenario.curve.sigmas.max()) + 0.25
+    # 8 points per scale (sqrt(T) stage stds), 9 scales beyond the lowest and
+    # the highest stage deficit: below, every stage is short and the empty
+    # storage never charges, above none is, so the subgradient is -voll and 0
+    # there to T * ndtr(-9) * voll; only the profile's spread adds points
     fine = scale / 8
-    if 2 * core / fine + outer / (2 * fine) > 2**20:   # B ~ 60 on the shipped curve
-        raise ValidationError(f"storage.B: {capacity} needs a {engine} terminal grid of over "
-                              "2**20 points; the ct engine solves any B")
-    ws = np.unique(np.concatenate([
-        np.arange(-core, core + fine, fine),
-        np.arange(-outer, outer + 4.0 * fine, 4.0 * fine),
-    ]))
+    spread = T * float(np.ptp(fc.d_hat))
+    steps = 2 * 9 * 8 + math.ceil(spread / fine)
+    if steps >= 2**20:
+        raise ValidationError(f"d_hat: a profile spread of {spread:.6g} needs a {engine} "
+                              "terminal grid of over 2**20 points; the ct engine solves any profile")
+    ws = T * float(fc.d_hat.min()) - m_total - 9.0 * scale + fine * np.arange(steps + 1)
 
     if engine == "lattice":
         vals = lattice_terminal_subgradient(ws + m_total, fc, capacity, voll)

@@ -708,19 +708,48 @@ class TestCli:
         assert err.startswith("error: ") and "curve" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("engine", ["lattice", "mc", "ct"])
-    def test_huge_capacity_grid_exits_2(self, tmp_path, monkeypatch, capsys, engine):
-        # at B = 1e6 the lattice and mc terminal grid would hold about 1e10
-        # points: it is counted and refused before it is laid out.  The
-        # analytic ct engine needs no grid and solves it
+    @staticmethod
+    def shipped_variant(tmp_path, edit):
+        """The shipped scenario file after ``edit(doc)``, written to tmp_path."""
         import json
-        from rld.cli import entry
 
         doc = json.loads(SHIPPED.read_text())
-        doc["storage"]["B"] = 1e6
         doc["curve_file"] = str(SHIPPED.parent / doc["curve_file"])
+        edit(doc)
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("engine", ["lattice", "mc", "ct"])
+    def test_huge_capacity_solves(self, tmp_path, monkeypatch, engine):
+        # the lattice and mc grids span where the subgradient can move, which
+        # does not depend on B: every engine solves B = 1e6 (the lattice at
+        # T = 12, where its walks stay cheap)
+        from rld.cli import entry
+
+        def edit(doc):
+            doc["storage"]["B"] = 1e6
+            if engine == "lattice":
+                doc["T"] = 12
+
+        path = self.shipped_variant(tmp_path, edit)
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr("sys.argv", [
+            "rld", "thresholds", "--engine", engine, "--scenario", str(path), "--out", str(out)])
+        assert entry() == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("engine", ["lattice", "mc", "ct"])
+    def test_widely_spread_profile_grid_exits_2(self, tmp_path, monkeypatch, capsys, engine):
+        # stage deficits of +-100 put the lattice and mc grid over 2**20
+        # points: it is counted and refused before it is laid out.  The
+        # analytic ct engine needs no grid and solves it
+        from rld.cli import entry
+
+        def edit(doc):
+            doc["d_hat"] = [100.0 * (-1) ** t for t in range(doc["T"])]
+
+        path = self.shipped_variant(tmp_path, edit)
         out = tmp_path / "o.csv"
         monkeypatch.setattr("sys.argv", [
             "rld", "thresholds", "--engine", engine, "--scenario", str(path), "--out", str(out)])
@@ -729,7 +758,7 @@ class TestCli:
             return
         assert entry() == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: storage.B") and engine in err and "Traceback" not in err
+        assert err.startswith("error: d_hat") and engine in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("target", ["missing directory", "directory"])

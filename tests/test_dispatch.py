@@ -589,9 +589,9 @@ class TestTerminalModel:
         assert np.max(np.abs(approx - exact)) < 1e-6 * voll
 
     @staticmethod
-    def exact_lattice_positions(monkeypatch, capacity):
-        """Positions per ``lattice_terminal_subgradient`` call of one shipped
-        lattice solve at ``capacity``."""
+    def exact_lattice_positions(monkeypatch, scn):
+        """Positions per ``lattice_terminal_subgradient`` call of one lattice
+        solve of ``scn``."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -599,21 +599,50 @@ class TestTerminalModel:
             return lattice_terminal_subgradient(*args, **kwargs)
 
         monkeypatch.setattr(dispatch, "lattice_terminal_subgradient", counting)
-        scn = load_scenario(str(SHIPPED)).with_capacity(capacity)
         sched = solve_thresholds_backward(scn, "lattice")
         assert sched.residuals[-1] <= 1e-6 * scn.cost.voll
         return calls
 
     def test_shipped_lattice_solve_checks_once(self, monkeypatch):
-        # one exact solve for the 203-point grid and one check of the last
+        # one exact solve for the 145-point grid and one check of the last
         # stage, a position per quadrature node: no Newton step is needed
-        assert self.exact_lattice_positions(monkeypatch, 1e-3) == [203, 44]
+        scn = load_scenario(str(SHIPPED))
+        assert self.exact_lattice_positions(monkeypatch, scn) == [145, 44]
 
     def test_lattice_polish_checks_at_most_44_positions(self, monkeypatch):
         # at B = 1e-2 the interpolated root misses the gate: one Newton step,
         # checked again, so a rule with more nodes costs twice
-        calls = self.exact_lattice_positions(monkeypatch, 1e-2)
-        assert len(calls) == 3 and max(calls[1:]) <= 44, calls
+        scn = load_scenario(str(SHIPPED)).with_capacity(1e-2)
+        assert self.exact_lattice_positions(monkeypatch, scn) == [145, 44, 44]
+
+    def test_grid_does_not_grow_with_capacity(self, monkeypatch):
+        # the grid spans where the subgradient can move, which does not depend on B
+        grids = [self.exact_lattice_positions(monkeypatch, make_scenario(T=12, B=capacity))[0]
+                 for capacity in (1e-4, 1.0)]
+        assert grids == [145, 145]
+
+    @pytest.mark.parametrize("varied", [False, True], ids=["flat", "varied"])
+    @pytest.mark.parametrize("T", [1, 12, 60])
+    @pytest.mark.parametrize("capacity", [1e-4, 1e-2, 1.0, 1e6])
+    def test_exact_subgradient_saturates_at_the_grid_ends(self, monkeypatch, capacity, T,
+                                                          varied):
+        # the grid reaches 9 scales beyond every stage's predicted deficit:
+        # every stage short below it, none above, whatever the capacity
+        d_hat = (0.4 / T * (1.0 + 0.3 * np.sin(2 * np.pi * np.arange(T) / T))).tolist()
+        scn = make_scenario(T=T, B=capacity, d=d_hat if varied else 0.4)
+        fc = scn.delivery_forecast()
+        grids = []
+
+        def recording(x, forecast, *args):   # any monotone stand-in: only the grid is read
+            grids.append(np.array(x))
+            return closed_form_b0(x, forecast, VOLL)[1]
+
+        monkeypatch.setattr(dispatch, "lattice_terminal_subgradient", recording)
+        build_terminal_model(scn, "lattice")
+        ends = grids[0][[0, -1]]
+        assert np.allclose(np.diff(grids[0]), np.diff(grids[0])[0])
+        low, high = lattice_terminal_subgradient(ends, fc, capacity, VOLL)
+        assert abs(low + VOLL) <= 1e-15 * VOLL and abs(high) <= 1e-15 * VOLL
 
     def test_ct_engine_is_analytic(self, small_scenario):
         scn = small_scenario
