@@ -116,7 +116,10 @@ def _solve_decreasing(fn: Callable[[float], float], target: float,
 @dataclass(frozen=True, eq=False)
 class TerminalModel:
     """Terminal-cost subgradient as a function of the accumulated position minus
-    the current total forecast (vectorized), smooth on a revision's scale between ``cuts``."""
+    the current total forecast (vectorized), smooth on a revision's scale between
+    ``cuts``.  Cuts mark turns narrower than that: the stage cells split at them,
+    and a stage table sums over its tick lattice across them only with a step
+    of at most a quarter of their spacing (ct: a cut every 4 widths sigma^2/2B)."""
 
     engine: str
     grad: Callable
@@ -288,14 +291,29 @@ def _expectation(stages, base: Callable, s: float, cuts=(), panels=_PANELS) -> C
     ``stages`` (offset, sells, price) acting at u (a buy at u <= offset, a sell
     at u > offset), else ``base(u)``: per cell between offsets and ``cuts``, a
     price times its Gaussian mass or 22 Gauss-Legendre nodes over the base on
-    its part of each z panel (edges ``panels``; skipped beyond 8.5 s of all y)."""
+    its part of each z panel (edges ``panels``; skipped beyond 8.5 s of all y).
+
+    ``expect(y, step)`` takes ascending y on the lattice of multiples of a
+    ``step`` no coarser than s / 16.  A y whose 8.5 s window holds no offset
+    and lies where no stage acts then takes ``_lattice_sum`` instead, unless
+    ``cuts`` closer than 4 steps mark turns in the base too narrow for it."""
     edges = [-np.inf, *np.unique([*cuts, *(d for d, _, _ in stages if math.isfinite(d))]), np.inf]
     cells = [(lo, hi, next((p for d, sells, p in stages if (d <= lo if sells else d >= hi)), None))
              for lo, hi in zip(edges[:-1], edges[1:])]
+    smooth = np.array([price is None for _, _, price in cells])
+    offsets = np.array([d for d, _, _ in stages if math.isfinite(d)])
+    cut_gap = np.min(np.diff(np.unique(cuts)), initial=np.inf)
 
-    def expect(y: np.ndarray) -> np.ndarray:
+    def expect(y: np.ndarray, step: float = 0.0) -> np.ndarray:
         out = np.zeros(y.shape)
-        reach = np.min(y, initial=np.inf) - 8.5 * s, np.max(y, initial=-np.inf) + 8.5 * s
+        summed = np.zeros(y.shape, dtype=bool)
+        if 0.0 < 16.0 * step <= s and 4.0 * step <= cut_gap:
+            summed = smooth[np.searchsorted(edges, y) - 1]
+            summed &= (np.abs(y[:, None] - offsets) > 8.5 * s).all(axis=1)
+            if summed.any():
+                out[summed] = _lattice_sum(base, y[summed], s, step)
+        gl = y[~summed]
+        reach = np.min(gl, initial=np.inf) - 8.5 * s, np.max(gl, initial=-np.inf) + 8.5 * s
         for lo, hi, price in cells:
             # y - s z lies in (lo, hi] for z in [(y - hi) / s, (y - lo) / s)
             if price is None and not (lo < reach[1] and hi >= reach[0]):
@@ -308,6 +326,7 @@ def _expectation(stages, base: Callable, s: float, cuts=(), panels=_PANELS) -> C
             else:
                 a = np.maximum((y - hi) / s, panels[:-1, None])   # a row per panel
                 half = np.maximum(0.5 * (np.minimum((y - lo) / s, panels[1:, None]) - a), 0.0)
+                half[:, summed] = 0.0
                 p, r = np.nonzero(half)   # the (panel, y) parts of the cell, in one base call
                 h = half[p, r]
                 z = (a[p, r] + h)[:, None] + h[:, None] * _GL_X
@@ -319,12 +338,30 @@ def _expectation(stages, base: Callable, s: float, cuts=(), panels=_PANELS) -> C
     return expect
 
 
+def _lattice_sum(base: Callable, y: np.ndarray, s: float, step: float) -> np.ndarray:
+    """E[base(y - s Z)] at ascending y on the ``step`` lattice as the sum of
+    base(y - m step) phi(m step / s) step / s over |m step| <= 8.5 s: one base
+    call on the lattice points within 8.5 s of y, and one convolution per run
+    of y whose windows overlap."""
+    m_max = int(8.5 * s / step)
+    taps = np.exp(-0.5 * (np.arange(-m_max, m_max + 1) * (step / s)) ** 2)
+    taps *= step / (s * math.sqrt(2 * math.pi))
+    t = np.rint(y / step).astype(np.int64)
+    runs = np.split(t, np.flatnonzero(np.diff(t) > 2 * m_max) + 1)
+    points = [np.arange(run[0] - m_max, run[-1] + m_max + 1) for run in runs]
+    vals = np.split(base(np.concatenate(points) * step), np.cumsum([p.size for p in points])[:-1])
+    return np.concatenate([np.convolve(v, taps, "valid")[run - run[0]]
+                           for run, v in zip(runs, vals)])
+
+
 def _tabulate(fn: Callable, far: Callable, spans, step: float) -> Callable:
-    """``fn`` by a cubic spline per run of multiples of ``step`` in ``spans``; ``far`` elsewhere."""
+    """``fn`` by a cubic spline per run of multiples of ``step`` in ``spans``, its
+    values from one ``fn(ticks, step)`` call; ``far`` elsewhere."""
     ticks = np.unique([t for lo, hi in spans
                        for t in range(math.floor(lo / step), math.ceil(hi / step) + 1)])
-    runs = np.split(ticks, np.flatnonzero(np.diff(ticks) > 1) + 1)
-    splines = [CubicSpline(t * step, fn(t * step)) for t in runs if t.size > 1]
+    breaks = np.flatnonzero(np.diff(ticks) > 1) + 1
+    runs = zip(np.split(ticks, breaks), np.split(fn(ticks * step, step), breaks))
+    splines = [CubicSpline(t * step, v) for t, v in runs if t.size > 1]
 
     def table(u: np.ndarray) -> np.ndarray:
         out = np.full(u.shape, np.nan)
@@ -349,11 +386,14 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
     U_{R-1}(y) = -E[grad(y - s_{R-1} Z)], U_{k-1}(y) = E[W_k(y - s_{k-1} Z)],
     W_k = price_k where stage k acts and U_k elsewhere, each one
     ``_expectation`` split at the model's ``cuts`` while no revision has
-    smoothed grad, tabulated near the later offsets where its std is
-    positive; every equation is solved by Illinois regula falsi.  With
-    ``model.grad_exact`` the last offset is then checked against the exact
-    right-hand side (on the two z halves: 44 positions); only while that
-    misses the 1e-6 * voll gate does it take Newton steps (at most 6,
+    smoothed grad.  Where its std is positive, U_k is tabulated near the
+    later offsets on ticks std/16 apart (at most 4096 per window reach), by
+    one lattice sum over the ticks whose window holds no offset; the cell
+    split serves the other ticks, and the root finder's right-hand sides
+    are never tabulated.  Every equation is solved by Illinois regula falsi.
+    With ``model.grad_exact`` the last offset is then checked against the
+    exact right-hand side (on the two z halves: 44 positions); only while
+    that misses the 1e-6 * voll gate does it take Newton steps (at most 6,
     slopes from the interpolated side), and its recorded residual is the
     exact one at the returned offset.  A sell stage whose right-hand side
     never falls below its price never pays to sell: offset +inf, residual

@@ -32,6 +32,9 @@ BUY = "buy"
 SELL = "sell"
 
 MAX_T = 4096   # policy evaluation blocks hold 8192 runs x T doubles: 256 MiB each here
+# costs weigh rounding slivers of unserved energy by voll: the shipped ideal
+# mean drifts by about 3.7e-19 * voll, and from about 1e15 on ct's cost jumps
+MAX_VOLL = 1e12
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,8 @@ class CostModel:
     def __post_init__(self):
         if not math.isfinite(self.voll):
             raise ValidationError(f"voll: must be finite, got {self.voll}")
+        if self.voll > MAX_VOLL:
+            raise ValidationError(f"voll: must be <= {MAX_VOLL:g}, got {self.voll:g}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,14 @@ from rld.benchmark import (
 )
 from rld.cli import main
 from rld.dispatch import MC_STREAM, ideal_costs_batch
-from rld.model import MAX_T, StorageSpec, load_scenario, scenario_from_dict
+from rld.model import (
+    MAX_T,
+    MAX_VOLL,
+    CostModel,
+    StorageSpec,
+    load_scenario,
+    scenario_from_dict,
+)
 from rld.rng import BLOCK_RUNS, draw_policy_paths, run_generator
 from rld.storage import delivery_costs_batch
 from conftest import DEFAULT_CURVE, make_scenario
@@ -210,6 +217,25 @@ class TestRunBenchmark:
     def test_bad_inputs(self, cheap_scenario):
         with pytest.raises(ValueError):
             run_benchmark(cheap_scenario, ("ct",), n_runs=0)
+
+    def test_every_voll_decade_up_to_the_bound(self):
+        # at voll 1e150 the ideal mean read 3.8e131, and at 1e160 the 3sigma
+        # stderr overflowed to inf; model.MAX_VOLL now stops at 1e12
+        scn = load_scenario(str(SHIPPED))
+        ideal = {}
+        for exponent in range(3, 13):
+            voll = 10.0 ** exponent
+            table = run_benchmark(replace(scn, cost=CostModel(voll)), ("3sigma", "ct"),
+                                  n_runs=500, seed=3, record_timing=False)
+            cells = [[row.mean_cost, row.stderr, row.integration_cost] for row in table]
+            assert np.isfinite(cells).all(), (voll, table)
+            ideal[voll] = table[-1].mean_cost
+        # from 1e6 on the ideal serves every path in full, so its mean moves
+        # only by voll times the unserved energy its minimizers round to:
+        # 1.4e-8 relative at 1e12, about 3.7e-19 * voll
+        for voll, mean in ideal.items():
+            if voll >= 1e6:
+                assert abs(mean - ideal[1e6]) <= 1e-9 * ideal[1e6] + 1e-18 * voll, (voll, mean)
 
 
 # conditional-QMC expected costs of the shipped scenario (ROADMAP baseline)
@@ -517,6 +543,24 @@ class TestCli:
                                          "--scenario", str(bad), "--out", str(out)])
         assert entry() == 2
         assert f"T must be >= 1 and <= {MAX_T}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_voll_above_bound_exits_2(self, tmp_path, monkeypatch, capsys):
+        import json
+        from rld.cli import entry
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "ladder": [{"lead_time_hours": 24.0, "price": 52.0}],
+            "voll": 1e13, "storage": {"B": 0.001}, "T": 12, "d_hat": 0.4,
+            "curve": DEFAULT_CURVE,
+        }))
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr(
+            "sys.argv", ["rld", "benchmark", "--scenario", str(bad), "--out", str(out)])
+        assert entry() == 2
+        err = capsys.readouterr().err
+        assert f"voll: must be <= {MAX_VOLL:g}" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [

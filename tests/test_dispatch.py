@@ -28,14 +28,14 @@ from rld.dispatch import (
     three_sigma_schedule,
 )
 from rld.lattice import closed_form_b0, lattice_terminal_subgradient
-from rld.model import BUY, SELL, StorageSpec, load_scenario
+from rld.model import BUY, SELL, StorageSpec, load_scenario, scenario_from_dict
 from rld.rng import draw_policy_paths, run_generator
 from rld.storage import (
     delivery_costs_batch,
     subgradient_estimates_batch,
     unserved_and_slope_batch,
 )
-from conftest import constant_forecast, make_scenario
+from conftest import DEFAULT_CURVE, constant_forecast, make_scenario
 from oracles import (
     dense_last_stage_residual,
     linear_program_ideal,
@@ -460,22 +460,88 @@ class TestStageRecursion:
             assert abs(exact - prices[idx]) < 1e-6 * VOLL, (idx, exact)
 
     def test_shipped_lattice_passes_few_points_to_grad(self, monkeypatch):
-        build = dispatch.build_terminal_model
-        points = [0]
+        # the 2^18-path Sobol right-hand side passed 2,030,769 points, and
+        # 66 Gauss-Legendre nodes per spline tick 182,160; the tick lattice
+        # sum passes 4,981
+        scn = load_scenario(str(SHIPPED))
+        assert 0 < grad_points(monkeypatch, scn, "lattice") <= 6_000
 
-        def counting(*args, **kwargs):
-            model = build(*args, **kwargs)
+    @pytest.mark.parametrize("capacity, bound", [(1e-3, 7_500), (0.1, 13_000)])
+    def test_shipped_ct_passes_few_points_to_grad(self, monkeypatch, capacity, bound):
+        # 213,730 and 242,022 points under 66 nodes per tick and cut cell;
+        # the lattice sum passes 6,125 and 10,723 (its step is 0.7 of ct's
+        # width sigma^2/2B at B = 0.1, so it sums across the cuts)
+        scn = load_scenario(str(SHIPPED)).with_capacity(capacity)
+        assert 0 < grad_points(monkeypatch, scn, "ct") <= bound
 
-            def grad(w):
-                points[0] += np.size(w)
-                return model.grad(w)
+    @pytest.mark.parametrize("engine, capacity", [
+        *[(engine, capacity) for engine in ("lattice", "mc")
+          for capacity in (1e-4, 1e-3, 1e-2, 1e-1)],
+        *[("ct", capacity) for capacity in (1e-3, 0.1, 0.3, 1.0, 10.0)],
+    ])
+    def test_tables_match_a_finer_rule(self, engine, capacity, monkeypatch):
+        # every table of a shipped solve, at its ticks.  Lattice and mc
+        # against the same lattice sum at 1/8 of the step, which 66
+        # Gauss-Legendre nodes per tick miss by up to 2.3e-9 VOLL; ct
+        # against the cell rule split at every cut, which a lattice sum
+        # across the cuts misses by 2e-9, 2.6e-5 and 7.8e-5 VOLL at B = 0.3,
+        # 1 and 10 (a width sigma^2/2B of 0.48, 0.14 and 0.01 steps)
+        scn = load_scenario(str(SHIPPED)).with_capacity(capacity)
+        tables = []
+        tabulate = dispatch._tabulate
+        monkeypatch.setattr(dispatch, "_tabulate", lambda fn, far, spans, step: (
+            tables.append((fn, spans, step)) or tabulate(fn, far, spans, step)))
+        solve_thresholds_backward(scn, engine)
+        assert len(tables) == 2
+        for fn, spans, step in tables:
+            y = step * np.unique(np.concatenate([
+                np.arange(math.floor(lo / step), math.ceil(hi / step) + 1) for lo, hi in spans]))
+            reference = fn(y) if engine == "ct" else fn(y, step / 8)
+            assert np.abs(fn(y, step) - reference).max() < 1e-10 * scn.cost.voll
 
-            return dataclasses.replace(model, grad=grad)
+    def test_table_across_a_buy_and_a_sell_offset(self):
+        # a buy below -0.5 and a sell above 0.6 over a smooth base: the
+        # ticks within 8.5 stds of either offset take the cell rule, the
+        # rest the lattice sum; both match the cell rule at every tick
+        _, rhs_last = gaussian_terminal(0.4)
+        s, step = 0.2, 0.2 / 16
+        expect = dispatch._expectation([(-0.5, False, 80.0), (0.6, True, 20.0)],
+                                       rhs_last(0.3), s)
+        y = step * np.arange(-400, 401)
+        reference = expect(y)
+        assert np.abs(expect(y, step) - reference).max() < 1e-10 * VOLL
+        assert np.abs(expect(y, step / 8) - reference).max() < 1e-10 * VOLL
 
-        monkeypatch.setattr(dispatch, "build_terminal_model", counting)
-        solve_thresholds_backward(load_scenario(str(SHIPPED)), "lattice")
-        # the 2^18-path Sobol right-hand side passed 2,030,769 points
-        assert 0 < points[0] <= 200_000
+    def test_b0_varied_profile_with_sells_solves_fast(self, monkeypatch):
+        # B = 0 routes every engine to the closed form, a T-term sum per
+        # point: 57,425 points per solve under 66 nodes per spline tick,
+        # 3,292 under the lattice sum
+        doc = {
+            "ladder": [
+                {"lead_time_hours": 24.0, "price": 7.05, "direction": "sell"},
+                {"lead_time_hours": 12.0, "price": 30.0, "direction": "buy"},
+                {"lead_time_hours": 2.0, "price": 0.215, "direction": "sell"},
+                {"lead_time_hours": 0.5, "price": 0.001, "direction": "sell"},
+            ],
+            "voll": 74714.0, "storage": {"B": 0.0}, "T": 5,
+            "d_hat": [0.1, 0.3, 0.2, 0.5, 0.05], "mean_share": 0.0, "curve": DEFAULT_CURVE,
+        }
+        scn = scenario_from_dict(doc)
+        b0 = dispatch.closed_form_b0
+        for engine in ("ct", "lattice"):
+            points = [0]
+
+            def counting(x, *args):
+                points[0] += np.size(x)
+                return b0(x, *args)
+
+            monkeypatch.setattr(dispatch, "closed_form_b0", counting)
+            offsets = solve_thresholds_backward(scn, engine).offsets
+            assert 0 < points[0] <= 4_000, (engine, points)
+            # the offsets under 66 nodes per tick
+            assert np.allclose(offsets, [1.4974120780758302, 1.467419470490426,
+                                         1.4779161919729797, 3.107331158279013],
+                               rtol=0.0, atol=1e-9), (engine, offsets)
 
     def test_import_leaves_scipy_stats_unloaded(self):
         code = "import sys, rld, rld.cli; print('scipy.stats' in sys.modules)"
@@ -483,6 +549,25 @@ class TestStageRecursion:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True, timeout=120)
         assert out.stdout.strip() == "False"
+
+
+def grad_points(monkeypatch, scn, engine):
+    """Points the engine's solve passes to its interpolated or analytic subgradient."""
+    build = dispatch.build_terminal_model
+    points = [0]
+
+    def counting(*args, **kwargs):
+        model = build(*args, **kwargs)
+
+        def grad(w):
+            points[0] += np.size(w)
+            return model.grad(w)
+
+        return dataclasses.replace(model, grad=grad)
+
+    monkeypatch.setattr(dispatch, "build_terminal_model", counting)
+    solve_thresholds_backward(scn, engine)
+    return points[0]
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rld.model import (
     MAX_T,
+    MAX_VOLL,
     CostModel,
     ForecastErrorCurve,
     ForecastModel,
@@ -271,6 +272,11 @@ class TestScenarioLoading:
         }
         with pytest.raises(ValidationError, match="finite"):
             scenario_from_dict(doc)
+
+    def test_voll_above_bound_is_a_validation_error(self):
+        assert CostModel(MAX_VOLL).voll == MAX_VOLL
+        with pytest.raises(ValidationError, match="voll: must be <= 1e"):
+            CostModel(np.nextafter(MAX_VOLL, np.inf))
 
     def test_d_hat_array_roundtrip(self):
         doc = {
