@@ -250,14 +250,16 @@ def _mc_subgradients(deficits: np.ndarray, supplies: np.ndarray, capacity: float
     whose supply is below its lowest deficit is short at every stage with
     empty storage: exactly ``-voll / T * T``.  A row whose estimate reached
     0 stays at 0, because the kernel's exact weight never grows with the
-    supply.  It counts the stages t whose first pin at or after t (a
-    shortfall, or a level at the capacity) is a shortfall, and a higher
-    supply raises every level, since each rounded step is monotone:
-    shortfalls only disappear and full levels only appear.  The full
-    vector is filled in row order before the mean, so every value is
-    bitwise the plain per-supply kernel mean.  ``scratch`` (a float vector
-    of at least ``deficits.size`` entries, overwritten) holds the rows
-    sent each time, so the loop allocates no (n, T) array.
+    supply.  Its backward sweep counts the stages t whose first pin at or
+    after t (a shortfall, or a level at the capacity) is a shortfall, over
+    the pin masks its forward sweep records, and a higher supply raises
+    every forward level, since each rounded step is monotone: shortfalls
+    only disappear and full levels only appear.  The full vector is
+    filled in row order before the mean, so every value is bitwise the
+    plain per-supply kernel mean.  ``scratch`` (a float vector of at least
+    ``deficits.size`` entries, overwritten) holds the rows sent each time,
+    so the loop copies no rows of varying size; each kernel call allocates
+    only its two one-byte masks per row and stage.
     """
     n, T = deficits.shape
     lowest = deficits.min(axis=1)
@@ -537,8 +539,9 @@ def simulate_policy_batch(schedule: ThresholdSchedule, scenario: Scenario,
     return purchases, x, delivery, totals
 
 
-# rows per search block; its working copy is 1.9 MB at T = 60 (8192 rows ran
-# 20% faster but raised the peak memory of a 50000-run benchmark by 1.5 MB)
+# rows per search block; its working copy is 1.9 MB at T = 60 and the kernel's
+# pin masks 0.5 MB (8192 rows ran the search 14% faster but raised the median
+# peak RSS of a 50000-run benchmark by 1.4 MB)
 _IDEAL_BLOCK = 4096
 
 

@@ -3,8 +3,9 @@
 The greedy rule (discharge to cover any shortfall, recharge any surplus up
 to the capacity or conversion caps) is the optimal policy for the
 value-of-lost-load objective, so simulating a path is a single forward
-sweep.  Cumulative unserved energy V and cumulative curtailment Q recast
-the same trajectory as a doubly-reflected walk, which the continuous-time
+sweep, and the exact slope of its cost in the supply one backward sweep.
+Cumulative unserved energy V and cumulative curtailment Q recast the same
+trajectory as a doubly-reflected walk, which the continuous-time
 approximation builds on.
 """
 from __future__ import annotations
@@ -33,14 +34,15 @@ def simulate_delivery(deficits: np.ndarray, supply: float, spec: StorageSpec,
                       cost: CostModel) -> PathOutcome:
     """Run the delivery interval under the optimal storage policy.
 
-    The trajectory of ``unserved_and_slope_batch`` on one row, read from the
-    usable level z it records before each stage's clip: the action is the
-    change of the clipped level, over nu*mu where it charges.  The storage
-    starts empty and what remains at the end is discarded; the cost is VOLL
-    times the unserved energy.  Storage that can deliver nothing (nu*mu or
-    nu*B is 0) is never charged, so Q carries the whole surplus.  Levels and
-    charges are usable energy over nu and nu*mu: where those are subnormal
-    they keep few digits, the costs do not.
+    The forward sweep of ``unserved_and_slope_batch`` on one row, read from
+    the usable level z it records before each stage's clip (the backward
+    sweep's slope goes unused): the action is the change of the clipped
+    level, over nu*mu where it charges.  The storage starts empty and what
+    remains at the end is discarded; the cost is VOLL times the unserved
+    energy.  Storage that can deliver nothing (nu*mu or nu*B is 0) is never
+    charged, so Q carries the whole surplus.  Levels and charges are usable
+    energy over nu and nu*mu: where those are subnormal they keep few
+    digits, the costs do not.
     """
     deficits = np.asarray(deficits, dtype=float)
     T = deficits.size
@@ -76,14 +78,20 @@ def unserved_and_slope_batch(deficits: np.ndarray, supply: np.ndarray | float,
     """Unserved energy V of each row of an (n, T) deficit matrix and the
     weight w with V' = -w, its exact right derivative in the supply.
 
-    The greedy rule in usable energy u = nu*b: a surplus adds nu*mu times
-    itself, a shortfall draws on u, and u is then clipped to [0, nu*B] and
-    decays by lambda.  ``unclipped`` (n, T), if given, receives each
-    stage's level z before the clip.  ``carried``, the right derivative of
-    u plus the stage's own share, adds to w on each uncovered stage and
-    restarts where the level is pinned (emptied by a shortfall, or full).
-    There is no boundary tolerance, so w never grows with the supply, even
-    through exact ties; on ideal storage it is an integer in 0..T.
+    Two sweeps.  The forward sweep runs the greedy rule in usable energy
+    u = nu*b: a surplus adds nu*mu times itself, a shortfall draws on u,
+    and u is then clipped to [0, nu*B] and decays by lambda.  It sums V
+    and records two one-byte masks per stage: whether the level z before
+    the clip is short (z < 0, pinned at 0) and whether it is below the
+    capacity (z < nu*B).  ``unclipped`` (n, T), if given, receives each z.
+    The backward sweep carries K_t = -dV/dz_t, the right derivative of the
+    unserved energy in stage t's level: 1 if t is short, lambda*K_{t+1} if
+    it is below the capacity, 0 if it is full.  The supply moves z_t
+    directly at the rate share_t = max(x < d_t, nu*mu), so w is the sum of
+    share_t*K_t.  On ideal storage K_t is 1 exactly when the first pin at
+    or after t is a shortfall, and w counts those stages with byte-wide
+    ops: an integer in 0..T.  There is no boundary tolerance, so w never
+    grows with the supply, even through exact ties.
     """
     deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
     n, T = deficits.shape
@@ -93,35 +101,47 @@ def unserved_and_slope_batch(deficits: np.ndarray, supply: np.ndarray | float,
     cap = spec.discharge_eff * spec.capacity
     u = np.zeros(n)
     total = np.zeros(n)
-    weight = np.zeros(n)
-    carried = np.zeros(n)
     z = np.empty(n)
     tmp = np.empty(n)
-    short = np.empty(n, dtype=bool)
-    inside = np.empty(n, dtype=bool)
+    short = np.empty((T, n), dtype=bool)
+    below = np.empty((T, n), dtype=bool)
     # the gain and lambda steps are exact no-ops on ideal storage; unmasked
     # ufuncs (not where=) keep the lossy loop as fast as a cost-only one
     for t in range(T):
         np.subtract(x, deficits[:, t], out=z)
-        if gain == 1.0:
-            carried += 1.0
-        else:
-            # gain <= 1: max(short, gain) is 1 or gain, min(z, gain*z) scales a surplus
-            carried += np.maximum(np.less(z, 0.0, out=tmp), gain, out=tmp)
-            np.minimum(z, np.multiply(z, gain, out=tmp), out=z)
+        if gain != 1.0:
+            np.minimum(z, np.multiply(z, gain, out=tmp), out=z)   # gain <= 1 scales a surplus
         z += u                          # usable level before clipping; < 0 is unserved
         if unclipped is not None:
             unclipped[:, t] = z
         total -= np.minimum(z, 0.0, out=tmp)
-        np.less(z, 0.0, out=short)
-        weight += np.multiply(carried, short, out=tmp)
-        np.less(z, cap, out=inside)
-        inside &= ~short
-        carried *= inside
-        np.clip(z, 0.0, cap, out=u)
+        np.less(z, 0.0, out=short[t])
+        np.less(z, cap, out=below[t])
+        # np.clip's value, signed zeros included, without its Python wrapper
+        np.minimum(cap, np.maximum(0.0, z, out=u), out=u)
         if lam != 1.0:
-            carried *= lam
             u *= lam
+    if gain == 1.0 and lam == 1.0:
+        pinned_short = np.zeros(n, dtype=bool)
+        count = np.zeros(n, dtype=np.min_scalar_type(T))
+        for t in range(T - 1, -1, -1):
+            pinned_short &= below[t]
+            pinned_short |= short[t]
+            count += pinned_short.view(np.uint8)
+        return total, count.astype(float)
+    weight = np.zeros(n)
+    k = np.zeros(n)
+    uncovered = np.empty(n, dtype=bool)
+    for t in range(T - 1, -1, -1):
+        if lam != 1.0:
+            k *= lam
+        k *= below[t]
+        np.maximum(k, short[t], out=k)  # k <= 1; masked copies are 10x slower
+        if gain == 1.0:
+            weight += k
+        else:
+            np.maximum(np.less(x, deficits[:, t], out=uncovered), gain, out=tmp)
+            weight += np.multiply(tmp, k, out=tmp)
     return total, weight
 
 

@@ -2,7 +2,8 @@
 
 Scalar walk drivers, the dense-kernel density of a Gaussian walk step, the
 greedy storage rule stage by stage, a one-path storage subgradient, the
-(V, Q) reformulation check, the all-branches form of the ct h functions, a
+batch storage slope carried forward in one sweep, the (V, Q) reformulation
+check, the all-branches form of the ct h functions, a
 bridge-corrected simulator of the reflected walk, three evaluators of the
 stage right-hand sides (scrambled-Sobol paths, untabulated nested
 quadrature and a dense uniform rule for the last stage), the
@@ -274,6 +275,45 @@ def per_path_subgradient_estimate(deficits: np.ndarray, supply: float,
         depth = 0 if z < 0.0 or z >= capacity else depth + 1
         b = min(capacity, max(z, 0.0))
     return -voll / T * weighted
+
+
+def carried_unserved_and_slope(deficits: np.ndarray, supply, spec: StorageSpec):
+    """``storage.unserved_and_slope_batch`` in one forward sweep.
+
+    The same greedy rule and unserved total.  ``carried``, the right
+    derivative of the usable level plus the stage's own share
+    max(x < d_t, nu*mu), adds to the weight on each uncovered stage,
+    restarts where the level is pinned (emptied by a shortfall, or full)
+    and decays by lambda with the level.
+    """
+    deficits = np.atleast_2d(np.asarray(deficits, dtype=float))
+    n, T = deficits.shape
+    x = np.broadcast_to(np.asarray(supply, dtype=float), (n,))
+    lam = spec.storage_eff
+    gain = spec.discharge_eff * spec.recharge_eff
+    cap = spec.discharge_eff * spec.capacity
+    u, total, weight, carried = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    z, tmp = np.empty(n), np.empty(n)
+    short, inside = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    for t in range(T):
+        np.subtract(x, deficits[:, t], out=z)
+        if gain == 1.0:
+            carried += 1.0
+        else:
+            carried += np.maximum(np.less(z, 0.0, out=tmp), gain, out=tmp)
+            np.minimum(z, np.multiply(z, gain, out=tmp), out=z)
+        z += u
+        total -= np.minimum(z, 0.0, out=tmp)
+        np.less(z, 0.0, out=short)
+        weight += np.multiply(carried, short, out=tmp)
+        np.less(z, cap, out=inside)
+        inside &= ~short
+        carried *= inside
+        np.clip(z, 0.0, cap, out=u)
+        if lam != 1.0:
+            carried *= lam
+            u *= lam
+    return total, weight
 
 
 def h_func_all_branches(x):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
@@ -10,7 +11,7 @@ from scipy.special import ndtr
 
 from rld.benchmark import solve_schedule
 from rld.dispatch import simulate_policy_batch
-from rld.model import CostModel, StorageSpec, load_scenario
+from rld.model import MAX_T, CostModel, StorageSpec, load_scenario
 from rld.rng import draw_policy_paths
 from rld.storage import (
     delivery_costs_batch,
@@ -19,6 +20,7 @@ from rld.storage import (
     unserved_and_slope_batch,
 )
 from oracles import (
+    carried_unserved_and_slope,
     optimal_storage_action,
     per_path_subgradient_estimate,
     reformulate_vq,
@@ -465,6 +467,61 @@ class TestLossySlope:
                 else StorageSpec(0.0, lam, mu, nu))
         paths, s, _, w = self.cost_and_slope(spec, 4, T, seed)
         assert np.array_equal(w, (paths[None, :, :] > s[:, None, None]).sum(axis=2))
+
+    @given(
+        effs=st.tuples(efficiency, efficiency, efficiency),
+        capacity=st.sampled_from([0.0, 5e-324, 0.05, 0.5]),
+        T=st.integers(1, 10),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(effs=(0.9, 0.0, 0.7), capacity=0.05, T=8, seed=2)    # nu*mu = 0
+    @example(effs=(0.9, 0.8, 0.7), capacity=5e-324, T=8, seed=3)
+    def test_two_sweeps_match_the_forward_oracle(self, effs, capacity, T, seed):
+        def kernel_and_oracle(spec):
+            paths, s, v, w = self.cost_and_slope(spec, 4, T, seed)
+            want = carried_unserved_and_slope(np.tile(paths, (s.size, 1)), np.repeat(s, 4), spec)
+            return v.ravel(), w.ravel(), *want
+
+        # the backward sweep sums the stage shares in another order: lossy
+        # weights agree to rounding, ideal ones are integers and agree bitwise
+        v, w, want_v, want_w = kernel_and_oracle(StorageSpec(capacity, *effs))
+        assert v.tobytes() == want_v.tobytes()
+        assert np.all(np.abs(w - want_w) <= 1e-12 * T)
+        v, w, want_v, want_w = kernel_and_oracle(StorageSpec(capacity))
+        assert v.tobytes() == want_v.tobytes() and w.tobytes() == want_w.tobytes()
+
+
+class TestKernelLimits:
+    """The one-byte pin masks and the shortfall count at the model's bounds."""
+
+    def test_all_short_path_weighs_every_stage_at_max_t(self):
+        _, weight = unserved_and_slope_batch(np.ones((2, MAX_T)), 0.0, StorageSpec(0.5))
+        assert weight.tolist() == [MAX_T, MAX_T]
+
+    def test_random_paths_at_max_t_equal_plain_expressions(self):
+        rng = np.random.default_rng(5)
+        paths = np.asfortranarray(0.05 + 0.1 * rng.standard_normal((6, MAX_T)))
+        # counts far beyond one byte
+        assert unserved_and_slope_batch(paths, 0.05, StorageSpec(0.0))[1].min() > 255
+        for capacity in (0.0, 0.05, 5.0):
+            got = subgradient_estimates_batch(paths, 0.05, capacity, COST.voll)
+            want = plain_subgradient_estimates(paths, 0.05, capacity, COST.voll)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [StorageSpec(1e-3), StorageSpec(1e-3, 0.95, 0.95, 0.95)])
+    def test_one_call_peaks_near_its_masks(self, spec):
+        # two one-byte masks of 2.4 MB and a few rows of doubles
+        rng = np.random.default_rng(0)
+        deficits = np.asfortranarray(0.05 + 0.1 * rng.standard_normal((20_000, 60)))
+        supply = np.full(20_000, 0.05)
+        tracemalloc.start()
+        try:
+            unserved_and_slope_batch(deficits, supply, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 spec_strategy = st.builds(
