@@ -51,7 +51,8 @@ def evaluate_policies(scenario: Scenario, schedules: dict[str, ThresholdSchedule
     All policies see the same innovation draws per run index, so cost
     differences are directly comparable path by path.  Runs are drawn,
     realized and scored one ``policy_path_blocks`` block at a time, so no
-    (n_runs, T) array is built.
+    (n_runs, T) array is built.  The block also bounds the working copy
+    of ``ideal_costs_batch``, which searches all the rows it is given at once.
     """
     # perfect-foresight benchmark on the identical realized deficit paths:
     # buys at the first buy price and sells at the highest sell price, the

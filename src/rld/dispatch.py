@@ -36,6 +36,7 @@ class DegeneratePriceError(RuntimeError):
 ENGINES = ("lattice", "mc", "ct")
 # the mc engine's Philox index: above every evaluation block (rng.BLOCK_RUNS)
 MC_STREAM = 0x6D63
+MC_PATHS = 20_000     # delivery paths behind the mc engine's grid
 
 
 class _BelowRangeError(DegeneratePriceError):
@@ -128,8 +129,7 @@ class TerminalModel:
     cuts: tuple[float, ...] | np.ndarray = ()
 
 
-def build_terminal_model(scenario: Scenario, engine: str, *,
-                         n_mc_paths: int = 20_000, seed: int = 0) -> TerminalModel:
+def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> TerminalModel:
     """Build the engine's terminal subgradient in forecast-relative form.
 
     A uniform shift of the forecast is identical to an opposite shift of
@@ -153,6 +153,14 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
     scale = max(math.sqrt(T) * sig_tot, 1e-6)
 
     if sig_tot == 0.0:
+        # a step in w that no stage cut marks: only an unrevised forecast
+        # evaluates it pointwise
+        if np.any(scenario.inter_stage_stds() > 0.0):
+            raise ValidationError(
+                f"mean_share: {scenario.mean_share} at a final-horizon sigma of "
+                f"{math.sqrt(scenario.final_horizon_variance):.6g} leaves no delivery "
+                "fluctuation under a forecast revision; the stage rule cannot integrate "
+                "its step terminal subgradient")
         profile = fc.d_hat
 
         def grad_hard(w):
@@ -196,9 +204,9 @@ def build_terminal_model(scenario: Scenario, engine: str, *,
     if engine == "lattice":
         vals = lattice_terminal_subgradient(ws + m_total, fc, capacity, voll)
     else:
-        noise = run_generator(seed, MC_STREAM).standard_normal((n_mc_paths, T))
+        noise = run_generator(seed, MC_STREAM).standard_normal((MC_PATHS, T))
         # no forecast revisions: the delivery fluctuations around d_hat alone
-        deficits = scenario.realize(np.zeros((n_mc_paths, scenario.ladder.n_stages)), noise)[1]
+        deficits = scenario.realize(np.zeros((MC_PATHS, scenario.ladder.n_stages)), noise)[1]
         # the spent draws hold the grid's row copies: no new large blocks
         vals = _mc_subgradients(deficits, (ws + m_total) / T, capacity, voll,
                                 scratch=noise.reshape(-1))
@@ -539,12 +547,6 @@ def simulate_policy_batch(schedule: ThresholdSchedule, scenario: Scenario,
     return purchases, x, delivery, totals
 
 
-# rows per search block; its working copy is 1.9 MB at T = 60 and the kernel's
-# pin masks 0.5 MB (8192 rows ran the search 14% faster but raised the median
-# peak RSS of a 50000-run benchmark by 1.4 MB)
-_IDEAL_BLOCK = 4096
-
-
 def ideal_costs_batch(deficits: np.ndarray, capacity: float, buy_price: float,
                       sell_price: float, voll: float):
     """Perfect-foresight per-stage supply and cost of each deficit row.
@@ -554,70 +556,55 @@ def ideal_costs_batch(deficits: np.ndarray, capacity: float, buy_price: float,
     buy price at s >= 0 and the sell price below 0, is piecewise linear
     in s with integer-weighted slopes (``storage.unserved_and_slope_batch``).
     A sell price at or below the buy price only raises the slope at the
-    kink s = 0, so the cost stays convex and a tangent-cut (Kelley) search
-    finds its minimum exactly; see ``_ideal_supply``.  Equal prices give
-    the one-price cost.  The cost returned is the search's own
-    ``p*(T*s) + VOLL*V(s)`` at the returned s.
+    kink s = 0, so the cost stays convex and Kelley's cutting plane finds
+    its minimum exactly.  Equal prices give the one-price cost.
+
+    Each bracket end carries its cost f and right slope g = p*T - voll*w
+    (w an integer in 0..T); g < 0 at ``lo`` and g >= 0 at ``hi``, so the
+    minimum lies between.  The first ends are the exact outer pieces,
+    widened to contain the kink at 0: below the lowest deficit every stage
+    is short (w = T), above the highest none is (w = 0).  Each step
+    evaluates the point t where the two tangent lines meet.  The right
+    slope of a convex function never decreases, so if g(t) equals an end's
+    slope it is that slope everywhere between, f is linear from that end
+    to t, and f(t) equals the tangent lower bound: t is a minimizer, as it
+    is where g(t) is 0.  A t that rounds onto an end puts the minimum at
+    that end.  Otherwise g(t) lies strictly between the ends' slopes and t
+    replaces one end.  The w in 0..T and the kink make at most T + 2
+    linear pieces, and each such step leaves fewer pieces strictly between
+    the ends' pieces, T at first, so a row retires within T + 1 steps: one
+    kernel pass each, whatever the row count.  The same count bounds a
+    price outside [0, voll), whose cost is unbounded below: the search
+    then stops at an arbitrary point.  The cost returned is the search's
+    own ``p*(T*s) + VOLL*V(s)`` at the returned s.
+
+    The caller bounds the block: the search holds one column-major copy of
+    the rows (8*T bytes a row), compacted to the unretired rows after
+    every step, and the kernel's pin masks (2*T bytes a row).
+    Returns (supply, cost).
     """
     if sell_price > buy_price:
         raise ValueError(f"sell price {sell_price} above buy price {buy_price}: "
                          "the ideal's cost is not convex")
-    # column-major (a no-op on Scenario.realize output): the search reads
-    # the deficits one stage column at a time
-    deficits = np.asfortranarray(np.atleast_2d(np.asarray(deficits, dtype=float)))
-    n, T = deficits.shape
+    # the search reads the deficits one stage column at a time
+    work = np.array(deficits, dtype=float, order="F", ndmin=2)
+    n, T = work.shape
     spec = StorageSpec(capacity)
-    supply, costs = np.empty(n), np.empty(n)
-    work = np.empty((min(n, _IDEAL_BLOCK), T), order="F")
-    for start in range(0, n, _IDEAL_BLOCK):
-        rows = slice(start, start + _IDEAL_BLOCK)
-        supply[rows], costs[rows] = _ideal_supply(deficits[rows], spec, buy_price, sell_price,
-                                                  voll, work)
-    return supply, costs
-
-
-def _ideal_supply(deficits, spec, buy, sell, voll, work):
-    """Minimizer and minimum of ``p(s)*T*s + voll*V(s)`` for each row of one block.
-
-    Kelley's cutting plane on a convex piecewise-linear function of one
-    variable on ideal storage ``spec``, p = ``buy`` at s >= 0 and ``sell``
-    below.  Each bracket end carries its cost f and right slope
-    g = p*T - voll*w (w an integer in 0..T); g < 0 at ``lo`` and g >= 0 at
-    ``hi``, so the minimum lies between.  The first ends are the exact
-    outer pieces, widened to contain the kink at 0: below the lowest
-    deficit every stage is short (w = T), above the highest none is
-    (w = 0).  Each step evaluates the point t where the two tangent lines
-    meet.  The right slope of a convex function never decreases, so if
-    g(t) equals an end's slope it is that slope everywhere between, f is
-    linear from that end to t, and f(t) equals the tangent lower bound: t
-    is a minimizer, as it is where g(t) is 0.  A t that rounds onto an end
-    puts the minimum at that end.  Otherwise g(t) lies strictly between
-    the ends' slopes and t replaces one end.  The w in 0..T and the kink
-    make at most T + 2 linear pieces, and each such step leaves fewer
-    pieces strictly between the ends' pieces, T at first, so a row
-    retires within T + 1 steps.  The same count bounds a price outside
-    [0, voll), whose cost is unbounded below: the search then stops at an
-    arbitrary point.  The working copy ``work`` holds the unretired rows,
-    compacted after every step.  Returns (supply, cost).
-    """
-    m, T = deficits.shape
-    lo = np.minimum(deficits.min(axis=1) - 1.0, 0.0)
-    hi = np.maximum(deficits.max(axis=1) + 1.0, 0.0)
+    lo = np.minimum(work.min(axis=1) - 1.0, 0.0)
+    hi = np.maximum(work.max(axis=1) + 1.0, 0.0)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("deficits must be finite")
-    price_lo = np.where(lo < 0.0, sell * T, buy * T)
-    f_lo = price_lo * lo + voll * (deficits.sum(axis=1) - T * lo)
-    f_hi = buy * T * hi
+    price_lo = np.where(lo < 0.0, sell_price * T, buy_price * T)
+    f_lo = price_lo * lo + voll * (work.sum(axis=1) - T * lo)
+    f_hi = buy_price * T * hi
     g_lo = price_lo - voll * T
-    g_hi = np.full(m, buy * T)
-    rows = np.arange(m)
-    supply, cost = np.empty(m), np.empty(m)
-    active = work[:m]
-    active[...] = deficits
+    g_hi = np.full(n, buy_price * T)
+    rows = np.arange(n)
+    supply, cost = np.empty(n), np.empty(n)
     for _ in range(T + 1):
         t = lo + (f_hi - f_lo - g_hi * (hi - lo)) / (g_lo - g_hi)
-        unserved, weight = unserved_and_slope_batch(active, t, spec)
-        price = np.where(t < 0.0, sell, buy)
+        unserved, weight = unserved_and_slope_batch(work[:rows.size], t, spec)
+        price = np.where(t < 0.0, sell_price, buy_price)
         f = price * (T * t) + voll * unserved
         g = price * T - voll * weight
         inside = (lo < t) & (t < hi)
@@ -631,8 +618,7 @@ def _ideal_supply(deficits, spec, buy, sell, voll, work):
             return supply, cost
         if k < rows.size:
             for col in range(T):
-                work[:k, col] = active[:, col][keep]
-            active = work[:k]
+                work[:k, col] = work[:rows.size, col][keep]
             lo, hi, f_lo, f_hi, g_lo, g_hi, t, f, g, rows = (
                 a[keep] for a in (lo, hi, f_lo, f_hi, g_lo, g_hi, t, f, g, rows))
         left = g < 0.0

@@ -805,6 +805,30 @@ class TestCli:
         assert err.startswith("error: d_hat") and engine in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("engine", ["lattice", "mc", "ct", "3sigma"])
+    def test_zero_fluctuation_under_a_revision_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                       engine):
+        # mean_share 1 leaves no delivery fluctuation: the terminal
+        # subgradient is a step, which the last stage's rule cannot integrate
+        # across its revision without a cut (a residual of 2.3 against the
+        # 1e-3 gate).  3sigma builds no terminal model
+        from rld.cli import entry
+
+        def edit(doc):
+            doc["mean_share"] = 1.0
+
+        path = self.shipped_variant(tmp_path, edit)
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr("sys.argv", [
+            "rld", "thresholds", "--engine", engine, "--scenario", str(path), "--out", str(out)])
+        if engine == "3sigma":
+            assert entry() == 0
+            return
+        assert entry() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mean_share") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("target", ["missing directory", "directory"])
     @pytest.mark.parametrize("command", [
         ["thresholds"], ["simulate"], ["benchmark"], ["sweep", "--axis", "D"], ["rbm-table"],

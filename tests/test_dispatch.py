@@ -762,10 +762,11 @@ class TestTerminalModel:
         assert model.grad(w).tobytes() == np.array(pointwise).tobytes()
         assert model.grad(np.empty(0)).shape == (0,)
 
-    def test_mc_engine_close_to_lattice(self):
+    def test_mc_engine_close_to_lattice(self, monkeypatch):
         scn = make_scenario(T=8, B=0.01)
         lat = build_terminal_model(scn, "lattice")
-        mc = build_terminal_model(scn, "mc", n_mc_paths=60_000)
+        monkeypatch.setattr(dispatch, "MC_PATHS", 60_000)
+        mc = build_terminal_model(scn, "mc")
         ws = np.linspace(-0.1, 0.15, 7)
         assert np.max(np.abs(lat.grad(ws) - mc.grad(ws))) < 0.02 * VOLL
 
@@ -970,6 +971,32 @@ class TestIdealPolicy:
         # every step retires a row or narrows its integer slope range 0..T
         assert 1 <= len(passes) <= 10
 
+    @pytest.mark.parametrize("sell", [52.0, 40.0], ids=["buy-only", "kinked"])
+    def test_rows_do_not_depend_on_their_block(self, sell):
+        rng = np.random.default_rng(11)
+        deficits = np.asfortranarray(0.05 + 0.1 * rng.standard_normal((10_000, 12)))
+        supply, cost = ideal_costs_batch(deficits, 0.05, 52.0, sell, VOLL)
+        parts = [ideal_costs_batch(deficits[start:start + 4096], 0.05, 52.0, sell, VOLL)
+                 for start in range(0, 10_000, 4096)]
+        assert supply.tobytes() == np.concatenate([s for s, _ in parts]).tobytes()
+        assert cost.tobytes() == np.concatenate([c for _, c in parts]).tobytes()
+
+    def test_one_block_peaks_near_its_working_copy(self):
+        # one 8192 x 60 block: its column-major working copy is 3.9 MB, the
+        # kernel's pin masks 1 MB and the per-row vectors about 1.4 MB; a
+        # second copy of the rows would add 3.9 MB
+        import tracemalloc
+
+        rng = np.random.default_rng(12)
+        deficits = 0.02 + 0.03 * rng.standard_normal((8192, 60))
+        tracemalloc.start()
+        try:
+            ideal_costs_batch(deficits, 1e-3, 52.0, 52.0, VOLL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5e6, peak
+
     @pytest.mark.parametrize("shape, capacity, price, step", [
         ((0, 5), 0.05, 52.0, 0.0),
         ((40, 1), 0.05, 52.0, 0.0),
@@ -1072,6 +1099,8 @@ class TestKinkedIdeal:
 
     @given(n=st.integers(1, 30), **kinked_inputs)
     @settings(max_examples=60, deadline=None)
+    # 10,000 rows at T = 10: one search over all of them, at most 11 passes
+    @example(n=10_000, T=10, capacity=0.05, buy=52.0, spread=12.0, shift=0.05, seed=7)
     def test_search_steps_bounded(self, n, T, capacity, buy, spread, shift, seed):
         # T + 2 linear pieces: at most T pieces lie strictly between the first ends
         passes = []
