@@ -84,7 +84,7 @@ def main():
 @main.command()
 @click.option("--scenario", type=click.Path(exists=True), default=None)
 @click.option("--engine", type=click.Choice(_POLICIES), default="lattice")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True, help="Keys mc's paths only.")
 @_out_option(required=True)
 def thresholds(scenario, engine, seed, out):
     """Solve the per-stage thresholds and write them as CSV."""
@@ -177,9 +177,12 @@ def sweep(scenario, axis, grid, grid_points, policy, runs, seed, fmt, timing, ou
 @_out_option(required=True)
 def rbm_table(mu, sigma, capacity, out):
     """Long-run boundary push rates of the reflected process."""
+    params = [RbmParams(m, s, b) for m in mu for s in sigma for b in capacity]
+    if bad := next((p for p in params if not 0.0 < p.width < math.inf), None):
+        raise click.BadParameter(f"sigma^2/2B rounds to {bad.width} at sigma={bad.volatility!r}, "
+                                 f"B={bad.barrier!r}", param_hint="'--sigma' and '--capacity'")
     bench.write_csv(out, ("mu", "sigma", "B", "v_rate", "q_rate"), [
-        (m, s, b, *rbm_long_run(RbmParams(m, s, b)))
-        for m in mu for s in sigma for b in capacity])
+        (p.drift, p.volatility, p.barrier, *rbm_long_run(p)) for p in params])
     click.echo(f"wrote {out}")
 
 

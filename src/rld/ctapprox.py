@@ -28,6 +28,10 @@ class RbmParams:
         if self.barrier <= 0:
             raise ValueError("barrier must be positive")
 
+    @property
+    def width(self) -> float:   # sigma^2 / 2B, the energy scale of the push rates
+        return self.volatility * self.volatility / (2.0 * self.barrier)
+
 
 def h_func(x):
     """x / (e^x - 1), continued by 1 at x = 0.  Positive, strictly decreasing."""
@@ -69,11 +73,20 @@ def h_prime(x):
 
 def rbm_long_run(params: RbmParams) -> tuple[float, float]:
     """Long-run rates of the lower and upper boundary pushes (V up, Q down)."""
-    scale = params.volatility**2 / (2.0 * params.barrier)
+    scale = params.width
     y = params.drift / scale
-    v_rate = scale * h_func(y)
-    q_rate = -scale * h_func(-y)
-    return float(v_rate), float(q_rate)
+    return float(scale * h_func(y)), float(-scale * h_func(-y))
+
+
+def _ct_argument(x_accumulated, d_hat_total: float, sigma_sq: float, capacity: float):
+    """(gap x - d_hat_total, ratio 2B/sigma_sq, y = ratio * gap); where the ratio
+    overflows, y is its B -> inf limit, -inf, 0 or inf by the sign of the gap."""
+    if capacity <= 0 or sigma_sq <= 0:
+        raise ValueError("ct approximation needs capacity > 0 and sigma_sq > 0")
+    gap = np.asarray(x_accumulated, dtype=float) - d_hat_total
+    ratio = 2.0 * float(capacity) / float(sigma_sq)   # Python floats overflow to inf silently
+    y = np.where(gap == 0.0, 0.0, np.copysign(np.inf, gap)) if ratio == np.inf else ratio * gap
+    return gap, ratio, y
 
 
 def ct_terminal_cost(x_accumulated, d_hat_total: float, sigma_sq: float,
@@ -81,23 +94,17 @@ def ct_terminal_cost(x_accumulated, d_hat_total: float, sigma_sq: float,
     """Approximate expected delivery cost from the long-run push rate.
 
     ``sigma_sq`` is the interval-total variance of the fluctuation process;
-    scaling (B, sigma_sq) together leaves the result unchanged.
+    scaling (B, sigma_sq) together leaves the result unchanged.  Where 2B/sigma_sq
+    overflows, the cost is its limit voll * max(d_hat_total - x, 0).
     """
-    if capacity <= 0 or sigma_sq <= 0:
-        raise ValueError("ct approximation needs capacity > 0 and sigma_sq > 0")
-    ratio = 2.0 * capacity / sigma_sq
-    y = ratio * (np.asarray(x_accumulated, dtype=float) - d_hat_total)
-    out = voll / ratio * h_func(y)
+    gap, ratio, y = _ct_argument(x_accumulated, d_hat_total, sigma_sq, capacity)
+    out = voll * np.maximum(-gap, 0.0) if ratio == np.inf else voll / ratio * h_func(y)
     return out if np.ndim(out) else float(out)
 
 
 def ct_terminal_subgradient(x_accumulated, d_hat_total: float, sigma_sq: float,
                             capacity: float, voll: float):
-    """Derivative of the approximate cost in the accumulated position."""
-    if capacity <= 0 or sigma_sq <= 0:
-        raise ValueError("ct approximation needs capacity > 0 and sigma_sq > 0")
-    ratio = 2.0 * capacity / sigma_sq
-    y = ratio * (np.asarray(x_accumulated, dtype=float) - d_hat_total)
-    out = voll * h_prime(y)
+    """Derivative of the approximate cost in the accumulated position; where 2B/sigma_sq
+    overflows, its limit -voll, -voll/2 and 0 below, at and above d_hat_total."""
+    out = voll * h_prime(_ct_argument(x_accumulated, d_hat_total, sigma_sq, capacity)[2])
     return out if np.ndim(out) else float(out)
-

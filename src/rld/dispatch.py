@@ -306,13 +306,13 @@ def _expectation(stages, base: Callable, s: float, cuts=(), panels=_PANELS) -> C
     ``expect(y, step)`` takes ascending y on the lattice of multiples of a
     ``step`` no coarser than s / 16.  A y whose 8.5 s window holds no offset
     and lies where no stage acts then takes ``_lattice_sum`` instead, unless
-    ``cuts`` closer than 4 steps mark turns in the base too narrow for it."""
+    ``cuts`` under 4 steps apart (coinciding too) mark turns too narrow for it."""
     edges = [-np.inf, *np.unique([*cuts, *(d for d, _, _ in stages if math.isfinite(d))]), np.inf]
     cells = [(lo, hi, next((p for d, sells, p in stages if (d <= lo if sells else d >= hi)), None))
              for lo, hi in zip(edges[:-1], edges[1:])]
     smooth = np.array([price is None for _, _, price in cells])
     offsets = np.array([d for d, _, _ in stages if math.isfinite(d)])
-    cut_gap = np.min(np.diff(np.unique(cuts)), initial=np.inf)
+    cut_gap = np.min(np.diff(np.sort(cuts)), initial=np.inf)
 
     def expect(y: np.ndarray, step: float = 0.0) -> np.ndarray:
         out = np.zeros(y.shape)
@@ -351,27 +351,23 @@ def _expectation(stages, base: Callable, s: float, cuts=(), panels=_PANELS) -> C
 def _lattice_sum(base: Callable, y: np.ndarray, s: float, step: float) -> np.ndarray:
     """E[base(y - s Z)] at ascending y on the ``step`` lattice as the sum of
     base(y - m step) phi(m step / s) step / s over |m step| <= 8.5 s: one base
-    call on the lattice points within 8.5 s of y, and one convolution per run
-    of y whose windows overlap."""
+    call on the lattice points from 8.5 s below the lowest y to 8.5 s above
+    the highest, and one convolution."""
     m_max = int(8.5 * s / step)
     taps = np.exp(-0.5 * (np.arange(-m_max, m_max + 1) * (step / s)) ** 2)
     taps *= step / (s * math.sqrt(2 * math.pi))
     t = np.rint(y / step).astype(np.int64)
-    runs = np.split(t, np.flatnonzero(np.diff(t) > 2 * m_max) + 1)
-    points = [np.arange(run[0] - m_max, run[-1] + m_max + 1) for run in runs]
-    vals = np.split(base(np.concatenate(points) * step), np.cumsum([p.size for p in points])[:-1])
-    return np.concatenate([np.convolve(v, taps, "valid")[run - run[0]]
-                           for run, v in zip(runs, vals)])
+    vals = base(np.arange(t[0] - m_max, t[-1] + m_max + 1) * step)
+    return np.convolve(vals, taps, "valid")[t - t[0]]
 
 
 def _tabulate(fn: Callable, far: Callable, spans, step: float) -> Callable:
-    """``fn`` by a cubic spline per run of multiples of ``step`` in ``spans``, its
-    values from one ``fn(ticks, step)`` call; ``far`` elsewhere."""
+    """``fn`` by a cubic spline per run of consecutive multiples of ``step`` in
+    ``spans``, from one ``fn(ticks, step)`` call per run; ``far`` elsewhere."""
     ticks = np.unique([t for lo, hi in spans
                        for t in range(math.floor(lo / step), math.ceil(hi / step) + 1)])
-    breaks = np.flatnonzero(np.diff(ticks) > 1) + 1
-    runs = zip(np.split(ticks, breaks), np.split(fn(ticks * step, step), breaks))
-    splines = [CubicSpline(t * step, v) for t, v in runs if t.size > 1]
+    runs = np.split(ticks, np.flatnonzero(np.diff(ticks) > 1) + 1)
+    splines = [CubicSpline(t * step, fn(t * step, step)) for t in runs if t.size > 1]
 
     def table(u: np.ndarray) -> np.ndarray:
         out = np.full(u.shape, np.nan)
@@ -398,16 +394,17 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
     ``_expectation`` split at the model's ``cuts`` while no revision has
     smoothed grad.  Where its std is positive, U_k is tabulated near the
     later offsets on ticks std/16 apart (at most 4096 per window reach), by
-    one lattice sum over the ticks whose window holds no offset; the cell
-    split serves the other ticks, and the root finder's right-hand sides
-    are never tabulated.  Every equation is solved by Illinois regula falsi.
+    one lattice sum per run over the ticks whose window holds no offset; the
+    cell split serves the other ticks, and the root finder's right-hand
+    sides are never tabulated.  Every equation is solved by Illinois regula falsi.
     With ``model.grad_exact`` the last offset is then checked against the
     exact right-hand side (on the two z halves: 44 positions); only while
-    that misses the 1e-6 * voll gate does it take Newton steps (at most 6,
-    slopes from the interpolated side), and its recorded residual is the
-    exact one at the returned offset.  A sell stage whose right-hand side
-    never falls below its price never pays to sell: offset +inf, residual
-    0.  Returns (offsets, residuals, iterations: root-finder plus Newton steps).
+    that misses the 1e-6 * voll gate is the interpolated equation solved
+    again, at the price minus the exact side's miss (at most 6 times), and
+    its recorded residual is the exact one at the returned offset.  A sell
+    stage whose right-hand side never falls below its price never pays to
+    sell: offset +inf, residual 0.  Returns (offsets, residuals, iterations:
+    root-finder steps of every solve of the stage).
     """
     prices = np.asarray(prices, dtype=float)
     shift_stds = np.asarray(shift_stds, dtype=float)
@@ -459,22 +456,19 @@ def solve_delta_offsets(prices: np.ndarray, voll: float, shift_stds: np.ndarray,
                 raise
             deltas[idx], residuals[idx] = math.inf, 0.0
         if idx == R - 1 and grad_exact is not None and math.isfinite(deltas[idx]):
-            # check against the exact engine, with Newton steps while the gate
-            # is missed: the recorded residual is that of the returned offset
+            # check against the exact engine; while the gate is missed, solve again at the
+            # price minus the exact side's miss: the residual is the returned offset's
             rhs_exact = _expectation([], lambda u: -grad_exact(u), shift_stds[idx], cuts, _HALVES)
-            h = 1e-5 * max(scale, 1.0)
-            resid = float(rhs_exact(deltas[idx:idx + 1])[0]) - float(prices[idx])
+            exact = float(rhs_exact(deltas[idx:idx + 1])[0])
             for _ in range(6):
-                if abs(resid) <= resid_tol:
+                if abs(exact - prices[idx]) <= resid_tol:
                     break
-                slope = (rhs(deltas[idx] + h) - rhs(deltas[idx] - h)) / (2.0 * h)
-                if slope >= 0.0:
-                    break
-                step = resid / slope
-                deltas[idx] -= math.copysign(min(abs(step), 0.5 * scale), step)
-                iterations[idx] += 1
-                resid = float(rhs_exact(deltas[idx:idx + 1])[0]) - float(prices[idx])
-            residuals[idx] = abs(resid)
+                deltas[idx], _, steps = _solve_decreasing(  # the miss: exact - interpolated
+                    rhs, float(prices[idx]) - (exact - rhs(deltas[idx])), deltas[idx] - scale,
+                    deltas[idx] + scale, 0.1 * resid_tol)
+                iterations[idx] += steps
+                exact = float(rhs_exact(deltas[idx:idx + 1])[0])
+            residuals[idx] = abs(exact - prices[idx])
         later.insert(0, (float(deltas[idx]), directions[idx] == SELL, float(prices[idx])))
         if idx == R - 1 or shift_stds[idx] > 0.0:
             stages, base = [], expect
@@ -494,7 +488,7 @@ class ThresholdSchedule:
     engine: str
     offsets: np.ndarray       # target minus current total forecast
     residuals: np.ndarray     # |stage right-hand side - price| per stage; nan: none solved
-    iterations: np.ndarray    # root-finder steps plus Newton steps, one per stage
+    iterations: np.ndarray    # root-finder steps, one count per stage
 
 
 def solve_thresholds_backward(scenario: Scenario, engine: str = "lattice", *,

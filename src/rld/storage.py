@@ -133,15 +133,11 @@ def unserved_and_slope_batch(deficits: np.ndarray, supply: np.ndarray | float,
     k = np.zeros(n)
     uncovered = np.empty(n, dtype=bool)
     for t in range(T - 1, -1, -1):
-        if lam != 1.0:
-            k *= lam
+        k *= lam
         k *= below[t]
         np.maximum(k, short[t], out=k)  # k <= 1; masked copies are 10x slower
-        if gain == 1.0:
-            weight += k
-        else:
-            np.maximum(np.less(x, deficits[:, t], out=uncovered), gain, out=tmp)
-            weight += np.multiply(tmp, k, out=tmp)
+        np.maximum(np.less(x, deficits[:, t], out=uncovered), gain, out=tmp)
+        weight += np.multiply(tmp, k, out=tmp)
     return total, weight
 
 

@@ -829,6 +829,40 @@ class TestCli:
         assert err.startswith("error: mean_share") and "Traceback" not in err
         assert not out.exists()
 
+    def test_ct_at_the_largest_capacities_exits_0(self, tmp_path, monkeypatch, capsys):
+        # 2B overflows at B = 1e308: ct solves its B -> inf limit, with no
+        # RuntimeWarning (an error under this suite's warning filter)
+        from rld.cli import entry
+
+        def edit(doc):
+            doc["storage"]["B"] = 1e308
+
+        path = self.shipped_variant(tmp_path, edit)
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr("sys.argv", [
+            "rld", "thresholds", "--engine", "ct", "--scenario", str(path), "--out", str(out)])
+        assert entry() == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(np.isfinite(float(cell)) for row in rows for cell in row.split(",")
+                   if cell != "ct")
+
+    @pytest.mark.parametrize("args", [
+        ["--mu", "0", "--sigma", "1e-200", "--capacity", "1"],
+        ["--mu", "1", "--sigma", "1e200", "--capacity", "1e-200"],
+    ], ids=["underflow", "overflow"])
+    def test_rbm_width_out_of_range_exits_2(self, tmp_path, monkeypatch, capsys, args):
+        # sigma^2 / 2B rounds to 0 or to inf: the pair is a bad option value
+        from rld.cli import entry
+
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr("sys.argv", ["rld", "rbm-table", *args, "--out", str(out)])
+        assert entry() == 2
+        captured = capsys.readouterr()
+        assert "Invalid value for '--sigma' and '--capacity'" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("target", ["missing directory", "directory"])
     @pytest.mark.parametrize("command", [
         ["thresholds"], ["simulate"], ["benchmark"], ["sweep", "--axis", "D"], ["rbm-table"],

@@ -162,6 +162,31 @@ class TestCtTerminal:
         assert cost.tolist() == [np.inf, 0.0]
         assert grad.tolist() == [-1000.0, 0.0]
 
+    @pytest.mark.parametrize("capacity, s2", [(1e308, 8e-5), (np.float64(9e307), 1.0),
+                                              (1e300, 1e-10)])
+    def test_overflowing_ratio_gives_the_step_limit(self, capacity, s2):
+        # 2B/sigma_sq overflows: the cost is voll * max(d - x, 0), the
+        # subgradient -voll, -voll/2 and 0 below, at and above d
+        xs = np.array([-np.inf, 0.3, np.nextafter(0.4, 0.0), 0.4, 0.5, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cost = ct_terminal_cost(xs, 0.4, s2, capacity, 1000.0)
+            grad = ct_terminal_subgradient(xs, 0.4, s2, capacity, 1000.0)
+            at_d = ct_terminal_subgradient(0.4, 0.4, s2, capacity, 1000.0)
+        assert np.array_equal(cost, 1000.0 * np.maximum(0.4 - xs, 0.0))
+        assert grad.tolist() == [-1000.0, -1000.0, -1000.0, -500.0, 0.0, 0.0]
+        assert at_d == -500.0 and isinstance(at_d, float)
+
+    @pytest.mark.parametrize("capacity, s2", [(0.3, 0.2), (1e-3, 8e-5), (1e300, 1.0)])
+    def test_finite_ratio_is_the_plain_formula(self, capacity, s2):
+        xs = np.linspace(-1.0, 2.0, 61)
+        ratio = 2.0 * capacity / s2
+        y = ratio * (xs - 0.4)
+        cost = ct_terminal_cost(xs, 0.4, s2, capacity, 1000.0)
+        grad = ct_terminal_subgradient(xs, 0.4, s2, capacity, 1000.0)
+        assert cost.tobytes() == (1000.0 / ratio * h_func(y)).tobytes()
+        assert grad.tobytes() == (1000.0 * h_prime(y)).tobytes()
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ct_terminal_cost(1.0, 1.0, 0.0, 0.5, 1000.0)

@@ -245,8 +245,9 @@ class TestDeltaOffsets:
         assert deltas[0] == pytest.approx(delta1_dp, abs=1e-3)
 
     def test_polish_records_the_returned_offsets_residual(self):
-        # the exact slope is 2.5x the interpolated one, so every Newton step
-        # overshoots and all six run; the residual must be the last offset's
+        # the exact slope is 2.5x the interpolated one, so every re-solve on
+        # the interpolated side overshoots and all six run; the residual must
+        # be the last offset's
         sigma, s, k, shift = 0.1, 0.01, 2.5, 0.002
         grad, _ = gaussian_terminal(sigma)
         calls = []
@@ -263,6 +264,32 @@ class TestDeltaOffsets:
         assert len(calls) == 7, calls
         assert residuals[0] == pytest.approx(abs(exact - 500.0), rel=1e-9)
         assert residuals[0] > 1e-6 * VOLL
+
+    def test_a_constant_miss_is_corrected_by_one_solve(self, monkeypatch):
+        # the exact side is the interpolated one plus 10: one re-solve at the
+        # price shifted by the miss meets the gate, a second exact call checks
+        # it, and the iterations count the steps of both solves
+        grad, _ = gaussian_terminal(0.1)
+        calls, steps = [], []
+
+        def grad_exact(w):
+            calls.append(np.size(w))
+            return grad(w) - 10.0
+
+        solve = dispatch._solve_decreasing
+
+        def counting(*args):
+            out = solve(*args)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(dispatch, "_solve_decreasing", counting)
+        _, residuals, iterations = solve_delta_offsets(
+            np.array([500.0]), VOLL, np.array([0.01]),
+            TerminalModel("test", grad, 0.1, grad_exact=grad_exact))
+        assert len(calls) == 2 and len(steps) == 2
+        assert residuals[0] <= 1e-6 * VOLL
+        assert iterations[0] == sum(steps)
 
     def test_own_price_comparative_static(self):
         # raising one stage's price lowers its threshold offset
@@ -405,7 +432,8 @@ class TestStageRecursion:
     def test_root_finder_clears_the_gate_with_a_margin(self, engine, capacity):
         # the stage root-finder stops at a tenth of the 1e-6 VOLL gate, so
         # the reported residual leaves room for the evaluation error; only
-        # the lattice's Newton-polished last stage stops at the gate itself
+        # the lattice's last stage, checked on its exact engine, stops at the
+        # gate itself
         scn = load_scenario(str(SHIPPED)).with_capacity(capacity)
         residuals = solve_thresholds_backward(scn, engine).residuals
         unpolished = residuals[:-1] if engine == "lattice" else residuals
@@ -511,6 +539,24 @@ class TestStageRecursion:
         reference = expect(y)
         assert np.abs(expect(y, step) - reference).max() < 1e-10 * VOLL
         assert np.abs(expect(y, step / 8) - reference).max() < 1e-10 * VOLL
+
+    def test_table_calls_fn_once_per_run(self):
+        # two disjoint spans: fn sees one run of consecutive ticks per call,
+        # and the table matches the cell rule at every tick
+        _, rhs_last = gaussian_terminal(0.4)
+        s, step = 0.2, 0.2 / 16
+        expect = dispatch._expectation([], rhs_last(0.3), s)
+        runs = []
+
+        def fn(y, step):
+            runs.append(np.rint(y / step))
+            return expect(y, step)
+
+        table = dispatch._tabulate(fn, expect, [(-1.0, -0.5), (0.5, 1.0)], step)
+        assert len(runs) == 2
+        assert all(np.all(np.diff(run) == 1.0) for run in runs)
+        y = step * np.concatenate(runs)
+        assert np.abs(table(y) - expect(y)).max() < 1e-10 * VOLL
 
     def test_b0_varied_profile_with_sells_solves_fast(self, monkeypatch):
         # B = 0 routes every engine to the closed form, a T-term sum per
@@ -690,12 +736,12 @@ class TestTerminalModel:
 
     def test_shipped_lattice_solve_checks_once(self, monkeypatch):
         # one exact solve for the 145-point grid and one check of the last
-        # stage, a position per quadrature node: no Newton step is needed
+        # stage, a position per quadrature node: no re-solve is needed
         scn = load_scenario(str(SHIPPED))
         assert self.exact_lattice_positions(monkeypatch, scn) == [145, 44]
 
     def test_lattice_polish_checks_at_most_44_positions(self, monkeypatch):
-        # at B = 1e-2 the interpolated root misses the gate: one Newton step,
+        # at B = 1e-2 the interpolated root misses the gate: one re-solve,
         # checked again, so a rule with more nodes costs twice
         scn = load_scenario(str(SHIPPED)).with_capacity(1e-2)
         assert self.exact_lattice_positions(monkeypatch, scn) == [145, 44, 44]
@@ -905,6 +951,24 @@ class TestSubnormalCapacity:
             last_stage_offset(72.0, lambda w: np.nan * w, scale=1.0)
         with pytest.raises(DegeneratePriceError, match="not finite"):
             last_stage_offset(72.0, lambda w: -VOLL * (w < 0), scale=math.inf)
+
+
+class TestHugeCapacity:
+    """Capacities so large that the ct ratio 2B / sigma^2 overflows."""
+
+    def test_ct_solves_the_infinite_capacity_limit(self):
+        # on the shipped sigma^2 = 8e-5 the ratio overflows from B = 7.2e303:
+        # the subgradient is the step -VOLL * (w < 0), and the last stage
+        # solves VOLL * ndtr(-delta / s) = price.  At B = 1e308 the width
+        # sigma^2 / 2B is 0 and the cuts coincide: no table sums across them
+        scn = load_scenario(str(SHIPPED))
+        limit, near = (solve_thresholds_backward(scn.with_capacity(capacity), "ct")
+                       for capacity in (1e308, 1e300))
+        voll, price, s = scn.cost.voll, scn.ladder.prices[-1], scn.inter_stage_stds()[-1]
+        assert np.all(np.isfinite(limit.offsets))
+        assert np.all(limit.residuals < 1e-6 * voll), limit.residuals
+        assert limit.offsets[-1] == pytest.approx(-s * ndtri(price / voll), abs=1e-9)
+        assert np.abs(limit.offsets - near.offsets).max() < 1e-9
 
 
 def hundred_sweep_ideal(deficits, capacity, price, voll):

@@ -477,6 +477,8 @@ class TestLossySlope:
     @settings(max_examples=60, deadline=None)
     @example(effs=(0.9, 0.0, 0.7), capacity=0.05, T=8, seed=2)    # nu*mu = 0
     @example(effs=(0.9, 0.8, 0.7), capacity=5e-324, T=8, seed=3)
+    @example(effs=(0.9, 1.0, 1.0), capacity=0.05, T=8, seed=4)    # lambda < 1, nu*mu = 1
+    @example(effs=(1.0, 0.8, 0.7), capacity=0.05, T=8, seed=5)    # lambda = 1, nu*mu < 1
     def test_two_sweeps_match_the_forward_oracle(self, effs, capacity, T, seed):
         def kernel_and_oracle(spec):
             paths, s, v, w = self.cost_and_slope(spec, 4, T, seed)
