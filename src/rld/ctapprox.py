@@ -72,10 +72,18 @@ def h_prime(x):
 
 
 def rbm_long_run(params: RbmParams) -> tuple[float, float]:
-    """Long-run rates of the lower and upper boundary pushes (V up, Q down)."""
+    """Long-run rates of the lower and upper boundary pushes (V up, Q down).
+
+    They are width * h(+-y) with y = drift / width.  Away from y = 0 that is
+    drift / expm1(+-y), which stays finite where y overflows: the rates
+    tend to max(-drift, 0) and -max(drift, 0) as the width shrinks.
+    """
     scale = params.width
-    y = params.drift / scale
-    return float(scale * h_func(y)), float(-scale * h_func(-y))
+    y = params.drift / scale    # Python floats overflow to inf silently
+    if abs(y) < _SERIES_CUTOFF:   # where h's series is the more accurate
+        return float(scale * h_func(y)), float(-scale * h_func(-y))
+    with np.errstate(over="ignore"):
+        return float(params.drift / np.expm1(y)), float(params.drift / np.expm1(-y))
 
 
 def _ct_argument(x_accumulated, d_hat_total: float, sigma_sq: float, capacity: float):

@@ -250,6 +250,27 @@ def _monotone_cubic(x: np.ndarray, y: np.ndarray) -> CubicHermiteSpline:
     return CubicHermiteSpline(x, y, slopes)
 
 
+def _retire(gone: np.ndarray, start: int, *tables: np.ndarray) -> int:
+    """Drop the rows where ``gone`` from the working range that starts at ``start``.
+
+    ``gone`` flags the range's rows in order; with k of them set, the range
+    then starts at ``start + k``.  Each live row among its first k moves
+    into a gone slot beyond them, in every line of each table (one entry
+    per row, so a (T, n) table moves T contiguous stage columns).  Only
+    the rows that leave or move are touched, and no temporary is larger
+    than their count.
+    """
+    k = int(np.count_nonzero(gone))
+    src = np.flatnonzero(~gone[:k])
+    if src.size:
+        src += start
+        dst = np.flatnonzero(gone[k:]) + (start + k)
+        for table in tables:
+            for line in table:
+                line[dst] = line[src]
+    return start + k
+
+
 def _mc_subgradients(deficits: np.ndarray, supplies: np.ndarray, capacity: float,
                      voll: float, scratch: np.ndarray) -> np.ndarray:
     """Mean ``subgradient_estimates_batch`` over the rows at each ascending supply.
@@ -262,28 +283,32 @@ def _mc_subgradients(deficits: np.ndarray, supplies: np.ndarray, capacity: float
     after t (a shortfall, or a level at the capacity) is a shortfall, over
     the pin masks its forward sweep records, and a higher supply raises
     every forward level, since each rounded step is monotone: shortfalls
-    only disappear and full levels only appear.  The full vector is
-    filled in row order before the mean, so every value is bitwise the
-    plain per-supply kernel mean.  ``scratch`` (a float vector of at least
-    ``deficits.size`` entries, overwritten) holds the rows sent each time,
-    so the loop copies no rows of varying size; each kernel call allocates
-    only its two one-byte masks per row and stage.
+    only disappear and full levels only appear.
+
+    The rows are copied once into ``scratch`` (a float vector of at least
+    ``deficits.size`` entries, overwritten), stage-major and sorted by
+    lowest deficit, so the open rows are one contiguous range [a, b) of
+    every stage column: b advances past the rows whose lowest deficit the
+    supply reaches, and a row whose estimate reaches 0 leaves through
+    ``_retire`` at a.  The kernel reads the range in place; each call
+    allocates only its two one-byte masks per row and stage.  The
+    estimates are kept by original row, and the mean is taken in row
+    order, so every value is bitwise the plain per-supply kernel mean.
     """
     n, T = deficits.shape
     lowest = deficits.min(axis=1)
+    idx = np.argsort(lowest, kind="stable")
+    entered = np.searchsorted(lowest[idx], supplies, side="right")
+    by_stage = scratch[:n * T].reshape(T, n)
+    np.take(deficits.T, idx, axis=1, out=by_stage, mode="clip")
     est = np.full(n, -voll / T * T)
-    todo = np.empty(n, dtype=bool)
-    unsettled = np.empty(n, dtype=bool)
     vals = np.empty(supplies.size)
-    for i, supply in enumerate(supplies):
-        np.greater_equal(supply, lowest, out=todo)
-        todo &= np.not_equal(est, 0.0, out=unsettled)
-        rows = np.flatnonzero(todo)
-        if rows.size:
-            # stage-major rows of the copy: the kernel reads it column-major
-            by_stage = scratch[:rows.size * T].reshape(T, rows.size)
-            np.take(deficits.T, rows, axis=1, out=by_stage, mode="clip")
-            est[rows] = subgradient_estimates_batch(by_stage.T, supply, capacity, voll)
+    a = 0
+    for i, (supply, b) in enumerate(zip(supplies, entered)):
+        if a < b:
+            open_rows = subgradient_estimates_batch(by_stage[:, a:b].T, supply, capacity, voll)
+            est[idx[a:b]] = open_rows
+            a = _retire(open_rows == 0.0, a, by_stage, idx[None])
         vals[i] = est.mean()
     return vals
 
@@ -573,8 +598,10 @@ def ideal_costs_batch(deficits: np.ndarray, capacity: float, buy_price: float,
     own ``p*(T*s) + VOLL*V(s)`` at the returned s.
 
     The caller bounds the block: the search holds one column-major copy of
-    the rows (8*T bytes a row), compacted to the unretired rows after
-    every step, and the kernel's pin masks (2*T bytes a row).
+    the rows (8*T bytes a row) and the kernel's pin masks (2*T bytes a
+    row).  The unretired rows are one range at the end of the copy, read
+    in place; after each step ``_retire`` moves surviving rows into the
+    slots of rows that retired, with their bracket ends and row numbers.
     Returns (supply, cost).
     """
     if sell_price > buy_price:
@@ -584,38 +611,44 @@ def ideal_costs_batch(deficits: np.ndarray, capacity: float, buy_price: float,
     work = np.array(deficits, dtype=float, order="F", ndmin=2)
     n, T = work.shape
     spec = StorageSpec(capacity)
-    lo = np.minimum(work.min(axis=1) - 1.0, 0.0)
-    hi = np.maximum(work.max(axis=1) + 1.0, 0.0)
+    # each end's supply, cost and right slope: lo's row, then hi's
+    bracket = np.empty((2, 3, n))
+    (lo, f_lo, g_lo), (hi, f_hi, g_hi) = bracket
+    np.minimum(work.min(axis=1) - 1.0, 0.0, out=lo)
+    np.maximum(work.max(axis=1) + 1.0, 0.0, out=hi)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("deficits must be finite")
+    # each row's sum, stage by stage as in a block: a lone row would be summed pairwise
+    f_lo[:] = work[:, 0]
+    for col in work.T[1:]:
+        f_lo += col
     price_lo = np.where(lo < 0.0, sell_price * T, buy_price * T)
-    f_lo = price_lo * lo + voll * (work.sum(axis=1) - T * lo)
-    f_hi = buy_price * T * hi
-    g_lo = price_lo - voll * T
-    g_hi = np.full(n, buy_price * T)
+    f_lo[:] = price_lo * lo + voll * (f_lo - T * lo)
+    f_hi[:] = buy_price * T * hi
+    g_lo[:] = price_lo - voll * T
+    g_hi[:] = buy_price * T
     rows = np.arange(n)
     supply, cost = np.empty(n), np.empty(n)
+    a = 0
     for _ in range(T + 1):
+        ends = bracket[:, :, a:]
+        (lo, f_lo, g_lo), (hi, f_hi, g_hi) = ends
         t = lo + (f_hi - f_lo - g_hi * (hi - lo)) / (g_lo - g_hi)
-        unserved, weight = unserved_and_slope_batch(work[:rows.size], t, spec)
+        unserved, weight = unserved_and_slope_batch(work[a:], t, spec)
         price = np.where(t < 0.0, sell_price, buy_price)
         f = price * (T * t) + voll * unserved
         g = price * T - voll * weight
         inside = (lo < t) & (t < hi)
         done = ~inside | (g == 0.0) | (g == g_lo) | (g == g_hi)
         below = t <= lo
-        supply[rows[done]] = np.where(inside, t, np.where(below, lo, hi))[done]
-        cost[rows[done]] = np.where(inside, f, np.where(below, f_lo, f_hi))[done]
-        keep = ~done
-        k = int(keep.sum())
-        if k == 0:
+        retired = rows[a:][done]
+        supply[retired] = np.where(inside, t, np.where(below, lo, hi))[done]
+        cost[retired] = np.where(inside, f, np.where(below, f_lo, f_hi))[done]
+        # t replaces the end on its side of the minimum, then retired rows leave
+        for side, moved in zip(ends, (g < 0.0, g >= 0.0)):
+            for end, value in zip(side, (t, f, g)):
+                np.copyto(end, value, where=moved)
+        a = _retire(done, a, work.T, bracket.reshape(6, n), rows[None])
+        if a == n:
             return supply, cost
-        if k < rows.size:
-            for col in range(T):
-                work[:k, col] = work[:rows.size, col][keep]
-            lo, hi, f_lo, f_hi, g_lo, g_hi, t, f, g, rows = (
-                a[keep] for a in (lo, hi, f_lo, f_hi, g_lo, g_hi, t, f, g, rows))
-        left = g < 0.0
-        lo, f_lo, g_lo = np.where(left, t, lo), np.where(left, f, f_lo), np.where(left, g, g_lo)
-        hi, f_hi, g_hi = np.where(left, hi, t), np.where(left, f_hi, f), np.where(left, g_hi, g)
     raise RuntimeError("tangent-cut search did not retire every row within T + 1 steps")

@@ -293,9 +293,10 @@ class Scenario:
             [np.full(n, self.d_total), shift_normals * self.inter_stage_stds()]), axis=1)
         sigma_stage = math.sqrt(self.delivery_fluctuation_variance / T)
         shift_stage = (forecasts[:, R] - self.d_total) / T
-        for t in range(T):   # a column at a time: no (n, T) temporaries
-            deficits[:, t] = (self.d_hat_stage[t] + shift_stage
-                              + sigma_stage * noise_normals[:, t])
+        tmp = np.empty(n)
+        for t, col in enumerate(deficits.T):   # in place, a column at a time
+            np.add(shift_stage, self.d_hat_stage[t], out=col)
+            col += np.multiply(noise_normals[:, t], sigma_stage, out=tmp)
         return forecasts[:, :R], deficits
 
     def with_capacity(self, capacity: float) -> "Scenario":

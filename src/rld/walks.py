@@ -41,7 +41,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _npdf(z):
-    return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
+    with np.errstate(over="ignore"):   # an overflowing square is the pdf's limit 0
+        return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -222,9 +223,9 @@ def _gauss_kernel(ys: np.ndarray, xs: np.ndarray, sigma: float) -> np.ndarray:
 
 def _fractions(pts, lo, hi, sigma):
     """(rows, 3, points) window fractions of a step out of pts (see _Move)."""
-    z_hi = (hi[:, None] - pts) / sigma
-    return np.stack([ndtr((lo[:, None] - pts) / sigma), ndtr(-z_hi), sigma * _npdf(z_hi)],
-                    axis=1)
+    with np.errstate(over="ignore"):   # an infinite z is the fractions' limit
+        z_lo, z_hi = (lo[:, None] - pts) / sigma, (hi[:, None] - pts) / sigma
+    return np.stack([ndtr(z_lo), ndtr(-z_hi), sigma * _npdf(z_hi)], axis=1)
 
 
 def _toeplitz_move(pts, lo, hi, offset, dy, sigma):
@@ -263,7 +264,8 @@ def _gauss_step(state: _Atoms | _Grid, sigma: float, lower: np.ndarray,
     ys = _UNIT * dy[:, None] + wlo[:, None]
     ys[:, -1] = whi
 
-    key = (np.array([lo, hi, x1]) - x0) / sigma
+    with np.errstate(over="ignore"):   # an infinite key never matches, as it should
+        key = (np.array([lo, hi, x1]) - x0) / sigma
     if move is not None and move.sigma == sigma:
         with np.errstate(invalid="ignore"):   # infinite window edges never match
             stale = ~np.all(np.abs(key - move.key) <= _KEY_TOL, axis=0)

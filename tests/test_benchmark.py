@@ -399,6 +399,17 @@ class TestCli:
         assert lines[0] == "mu,sigma,B,v_rate,q_rate"
         assert len(lines) == 3
 
+    def test_rbm_table_rates_stay_finite_where_the_drift_ratio_overflows(self, tmp_path):
+        # width 5e-321: drift / width overflows, the rates are their limits
+        # max(-mu, 0) and -max(mu, 0)
+        out = tmp_path / "rbm.csv"
+        result = CliRunner().invoke(main, ["rbm-table", "--mu", "1,-1", "--sigma", "1e-160",
+                                           "--capacity", "1", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = [[float(c) for c in line.split(",")]
+                for line in out.read_text().splitlines()[1:]]
+        assert [row[3:] for row in rows] == [[0.0, -1.0], [1.0, 0.0]]
+
     def test_thresholds_command(self, tmp_path):
         import json
         from conftest import DEFAULT_CURVE

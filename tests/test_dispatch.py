@@ -861,6 +861,44 @@ class TestTerminalModel:
         got = _mc_subgradients(deficits, supplies, capacity, VOLL, np.empty(deficits.size))
         assert got.tobytes() == np.array(expect).tobytes()
 
+    @pytest.mark.parametrize("capacity", [0.0, 0.02, 0.05])
+    def test_mc_working_range_through_ties(self, capacity):
+        from rld.dispatch import _mc_subgradients
+
+        # deficits on a 0.01 lattice and supplies on a 0.005 one: rows enter
+        # exactly at their lowest deficit, many together, and leave in
+        # batches at many supplies, in orders unlike the order they entered
+        rng = np.random.default_rng(17)
+        deficits = np.asfortranarray(0.01 * rng.integers(-6, 9, (400, 8)))
+        supplies = 0.005 * np.arange(-14, 20)
+        est = np.array([subgradient_estimates_batch(deficits, s, capacity, VOLL)
+                        for s in supplies])
+        settles = (est == 0.0).argmax(axis=0)[(est == 0.0).any(axis=0)]
+        assert np.unique(settles).size >= 6
+        scratch = np.full(deficits.size + 5, np.nan)
+        got = _mc_subgradients(deficits, supplies, capacity, VOLL, scratch)
+        assert got.tobytes() == est.mean(axis=1).tobytes()
+
+    def test_mc_working_range_allocates_no_row_block(self):
+        # 20,000 x 60: a second copy of the rows would be 9.6 MB; the kernel's
+        # pin masks are 2.4 MB at most, the sort and the per-row vectors about 0.6 MB
+        import tracemalloc
+
+        from rld.dispatch import _mc_subgradients
+
+        rng = np.random.default_rng(5)
+        deficits = np.asfortranarray(0.0067 + 1.15e-3 * rng.standard_normal((20_000, 60)))
+        scratch = np.empty(deficits.size)
+        supplies = np.linspace(deficits.min(), deficits.max(), 200)
+        tracemalloc.start()
+        try:
+            vals = _mc_subgradients(deficits, supplies, 1e-3, VOLL, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vals[-1] == 0.0
+        assert peak < 6e6, peak
+
     def test_unknown_engine(self, small_scenario):
         with pytest.raises(ValueError):
             build_terminal_model(small_scenario, "magic")
@@ -1044,6 +1082,32 @@ class TestIdealPolicy:
                  for start in range(0, 10_000, 4096)]
         assert supply.tobytes() == np.concatenate([s for s, _ in parts]).tobytes()
         assert cost.tobytes() == np.concatenate([c for _, c in parts]).tobytes()
+
+    @pytest.mark.parametrize("sell", [52.0, 40.0], ids=["buy-only", "kinked"])
+    def test_rows_retired_on_different_passes_keep_their_solo_result(self, monkeypatch, sell):
+        # each retirement moves surviving rows into the freed slots: a row's
+        # result must not depend on where it sat or on which rows left first
+        rng = np.random.default_rng(23)
+        T = 10
+        deficits = np.concatenate([
+            0.05 + 0.1 * rng.standard_normal((40, T)),
+            0.01 * rng.integers(-3, 6, (40, T)),      # ties: few distinct slopes
+            np.full((4, T), 0.03),                    # flat rows
+            -0.2 + 0.05 * rng.standard_normal((16, T)),
+        ])[rng.permutation(100)]
+        supply, cost = ideal_costs_batch(deficits, 0.05, 52.0, sell, VOLL)
+        passes = []
+
+        def counted(*args):
+            passes[-1] += 1
+            return unserved_and_slope_batch(*args)
+
+        monkeypatch.setattr(dispatch, "unserved_and_slope_batch", counted)
+        for row, s, c in zip(deficits, supply, cost):
+            passes.append(0)
+            solo_s, solo_c = ideal_costs_batch(row[None], 0.05, 52.0, sell, VOLL)
+            assert (solo_s.tobytes(), solo_c.tobytes()) == (s.tobytes(), c.tobytes())
+        assert len(set(passes)) >= 4, passes
 
     def test_one_block_peaks_near_its_working_copy(self):
         # one 8192 x 60 block: its column-major working copy is 3.9 MB, the

@@ -343,6 +343,17 @@ class TestSubgradient:
                                             scn.storage.capacity, scn.cost.voll)
         assert np.all(np.diff(vals) >= 0.0)
 
+    @pytest.mark.parametrize("B", [1e200, 1e300, 1e308])
+    def test_huge_capacity_is_its_finite_limit(self, B):
+        # z = (edge - x) / sigma and its square overflow to inf, which is
+        # already their limit; the suite turns each RuntimeWarning into an error
+        scn = load_scenario(resources.files("rld") / "data" / "vi_scenario.json")
+        fc = scn.delivery_forecast()
+        expect = lattice_terminal_subgradient(fc.total_mean, fc, 1e100, VOLL)
+        assert expect == pytest.approx(-499.70, abs=0.005)
+        got = lattice_terminal_subgradient(fc.total_mean, fc, B, VOLL)
+        assert abs(got - expect) <= 1e-9 * VOLL
+
     def test_saturates_at_extremes(self):
         fc = constant_forecast(4, 0.05, 0.01)
         assert lattice_terminal_subgradient(-50.0, fc, 0.01, VOLL) == pytest.approx(-VOLL)
