@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below this argument size the exact expressions for h and h' cancel
-# catastrophically; truncated series keep full accuracy there.
+# Below this argument size the exact expression for h' cancels
+# catastrophically; a truncated series keeps full accuracy there.
 _SERIES_CUTOFF = 1e-3
+_MAX_FLOAT = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -31,23 +32,6 @@ class RbmParams:
     @property
     def width(self) -> float:   # sigma^2 / 2B, the energy scale of the push rates
         return self.volatility * self.volatility / (2.0 * self.barrier)
-
-
-def h_func(x):
-    """x / (e^x - 1), continued by 1 at x = 0.  Positive, strictly decreasing."""
-    x = np.asarray(x, dtype=float)
-    # each branch runs only on its own elements; above 710 expm1 overflows
-    # and x / expm1(x) is already 0, so the exact branch stops there
-    # (at +inf it would be inf / inf)
-    out = np.zeros_like(x)
-    small = np.abs(x) < _SERIES_CUTOFF
-    exact = ~(small | (x > 710.0))
-    xe = x[exact]
-    with np.errstate(over="ignore"):
-        out[exact] = xe / np.expm1(xe)
-    xs = x[small]
-    out[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
-    return out if out.ndim else float(out)
 
 
 def h_prime(x):
@@ -71,19 +55,28 @@ def h_prime(x):
     return out if out.ndim else float(out)
 
 
+def _push_rate(drift, y, width):
+    """drift / (e^y - 1) = width * h(y), h(x) = x / (e^x - 1) continued by 1 at 0.
+
+    The long-run rate at which a Brownian motion with this drift, reflected in
+    [0, B], is pushed up at 0, where y = drift / width and width = sigma^2 / 2B
+    (Harrison, *Brownian Motion and Stochastic Flow Systems*, 1985).  Where y
+    overflows to +-inf the division reaches the limits 0 and -drift; an
+    infinite drift is first clamped to the largest double, so that inf / inf
+    is 0 too.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.where(y == 0.0, width, np.minimum(drift, _MAX_FLOAT) / np.expm1(y))
+
+
 def rbm_long_run(params: RbmParams) -> tuple[float, float]:
     """Long-run rates of the lower and upper boundary pushes (V up, Q down).
 
-    They are width * h(+-y) with y = drift / width.  Away from y = 0 that is
-    drift / expm1(+-y), which stays finite where y overflows: the rates
-    tend to max(-drift, 0) and -max(drift, 0) as the width shrinks.
+    The push at B is the push at 0 of the mirrored motion B - b, of drift -drift.
     """
-    scale = params.width
-    y = params.drift / scale    # Python floats overflow to inf silently
-    if abs(y) < _SERIES_CUTOFF:   # where h's series is the more accurate
-        return float(scale * h_func(y)), float(-scale * h_func(-y))
-    with np.errstate(over="ignore"):
-        return float(params.drift / np.expm1(y)), float(params.drift / np.expm1(-y))
+    y = params.drift / params.width    # Python floats overflow to inf silently
+    return (float(_push_rate(params.drift, y, params.width)),
+            -float(_push_rate(-params.drift, -y, params.width)))
 
 
 def _ct_argument(x_accumulated, d_hat_total: float, sigma_sq: float, capacity: float):
@@ -102,11 +95,12 @@ def ct_terminal_cost(x_accumulated, d_hat_total: float, sigma_sq: float,
     """Approximate expected delivery cost from the long-run push rate.
 
     ``sigma_sq`` is the interval-total variance of the fluctuation process;
-    scaling (B, sigma_sq) together leaves the result unchanged.  Where 2B/sigma_sq
-    overflows, the cost is its limit voll * max(d_hat_total - x, 0).
+    scaling (B, sigma_sq) together leaves the result unchanged.  It is voll
+    times the push rate of drift x - d_hat_total at width sigma_sq / 2B; where
+    2B/sigma_sq overflows, that is its limit voll * max(d_hat_total - x, 0).
     """
     gap, ratio, y = _ct_argument(x_accumulated, d_hat_total, sigma_sq, capacity)
-    out = voll * np.maximum(-gap, 0.0) if ratio == np.inf else voll / ratio * h_func(y)
+    out = voll * _push_rate(gap, y, 1.0 / ratio)
     return out if np.ndim(out) else float(out)
 
 

@@ -138,8 +138,10 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
     evaluated on one uniform grid, whatever the capacity, and interpolated
     in probit space by a monotone cubic with filtered spline slopes
     (``_monotone_cubic``), held at the grid ends; the continuous-time engine
-    is analytic.  All three engines model ideal storage of the scenario's
-    capacity and ignore its efficiencies, even at nu = 0, where the storage
+    is analytic.  The Monte Carlo engine, and the pointwise model of an
+    unrevised forecast with no delivery fluctuation, run the scenario's
+    storage, efficiencies included; the lattice and continuous-time engines
+    model ideal storage of its capacity, even at nu = 0, where the storage
     can deliver nothing.
     """
     if engine not in ENGINES:
@@ -147,7 +149,8 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
     fc = scenario.delivery_forecast()
     T = scenario.T
     voll = scenario.cost.voll
-    capacity = scenario.storage.capacity
+    spec = scenario.storage
+    capacity = spec.capacity
     m_total = fc.total_mean
     sig_tot = math.sqrt(scenario.delivery_fluctuation_variance)
     scale = max(math.sqrt(T) * sig_tot, 1e-6)
@@ -166,7 +169,7 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
         def grad_hard(w):
             w = np.asarray(w, dtype=float)
             ds = np.broadcast_to(profile, (w.size, T))
-            return subgradient_estimates_batch(ds, (w.ravel() + m_total) / T, capacity,
+            return subgradient_estimates_batch(ds, (w.ravel() + m_total) / T, spec,
                                                voll).reshape(w.shape)
 
         return TerminalModel(engine, grad_hard, scale=max(T * capacity, 1.0))
@@ -208,7 +211,7 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
         # no forecast revisions: the delivery fluctuations around d_hat alone
         deficits = scenario.realize(np.zeros((MC_PATHS, scenario.ladder.n_stages)), noise)[1]
         # the spent draws hold the grid's row copies: no new large blocks
-        vals = _mc_subgradients(deficits, (ws + m_total) / T, capacity, voll,
+        vals = _mc_subgradients(deficits, (ws + m_total) / T, spec, voll,
                                 scratch=noise.reshape(-1))
 
     vals = np.maximum.accumulate(vals)   # roundoff/MC noise must not break monotonicity
@@ -271,19 +274,19 @@ def _retire(gone: np.ndarray, start: int, *tables: np.ndarray) -> int:
     return start + k
 
 
-def _mc_subgradients(deficits: np.ndarray, supplies: np.ndarray, capacity: float,
+def _mc_subgradients(deficits: np.ndarray, supplies: np.ndarray, spec: StorageSpec,
                      voll: float, scratch: np.ndarray) -> np.ndarray:
     """Mean ``subgradient_estimates_batch`` over the rows at each ascending supply.
 
-    Only rows whose estimate is not known yet go through the kernel.  A row
-    whose supply is below its lowest deficit is short at every stage with
-    empty storage: exactly ``-voll / T * T``.  A row whose estimate reached
-    0 stays at 0, because the kernel's exact weight never grows with the
-    supply.  Its backward sweep counts the stages t whose first pin at or
-    after t (a shortfall, or a level at the capacity) is a shortfall, over
-    the pin masks its forward sweep records, and a higher supply raises
-    every forward level, since each rounded step is monotone: shortfalls
-    only disappear and full levels only appear.
+    Only rows whose estimate is not known yet go through the kernel, on
+    ``spec``'s storage.  A row whose supply is below its lowest deficit is
+    short at every stage with empty storage: each stage adds 1 to the
+    weight, exactly ``-voll / T * T`` whatever the efficiencies.  A row
+    whose estimate reached 0 stays at 0.  Its weight is 0 exactly when no
+    stage is short, since a short stage's supply is below its deficit and
+    adds at least 1, and a higher supply raises every forward level, since
+    each rounded step (the gain and lambda scalings included) is monotone:
+    shortfalls only disappear.
 
     The rows are copied once into ``scratch`` (a float vector of at least
     ``deficits.size`` entries, overwritten), stage-major and sorted by
@@ -306,7 +309,7 @@ def _mc_subgradients(deficits: np.ndarray, supplies: np.ndarray, capacity: float
     a = 0
     for i, (supply, b) in enumerate(zip(supplies, entered)):
         if a < b:
-            open_rows = subgradient_estimates_batch(by_stage[:, a:b].T, supply, capacity, voll)
+            open_rows = subgradient_estimates_batch(by_stage[:, a:b].T, supply, spec, voll)
             est[idx[a:b]] = open_rows
             a = _retire(open_rows == 0.0, a, by_stage, idx[None])
         vals[i] = est.mean()

@@ -142,12 +142,12 @@ def unserved_and_slope_batch(deficits: np.ndarray, supply: np.ndarray | float,
 
 
 def subgradient_estimates_batch(deficits: np.ndarray, supply: np.ndarray | float,
-                                capacity: float, voll: float) -> np.ndarray:
-    """Row-wise per-path subgradient estimates (ideal storage).
+                                spec: StorageSpec, voll: float) -> np.ndarray:
+    """Row-wise per-path subgradient estimates.
 
     Each is -voll / T times the exact shortfall weight w of
     ``unserved_and_slope_batch``, the right derivative of the path's cost
-    in the accumulated position x = T * supply.
+    in the accumulated position x = T * supply, efficiencies included.
     """
     T = np.shape(deficits)[-1]
-    return -voll / T * unserved_and_slope_batch(deficits, supply, StorageSpec(capacity))[1]
+    return -voll / T * unserved_and_slope_batch(deficits, supply, spec)[1]

@@ -1,15 +1,15 @@
 """Reference implementations that only the tests use.
 
-Scalar walk drivers, the dense-kernel density of a Gaussian walk step, the
-greedy storage rule stage by stage, a one-path storage subgradient, the
-batch storage slope carried forward in one sweep, the (V, Q) reformulation
-check, the all-branches form of the ct h functions, a
-bridge-corrected simulator of the reflected walk, three evaluators of the
-stage right-hand sides (scrambled-Sobol paths, untabulated nested
+Scalar walk drivers, the dense-kernel density of a Gaussian walk step,
+the greedy storage rule stage by stage, a one-path storage subgradient,
+the batch storage slope carried forward in one sweep, the (V, Q)
+reformulation check, the all-branches form of the ct h', a
+bridge-corrected simulator of the reflected walk, three evaluators of
+the stage right-hand sides (scrambled-Sobol paths, untabulated nested
 quadrature and a dense uniform rule for the last stage), the
 perfect-foresight ideal as a linear program and by two one-price
 searches, a CSV reader for benchmark tables, the ladder rules checked
-pair by pair and the forecast-revision stds computed stage by stage.  The
+pair by pair and the forecast-revision stds computed stage by stage. The
 library computes the same quantities in batch, by FFT, branch by branch,
 in closed form, from tabulated stage functions or between neighbouring
 stages only; these plain versions are the oracles it is checked against.
@@ -314,18 +314,6 @@ def carried_unserved_and_slope(deficits: np.ndarray, supply, spec: StorageSpec):
             carried *= lam
             u *= lam
     return total, weight
-
-
-def h_func_all_branches(x):
-    """``ctapprox.h_func`` evaluating both branches everywhere, then selecting."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUTOFF
-    xs = np.where(small, 1.0, x)
-    with np.errstate(over="ignore"):
-        exact = np.where(small, 1.0, xs / np.expm1(xs))
-    series = 1.0 - x / 2.0 + x * x / 12.0
-    out = np.where(small, series, exact)
-    return out if out.ndim else float(out)
 
 
 def h_prime_all_branches(x):

@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 from scipy.special import expit, ndtr, ndtri
 
 from rld import dispatch
+from rld.benchmark import evaluate_policies
 from rld.ctapprox import ct_terminal_cost, ct_terminal_subgradient, h_prime
 from rld.dispatch import (
     DegeneratePriceError,
@@ -797,16 +798,19 @@ class TestTerminalModel:
     def test_zero_variance_model_matches_pointwise_evaluation(self):
         scn = make_scenario(T=8, B=0.001, d=0.48, mean_share=0.0,
                             curve=[[24, 0.0], [1, 0.0], [0.25, 0.0]])
-        model = build_terminal_model(scn, "ct")
         fc = scn.delivery_forecast()
         w = np.array([0.01, -0.2, 0.01, 0.0, -0.0, 0.3, -0.2, 0.01, 1e-3, 0.0])
-        pointwise = [
-            subgradient_estimates_batch(fc.d_hat[None, :], (wi + fc.total_mean) / scn.T,
-                                        scn.storage.capacity, VOLL)[0]
-            for wi in w
-        ]
-        assert model.grad(w).tobytes() == np.array(pointwise).tobytes()
-        assert model.grad(np.empty(0)).shape == (0,)
+        for storage in (scn.storage, StorageSpec(0.001, 0.8, 0.9, 0.7)):
+            # whatever the engine, the profile is evaluated on the scenario's storage
+            scn = dataclasses.replace(scn, storage=storage)
+            model = build_terminal_model(scn, "ct")
+            pointwise = [
+                subgradient_estimates_batch(fc.d_hat[None, :], (wi + fc.total_mean) / scn.T,
+                                            storage, VOLL)[0]
+                for wi in w
+            ]
+            assert model.grad(w).tobytes() == np.array(pointwise).tobytes()
+            assert model.grad(np.empty(0)).shape == (0,)
 
     def test_mc_engine_close_to_lattice(self, monkeypatch):
         scn = make_scenario(T=8, B=0.01)
@@ -820,16 +824,17 @@ class TestTerminalModel:
         dict(),                           # the shipped T = 60, B = 1e-3
         dict(T=6, B=0.02, d=0.3),
         dict(T=12, B=0.1),
-    ], ids=["shipped", "small", "large-B"])
+        dict(T=12, B=0.01, efficiencies=(0.8, 0.8, 0.8)),
+    ], ids=["shipped", "small", "large-B", "lossy"])
     def test_mc_grid_equals_unpruned_loop(self, monkeypatch, params):
         import rld.dispatch as dispatch
 
         scn = make_scenario(**params)
         pruned = build_terminal_model(scn, "mc")
 
-        def every_row_at_every_supply(deficits, supplies, capacity, voll, scratch):
+        def every_row_at_every_supply(deficits, supplies, spec, voll, scratch):
             return np.array([
-                subgradient_estimates_batch(deficits, s, capacity, voll).mean()
+                subgradient_estimates_batch(deficits, s, spec, voll).mean()
                 for s in supplies
             ])
 
@@ -842,10 +847,15 @@ class TestTerminalModel:
 
     @given(
         capacity=st.sampled_from([0.0, 5e-324, 0.5]),
+        effs=st.one_of(st.just((1.0, 1.0, 1.0)), st.tuples(*3 * [st.one_of(
+            st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))])),
         seed=st.integers(0, 10_000),
     )
     @settings(max_examples=40, deadline=None)
-    def test_mc_subgradients_bitwise(self, capacity, seed):
+    def test_mc_subgradients_bitwise(self, capacity, effs, seed):
+        # the rows it skips are exact on lossy storage too: below its lowest
+        # deficit a row is short at every stage, and a weight that reached 0
+        # has no short stage left
         from rld.dispatch import _mc_subgradients
 
         rng = np.random.default_rng(seed)
@@ -856,10 +866,27 @@ class TestTerminalModel:
             rng.uniform(-0.3, 0.5, 50), ties,
             np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf),
         ]))
-        expect = [subgradient_estimates_batch(deficits, s, capacity, VOLL).mean()
+        spec = StorageSpec(capacity, *effs)
+        expect = [subgradient_estimates_batch(deficits, s, spec, VOLL).mean()
                   for s in supplies]
-        got = _mc_subgradients(deficits, supplies, capacity, VOLL, np.empty(deficits.size))
+        got = _mc_subgradients(deficits, supplies, spec, VOLL, np.empty(deficits.size))
         assert got.tobytes() == np.array(expect).tobytes()
+
+    def test_mc_thresholds_see_lossy_storage(self):
+        # shipped scenario at B = 1e-2 with lambda = mu = nu = 0.8: the mc
+        # schedule solved on the lossy storage beats the one solved on ideal
+        # storage of the same capacity, path by path on common random numbers
+        lossy = load_scenario(SHIPPED)
+        lossy = dataclasses.replace(lossy, storage=StorageSpec(1e-2, 0.8, 0.8, 0.8))
+        ideal = dataclasses.replace(lossy, storage=StorageSpec(1e-2))
+        schedules = {"lossy": solve_thresholds_backward(lossy, "mc"),
+                     "ideal": solve_thresholds_backward(ideal, "mc")}
+        assert np.all(schedules["lossy"].offsets > schedules["ideal"].offsets)
+        n = 20_000
+        costs, _ = evaluate_policies(lossy, schedules, n, seed=0)
+        gain = costs["ideal"] - costs["lossy"]
+        stderr = gain.std(ddof=1) / math.sqrt(n)
+        assert gain.mean() > 3.0 * stderr, (gain.mean(), stderr)
 
     @pytest.mark.parametrize("capacity", [0.0, 0.02, 0.05])
     def test_mc_working_range_through_ties(self, capacity):
@@ -871,12 +898,13 @@ class TestTerminalModel:
         rng = np.random.default_rng(17)
         deficits = np.asfortranarray(0.01 * rng.integers(-6, 9, (400, 8)))
         supplies = 0.005 * np.arange(-14, 20)
-        est = np.array([subgradient_estimates_batch(deficits, s, capacity, VOLL)
+        spec = StorageSpec(capacity)
+        est = np.array([subgradient_estimates_batch(deficits, s, spec, VOLL)
                         for s in supplies])
         settles = (est == 0.0).argmax(axis=0)[(est == 0.0).any(axis=0)]
         assert np.unique(settles).size >= 6
         scratch = np.full(deficits.size + 5, np.nan)
-        got = _mc_subgradients(deficits, supplies, capacity, VOLL, scratch)
+        got = _mc_subgradients(deficits, supplies, spec, VOLL, scratch)
         assert got.tobytes() == est.mean(axis=1).tobytes()
 
     def test_mc_working_range_allocates_no_row_block(self):
@@ -892,7 +920,7 @@ class TestTerminalModel:
         supplies = np.linspace(deficits.min(), deficits.max(), 200)
         tracemalloc.start()
         try:
-            vals = _mc_subgradients(deficits, supplies, 1e-3, VOLL, scratch)
+            vals = _mc_subgradients(deficits, supplies, StorageSpec(1e-3), VOLL, scratch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1015,14 +1043,14 @@ def hundred_sweep_ideal(deficits, capacity, price, voll):
     n, T = deficits.shape
     lo = T * (deficits.min(axis=1) - capacity - 1.0)
     hi = T * (deficits.max(axis=1) + 1.0)
+    spec = StorageSpec(capacity)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        g = price + subgradient_estimates_batch(deficits, mid / T, capacity, voll)
+        g = price + subgradient_estimates_batch(deficits, mid / T, spec, voll)
         lo = np.where(g < 0.0, mid, lo)
         hi = np.where(g < 0.0, hi, mid)
     x_acc = 0.5 * (lo + hi)
-    costs = price * x_acc + delivery_costs_batch(
-        deficits, x_acc / T, StorageSpec(capacity), voll)
+    costs = price * x_acc + delivery_costs_batch(deficits, x_acc / T, spec, voll)
     return x_acc / T, costs
 
 

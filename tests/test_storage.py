@@ -208,10 +208,10 @@ class TestMemoryLayout:
         assert c_paths.flags.c_contiguous and f_paths.flags.f_contiguous
         supply = np.linspace(-0.1, 0.3, 40)
         lossy = StorageSpec(0.15, 0.95, 0.95, 0.95)
-        for kernel, storage in ((subgradient_estimates_batch, 0.15),
-                                (delivery_costs_batch, lossy)):
-            c_out = kernel(c_paths, supply, storage, COST.voll)
-            f_out = kernel(f_paths, supply, storage, COST.voll)
+        for kernel, spec in itertools.product((subgradient_estimates_batch, delivery_costs_batch),
+                                              (StorageSpec(0.15), lossy)):
+            c_out = kernel(c_paths, supply, spec, COST.voll)
+            f_out = kernel(f_paths, supply, spec, COST.voll)
             assert c_out.tobytes() == f_out.tobytes()
 
 
@@ -257,7 +257,7 @@ class TestPerPathSubgradient:
         rng = np.random.default_rng(3)
         T, sig, d, x = 3, 0.3, 0.1, 0.2
         paths = d + sig * rng.standard_normal((40_000, T))
-        ests = subgradient_estimates_batch(paths, x, 0.0, COST.voll)
+        ests = subgradient_estimates_batch(paths, x, StorageSpec(0.0), COST.voll)
         exact = -COST.voll / T * T * ndtr(-(x - d) / sig)
         se = ests.std(ddof=1) / np.sqrt(len(ests))
         assert abs(ests.mean() - exact) < 3 * se
@@ -269,7 +269,7 @@ class TestPerPathSubgradient:
         ties = paths.ravel()
         for supply in np.concatenate([[0.06], ties, np.nextafter(ties, -np.inf),
                                       np.nextafter(ties, np.inf)]):
-            batch = subgradient_estimates_batch(paths, supply, 0.08, COST.voll)
+            batch = subgradient_estimates_batch(paths, supply, StorageSpec(0.08), COST.voll)
             scalar = [per_path_subgradient_estimate(p, supply, 0.08, COST.voll)
                       for p in paths]
             assert batch.tolist() == scalar
@@ -283,7 +283,7 @@ class TestPerPathSubgradient:
         up = delivery_costs_batch(paths, (x_acc + delta) / T, StorageSpec(B), COST.voll)
         dn = delivery_costs_batch(paths, (x_acc - delta) / T, StorageSpec(B), COST.voll)
         fd = (up - dn) / (2 * delta)
-        est = subgradient_estimates_batch(paths, x_acc / T, B, COST.voll)
+        est = subgradient_estimates_batch(paths, x_acc / T, StorageSpec(B), COST.voll)
         diff = est - fd
         se = diff.std(ddof=1) / np.sqrt(len(diff))
         assert abs(diff.mean()) < 3 * se + 1e-9
@@ -320,7 +320,7 @@ class TestMonotoneEstimates:
         supplies = [rng.uniform(-0.2, 0.4, 30), paths[0, 0], np.nextafter(paths[0, 0], 1.0),
                     0.0, -0.0]
         for supply in supplies:
-            got = subgradient_estimates_batch(paths, supply, capacity, COST.voll)
+            got = subgradient_estimates_batch(paths, supply, StorageSpec(capacity), COST.voll)
             want = plain_subgradient_estimates(paths, supply, capacity, COST.voll)
             assert got.tobytes() == want.tobytes()
 
@@ -341,7 +341,7 @@ class TestMonotoneEstimates:
         ties = np.concatenate([lowest, np.nextafter(lowest, -np.inf),
                                np.nextafter(lowest, np.inf)])
         supplies = np.unique(np.concatenate([spread, ties]))
-        est = np.array([subgradient_estimates_batch(paths, s, capacity, COST.voll)
+        est = np.array([subgradient_estimates_batch(paths, s, StorageSpec(capacity), COST.voll)
                         for s in supplies])
         below = supplies[:, None] < lowest[None, :]
         # -voll up to the one rounding of the kernel's -voll / T * weight
@@ -357,7 +357,8 @@ class TestMonotoneEstimates:
         # passes more supply on to the second stage, so the slope stays -VOLL
         paths = np.array([[0.1, 0.3]])
         supplies = [np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0), 0.1 + 1e-11]
-        est = [subgradient_estimates_batch(paths, s, 0.5, 1000.0)[0] for s in supplies]
+        est = [subgradient_estimates_batch(paths, s, StorageSpec(0.5), 1000.0)[0]
+               for s in supplies]
         assert est == [-1000.0] * 4
 
 
@@ -371,7 +372,7 @@ class TestUnservedAndSlope:
         unserved, weight = unserved_and_slope_batch(paths, supply, StorageSpec(capacity))
         costs = delivery_costs_batch(paths, supply, StorageSpec(capacity), COST.voll)
         assert (COST.voll * unserved).tobytes() == costs.tobytes()
-        est = subgradient_estimates_batch(paths, supply, capacity, COST.voll)
+        est = subgradient_estimates_batch(paths, supply, StorageSpec(capacity), COST.voll)
         assert np.array_equal(-COST.voll / 9 * weight, est)
 
     @given(
@@ -507,7 +508,7 @@ class TestKernelLimits:
         # counts far beyond one byte
         assert unserved_and_slope_batch(paths, 0.05, StorageSpec(0.0))[1].min() > 255
         for capacity in (0.0, 0.05, 5.0):
-            got = subgradient_estimates_batch(paths, 0.05, capacity, COST.voll)
+            got = subgradient_estimates_batch(paths, 0.05, StorageSpec(capacity), COST.voll)
             want = plain_subgradient_estimates(paths, 0.05, capacity, COST.voll)
             assert got.tobytes() == want.tobytes()
 
