@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.special import ndtr, ndtri
 
 from .ctapprox import ct_terminal_subgradient
@@ -136,7 +135,8 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
     the accumulated position, so one curve in w = x - forecast_total
     serves every forecast level.  The lattice and Monte Carlo engines are
     evaluated on one uniform grid, whatever the capacity, and interpolated
-    in probit space by a monotone cubic with filtered spline slopes
+    in probit space by a monotone cubic Hermite interpolant whose node
+    slopes are the grid's not-a-knot spline slopes, filtered
     (``_monotone_cubic``), held at the grid ends; the continuous-time engine
     is analytic.  The Monte Carlo engine, and the pointwise model of an
     unrevised forecast with no delivery fluctuation, run the scenario's
@@ -235,22 +235,84 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
     return TerminalModel(engine, grad_interp, scale, grad_exact=grad_exact)
 
 
-def _monotone_cubic(x: np.ndarray, y: np.ndarray) -> CubicHermiteSpline:
-    """Monotone cubic Hermite interpolant of monotone data.
+def _monotone_cubic(x: np.ndarray, y: np.ndarray) -> _Hermite:
+    """Monotone cubic Hermite interpolant of monotone data on uniform nodes.
 
-    Its node slopes are the not-a-knot cubic spline's, filtered (Hyman,
-    SIAM J. Sci. Stat. Comput. 4, 1983): 0 where the adjacent secants
-    differ in sign or either is 0, else clipped into [0, 3 min |secant|]
-    with the secants' sign, which keeps every piece monotone (Fritsch &
-    Carlson, SIAM J. Numer. Anal. 17, 1980).  An end node takes its one
-    secant for both.
+    Its node slopes are the not-a-knot cubic spline's (``_spline_slopes``),
+    filtered (Hyman, SIAM J. Sci. Stat. Comput. 4, 1983): 0 where the
+    adjacent secants differ in sign or either is 0, else clipped into
+    [0, 3 min |secant|] with the secants' sign, which keeps every piece
+    monotone (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980).  An end
+    node takes its one secant for both.
     """
     secants = np.diff(y) / np.diff(x)
     left, right = np.concatenate([secants[:1], secants]), np.concatenate([secants, secants[-1:]])
     sign = np.where(left * right > 0.0, np.sign(left), 0.0)
     bound = 3.0 * np.minimum(np.abs(left), np.abs(right))
-    slopes = sign * np.clip(sign * CubicSpline(x, y)(x, 1), 0.0, bound)
-    return CubicHermiteSpline(x, y, slopes)
+    return _Hermite(x, y, sign * np.clip(sign * _spline_slopes(x, y), 0.0, bound))
+
+
+# the inverse of the infinite tridiag(1, 4, 1): (-r)^|k| / 2 sqrt(3), r = 2 - sqrt(3) the
+# root of r^2 - 4 r + 1; beyond 32 taps it is below 2e-19 of its diagonal
+_NAK_R = 2.0 - math.sqrt(3.0)
+_NAK_TAPS = 32
+_NAK_KERNEL = (-_NAK_R) ** np.abs(np.arange(-_NAK_TAPS, _NAK_TAPS + 1)) / (2.0 * math.sqrt(3.0))
+
+
+def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline through (x, y), ``x`` uniform.
+
+    With secants m, the interior rows are s[i-1] + 4 s[i] + s[i+1] =
+    3 (m[i-1] + m[i]) and the end rows s[0] + 2 s[1] = (5 m[0] + m[1]) / 2
+    and its mirror image.  One convolution with ``_NAK_KERNEL`` solves the
+    interior rows; the homogeneous solutions (-r)^i and (-r)^(n-1-i) then
+    meet the end rows, a 2 x 2 solve.  Under 4 nodes the end rows coincide
+    (3 nodes) or lack a second secant (2), and the spline is the parabola or
+    line through the nodes.
+    """
+    n = y.size
+    m = np.diff(y) / np.diff(x)
+    if n < 4:
+        mid = m.mean()
+        return np.r_[2.0 * m[0], np.full(n - 2, 2.0 * mid), 2.0 * m[-1]] - mid
+    rhs = np.zeros(n)
+    rhs[1:-1] = 3.0 * (m[:-1] + m[1:])
+    s = np.convolve(rhs, _NAK_KERNEL)[_NAK_TAPS:_NAK_TAPS + n]
+    miss0 = 0.5 * (5.0 * m[0] + m[1]) - (s[0] + 2.0 * s[1])
+    miss1 = 0.5 * (m[-2] + 5.0 * m[-1]) - (2.0 * s[-2] + s[-1])
+    # an end row gives a of its own end's solution and c of the other's
+    a, c = 1.0 - 2.0 * _NAK_R, (-_NAK_R) ** (n - 2) * (2.0 - _NAK_R)
+    decay = (-_NAK_R) ** np.arange(min(n, _NAK_TAPS)) / (a * a - c * c)
+    s[:decay.size] += (a * miss0 - c * miss1) * decay
+    s[::-1][:decay.size] += (a * miss1 - c * miss0) * decay
+    return s
+
+
+class _Hermite:
+    """Piecewise cubic through (x, y), ``x`` ascending, with node slopes
+    ``slopes`` (default: the not-a-knot spline's, on uniform ``x``),
+    extended by its end pieces.  A point takes the piece of the last node
+    at or below it (the last piece at x[-1]), and c3 + c2 d + c1 d^2 +
+    c0 d^3 in its offset d from that node."""
+
+    __slots__ = ("x", "_inner", "_coef")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, slopes: np.ndarray | None = None):
+        if slopes is None:
+            slopes = _spline_slopes(x, y)
+        h = np.diff(x)
+        secants = np.diff(y) / h
+        t = (slopes[:-1] + slopes[1:] - 2.0 * secants) / h
+        self.x, self._inner = x, x[1:-1]
+        self._coef = np.stack([t / h, (secants - slopes[:-1]) / h - t, slopes[:-1], y[:-1]])
+
+    def __call__(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        i = np.searchsorted(self._inner, u, side="right")
+        d = u - self.x[i]
+        c0, c1, c2, c3 = self._coef.take(i, axis=1)
+        d2 = d * d
+        return c3 + c2 * d + c1 * d2 + c0 * (d2 * d)
 
 
 def _retire(gone: np.ndarray, start: int, *tables: np.ndarray) -> int:
@@ -390,12 +452,13 @@ def _lattice_sum(base: Callable, y: np.ndarray, s: float, step: float) -> np.nda
 
 
 def _tabulate(fn: Callable, far: Callable, spans, step: float) -> Callable:
-    """``fn`` by a cubic spline per run of consecutive multiples of ``step`` in
-    ``spans``, from one ``fn(ticks, step)`` call per run; ``far`` elsewhere."""
+    """``fn`` by a not-a-knot cubic spline (``_Hermite``) per run of consecutive
+    multiples of ``step`` in ``spans``, from one ``fn(ticks, step)`` call per
+    run, within its nodes' range; ``far`` elsewhere."""
     ticks = np.unique([t for lo, hi in spans
                        for t in range(math.floor(lo / step), math.ceil(hi / step) + 1)])
     runs = np.split(ticks, np.flatnonzero(np.diff(ticks) > 1) + 1)
-    splines = [CubicSpline(t * step, fn(t * step, step)) for t in runs if t.size > 1]
+    splines = [_Hermite(t * step, fn(t * step, step)) for t in runs if t.size > 1]
 
     def table(u: np.ndarray) -> np.ndarray:
         out = np.full(u.shape, np.nan)

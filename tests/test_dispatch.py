@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.optimize import brentq
 from scipy.special import expit, ndtr, ndtri
 
@@ -590,12 +590,15 @@ class TestStageRecursion:
                                          1.4779161919729797, 3.107331158279013],
                                rtol=0.0, atol=1e-9), (engine, offsets)
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        code = "import sys, rld, rld.cli; print('scipy.stats' in sys.modules)"
+    def test_import_leaves_heavy_scipy_modules_unloaded(self):
+        # rld needs only numpy, scipy.special and scipy.fft: the splines are numpy's
+        heavy = ["scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.linalg",
+                 "scipy.sparse"]
+        code = f"import sys, rld, rld.cli; print([m for m in {heavy} if m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": str(Path(dispatch.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True, timeout=120)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 def grad_points(monkeypatch, scn, engine):
@@ -619,14 +622,15 @@ def grad_points(monkeypatch, scn, engine):
 
 @pytest.fixture
 def spline_sizes(monkeypatch):
-    """Grid sizes of the stage splines built while the test runs."""
+    """Grid sizes of the not-a-knot splines built while the test runs."""
     sizes = []
+    slopes = dispatch._spline_slopes
 
-    def spline(x, y):
+    def counting(x, y):
         sizes.append(len(x))
-        return CubicSpline(x, y)
+        return slopes(x, y)
 
-    monkeypatch.setattr(dispatch, "CubicSpline", spline)
+    monkeypatch.setattr(dispatch, "_spline_slopes", counting)
     return sizes
 
 
@@ -930,6 +934,63 @@ class TestTerminalModel:
     def test_unknown_engine(self, small_scenario):
         with pytest.raises(ValueError):
             build_terminal_model(small_scenario, "magic")
+
+
+class TestCubic:
+    """The numpy not-a-knot cubic against scipy's splines as oracles."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 145, 2729, 8193])
+    @pytest.mark.parametrize("shape", ["probit", "wave"])
+    def test_matches_scipy_splines(self, n, shape):
+        # ticks off zero as _tabulate lays them out (8193: two window reaches
+        # at the 4096-tick cap), through a clipped probit sigmoid like the
+        # terminal grid's or a smooth wave
+        step = 1e-3 / 16
+        x = step * np.arange(-(n // 3), n - n // 3)
+        u = (x - x.mean()) / (step * (n / 8 + 1))
+        y = (np.minimum.accumulate(ndtri(np.clip(ndtr(-u), 1e-15, 1 - 1e-15)))
+             if shape == "probit" else np.sin(3 * u) + 2.0)
+        slopes = dispatch._spline_slopes(x, y)
+        spline = CubicSpline(x, y)
+        reference = spline(x, 1)
+        assert np.abs(slopes - reference).max() <= 1e-12 * np.abs(reference).max()
+        # at the nodes, the midpoints and both ends
+        probes = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), [x[0] - step / 2, x[-1] + step / 2]])
+        scale = np.abs(y).max()
+        got = dispatch._Hermite(x, y, slopes)(probes)
+        assert np.abs(got - CubicHermiteSpline(x, y, slopes)(probes)).max() <= 1e-15 * scale
+        assert np.array_equal(dispatch._Hermite(x, y)(probes), got)
+        assert np.abs(got - spline(probes)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("u", [0.33, np.float64(0.33), np.array(0.33), np.array([0.33])],
+                             ids=["float", "scalar", "0-d", "length-1"])
+    def test_scalar_and_0d_points(self, u, small_scenario):
+        x = 0.1 * np.arange(9)
+        want = CubicSpline(x, np.sin(x))(u)
+        got = dispatch._Hermite(x, np.sin(x))(u)
+        assert np.shape(got) == np.shape(want)
+        assert abs(float(np.ravel(got)[0]) - float(np.ravel(want)[0])) < 1e-15
+        grad = build_terminal_model(small_scenario, "lattice").grad
+        assert np.shape(grad(np.asarray(u) - 0.3)) == np.shape(u)
+
+    @given(
+        start=st.floats(-10.0, 10.0),
+        rises=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=1,
+                       max_size=40),
+        h=st.floats(1e-3, 10.0),
+    )
+    @example(start=0.0, rises=[0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 2.0, 0.0], h=1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_cubic_stays_monotone(self, start, rises, h):
+        # nondecreasing data with flat stretches: 50 points per interval rise
+        # too, and the interpolant passes through every node
+        y = start + np.concatenate([[0.0], np.cumsum(rises)])
+        x = h * np.arange(y.size) - 3.0
+        interp = dispatch._monotone_cubic(x, y)
+        u = np.append((x[:-1, None] + h * np.arange(50) / 50).ravel(), x[-1])
+        vals = interp(u)
+        assert np.all(np.diff(vals) >= 0.0)
+        assert np.abs(interp(x) - y).max() <= 1e-13 * np.abs(y).max()
 
 
 class TestThreeSigma:
