@@ -192,10 +192,11 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
         width = sigma_sq / (2 * capacity)   # h' turns within 40 widths of 0: cut every 4
         return TerminalModel(engine, grad_ct, max(scale, width), cuts=width * np.r_[-40:41:4])
 
-    # 8 points per scale (sqrt(T) stage stds), 9 scales beyond the lowest and
-    # the highest stage deficit: below, every stage is short and the empty
-    # storage never charges, above none is, so the subgradient is -voll and 0
-    # there to T * ndtr(-9) * voll; only the profile's spread adds points
+    # 8 points per scale (sqrt(T) interval stds, which are T stage stds), 9
+    # scales beyond the lowest and the highest stage deficit: below, every
+    # stage is short and the empty storage never charges, above none is, so
+    # the subgradient is -voll and 0 there to T * ndtr(-9) * voll; only the
+    # profile's spread adds points
     fine = scale / 8
     spread = T * float(np.ptp(fc.d_hat))
     steps = 2 * 9 * 8 + math.ceil(spread / fine)

@@ -1,7 +1,9 @@
 """Reference implementations that only the tests use.
 
-Scalar walk drivers, the dense-kernel density of a Gaussian walk step,
-the greedy storage rule stage by stage, a one-path storage subgradient,
+A self-contained scalar random walk with a dense Gaussian kernel and the
+boundary-chain lattice built on it, chain by chain, a 30-digit T = 2
+delivery cost by mpmath, the greedy storage rule stage by stage, a
+one-path storage subgradient,
 the batch storage slope carried forward in one sweep, the (V, Q)
 reformulation check, the all-branches form of the ct h', a
 bridge-corrected simulator of the reflected walk, three evaluators of
@@ -10,9 +12,10 @@ quadrature and a dense uniform rule for the last stage), the
 perfect-foresight ideal as a linear program and by two one-price
 searches, a CSV reader for benchmark tables, the ladder rules checked
 pair by pair and the forecast-revision stds computed stage by stage. The
-library computes the same quantities in batch, by FFT, branch by branch,
-in closed form, from tabulated stage functions or between neighbouring
-stages only; these plain versions are the oracles it is checked against.
+library computes the same quantities in batch, by a forward pass of the
+storage-level law, branch by branch, in closed form, from tabulated stage
+functions or between neighbouring stages only; these plain versions are
+the oracles it is checked against.
 """
 from __future__ import annotations
 
@@ -29,11 +32,67 @@ from rld.ctapprox import _SERIES_CUTOFF, RbmParams
 from rld.dispatch import ideal_costs_batch
 from rld.model import BUY, SELL, CostModel, StorageSpec
 from rld.storage import PathOutcome, delivery_costs_batch
-from rld.walks import _TINY, advance, as_steps, initial_state
+from rld.walks import DiscreteStep, NormalStep, as_steps
 
 
 class ZeroProbabilityError(ValueError):
     """Conditioning event has zero (or numerically vanished) probability."""
+
+
+_TINY = 1e-300
+# The scalar walk's density rule: Gauss-Legendre nodes on equal panels of at
+# most one step std, over its window within TAIL stds of its support.
+_WALK_NODES = 10
+_TAIL = 12.0
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_WALK_NODES)
+
+
+def dense_gauss_density(ys, xs, weights, sigma: float) -> np.ndarray:
+    """Density at each row of ``ys`` after a N(0, sigma^2) step from ``weights`` on ``xs``.
+
+    One dense pdf kernel per row, every (new point, old point) pair
+    evaluated at its own difference; the weights are quadrature masses.
+    """
+    z = (np.asarray(ys)[:, :, None] - np.asarray(xs)[:, None, :]) / sigma
+    kernel = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+    return np.einsum("rij,rj->ri", kernel, weights)
+
+
+def walk_step(state, step, lower: float, upper: float):
+    """One step of a scalar random walk S, split against the window (lower, upper].
+
+    ``state`` is (points, masses, dense): atoms, or quadrature nodes of a
+    density when ``dense``; the walk starts from ``(np.zeros(1), np.ones(1),
+    False)``.  Returns (below, inside, above, E[S; S > upper], next state);
+    the next state holds the inside mass, and is None once that is gone.
+    Masses against the window edges come from the normal CDF, and the
+    density is renormalised to the CDF-exact inside mass.
+    """
+    pts, wts, dense = state
+    if isinstance(step, DiscreteStep):
+        if dense:
+            raise NotImplementedError("discrete step after a Gaussian step")
+        pts = (pts[:, None] + np.asarray(step.atoms)).ravel()
+        wts = (wts[:, None] * np.asarray(step.probs)).ravel()
+        above, keep = pts > upper, (pts > lower) & (pts <= upper)
+        inside = float(wts[keep].sum())
+        nxt = (pts[keep], wts[keep], False) if inside > _TINY else None
+        return (float(wts[pts <= lower].sum()), inside, float(wts[above].sum()),
+                float((wts * pts)[above].sum()), nxt)
+    sigma = step.sigma
+    below = float(wts @ ndtr((lower - pts) / sigma))
+    above = float(wts @ ndtr((pts - upper) / sigma))
+    tail = np.exp(-0.5 * ((upper - pts) / sigma) ** 2) / math.sqrt(2.0 * math.pi)
+    moment = float(wts @ (pts * ndtr((pts - upper) / sigma) + sigma * tail))
+    inside = max(float(wts.sum()) - below - above, 0.0) if upper > lower else 0.0
+    lo, hi = max(lower, pts.min() - _TAIL * sigma), min(upper, pts.max() + _TAIL * sigma)
+    if inside <= _TINY or hi <= lo:
+        return below, inside, above, moment, None
+    panels = math.ceil((hi - lo) / sigma)
+    ys = lo + (hi - lo) / panels * (np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)).ravel()
+    mass = dense_gauss_density(ys[None], pts[None], wts[None], sigma)[0]
+    mass *= np.tile(0.5 * _GL_W, panels)
+    return below, inside, above, moment, (ys, mass * (inside / mass.sum()), True)
 
 
 def _check_bounds(n: int, lower, upper) -> tuple[np.ndarray, np.ndarray]:
@@ -44,6 +103,10 @@ def _check_bounds(n: int, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     if np.any(lo > hi):
         raise ValueError("lower bounds must not exceed upper bounds")
     return lo, hi
+
+
+def _walk_start():
+    return np.zeros(1), np.ones(1), False
 
 
 def walk_rectangle_prob(step_stds, lower, upper, final_mode: str = "interval") -> float:
@@ -60,18 +123,12 @@ def walk_rectangle_prob(step_stds, lower, upper, final_mode: str = "interval") -
     lo, hi = _check_bounds(n, lower, upper)
     if final_mode not in ("interval", "upper_tail", "lower_tail"):
         raise ValueError(f"unknown final_mode {final_mode!r}")
-    state = initial_state()
-    for j in range(n - 1):
-        res = advance(state, steps[j], lo[j], hi[j])
-        state = res.state
-        if state is None:
+    state = _walk_start()
+    for j in range(n):
+        below, inside, above, _, state = walk_step(state, steps[j], lo[j], hi[j])
+        if state is None and j < n - 1:
             return 0.0
-    res = advance(state, steps[-1], lo[-1], hi[-1])
-    if final_mode == "interval":
-        return res.inside
-    if final_mode == "upper_tail":
-        return res.above
-    return res.below
+    return {"interval": inside, "upper_tail": above, "lower_tail": below}[final_mode]
 
 
 def truncated_walk_mean(step_stds, lower, upper, final_tail: float) -> float:
@@ -85,65 +142,116 @@ def truncated_walk_mean(step_stds, lower, upper, final_tail: float) -> float:
     if n == 0:
         raise ValueError("need at least one step")
     lo, hi = _check_bounds(n - 1, lower, upper)
-    state = initial_state()
+    state = _walk_start()
     for j in range(n - 1):
-        res = advance(state, steps[j], lo[j], hi[j])
-        state = res.state
+        state = walk_step(state, steps[j], lo[j], hi[j])[4]
         if state is None:
             raise ZeroProbabilityError("constraint windows carry no probability mass")
-    res = advance(state, steps[-1], -np.inf, float(final_tail))
-    if res.above <= _TINY:
+    _, _, above, moment, _ = walk_step(state, steps[-1], -np.inf, float(final_tail))
+    if above <= _TINY:
         raise ZeroProbabilityError("tail event has vanishing probability")
-    return res.above_moment / res.above
+    return moment / above
+
+
+def chain_exits(x_accumulated: float, forecast, capacity: float) -> dict:
+    """(above, below, above moment, upper edge) of every boundary chain position.
+
+    Chain (side, s) starts on the empty (0) or full (1) boundary at level
+    s and holds the errors e_s + ... + e_{s+j} in (edge - B, edge] with
+    edge = sum_{m=s}^{s+j} (x - d_m) + side * B.  Leaving above is a
+    shortfall that empties the storage, leaving below fills it.  Each
+    chain is one scalar walk (``walk_step``); Gaussian error steps only.
+    """
+    T = forecast.n_stages
+    x = x_accumulated / T
+    exits = {}
+    for side in (0, 1):
+        for s in range(side, T):
+            highs = np.cumsum(x - forecast.d_hat[s:]) + side * capacity
+            state = _walk_start()
+            for j in range(T - s):
+                if state is None:
+                    break
+                below, _, above, moment, state = walk_step(
+                    state, NormalStep(float(forecast.sigma[s + j])), highs[j] - capacity, highs[j])
+                exits[side, s, j] = above, below, moment, highs[j]
+    return exits
+
+
+def chain_boundary_visits(exits: dict, T: int) -> dict:
+    """P(storage empty (side 0) / full (side 1) at the start of stage i), keyed (side, i).
+
+    A chain started at level s exits at level s+j, so the visits obey the
+    renewal recursion q_i = sum_{s<i} q_s above^empty_{s,i-1-s} +
+    r_s above^full_{s,i-1-s}, and r_i likewise with the below masses;
+    q_0 = 1 and r_0 = 0.
+    """
+    visits = {(0, 0): 1.0, (1, 0): 0.0}
+    for i in range(1, T):
+        for side, field in ((0, 0), (1, 1)):   # leaving above empties, below fills
+            visits[side, i] = sum(visits[c, s] * exits.get((c, s, i - 1 - s), (0.0,) * 4)[field]
+                                  for c in (0, 1) for s in range(i))
+    return visits
 
 
 def lattice_chain_by_chain(x_accumulated: float, forecast, capacity: float,
                            voll: float) -> tuple[float, float]:
-    """Exact lattice cost and subgradient at one position, one chain window at a time.
+    """Exact lattice cost and subgradient at one position, one chain walk at a time.
 
-    Chain (side, s) holds the errors e_s + ... + e_{s+j} in (edge - B, edge]
-    with edge = sum_{m=s}^{s+j} (x - d_m) + side * B; every window result
-    is its own scalar walk (``walk_rectangle_prob``, ``truncated_walk_mean``),
-    and the boundary visits q (empty) and r (full) follow the renewal
-    recursion in plain floats.  Gaussian error steps only.
+    Every chain position exits above (a shortfall of depth j + 1 stages
+    since the boundary) with cost E[S; S > edge] - edge P(S > edge),
+    weighted by its chain's boundary visit probability.
     """
     T = forecast.n_stages
-    x = x_accumulated / T
-    stds = [float(s) for s in forecast.sigma]
-    above, below, moment, edges = {}, {}, {}, {}
-    for side in (0, 1):
-        for s in range(side, T):
-            highs = np.cumsum(x - forecast.d_hat[s:]) + side * capacity
-            for j in range(T - s):
-                window = (stds[s:s + j + 1], highs[:j + 1] - capacity, highs[:j + 1])
-                key = side, s, j
-                edges[key] = highs[j]
-                above[key] = walk_rectangle_prob(*window, "upper_tail")
-                below[key] = walk_rectangle_prob(*window, "lower_tail")
-                moment[key] = 0.0
-                if above[key] > _TINY:
-                    moment[key] = above[key] * truncated_walk_mean(
-                        window[0], window[1][:-1], window[2][:-1], highs[j])
-    visits = {(0, 0): 1.0, (1, 0): 0.0}
-    for i in range(1, T):
-        for side, exits in ((0, above), (1, below)):   # leaving above empties, below fills
-            visits[side, i] = sum(visits[c, s] * exits.get((c, s, i - 1 - s), 0.0)
-                                  for c in (0, 1) for s in range(i))
-    cost = voll * sum(visits[key[:2]] * (moment[key] - edges[key] * above[key])
-                      for key in edges)
-    subgrad = -voll / T * sum(visits[key[:2]] * (key[2] + 1) * above[key] for key in edges)
+    exits = chain_exits(x_accumulated, forecast, capacity)
+    visits = chain_boundary_visits(exits, T)
+    cost = voll * sum(visits[key[:2]] * (moment - edge * above)
+                      for key, (above, _, moment, edge) in exits.items())
+    subgrad = -voll / T * sum(visits[key[:2]] * (key[2] + 1) * above
+                              for key, (above, _, _, _) in exits.items())
     return cost, subgrad
 
 
-def dense_gauss_density(ys, xs, weights, sigma: float) -> np.ndarray:
-    """Density at each row of ``ys`` after a N(0, sigma^2) step from ``weights`` on ``xs``.
+def two_stage_reference(x_accumulated: float, forecast, capacity: float,
+                        voll: float) -> tuple[float, float]:
+    """Cost and right subgradient of a T = 2 interval to 30 digits (mpmath).
 
-    One dense pdf kernel per row, every (new point, old point) pair
-    evaluated at its own difference; the weights are quadrature masses.
+    Stage 1 starts empty, so its shortfall is a normal loss in closed form.
+    Stage 2 meets the level b = clip(x - d_1 - e_1, 0, B) and is one
+    quadrature over the first error e_1, split at the kinks of the clip.
+    The right derivative in x weights a stage-2 shortfall by 2 when stage 1
+    left the storage strictly below capacity and not short (0 <= z_1 < B),
+    else by 1.
     """
-    z = (np.asarray(ys)[:, :, None] - np.asarray(xs)[:, None, :]) / sigma
-    kernel = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-    return np.einsum("rij,rj->ri", kernel, weights)
+    import mpmath
+
+    if forecast.n_stages != 2:
+        raise ValueError("the reference covers T = 2 only")
+    with mpmath.workdps(30):
+        x = mpmath.mpf(float(x_accumulated)) / 2
+        m1, m2 = (x - mpmath.mpf(float(d)) for d in forecast.d_hat)
+        s1, s2 = (mpmath.mpf(float(s)) for s in forecast.sigma)
+        B = mpmath.mpf(float(capacity))
+
+        def loss(m, s):   # E[(-z)^+] for z ~ N(m, s^2)
+            return s * mpmath.npdf(m / s) - m * mpmath.ncdf(-m / s)
+
+        def level(e):
+            return min(max(m1 - e, 0), B)
+
+        def unserved(e):
+            return mpmath.npdf(e / s1) / s1 * loss(level(e) + m2, s2)
+
+        def slope(e):
+            depth = 2 if 0 <= m1 - e < B else 1
+            return mpmath.npdf(e / s1) / s1 * depth * mpmath.ncdf(-(level(e) + m2) / s2)
+
+        span = 40 * s1
+        cuts = sorted({-span, span, *(k * s1 for k in range(-36, 37, 4)),
+                       *(c for c in (m1 - B, m1) if -span < c < span)})
+        cost = voll * (loss(m1, s1) + mpmath.quad(unserved, cuts))
+        subgrad = -voll / 2 * (mpmath.ncdf(-m1 / s1) + mpmath.quad(slope, cuts))
+        return float(cost), float(subgrad)
 
 
 # Roundoff allowance of the one-path feasibility checks; the batch

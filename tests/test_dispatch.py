@@ -28,7 +28,7 @@ from rld.dispatch import (
     solve_thresholds_backward,
     three_sigma_schedule,
 )
-from rld.lattice import closed_form_b0, lattice_terminal_subgradient
+from rld.lattice import closed_form_b0, lattice_terminal_cost, lattice_terminal_subgradient
 from rld.model import BUY, SELL, StorageSpec, load_scenario, scenario_from_dict
 from rld.rng import draw_policy_paths, run_generator
 from rld.storage import (
@@ -591,9 +591,10 @@ class TestStageRecursion:
                                rtol=0.0, atol=1e-9), (engine, offsets)
 
     def test_import_leaves_heavy_scipy_modules_unloaded(self):
-        # rld needs only numpy, scipy.special and scipy.fft: the splines are numpy's
+        # rld needs only numpy and scipy.special: the splines and the storage-level
+        # law's banded kernel are numpy's
         heavy = ["scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.linalg",
-                 "scipy.sparse"]
+                 "scipy.sparse", "scipy.fft"]
         code = f"import sys, rld, rld.cli; print([m for m in {heavy} if m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": str(Path(dispatch.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -684,6 +685,23 @@ class TestNonConstantProfile:
             for w, nd in zip(wts, nodes)
         )
         assert abs(val - 72.0) < 1e-6 * VOLL
+
+
+    def test_shipped_scenario_with_a_sine_profile(self):
+        # a 60-entry +-30% sine profile: every stage has its own drift, which
+        # the lattice engine takes in its one forward pass per call
+        T = 60
+        scn = make_scenario(d=list(0.4 / T * (1.0 + 0.3 * np.sin(2 * np.pi * np.arange(T) / T))))
+        sched = solve_thresholds_backward(scn, "lattice")
+        assert np.all(sched.residuals < 1e-6 * VOLL)
+        fc = scn.delivery_forecast()
+        B = scn.storage.capacity
+        paths = fc.d_hat + fc.sigma * np.random.default_rng(60).standard_normal((40_000, T))
+        sig_tot = math.sqrt(scn.delivery_fluctuation_variance)
+        for x_acc in scn.d_total + sig_tot * np.array([-1.0, 0.0, 1.5]):
+            cost = lattice_terminal_cost(x_acc, fc, B, VOLL)
+            mc = delivery_costs_batch(paths, x_acc / T, StorageSpec(B), VOLL)
+            assert abs(cost - mc.mean()) <= 3.0 * mc.std(ddof=1) / math.sqrt(len(mc)), x_acc
 
 
 class TestTerminalModel:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.stats import norm, truncnorm
 
 from rld import walks
-from rld.walks import DiscreteStep, NormalStep, advance, as_steps, initial_state
+from rld.walks import DiscreteStep, NormalStep, advance, as_steps, empty_storage, levels
 from oracles import (
     ZeroProbabilityError,
     dense_gauss_density,
@@ -105,60 +105,74 @@ class TestTruncatedMean:
             truncated_walk_mean([1.0, 1.0], [50.0], [60.0], 0.0)
 
 
+def stage(law, step, shift, capacity, width, panels):
+    """advance on float or array drifts, one row each."""
+    return advance(law, step, np.atleast_1d(np.asarray(shift, dtype=float)), capacity, width,
+                   panels)
+
+
+def total_mass(law):
+    return law.mass[:, 0].sum(axis=1) + law.nodes[:, 0].sum(axis=(1, 2))
+
+
 class TestAdvanceInternals:
     def test_conservation_is_exact(self):
-        state = initial_state()
-        res = advance(state, NormalStep(1.0), -0.8, 0.2)
-        assert res.below + res.inside + res.above == pytest.approx(1.0, abs=1e-15)
-        res2 = advance(res.state, NormalStep(0.5), -1.0, 0.5)
-        assert res2.below + res2.inside + res2.above == pytest.approx(res.inside, abs=1e-15)
+        # pinned at 0, pinned at B and carried inside sum to the incoming mass
+        _, _, law = stage(empty_storage(1), NormalStep(1.0), -0.2, 1.0, 0.5, 2)
+        assert total_mass(law)[0] == pytest.approx(1.0, abs=1e-15)
+        assert law.mass[0, 0, 0] == pytest.approx(norm.cdf(0.2), abs=1e-15)
+        assert law.mass[0, 0, 1] == pytest.approx(norm.sf(1.2), abs=1e-15)
+        _, _, law2 = stage(law, NormalStep(0.5), 0.1, 1.0, 0.5, 2)
+        assert total_mass(law2)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_moment_matches_cdf_formula(self):
-        res = advance(initial_state(), NormalStep(2.0), -np.inf, 1.0)
-        # E[S; S > 1] for N(0, 2^2) is sigma * pdf(1/sigma)
-        assert res.above_moment == pytest.approx(2.0 * norm.pdf(0.5), rel=1e-12)
+        # from empty storage, E[(-z)^+] for z ~ N(m, s^2) is the normal loss function,
+        # and the slope weight E[1; z < 0] its CDF
+        m, s = 0.3, 2.0
+        unserved, weight, _ = stage(empty_storage(1), NormalStep(s), m, 5.0, 1.0, 5)
+        loss = s * norm.pdf(m / s) - m * norm.cdf(-m / s)
+        assert unserved[0] == pytest.approx(loss, rel=1e-12)
+        assert weight[0] == pytest.approx(norm.cdf(-m / s), rel=1e-12)
 
     def test_zero_sigma_becomes_point_mass(self):
-        res = advance(initial_state(), NormalStep(0.0), -1.0, 1.0)
-        assert res.inside == 1.0
-        res2 = advance(res.state, NormalStep(0.0), 0.5, 2.0)
-        assert res2.below == 1.0 and res2.inside == 0.0
+        # a zero-std step is the deterministic Lindley step b' = clip(b + shift, 0, B)
+        unserved, _, law = stage(empty_storage(3), NormalStep(0.0), [-0.4, 0.3, 1.5], 1.0, 1.0, 0)
+        np.testing.assert_array_equal(unserved, [0.4, 0.0, 0.0])
+        np.testing.assert_array_equal(law.points[:, 0], [0.0, 0.3, 1.0])
+        np.testing.assert_array_equal(law.mass[:, 0, 0], 1.0)
+        unserved, _, law = stage(law, NormalStep(0.0), [0.2, -0.5, -0.25], 1.0, 1.0, 0)
+        np.testing.assert_array_equal(unserved, [0.0, 0.2, 0.0])
+        np.testing.assert_array_equal(law.points[:, 0], [0.2, 0.0, 0.75])
 
     def test_discrete_rows_match_scalar_walks(self):
-        # the rows share one support; each sums bit for bit like a walk of its own
+        # each row of a discrete step sums bit for bit like a law of its own
         step = DiscreteStep((-0.3, 0.1, 0.25), (0.3, 0.5, 0.2))
-        lows = np.array([[-0.5, -0.4, -0.2], [-0.1, -0.6, -0.3], [-0.45, 0.0, -1.0]])
-        highs = lows + np.array([[0.6], [0.45], [0.7]])
-        state, rows = initial_state(), [initial_state() for _ in lows]
+        shifts = np.array([[0.1, -0.2, 0.3], [-0.05, 0.4, -0.1], [0.2, 0.0, -0.3]])
+        law, rows = empty_storage(3), [empty_storage(1) for _ in shifts]
         for j in range(3):
-            res = advance(state, step, lows[:, j], highs[:, j])
-            for i in range(len(lows)):
-                one = advance(rows[i], step, lows[i, j], highs[i, j])
-                assert (res.below[i], res.inside[i], res.above[i], res.above_moment[i]) == (
-                    one.below, one.inside, one.above, one.above_moment)
-                rows[i] = one.state
-            state = res.state
+            unserved, weight, law = stage(law, step, shifts[:, j], 0.45, 0.45, 0)
+            for i in range(len(shifts)):
+                u, w, rows[i] = stage(rows[i], step, shifts[i, j], 0.45, 0.45, 0)
+                assert (unserved[i], weight[i]) == (u[0], w[0])
+                np.testing.assert_array_equal(law.mass[i], rows[i].mass[0])
 
     @pytest.mark.parametrize("beyond", [6.0, 6.5, 7.5])
     @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
     def test_walk_survives_a_window_beyond_the_span(self, side, beyond):
-        # a window at or past SPAN stds of the support holds far more than the
-        # floor, so the walk and its inside mass carry on: from the point
-        # mass, then from a grid on (-1, 1]
-        far = (-np.inf, side * beyond) if side < 0 else (side * beyond, np.inf)
-        res = advance(initial_state(), NormalStep(1.0), *far)
-        assert res.inside == pytest.approx(norm.sf(beyond), rel=1e-12)
-        grid = advance(initial_state(), NormalStep(1.0), -1.0, 1.0).state
-        edge = side * (1.0 + beyond * 0.5)
-        res2 = advance(grid, NormalStep(0.5), *((-np.inf, edge) if side < 0 else (edge, np.inf)))
-        for r in (res, res2):
-            assert r.inside > 1e-30 and r.state is not None
-            nxt = advance(r.state, NormalStep(0.5), -np.inf, np.inf)
-            assert nxt.inside == pytest.approx(r.inside, rel=1e-12)
-
-    def test_dead_state_passthrough(self):
-        res = advance(None, NormalStep(1.0), -1.0, 1.0)
-        assert res.inside == 0.0 and res.state is None
+        # a stage that leaves inside only a far tail, 6 to 7.5 stds out, keeps
+        # that mass with its shape (the truncated normal's mean level, to the
+        # 1e-9 that 8 nodes resolve of a density falling 7.5 e-folds per
+        # panel), and the next stage carries it on
+        B = 20.0
+        shift = -beyond if side < 0 else B + beyond
+        _, _, law = stage(empty_storage(1), NormalStep(1.0), shift, B, 1.0, 20)
+        inside = law.nodes[0, 0].ravel()
+        assert inside.sum() == pytest.approx(norm.sf(beyond), rel=1e-12)
+        mean = truncnorm.mean(-shift, B - shift, loc=shift)
+        assert inside @ levels(20, 1.0) / inside.sum() == pytest.approx(mean, rel=1e-8)
+        _, _, nxt = stage(law, NormalStep(0.5), -side * 5.0, B, 1.0, 20)
+        assert total_mass(nxt)[0] == pytest.approx(1.0, abs=1e-15)
+        assert nxt.nodes[0, 0].sum() > 0.1 * norm.sf(beyond)
 
     def test_as_steps_conversion(self):
         steps = as_steps([1.0, 0.0, DiscreteStep((0.0,), (1.0,))])
@@ -175,87 +189,64 @@ class TestAdvanceInternals:
 
 # about the per-stage error std of the shipped scenario
 SIGMA = 1.15e-3
-# B << sigma: flat kernel taps; B >> sigma: banded taps, and the grid grows for
-# several steps before it fills the window
+# B << sigma: one panel; B >> sigma: many panels, whose kernel is a band of
+# panel offsets, and the density's reach grows stage by stage
 CAPACITIES = st.sampled_from([1e-4, 1e-3, 0.1])
 
 
-def chain_windows(capacity, drift, seed, rows, steps):
-    """Windows (edge - B, edge] of lattice-like chains: edges are running margin sums plus B."""
+def stage_drifts(drift, seed, rows, steps):
+    """Per-stage drifts x - d_t of a few positions around a common drift."""
     rng = np.random.default_rng(seed)
-    margins = SIGMA * (drift + 0.5 * rng.standard_normal((rows, steps)))
-    edges = capacity + np.cumsum(margins, axis=1)
-    return edges - capacity, edges
+    return SIGMA * (drift + 0.5 * rng.standard_normal((rows, steps)))
+
+
+def panel_layout(capacity, stages):
+    """Panel width of at most SIGMA and the panels each stage reaches (2 SIGMA of
+    drift a stage and CUT stds of the summed noise, as ``build_lattice`` bounds it)."""
+    cells = math.ceil(capacity / SIGMA)
+    reach = (np.arange(1, stages + 1) * 2.0 + walks.CUT * np.sqrt(np.arange(1, stages + 1)))
+    return capacity / cells, np.minimum(np.ceil(reach * SIGMA * cells / capacity), cells)
 
 
 class TestToeplitzStep:
-    """Steps between equally spaced grids convolve by FFT; a dense kernel is the oracle."""
+    """Steps between equal panels use a banded kernel; a dense kernel is the oracle."""
 
     @given(capacity=CAPACITIES, drift=st.floats(-1.0, 1.0), seed=st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
     def test_matches_dense_kernel(self, capacity, drift, seed):
-        lows, highs = chain_windows(capacity, drift, seed, 4, 20)
-        state, toeplitz_rows = initial_state(), 0
-        for j in range(lows.shape[1]):
-            res = advance(state, NormalStep(SIGMA), lows[:, j], highs[:, j])
-            nxt = res.state
-            assert nxt is not None
-            assert np.all(nxt.weights >= 0.0)
-            if isinstance(state, walks._Grid):
-                old = np.searchsorted(state.rows, nxt.rows)
-                xs, inside = state.xs[old], res.inside[nxt.rows]
-                masses = dense_gauss_density(nxt.xs, xs, state.weights[old], SIGMA)
-                masses *= walks._PATTERN
-                # the step renormalizes its density to the CDF-exact inside mass
-                expected = masses * (inside / masses.sum(axis=1))[:, None]
-                assert np.all(np.abs(nxt.weights - expected) <= 1e-14 * inside[:, None])
-                old_width, new_width = xs[:, -1] - xs[:, 0], nxt.xs[:, -1] - nxt.xs[:, 0]
-                toeplitz_rows += np.count_nonzero(
-                    np.abs(new_width - old_width) <= walks._KEY_TOL * SIGMA)
-            state = nxt
-        assert toeplitz_rows > 0
+        shifts = stage_drifts(drift, seed, 4, 20)
+        width, panels = panel_layout(capacity, 20)
+        law = empty_storage(4)
+        for j in range(shifts.shape[1]):
+            _, _, nxt = advance(law, NormalStep(SIGMA), shifts[:, j], capacity, width,
+                                int(panels[j]))
+            assert np.all(nxt.nodes >= 0.0)
+            # every source level and its mass and E[beta + 1; .], one dense kernel
+            src = np.hstack([law.points, np.broadcast_to(levels(law.nodes.shape[2], width),
+                                                         (4, law.nodes[:, 0].size // 4))])
+            w = np.concatenate([law.mass, law.nodes.reshape(4, 2, -1)], axis=2)
+            w[:, 1] += w[:, 0]
+            ys = np.broadcast_to(levels(int(panels[j]), width), (4, nxt.nodes[:, 0].size // 4))
+            for a in range(2):
+                dens = dense_gauss_density(ys, src + shifts[:, j, None], w[:, a], SIGMA)
+                dens *= np.tile(walks._UNIT_W * width, int(panels[j]))
+                got = nxt.nodes[:, a].reshape(4, -1)
+                # the step renormalises its density to the CDF-exact inside mass
+                expected = dens * (got.sum(axis=1) / dens.sum(axis=1))[:, None]
+                assert np.all(np.abs(got - expected) <= 1e-14 * got.sum(axis=1)[:, None])
+            law = nxt
 
     @given(capacity=CAPACITIES, drift=st.floats(-1.0, 1.0), seed=st.integers(0, 2**16))
     @settings(max_examples=8, deadline=None)
     def test_batch_rows_walk_as_alone(self, capacity, drift, seed):
-        lows, highs = chain_windows(capacity, drift, seed, 16, 20)
-        state, alone = initial_state(), [initial_state()] * len(lows)
-        for j in range(lows.shape[1]):
-            res = advance(state, NormalStep(SIGMA), lows[:, j], highs[:, j])
-            for i in range(len(lows)):
-                one = advance(alone[i], NormalStep(SIGMA), lows[i, j], highs[i, j])
-                assert (res.below[i], res.inside[i], res.above[i], res.above_moment[i]) == (
-                    one.below, one.inside, one.above, one.above_moment)
-                alone[i] = one.state
-            state = res.state
-            for k, i in enumerate(state.rows):
-                np.testing.assert_array_equal(state.weights[k], alone[i].weights[0])
-
-
-class TestJoin:
-    """Walks that start late join a running state and step as they would alone."""
-
-    @pytest.mark.parametrize("step", [
-        NormalStep(SIGMA), DiscreteStep((-SIGMA, 0.0, 0.5 * SIGMA), (0.25, 0.5, 0.25))])
-    def test_joined_walks_step_as_alone(self, step):
-        # walks 0-3 start at step 0 and walks 4-7 join at step 2; the windows
-        # of B = 1e-3 let some walks die before the last step
-        lows, highs = chain_windows(1e-3, 0.3, 7, 8, 6)
-        starts = np.repeat([0, 2], 4)
-        state, alone = None, [initial_state()] * 8
-        for j in range(lows.shape[1]):
-            got = np.zeros((4, 8))
-            if state is not None:
-                res = advance(state, step, lows[:, j], highs[:, j])
-                got[:] = res.below, res.inside, res.above, res.above_moment
-                state = res.state
-            born = np.flatnonzero(starts == j)
-            if born.size:
-                res = advance(initial_state(), step, lows[born, j], highs[born, j])
-                got[:, born] = res.below, res.inside, res.above, res.above_moment
-                state = walks._join(state, res.state, born, 8)
-            for i in np.flatnonzero(starts <= j):
-                one = advance(alone[i], step, lows[i, j], highs[i, j])
-                assert tuple(got[:, i]) == (one.below, one.inside, one.above, one.above_moment)
-                alone[i] = one.state
-            assert not got[:, starts > j].any()
+        shifts = stage_drifts(drift, seed, 16, 20)
+        width, panels = panel_layout(capacity, 20)
+        law, alone = empty_storage(16), [empty_storage(1)] * 16
+        for j in range(shifts.shape[1]):
+            unserved, weight, law = advance(law, NormalStep(SIGMA), shifts[:, j], capacity,
+                                            width, int(panels[j]))
+            for i in range(16):
+                u, w, alone[i] = advance(alone[i], NormalStep(SIGMA), shifts[i, j:j + 1],
+                                         capacity, width, int(panels[j]))
+                assert (unserved[i], weight[i]) == (u[0], w[0])
+                np.testing.assert_array_equal(law.nodes[i], alone[i].nodes[0])
