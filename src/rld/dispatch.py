@@ -206,7 +206,10 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
     ws = T * float(fc.d_hat.min()) - m_total - 9.0 * scale + fine * np.arange(steps + 1)
 
     if engine == "lattice":
-        vals = lattice_terminal_subgradient(ws + m_total, fc, capacity, voll)
+        try:
+            vals = lattice_terminal_subgradient(ws + m_total, fc, capacity, voll)
+        except ValueError as exc:   # a grid position past the lattice's panel budget
+            raise ValidationError(f"storage.B: {exc}; the ct engine solves any capacity") from exc
     else:
         noise = run_generator(seed, MC_STREAM).standard_normal((MC_PATHS, T))
         # no forecast revisions: the delivery fluctuations around d_hat alone

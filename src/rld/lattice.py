@@ -15,7 +15,7 @@ from scipy.special import ndtr
 from .model import ForecastModel
 from .walks import CUT, NormalStep, Step, _npdf, advance, as_steps, empty_storage
 
-# Positions times panels at most: each pair takes about 1.5 KB of working memory.
+# Positions times panels in one pass at most: each pair takes about 1.5 KB of memory.
 _PANEL_ROWS = 2 ** 18
 
 
@@ -61,21 +61,23 @@ def build_lattice(forecast: ForecastModel, capacity: float, supply,
     top = math.ceil(cells) if cells < 2.0 ** 52 else math.inf   # then no row gets near B
     width = capacity / top if top < math.inf else sigma
     panels = np.minimum(np.ceil(np.minimum(reach, capacity) / width), top)
-    if panels.max() * len(shifts) > _PANEL_ROWS:
-        raise ValueError(f"{len(shifts)} positions would take {panels.max():.3g} panels of "
-                         f"{width:.3g} each; split the positions or narrow their range")
+    if panels.max(initial=0) > _PANEL_ROWS:
+        raise ValueError(f"a position would take {panels.max():.3g} panels of {width:.3g} "
+                         "each; narrow the positions' range")
     return Layout(shifts, steps, capacity, width,
                   np.where(np.cumsum(gauss) > 0, panels, 0).astype(int))
 
 
 def solve_lattice(layout: Layout, voll: float) -> tuple[np.ndarray, np.ndarray]:
-    """Expected cost and subgradient in the accumulated energy of every layout row."""
-    T = len(layout.steps)
-    law = empty_storage(layout.shifts.shape[0])
-    stages = np.empty((2, layout.shifts.shape[0], T))
-    for t in range(T):
-        *stages[:, :, t], law = advance(law, layout.steps[t], layout.shifts[:, t],
-                                        layout.capacity, layout.width, int(layout.panels[t]))
+    """Expected cost and subgradient of every layout row, in blocks of _PANEL_ROWS panels."""
+    rows, T = layout.shifts.shape
+    block = _PANEL_ROWS // max(int(layout.panels.max()), 1)
+    stages = np.empty((2, rows, T))
+    for start in range(0, rows, block):
+        part, law, memo = slice(start, start + block), empty_storage(min(block, rows - start)), {}
+        for t, step in enumerate(layout.steps):
+            *stages[:, part, t], law = advance(law, step, layout.shifts[part, t], layout.capacity,
+                                               layout.width, int(layout.panels[t]), memo)
     # Correctly rounded sums (a running one adds T ulps of T).  A path's short
     # stages weigh T at most, each counting its run since the last pin, so the
     # clip to [-VOLL, 0] only moves a far-short sum that rounded past -VOLL.
@@ -90,8 +92,6 @@ def _terminal(x_accumulated, forecast: ForecastModel, capacity: float, voll: flo
     if error_steps is not None and len(error_steps) != T:
         raise ValueError("need one error step per delivery stage")
     steps = as_steps(forecast.sigma if error_steps is None else error_steps)
-    if x_acc.size == 0:
-        return np.zeros(x_acc.shape), np.zeros(x_acc.shape)
     cost, subgrad = solve_lattice(build_lattice(forecast, capacity, x_acc.reshape(-1) / T, steps),
                                   voll)
     if x_acc.ndim == 0:

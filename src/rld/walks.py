@@ -1,10 +1,10 @@
 """One stage of the storage-level law: Lindley's finite-dam step z = b + x - d_t - e_t,
-unserved (-z)^+, b' = clip(z, 0, B) (z < 0 short, z >= B full, as in the storage
-kernel).  A ``Law`` holds masses at point levels (atoms at 0 and B, or enumerated
-discrete levels) and at Gauss-Legendre nodes on shared equal panels, one row each,
-with tangents E[beta; level], beta the stages since the last pin.  Pins, unserved
-energy and E[beta + 1; z < 0] (the stage's share of the right derivative in x) come
-from the normal CDF; the density is renormalised to the CDF-exact inside mass.
+unserved (-z)^+, b' = clip(z, 0, B) (z < 0 short, z >= B full, as in the storage kernel).
+A ``Law`` holds each row's masses and tangents E[beta; level], beta the stages since the
+last pin, at point levels (atoms at 0 and B, or enumerated levels) and at Gauss-Legendre
+nodes on shared equal panels.  Pins, unserved energy and E[beta + 1; z < 0] (the stage's
+share of the right derivative in x) come from the normal CDF; the density is
+renormalised to the CDF-exact inside mass.
 """
 from __future__ import annotations
 
@@ -47,10 +47,8 @@ class DiscreteStep:
     def __post_init__(self):
         if len(self.atoms) != len(self.probs) or not self.atoms:
             raise ValueError("atoms and probs must be nonempty and equal length")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("atom probabilities must be nonnegative")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError("atom probabilities must sum to 1")
+        if any(p < 0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-12:
+            raise ValueError("atom probabilities must be nonnegative and sum to 1")
 
 
 Step = NormalStep | DiscreteStep
@@ -69,7 +67,6 @@ class Law:
     points: np.ndarray    # (rows, m) point levels
     mass: np.ndarray      # (rows, 2, m) mass and tangent E[beta; level] at the points
     nodes: np.ndarray     # (rows, 2, panels, NODES) the same at level (p + _UNIT[k]) * width
-    band: tuple | None = None  # the taps of the stage that made it (see ``_banded``)
 
 
 def empty_storage(rows: int) -> Law:
@@ -84,31 +81,39 @@ def levels(panels: int, width: float) -> np.ndarray:
 
 
 def advance(law: Law, step: Step, shift: np.ndarray, capacity: float, width: float,
-            panels: int) -> tuple[np.ndarray, np.ndarray, Law]:
+            panels: int, memo: dict | None = None) -> tuple[np.ndarray, np.ndarray, Law]:
     """E[(-z)^+], E[beta + 1; z < 0] and the next law, per row of drifts ``shift`` = x - d_t.
 
-    The next density lies on the first ``panels`` panels of width ``width``.  A
-    discrete (or zero-std) step enumerates levels and needs a law without nodes.
+    The next density lies on the first ``panels`` panels of width ``width``; ``memo``
+    keeps a Gaussian step's kernel taps for a next call with the same arguments.  A
+    discrete (or zero-std) step enumerates levels; its law must have no nodes.
     """
     if isinstance(step, NormalStep) and step.sigma > 0.0:
-        return _gauss_step(law, step.sigma, shift, capacity, width, panels)
-    if law.nodes.shape[2]:
-        raise NotImplementedError("discrete step after a Gaussian step is not supported")
+        return _gauss_step(law, step.sigma, shift, capacity, width, panels, memo)
     atoms, probs = (step.atoms, step.probs) if isinstance(step, DiscreteStep) else ((0.0,), (1.0,))
     rows = shift.size
-    z = (law.points + shift[:, None])[:, :, None] - np.asarray(atoms)
-    w = law.mass[:, :, :, None] * np.asarray(probs)   # (rows, 2, m, atoms)
+    z = ((law.points + shift[:, None])[:, :, None] - np.asarray(atoms)).reshape(rows, -1)
+    w = (law.mass[:, :, :, None] * np.asarray(probs)).reshape(rows, 2, -1)
     w[:, 1] += w[:, 0]                                # mass and E[beta + 1; .]
-    short = z < 0.0
-    unserved = (w[:, 0] * np.maximum(-z, 0.0)).reshape(rows, -1).sum(axis=1)
-    weight = np.where(short, w[:, 1], 0.0).reshape(rows, -1).sum(axis=1)
-    w[:, 1] = np.where(short | (z >= capacity), 0.0, w[:, 1])   # a pin resets beta
-    return unserved, weight, Law(np.clip(z, 0.0, capacity).reshape(rows, -1),
-                                 w.reshape(rows, 2, -1), law.nodes)
+    # sums in sequence, to which a row's zero-mass padding adds nothing, bit for bit
+    unserved = np.cumsum(w[:, 0] * np.maximum(-z, 0.0), axis=1)[:, -1]
+    weight = np.cumsum(np.where(z < 0.0, w[:, 1], 0.0), axis=1)[:, -1]
+    w[:, 1] = np.where((z < 0.0) | (z >= capacity), 0.0, w[:, 1])   # a pin resets beta
+    # one point per distinct level of a row (grid levels then grow with the grid, not as
+    # atoms**T), and a batch pads each row with its top level at no mass
+    order = np.argsort(np.clip(z, 0.0, capacity), axis=1, kind="stable")
+    z = np.take_along_axis(np.clip(z, 0.0, capacity), order, axis=1)
+    run = np.cumsum(np.hstack([np.ones((rows, 1), bool), z[:, 1:] != z[:, :-1]]), axis=1) - 1
+    size = int(run.max()) + 1
+    points = np.repeat(z[:, -1:], size, axis=1)
+    points[np.arange(rows)[:, None], run] = z
+    bins = (np.arange(2 * rows).reshape(rows, 2, 1) * size + run[:, None]).ravel()
+    mass = np.bincount(bins, np.take_along_axis(w, order[:, None], 2).ravel(), 2 * rows * size)
+    return unserved, weight, Law(points, mass.reshape(rows, 2, size), law.nodes)
 
 
 def _gauss_step(law: Law, sigma: float, shift: np.ndarray, capacity: float, width: float,
-                panels: int) -> tuple[np.ndarray, np.ndarray, Law]:
+                panels: int, memo: dict | None) -> tuple[np.ndarray, np.ndarray, Law]:
     (rows, m), src = law.points.shape, law.nodes.shape[2]
     level = np.hstack([law.points, np.broadcast_to(levels(src, width), (rows, src * NODES))])
     w = np.concatenate([law.mass, law.nodes.reshape(rows, 2, -1)], axis=2)
@@ -122,37 +127,33 @@ def _gauss_step(law: Law, sigma: float, shift: np.ndarray, capacity: float, widt
     unserved = (w[:, 0] * (sigma * _npdf(a) - mean * fractions[:, :, 0])).sum(axis=1)
     pinned = w @ fractions                    # [row, mass or beta + 1, short or full]
     inside = np.maximum(w.sum(axis=2) - pinned.sum(axis=2), 0.0)
-
-    dens, band = w[:, :, :m] @ to_nodes, law.band
+    dens = w[:, :, :m] @ to_nodes
     if src:
-        carried, band = _banded(w[:, :, m:].reshape(rows, 2, src, NODES), band, sigma, shift,
-                                width, panels)
-        dens += carried
+        dens += _banded(w[:, :, m:].reshape(rows, 2, src, NODES), {} if memo is None else memo,
+                        sigma, shift, width, panels)
     dens *= np.tile(_UNIT_W * width, panels)
     quad = dens.sum(axis=2)
     scale = np.divide(inside, quad, out=np.zeros_like(quad), where=quad > 0.0)
     nodes = (dens * scale[:, :, None]).reshape(rows, 2, panels, NODES)
     nodes[nodes < _TINY] = 0.0
     mass = np.stack([pinned[:, 0], np.zeros((rows, 2))], axis=1)   # at 0 and B, beta = 0
-    points = np.broadcast_to(np.array([0.0, capacity]), (rows, 2))
-    return unserved, pinned[:, 1, 0], Law(points, mass, nodes, band)
+    return unserved, pinned[:, 1, 0], Law(np.broadcast_to([0.0, capacity], (rows, 2)), mass, nodes)
 
 
-def _banded(src_w: np.ndarray, old: tuple | None, sigma: float, shift: np.ndarray,
-            width: float, panels: int) -> tuple[np.ndarray, tuple]:
+def _banded(src_w: np.ndarray, memo: dict, sigma: float, shift: np.ndarray, width: float,
+            panels: int) -> np.ndarray:
     """Unnormalised density at the first ``panels`` panels' nodes from node masses ``src_w``.
 
-    Between equal panels the kernel depends only on the panel offset, and row
-    r's taps vanish beyond ``half`` offsets of shift_r / width (node pairs lie
-    under a panel apart beyond their offset; the centre rounds by half a panel).
-    It takes the n offsets last_r - c, c < n, that hold them (or every offset,
-    when fewer): work linear in the panel count.  The taps are (key, source
-    panel at i = p + c, with src padding, kernel [row, c, source node, target
-    node]); ``old`` serves again when its key holds these arguments.
+    Between equal panels the kernel depends only on the panel offset, and row r's
+    taps vanish beyond ``half`` offsets of shift_r / width (node pairs lie under a
+    panel apart beyond their offset; the centre rounds by half a panel).  It takes
+    the n offsets last_r - c, c < n, that hold them (or all, when fewer): work linear
+    in the panel count.  ``memo`` keeps the taps (source panel at i = p + c, with src
+    padding; kernel [row, c, source node, target node]) for a call with these arguments.
     """
     rows, _, src, _ = src_w.shape
-    key, band = (sigma, width, src, panels, shift.tobytes()), old
-    if old is None or old[0] != key:
+    key = (sigma, width, src, panels, shift.tobytes())
+    if memo.get("key") != key:
         half = math.floor(CUT * sigma / width + 1.5)
         n = min(2 * half + 1, src + panels - 1)
         centre = np.clip(np.rint(shift / width), -src - half, panels + half).astype(int)
@@ -161,11 +162,11 @@ def _banded(src_w: np.ndarray, old: tuple | None, sigma: float, shift: np.ndarra
         gap = ((last[:, None] - np.arange(n)) * width - shift[:, None])[:, :, None, None]
         kernel = _npdf((gap + (_UNIT - _UNIT[:, None]) * width) / sigma)
         kernel[kernel < _TINY] = 0.0
-        band = (key, np.where((source >= 0) & (source < src), source, src), kernel)
-    source, kernel = band[1:]
+        memo.update(key=key, taps=(np.where((source >= 0) & (source < src), source, src), kernel))
+    source, kernel = memo["taps"]
     padded = np.concatenate([src_w, np.zeros((rows, 2, 1, NODES))], axis=2)
     shifted = padded[np.arange(rows)[:, None, None], np.arange(2), source[:, :, None]]
     out = np.zeros((rows, 2 * panels, NODES))
     for c in range(kernel.shape[1]):
         out += shifted[:, c:c + panels].reshape(rows, 2 * panels, NODES) @ kernel[:, c]
-    return out.reshape(rows, panels, 2, NODES).transpose(0, 2, 1, 3).reshape(rows, 2, -1), band
+    return out.reshape(rows, panels, 2, NODES).transpose(0, 2, 1, 3).reshape(rows, 2, -1)

@@ -29,7 +29,14 @@ from rld.dispatch import (
     three_sigma_schedule,
 )
 from rld.lattice import closed_form_b0, lattice_terminal_cost, lattice_terminal_subgradient
-from rld.model import BUY, SELL, StorageSpec, load_scenario, scenario_from_dict
+from rld.model import (
+    BUY,
+    SELL,
+    StorageSpec,
+    ValidationError,
+    load_scenario,
+    scenario_from_dict,
+)
 from rld.rng import draw_policy_paths, run_generator
 from rld.storage import (
     delivery_costs_batch,
@@ -797,6 +804,33 @@ class TestTerminalModel:
         assert np.allclose(np.diff(grids[0]), np.diff(grids[0])[0])
         low, high = lattice_terminal_subgradient(ends, fc, capacity, VOLL)
         assert abs(low + VOLL) <= 1e-15 * VOLL and abs(high) <= 1e-15 * VOLL
+
+    def test_long_horizon_at_huge_capacity_passes_in_blocks(self, monkeypatch):
+        # at T = 288 and B = 1e6 the top grid position climbs some 2,700 panels
+        # of one stage std, so the 145 grid rows take more than the lattice's
+        # panel budget: they pass in blocks.  A stand-in stage step counts them
+        # (the real solve takes minutes)
+        from rld import lattice
+
+        T, sizes = 288, []
+
+        def counting(law, step, shift, *args):
+            sizes.append(shift.size)
+            return np.zeros(shift.size), np.zeros(shift.size), law
+
+        monkeypatch.setattr(lattice, "advance", counting)
+        build_terminal_model(make_scenario(T=T, B=1e6), "lattice")
+        assert len(sizes) % T == 0 and len(sizes) > T
+        assert sum(sizes[::T]) == 145
+
+    def test_a_position_past_the_panel_budget_is_a_scenario_error(self, monkeypatch):
+        # one grid position that alone needs more panels than the budget is
+        # refused as a scenario error, which the command line reports
+        from rld import lattice
+
+        monkeypatch.setattr(lattice, "_PANEL_ROWS", 16)
+        with pytest.raises(ValidationError, match="storage.B"):
+            build_terminal_model(make_scenario(T=12, B=1e6), "lattice")
 
     def test_ct_engine_is_analytic(self, small_scenario):
         scn = small_scenario

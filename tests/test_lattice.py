@@ -110,6 +110,18 @@ class TestBuildLattice:
             lattice_terminal_subgradient(np.array([0.2, 1e300]), fc, 1e6, VOLL)
         assert lattice_terminal_subgradient(1e300, fc, 0.01, VOLL) == 0.0
 
+    def test_rows_over_the_panel_budget_pass_in_blocks(self, monkeypatch):
+        # a call over the budget solves its rows in blocks, each bit for bit
+        # as in one pass
+        T, B = 12, 1e6
+        fc = constant_forecast(T, 0.05, 0.01)
+        x_acc = T * 0.05 + np.linspace(-0.3, 0.3, 40)
+        layout = build_lattice(fc, B, x_acc / T, as_steps(fc.sigma))
+        whole = solve_lattice(layout, VOLL)
+        monkeypatch.setattr(lattice, "_PANEL_ROWS", 3 * int(layout.panels.max()))
+        for got, want in zip(solve_lattice(layout, VOLL), whole):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestProbabilities:
     def test_level_sums_and_conservation(self):
@@ -308,6 +320,39 @@ class TestTerminalCost:
                 b = min(B, max(x - deficit + b, 0.0))
             total += prob * path
         assert cost == pytest.approx(VOLL * total, abs=1e-12)
+
+    def test_grid_errors_merge_equal_levels(self):
+        # five grid atoms over T = 20 stages: the law merges equal levels, so a
+        # row holds at most B / unit + 1 of them, not 5**20 paths.  A dynamic
+        # program over the integer levels is the oracle for the cost, and its
+        # difference quotient for the subgradient: dyadic values keep every
+        # level exact, and a step of 1/T of the level grid passes no tie.
+        T, unit = 20, 2.0 ** -17
+        atoms, probs = 32 * np.array([-80, -40, 0, 40, 80]), (0.1, 0.2, 0.4, 0.2, 0.1)
+        d, cap = 32 * 180, 32 * 60
+        steps = [DiscreteStep(tuple(atoms * unit), probs)] * T
+        fc = constant_forecast(T, d * unit, 0.0)
+
+        def cost(x):   # per-stage supply x in units
+            law, total = np.eye(cap + 1)[0], 0.0
+            for _ in range(T):
+                nxt = np.zeros(cap + 1)
+                for a, q in zip(atoms, probs):
+                    z = np.arange(cap + 1) + x - d - a
+                    total += q * law @ np.maximum(-z, 0)
+                    np.add.at(nxt, np.clip(z, 0, cap), q * law)
+                law = nxt
+            return VOLL * unit * total
+
+        for x in (32 * 170, 32 * 180, 32 * 190):
+            laws = stage_laws(fc, cap * unit, x * unit, steps)
+            assert max(law.points.shape[1] for _, _, law in laws) <= cap + 1
+            at, right = cost(x), cost(x + 1)
+            assert lattice_terminal_cost(T * x * unit, fc, cap * unit, VOLL,
+                                         error_steps=steps) == pytest.approx(at, rel=1e-13)
+            grad = lattice_terminal_subgradient(T * x * unit, fc, cap * unit, VOLL,
+                                                error_steps=steps)
+            assert grad == pytest.approx((right - at) / (T * unit), abs=1e-12 * VOLL)
 
     def test_discrete_positions_batch_bitwise(self):
         # 20 positions span two row blocks; each row sums like a walk of its own

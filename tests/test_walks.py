@@ -145,7 +145,8 @@ class TestAdvanceInternals:
         np.testing.assert_array_equal(law.points[:, 0], [0.2, 0.0, 0.75])
 
     def test_discrete_rows_match_scalar_walks(self):
-        # each row of a discrete step sums bit for bit like a law of its own
+        # each row of a discrete step sums bit for bit like a law of its own,
+        # which the batch pads with the row's top level at no mass
         step = DiscreteStep((-0.3, 0.1, 0.25), (0.3, 0.5, 0.2))
         shifts = np.array([[0.1, -0.2, 0.3], [-0.05, 0.4, -0.1], [0.2, 0.0, -0.3]])
         law, rows = empty_storage(3), [empty_storage(1) for _ in shifts]
@@ -154,7 +155,11 @@ class TestAdvanceInternals:
             for i in range(len(shifts)):
                 u, w, rows[i] = stage(rows[i], step, shifts[i, j], 0.45, 0.45, 0)
                 assert (unserved[i], weight[i]) == (u[0], w[0])
-                np.testing.assert_array_equal(law.mass[i], rows[i].mass[0])
+                own = rows[i].points.shape[1]
+                np.testing.assert_array_equal(law.points[i, :own], rows[i].points[0])
+                np.testing.assert_array_equal(law.mass[i, :, :own], rows[i].mass[0])
+                assert not law.mass[i, :, own:].any()
+                assert (law.points[i, own:] == rows[i].points[0, -1]).all()
 
     @pytest.mark.parametrize("beyond", [6.0, 6.5, 7.5])
     @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
