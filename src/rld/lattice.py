@@ -32,10 +32,12 @@ def build_lattice(forecast: ForecastModel, capacity: float, supply,
                   steps: list[Step]) -> Layout:
     """Node layout for one row per per-stage ``supply``.
 
-    A row's level exceeds its noiseless Lindley level by at most the running
-    maximum of its noise, which passes CUT stds of the summed Gaussian steps
-    with probability below 3e-19 (Levy's inequality), plus the deepest
-    discrete atoms.  The panels cover that reach over every row, up to B.
+    A row's level exceeds its noiseless Lindley level by at most its noise's running max,
+    which passes CUT stds of the summed Gaussian steps with probability below 3e-19
+    (Levy's inequality), plus the deepest discrete atoms.  No level above the drawdown
+    still to come (noiseless, plus CUT stds each for the rest of the noise's running max
+    and min) falls short again: ``walks.advance`` lumps the mass there at B.  The panels
+    cover, up to B, the lower of the two over every row; after the last stage, the reach.
     """
     T = forecast.n_stages
     if T < 1:
@@ -45,25 +47,25 @@ def build_lattice(forecast: ForecastModel, capacity: float, supply,
     gauss = np.array([isinstance(s, NormalStep) and s.sigma > 0 for s in steps])
     late = np.flatnonzero(~gauss & (np.cumsum(gauss) > 0))
     if late.size:   # a density takes no discrete step (see walks.advance)
-        raise ValueError(f"delivery stage {late[0]}: the lattice takes no discrete or "
-                         "zero-std error step after a Gaussian one")
+        raise ValueError(f"delivery stage {late[0]}: a discrete or zero-std step after a Gaussian")
     shifts = np.asarray(supply, dtype=float).reshape(-1, 1) - forecast.d_hat
     if not np.isfinite(shifts).all():
         raise ValueError("accumulated positions must be finite")
     var = np.cumsum([s.sigma ** 2 if g else 0.0 for s, g in zip(steps, gauss)])
-    drop = np.cumsum([0.0 if isinstance(s, NormalStep) else -min(min(s.atoms), 0.0)
-                      for s in steps])
+    drop = np.cumsum([max(0.0, -min(getattr(s, "atoms", (0.0,)))) for s in steps])
     walk = np.cumsum(shifts, axis=1)          # Lindley's level is walk - min(0, its minimum)
     lindley = walk - np.minimum(np.minimum.accumulate(walk, axis=1), 0.0)
-    reach = lindley.max(axis=0, initial=0.0) + drop + CUT * np.sqrt(var)
+    dip = walk - np.minimum.accumulate(walk[:, ::-1], axis=1)[:, ::-1]
+    dip = np.maximum.accumulate(dip[:, ::-1], axis=1)[:, ::-1] + 2 * CUT * np.sqrt(var[-1] - var)
+    dip[:, -1] = np.inf
+    reach = np.minimum(lindley + drop + CUT * np.sqrt(var), dip).max(axis=0, initial=0.0)
     sigma = float(min((s.sigma for s, g in zip(steps, gauss) if g), default=capacity))
     cells = float(capacity) / sigma
     top = math.ceil(cells) if cells < 2.0 ** 52 else math.inf   # then no row gets near B
     width = capacity / top if top < math.inf else sigma
     panels = np.minimum(np.ceil(np.minimum(reach, capacity) / width), top)
     if panels.max(initial=0) > _PANEL_ROWS:
-        raise ValueError(f"a position would take {panels.max():.3g} panels of {width:.3g} "
-                         "each; narrow the positions' range")
+        raise ValueError(f"a position would take {panels.max():.3g} panels of {width:.3g}")
     return Layout(shifts, steps, capacity, width,
                   np.where(np.cumsum(gauss) > 0, panels, 0).astype(int))
 
@@ -71,13 +73,14 @@ def build_lattice(forecast: ForecastModel, capacity: float, supply,
 def solve_lattice(layout: Layout, voll: float) -> tuple[np.ndarray, np.ndarray]:
     """Expected cost and subgradient of every layout row, in blocks of _PANEL_ROWS panels."""
     rows, T = layout.shifts.shape
-    block = _PANEL_ROWS // max(int(layout.panels.max()), 1)
+    panels = np.append(layout.panels[:-1], 0)   # nothing reads the last stage's density
+    block = _PANEL_ROWS // max(int(panels.max()), 1)
     stages = np.empty((2, rows, T))
     for start in range(0, rows, block):
         part, law, memo = slice(start, start + block), empty_storage(min(block, rows - start)), {}
         for t, step in enumerate(layout.steps):
             *stages[:, part, t], law = advance(law, step, layout.shifts[part, t], layout.capacity,
-                                               layout.width, int(layout.panels[t]), memo)
+                                               layout.width, int(panels[t]), memo)
     # Correctly rounded sums (a running one adds T ulps of T).  A path's short
     # stages weigh T at most, each counting its run since the last pin, so the
     # clip to [-VOLL, 0] only moves a far-short sum that rounded past -VOLL.
@@ -112,11 +115,8 @@ def lattice_terminal_subgradient(x_accumulated, forecast: ForecastModel, capacit
 
 
 def closed_form_b0(x_accumulated, forecast: ForecastModel, voll: float):
-    """Expected cost and subgradient without storage (B = 0), in closed form.
-
-    Each stage is an independent newsvendor term; zero-sigma stages take
-    their hard limit.  Broadcasts over an array of accumulated positions.
-    """
+    """Expected cost and subgradient without storage (B = 0): a newsvendor term per stage,
+    zero-sigma stages at their hard limit; broadcasts over accumulated positions."""
     T, s = forecast.n_stages, forecast.sigma
     gap = np.asarray(x_accumulated, dtype=float)[..., None] / T - forecast.d_hat
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -84,9 +84,9 @@ def advance(law: Law, step: Step, shift: np.ndarray, capacity: float, width: flo
             panels: int, memo: dict | None = None) -> tuple[np.ndarray, np.ndarray, Law]:
     """E[(-z)^+], E[beta + 1; z < 0] and the next law, per row of drifts ``shift`` = x - d_t.
 
-    The next density lies on the first ``panels`` panels of width ``width``; ``memo``
-    keeps a Gaussian step's kernel taps for a next call with the same arguments.  A
-    discrete (or zero-std) step enumerates levels; its law must have no nodes.
+    The next density lies on the first ``panels`` panels of width ``width``, and mass
+    above them joins the atom at B.  ``memo`` keeps a Gaussian step's kernel taps for a
+    next call with these arguments.  A discrete (or zero-std) step needs a law without nodes.
     """
     if isinstance(step, NormalStep) and step.sigma > 0.0:
         return _gauss_step(law, step.sigma, shift, capacity, width, panels, memo)
@@ -122,7 +122,7 @@ def _gauss_step(law: Law, sigma: float, shift: np.ndarray, capacity: float, widt
     mean = level + shift[:, None]             # of z, per source
     with np.errstate(over="ignore"):          # an overflowing ratio is its limit +-inf
         a = mean / sigma
-        fractions = np.stack([ndtr(-a), ndtr((mean - capacity) / sigma)], axis=2)
+        fractions = np.stack([ndtr(-a), ndtr((mean - min(capacity, panels * width)) / sigma)], 2)
         to_nodes = _npdf((levels(panels, width) - mean[:, :m, None]) / sigma)
     unserved = (w[:, 0] * (sigma * _npdf(a) - mean * fractions[:, :, 0])).sum(axis=1)
     pinned = w @ fractions                    # [row, mass or beta + 1, short or full]

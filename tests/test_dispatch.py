@@ -805,23 +805,24 @@ class TestTerminalModel:
         low, high = lattice_terminal_subgradient(ends, fc, capacity, VOLL)
         assert abs(low + VOLL) <= 1e-15 * VOLL and abs(high) <= 1e-15 * VOLL
 
-    def test_long_horizon_at_huge_capacity_passes_in_blocks(self, monkeypatch):
+    def test_long_horizon_at_huge_capacity_lays_out_the_drawdown(self, monkeypatch):
         # at T = 288 and B = 1e6 the top grid position climbs some 2,700 panels
-        # of one stage std, so the 145 grid rows take more than the lattice's
-        # panel budget: they pass in blocks.  A stand-in stage step counts them
-        # (the real solve takes minutes)
+        # of one stage std, but no row's density needs more panels than its
+        # drawdown still to come, about 2 * 9 * sqrt(T): the 145 grid rows pass
+        # in one block.  A stand-in stage step records the calls (the real
+        # solve takes about 12 s on a 2-core Xeon)
         from rld import lattice
 
-        T, sizes = 288, []
+        T, calls = 288, []
 
-        def counting(law, step, shift, *args):
-            sizes.append(shift.size)
+        def recording(law, step, shift, capacity, width, panels, memo):
+            calls.append((shift.size, panels))
             return np.zeros(shift.size), np.zeros(shift.size), law
 
-        monkeypatch.setattr(lattice, "advance", counting)
+        monkeypatch.setattr(lattice, "advance", recording)
         build_terminal_model(make_scenario(T=T, B=1e6), "lattice")
-        assert len(sizes) % T == 0 and len(sizes) > T
-        assert sum(sizes[::T]) == 145
+        assert [size for size, _ in calls] == [145] * T
+        assert max(panels for _, panels in calls) < 2 * 9 * math.sqrt(T) + 10
 
     def test_a_position_past_the_panel_budget_is_a_scenario_error(self, monkeypatch):
         # one grid position that alone needs more panels than the budget is

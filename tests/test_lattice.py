@@ -110,6 +110,26 @@ class TestBuildLattice:
             lattice_terminal_subgradient(np.array([0.2, 1e300]), fc, 1e6, VOLL)
         assert lattice_terminal_subgradient(1e300, fc, 0.01, VOLL) == 0.0
 
+    def test_mass_above_the_drawdown_to_come_lumps_at_b(self):
+        # B = 40 stage stds over T = 30 stages at drifts of 0 to 2 stds: the
+        # late stages lay out fewer panels than the reach, lumping the mass
+        # above the drawdown still to come at B.  The cost and subgradient
+        # match a pass that lays out all of [0, B] at every stage
+        T, sigma, B = 30, 0.01, 0.4
+        fc = constant_forecast(T, 0.05, sigma)
+        x = 0.05 + sigma * np.array([0.0, 0.5, 2.0])
+        layout = build_lattice(fc, B, x, as_steps(fc.sigma))
+        top = round(B / layout.width)
+        assert layout.panels[-2] < top
+        law, stages = empty_storage(len(x)), []
+        for t, step in enumerate(layout.steps):
+            *out, law = advance(law, step, layout.shifts[:, t], B, layout.width, top)
+            stages.append(out)
+        unserved, weight = np.sum(stages, axis=0)
+        cost, grad = solve_lattice(layout, VOLL)
+        np.testing.assert_allclose(cost, VOLL * unserved, rtol=1e-14)
+        np.testing.assert_allclose(grad, -VOLL / T * weight, rtol=1e-14)
+
     def test_rows_over_the_panel_budget_pass_in_blocks(self, monkeypatch):
         # a call over the budget solves its rows in blocks, each bit for bit
         # as in one pass
