@@ -1,10 +1,10 @@
 """One stage of the storage-level law: Lindley's finite-dam step z = b + x - d_t - e_t,
-unserved (-z)^+, b' = clip(z, 0, B) (z < 0 short, z >= B full, as in the storage kernel).
-A ``Law`` holds each row's masses and tangents E[beta; level], beta the stages since the
-last pin, at point levels (atoms at 0 and B, or enumerated levels) and at Gauss-Legendre
-nodes on shared equal panels.  Pins, unserved energy and E[beta + 1; z < 0] (the stage's
-share of the right derivative in x) come from the normal CDF; the density is
-renormalised to the CDF-exact inside mass.
+unserved (-z)^+, b' = clip(z, 0, B) (z < 0 short, z >= B full, as in the storage
+kernel).  A ``Law`` holds masses at point levels (atoms at 0 and B, or enumerated
+discrete levels) and at Gauss-Legendre nodes on shared equal panels, one row each,
+with tangents E[beta; level], beta the stages since the last pin.  Pins, unserved
+energy and E[beta + 1; z < 0] (the stage's share of the right derivative in x) come
+from the normal CDF; the density is renormalised to the CDF-exact inside mass.
 """
 from __future__ import annotations
 
