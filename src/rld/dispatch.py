@@ -36,6 +36,11 @@ ENGINES = ("lattice", "mc", "ct")
 # the mc engine's Philox index: above every evaluation block (rng.BLOCK_RUNS)
 MC_STREAM = 0x6D63
 MC_PATHS = 20_000     # delivery paths behind the mc engine's grid
+# The widest final forecast revision, in delivery-interval stds and (mc) in terminal
+# scales, whose last-stage rule still meets the 1e-6 VOLL gate on the lattice or mc
+# model, measured by a dense rule over T in [2, 60] and B in [1e-4, 0.1] (mc's grid
+# noise misses it at some T for B >= 1e-2)
+MAX_REVISION = {"lattice": (2.4, math.inf), "mc": (2.4, 0.58)}
 
 
 class _BelowRangeError(DegeneratePriceError):
@@ -142,7 +147,8 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
     unrevised forecast with no delivery fluctuation, run the scenario's
     storage, efficiencies included; the lattice and continuous-time engines
     model ideal storage of its capacity, even at nu = 0, where the storage
-    can deliver nothing.
+    can deliver nothing.  A lattice or mc grid under a final forecast revision
+    wider than ``MAX_REVISION`` allows is refused.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -192,6 +198,15 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
         width = sigma_sq / (2 * capacity)   # h' turns within 40 widths of 0: cut every 4
         return TerminalModel(engine, grad_ct, max(scale, width), cuts=width * np.r_[-40:41:4])
 
+    revision = float(scenario.inter_stage_stds()[-1])
+    in_stds, in_scales = MAX_REVISION[engine]
+    if revision > in_stds * sig_tot or revision > in_scales * scale:
+        raise ValidationError(
+            f"mean_share: {scenario.mean_share} puts the final forecast revision at "
+            f"{revision / sig_tot:.3g} delivery-interval stds and {revision / scale:.3g} "
+            f"scales, past the {engine} engine's limits ({in_stds} and {in_scales}): its last "
+            "stage's rule would miss the terminal model's turns; the ct engine solves it")
+
     # 8 points per scale (sqrt(T) interval stds, which are T stage stds), 9
     # scales beyond the lowest and the highest stage deficit: below, every
     # stage is short and the empty storage never charges, above none is, so
@@ -205,9 +220,14 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
                               "terminal grid of over 2**20 points; the ct engine solves any profile")
     ws = T * float(fc.d_hat.min()) - m_total - 9.0 * scale + fine * np.arange(steps + 1)
 
+    grad_exact = None
     if engine == "lattice":
+        def grad_exact(w):
+            return lattice_terminal_subgradient(np.asarray(w, dtype=float) + m_total,
+                                                fc, capacity, voll)
+
         try:
-            vals = lattice_terminal_subgradient(ws + m_total, fc, capacity, voll)
+            vals = grad_exact(ws)
         except ValueError as exc:   # a grid position past the lattice's panel budget
             raise ValidationError(f"storage.B: {exc}; the ct engine solves any capacity") from exc
     else:
@@ -229,12 +249,6 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
     def grad_interp(w):
         w = np.asarray(w, dtype=float)
         return -voll * ndtr(interp(np.clip(w, ws[0], ws[-1])))
-
-    grad_exact = None
-    if engine == "lattice":
-        def grad_exact(w):
-            return lattice_terminal_subgradient(np.asarray(w, dtype=float) + m_total,
-                                                fc, capacity, voll)
 
     return TerminalModel(engine, grad_interp, scale, grad_exact=grad_exact)
 
@@ -296,10 +310,12 @@ class _Hermite:
     """Piecewise cubic through (x, y), ``x`` ascending, with node slopes
     ``slopes`` (default: the not-a-knot spline's, on uniform ``x``),
     extended by its end pieces.  A point takes the piece of the last node
-    at or below it (the last piece at x[-1]), and c3 + c2 d + c1 d^2 +
-    c0 d^3 in its offset d from that node."""
+    at or below it (the last piece at x[-1] and NaN), and c3 + c2 d + c1 d^2
+    + c0 d^3 in its offset d from that node.  The nodes are uniform, so the
+    piece is (u - x[0]) / h rounded down, and then moved by one where the
+    rounding put it past an inner node."""
 
-    __slots__ = ("x", "_inner", "_coef")
+    __slots__ = ("x", "_h", "_edges", "_coef")
 
     def __init__(self, x: np.ndarray, y: np.ndarray, slopes: np.ndarray | None = None):
         if slopes is None:
@@ -307,13 +323,17 @@ class _Hermite:
         h = np.diff(x)
         secants = np.diff(y) / h
         t = (slopes[:-1] + slopes[1:] - 2.0 * secants) / h
-        self.x, self._inner = x, x[1:-1]
+        self.x, self._h = x, (x[-1] - x[0]) / (x.size - 1)
+        self._edges = np.concatenate([[-np.inf], x[1:-1], [np.inf]])   # of piece i: i, i + 1
         self._coef = np.stack([t / h, (secants - slopes[:-1]) / h - t, slopes[:-1], y[:-1]])
 
     def __call__(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        i = np.searchsorted(self._inner, u, side="right")
-        d = u - self.x[i]
+        u, x, edges = np.asarray(u, dtype=float), self.x, self._edges
+        inside = np.minimum(np.maximum(u, x[0]), x[-1])   # NaN stays: the last piece
+        i = np.fmin(np.floor((inside - x[0]) / self._h), x.size - 2).astype(np.intp)
+        i += inside >= edges[i + 1]
+        i -= inside < edges[i]
+        d = u - x[i]
         c0, c1, c2, c3 = self._coef.take(i, axis=1)
         d2 = d * d
         return c3 + c2 * d + c1 * d2 + c0 * (d2 * d)

@@ -24,7 +24,7 @@ class Layout:
     shifts: np.ndarray    # (rows, T) stage drifts x - d_t
     steps: list[Step]     # one error step per delivery stage
     capacity: float
-    width: float          # panel width
+    width: float          # panel width; inf without a Gaussian step
     panels: np.ndarray    # (T,) panels after each stage; 0 before the first Gaussian step
 
 
@@ -37,16 +37,17 @@ def build_lattice(forecast: ForecastModel, capacity: float, supply,
     (Levy's inequality), plus the deepest discrete atoms.  No level above the drawdown
     still to come (noiseless, plus CUT stds each for the rest of the noise's running max
     and min) falls short again: ``walks.advance`` lumps the mass there at B.  The panels
-    cover, up to B, the lower of the two over every row; after the last stage, the reach.
+    cover, up to B, the lower of the two over every row: none after the last stage, and
+    none at B = 0, where the width is a stage std, as at a B too large to split.
     """
     T = forecast.n_stages
     if T < 1:
         raise ValueError("need at least one delivery stage")
-    if capacity <= 0:
-        raise ValueError("lattice needs capacity > 0; use closed_form_b0 for B = 0")
+    if not capacity >= 0:
+        raise ValueError(f"capacity must be nonnegative, got {capacity}")
     gauss = np.array([isinstance(s, NormalStep) and s.sigma > 0 for s in steps])
-    late = np.flatnonzero(~gauss & (np.cumsum(gauss) > 0))
-    if late.size:   # a density takes no discrete step (see walks.advance)
+    late = np.flatnonzero(~gauss & (np.cumsum(gauss) > 0) & (capacity > 0))
+    if late.size:   # a density (none at B = 0) takes no discrete step (see walks.advance)
         raise ValueError(f"delivery stage {late[0]}: a discrete or zero-std step after a Gaussian")
     shifts = np.asarray(supply, dtype=float).reshape(-1, 1) - forecast.d_hat
     if not np.isfinite(shifts).all():
@@ -57,12 +58,11 @@ def build_lattice(forecast: ForecastModel, capacity: float, supply,
     lindley = walk - np.minimum(np.minimum.accumulate(walk, axis=1), 0.0)
     dip = walk - np.minimum.accumulate(walk[:, ::-1], axis=1)[:, ::-1]
     dip = np.maximum.accumulate(dip[:, ::-1], axis=1)[:, ::-1] + 2 * CUT * np.sqrt(var[-1] - var)
-    dip[:, -1] = np.inf
     reach = np.minimum(lindley + drop + CUT * np.sqrt(var), dip).max(axis=0, initial=0.0)
-    sigma = float(min((s.sigma for s, g in zip(steps, gauss) if g), default=capacity))
+    sigma = float(min((s.sigma for s, g in zip(steps, gauss) if g), default=math.inf))
     cells = float(capacity) / sigma
     top = math.ceil(cells) if cells < 2.0 ** 52 else math.inf   # then no row gets near B
-    width = capacity / top if top < math.inf else sigma
+    width = capacity / top if 0 < top < math.inf else sigma
     panels = np.minimum(np.ceil(np.minimum(reach, capacity) / width), top)
     if panels.max(initial=0) > _PANEL_ROWS:
         raise ValueError(f"a position would take {panels.max():.3g} panels of {width:.3g}")
@@ -73,14 +73,13 @@ def build_lattice(forecast: ForecastModel, capacity: float, supply,
 def solve_lattice(layout: Layout, voll: float) -> tuple[np.ndarray, np.ndarray]:
     """Expected cost and subgradient of every layout row, in blocks of _PANEL_ROWS panels."""
     rows, T = layout.shifts.shape
-    panels = np.append(layout.panels[:-1], 0)   # nothing reads the last stage's density
-    block = _PANEL_ROWS // max(int(panels.max()), 1)
+    block = _PANEL_ROWS // max(int(layout.panels.max()), 1)
     stages = np.empty((2, rows, T))
     for start in range(0, rows, block):
         part, law, memo = slice(start, start + block), empty_storage(min(block, rows - start)), {}
         for t, step in enumerate(layout.steps):
             *stages[:, part, t], law = advance(law, step, layout.shifts[part, t], layout.capacity,
-                                               layout.width, int(panels[t]), memo)
+                                               layout.width, int(layout.panels[t]), memo)
     # Correctly rounded sums (a running one adds T ulps of T).  A path's short
     # stages weigh T at most, each counting its run since the last pin, so the
     # clip to [-VOLL, 0] only moves a far-short sum that rounded past -VOLL.
@@ -104,13 +103,15 @@ def _terminal(x_accumulated, forecast: ForecastModel, capacity: float, voll: flo
 
 def lattice_terminal_cost(x_accumulated, forecast: ForecastModel, capacity: float,
                           voll: float, error_steps: list[Step] | None = None):
-    """Expected VOLL cost of the delivery interval at accumulated energy x; broadcasts."""
+    """Expected VOLL cost of the delivery interval at accumulated energy x; broadcasts.
+    Given ``error_steps``, the steps alone set the errors: ``forecast.sigma`` is not read."""
     return _terminal(x_accumulated, forecast, capacity, voll, error_steps)[0]
 
 
 def lattice_terminal_subgradient(x_accumulated, forecast: ForecastModel, capacity: float,
                                  voll: float, error_steps: list[Step] | None = None):
-    """Right derivative of the expected cost in the accumulated energy; broadcasts."""
+    """Right derivative of the expected cost in the accumulated energy; broadcasts.
+    Given ``error_steps``, the steps alone set the errors: ``forecast.sigma`` is not read."""
     return _terminal(x_accumulated, forecast, capacity, voll, error_steps)[1]
 
 

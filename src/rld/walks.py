@@ -55,10 +55,8 @@ Step = NormalStep | DiscreteStep
 
 
 def as_steps(step_stds) -> list[Step]:
-    """Coerce a list of stds (or ready Step objects) into Step instances; std 0 is a point."""
-    return [s if isinstance(s, (NormalStep, DiscreteStep))
-            else NormalStep(float(s)) if float(s) > 0.0 else DiscreteStep((0.0,), (1.0,))
-            for s in step_stds]
+    """Coerce a list of stds (or ready Step objects) into Step instances."""
+    return [s if isinstance(s, Step) else NormalStep(float(s)) for s in step_stds]
 
 
 @dataclass(frozen=True, eq=False)

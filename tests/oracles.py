@@ -69,6 +69,8 @@ def walk_step(state, step, lower: float, upper: float):
     density is renormalised to the CDF-exact inside mass.
     """
     pts, wts, dense = state
+    if step == NormalStep(0.0):
+        step = DiscreteStep((0.0,), (1.0,))   # a zero std is the zero atom
     if isinstance(step, DiscreteStep):
         if dense:
             raise NotImplementedError("discrete step after a Gaussian step")

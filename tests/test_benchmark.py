@@ -840,6 +840,26 @@ class TestCli:
         assert err.startswith("error: mean_share") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("engine", ["lattice", "mc"])
+    def test_final_revision_past_the_engine_limit_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                          engine):
+        # mean_share 0.99 puts the final revision at 9.95 delivery-interval
+        # stds, where the last stage's rule misses the lattice and mc models'
+        # turns (ct solves it)
+        from rld.cli import entry
+
+        def edit(doc):
+            doc["mean_share"] = 0.99
+
+        path = self.shipped_variant(tmp_path, edit)
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr("sys.argv", [
+            "rld", "thresholds", "--engine", engine, "--scenario", str(path), "--out", str(out)])
+        assert entry() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mean_share") and "ct engine" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_ct_at_the_largest_capacities_exits_0(self, tmp_path, monkeypatch, capsys):
         # 2B overflows at B = 1e308: ct solves its B -> inf limit, with no
         # RuntimeWarning (an error under this suite's warning filter)

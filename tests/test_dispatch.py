@@ -435,6 +435,34 @@ class TestStageRecursion:
                                           scn.ladder.prices[-1], n_points=n_points)
         assert resid < 1e-6 * scn.cost.voll, (resid, sched.residuals[-1])
 
+    @pytest.mark.parametrize("T", [12, 60])
+    @pytest.mark.parametrize("mean_share", [0.2, 0.5, 0.8, 0.9, 0.99])
+    @pytest.mark.parametrize("engine", ["lattice", "mc", "ct"])
+    def test_wide_final_revision_is_solved_or_refused(self, engine, mean_share, T,
+                                                      monkeypatch):
+        # a final revision many delivery-interval stds wide integrates a terminal
+        # model that turns within it: at T = 12 and mean_share 0.99 mc reported
+        # 8e-7 where the dense rule reads 1.1e-2 (gate 1e-3), the lattice 4.1e-4
+        # where it reads 2.7.  A lattice or mc solve meets the gate by the dense
+        # rule or is refused as a scenario error; every engine solves mean_share 0.8
+        scn = make_scenario(T=T, B=1e-3, mean_share=mean_share)
+        built = []
+        build = dispatch.build_terminal_model
+        monkeypatch.setattr(dispatch, "build_terminal_model",
+                            lambda *args, **kwargs: built.append(build(*args, **kwargs))
+                            or built[-1])
+        try:
+            sched = solve_thresholds_backward(scn, engine)
+        except ValidationError as exc:
+            assert engine != "ct" and mean_share > 0.8
+            assert str(exc).startswith("mean_share") and "the ct engine solves it" in str(exc)
+            return
+        (model,) = built
+        grad, n_points = (model.grad_exact, 201) if engine == "lattice" else (model.grad, 200_001)
+        resid = dense_last_stage_residual(grad, sched.offsets[-1], scn.inter_stage_stds()[-1],
+                                          scn.ladder.prices[-1], n_points=n_points)
+        assert resid < 1e-6 * scn.cost.voll, (resid, sched.residuals[-1])
+
     @pytest.mark.parametrize("capacity", [1e-2, 1e-1])
     @pytest.mark.parametrize("engine", ["lattice", "mc", "ct"])
     def test_root_finder_clears_the_gate_with_a_margin(self, engine, capacity):

@@ -34,9 +34,12 @@ VOLL = 1000.0
 
 def stage_laws(fc, B, x, steps=None):
     """The storage-level law after each stage at one per-stage supply x, with the
-    stage's expected unserved energy and slope weight: [(unserved, weight, law)]."""
+    stage's expected unserved energy and slope weight: [(unserved, weight, law)].
+    The layout repeats the last stage once more, so the last law holds its density."""
     steps = as_steps(fc.sigma) if steps is None else steps
-    layout = build_lattice(fc, B, [x], steps)
+    longer = ForecastModel(fc.n_stages + 1, np.append(fc.d_hat, fc.d_hat[-1]),
+                           np.append(fc.sigma, fc.sigma[-1]))
+    layout = build_lattice(longer, B, [x], [*steps, steps[-1]])
     law, out = empty_storage(1), []
     for t in range(fc.n_stages):
         unserved, weight, law = advance(law, steps[t], layout.shifts[:, t], B, layout.width,
@@ -58,10 +61,11 @@ def deterministic(T, d):
 
 class TestBuildLattice:
     def test_single_stage_single_node(self):
-        # B below one stage std: one panel of the whole capacity, reached at once
-        layout = build_lattice(constant_forecast(1, 0.3, 0.1), 0.05, [0.4], [NormalStep(0.1)])
-        assert layout.width == 0.05 and layout.panels.tolist() == [1]
-        assert layout.shifts.shape == (1, 1)
+        # B below one stage std: one panel of the whole capacity, reached at once;
+        # no drawdown is still to come after the last stage, which lays out none
+        layout = build_lattice(constant_forecast(2, 0.3, 0.1), 0.05, [0.4], [NormalStep(0.1)] * 2)
+        assert layout.width == 0.05 and layout.panels.tolist() == [1, 0]
+        assert layout.shifts.shape == (1, 2)
         assert layout.shifts[0, 0] == pytest.approx(0.4 - 0.3)
 
     def test_second_level_algebraic_forms(self):
@@ -93,22 +97,36 @@ class TestBuildLattice:
         assert [law.points[0, 0] for _, _, law in laws] == pytest.approx([0.15, 0.0, 0.05])
         assert [u for u, _, _ in laws] == pytest.approx([0.0, 0.1, 0.0])
 
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            build_lattice(constant_forecast(2, 0.1, 0.1), 0.0, [0.1], as_steps([0.1, 0.1]))
+    def test_zero_capacity_lays_out_no_panels(self):
+        # B = 0 holds no density: the width falls back to a stage std, and a
+        # negative capacity is refused
+        layout = build_lattice(constant_forecast(2, 0.1, 0.1), 0.0, [0.1], as_steps([0.1, 0.1]))
+        assert layout.width == 0.1 and layout.panels.tolist() == [0, 0]
+        steps = [DiscreteStep((-0.01, 0.01), (0.5, 0.5))] * 2
+        assert build_lattice(constant_forecast(2, 0.1, 0.0), 0.0, [0.1], steps).panels.max() == 0
+        with pytest.raises(ValueError, match="capacity"):
+            build_lattice(constant_forecast(2, 0.1, 0.1), -1e-3, [0.1], as_steps([0.1, 0.1]))
 
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
     def test_rejects_positions_that_are_not_finite(self, x):
         with pytest.raises(ValueError, match="finite"):
             lattice_terminal_cost(x, constant_forecast(4, 0.05, 0.01), 0.01, VOLL)
 
-    def test_rejects_a_layout_beyond_the_panel_budget(self):
-        # a position 1e300 above the mean would fill B = 1e6 with 1e8 panels of one
-        # stage std: a clear error before any array is allocated, not an exhausted host
+    def test_rejects_a_layout_beyond_the_panel_budget(self, monkeypatch):
+        # a position 1e300 above the mean fills B = 1e6 at once and never falls
+        # short again, so it lays out only its noise's drawdown.  A position that
+        # stores 3000 before a deficit of 6000 has a drawdown of 3e5 panels of one
+        # stage std still to come: a clear error before any law array is
+        # allocated, not an exhausted host
         fc = constant_forecast(4, 0.05, 0.01)
-        with pytest.raises(ValueError, match="panels"):
-            lattice_terminal_subgradient(np.array([0.2, 1e300]), fc, 1e6, VOLL)
+        got = lattice_terminal_subgradient(np.array([0.2, 1e300]), fc, 1e6, VOLL)
+        assert abs(got[0] - lattice_terminal_subgradient(0.2, fc, 1e6, VOLL)) <= 1e-12 * VOLL
+        assert got[1] == 0.0
         assert lattice_terminal_subgradient(1e300, fc, 0.01, VOLL) == 0.0
+        monkeypatch.setattr(lattice, "empty_storage", None)   # any law would raise TypeError
+        deep = ForecastModel(2, np.array([0.05, 6000.0]), np.full(2, 0.01))
+        with pytest.raises(ValueError, match="panels"):
+            lattice_terminal_subgradient(6000.0, deep, 1e6, VOLL)
 
     def test_mass_above_the_drawdown_to_come_lumps_at_b(self):
         # B = 40 stage stds over T = 30 stages at drifts of 0 to 2 stds: the
@@ -340,6 +358,24 @@ class TestTerminalCost:
                 b = min(B, max(x - deficit + b, 0.0))
             total += prob * path
         assert cost == pytest.approx(VOLL * total, abs=1e-12)
+
+    @pytest.mark.parametrize("B", [0.0, 0.015])
+    def test_discrete_errors_match_the_storage_kernel_on_every_path(self, B):
+        # every one of the 5**4 error paths through the storage kernel, weighed
+        # by its probability, at no storage too
+        T, x = 4, 0.0513
+        d = np.array([0.045, 0.03, 0.06, 0.05])
+        atoms, w = np.linspace(-0.02, 0.02, 5), np.array([0.1, 0.2, 0.4, 0.2, 0.1])
+        steps = [DiscreteStep(tuple(atoms), tuple(w))] * T
+        fc = ForecastModel(T, d, np.zeros(T))
+        combos = np.array(list(itertools.product(range(5), repeat=T)))
+        prob, paths = w[combos].prod(axis=1), d + atoms[combos]
+        cost = prob @ delivery_costs_batch(paths, x, StorageSpec(B), VOLL)
+        grad = prob @ subgradient_estimates_batch(paths, x, StorageSpec(B), VOLL)
+        assert lattice_terminal_cost(T * x, fc, B, VOLL, error_steps=steps) == pytest.approx(
+            cost, rel=0.0, abs=1e-12 * VOLL)
+        assert lattice_terminal_subgradient(T * x, fc, B, VOLL, error_steps=steps) == (
+            pytest.approx(grad, rel=0.0, abs=1e-12 * VOLL))
 
     def test_grid_errors_merge_equal_levels(self):
         # five grid atoms over T = 20 stages: the law merges equal levels, so a
@@ -576,6 +612,22 @@ class TestStageSweep:
 
 
 class TestClosedFormB0:
+    @given(T=st.integers(1, 8), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_lattice_at_zero_capacity_is_the_closed_form(self, T, data):
+        # B = 0 holds nothing: every stage pins all its mass, and the forward
+        # pass sums one newsvendor term per stage, a zero-std stage anywhere
+        floats = lambda lo, hi, n: st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+        sigma = data.draw(st.lists(st.sampled_from([0.0, 0.003, 0.01, 0.02]),
+                                   min_size=T, max_size=T))
+        fc = ForecastModel(T, np.array(data.draw(floats(0.0, 0.1, T))), np.array(sigma))
+        x_acc = T * np.array(data.draw(floats(-0.05, 0.15, data.draw(st.integers(1, 6)))))
+        cost, grad = closed_form_b0(x_acc, fc, VOLL)
+        np.testing.assert_allclose(lattice_terminal_cost(x_acc, fc, 0.0, VOLL), cost,
+                                   rtol=0.0, atol=1e-12 * VOLL)
+        np.testing.assert_allclose(lattice_terminal_subgradient(x_acc, fc, 0.0, VOLL), grad,
+                                   rtol=0.0, atol=1e-12 * VOLL)
+
     def test_single_standard_normal_stage(self):
         fc = constant_forecast(1, 0.0, 1.0)
         cost, grad = closed_form_b0(0.0, fc, VOLL)

@@ -182,7 +182,7 @@ class TestAdvanceInternals:
     def test_as_steps_conversion(self):
         steps = as_steps([1.0, 0.0, DiscreteStep((0.0,), (1.0,))])
         assert isinstance(steps[0], NormalStep)
-        assert isinstance(steps[1], DiscreteStep)
+        assert steps[1] == NormalStep(0.0)   # advance takes a zero std as the zero atom
         assert isinstance(steps[2], DiscreteStep)
 
     def test_discrete_validation(self):
