@@ -147,8 +147,8 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
     unrevised forecast with no delivery fluctuation, run the scenario's
     storage, efficiencies included; the lattice and continuous-time engines
     model ideal storage of its capacity, even at nu = 0, where the storage
-    can deliver nothing.  A lattice or mc grid under a final forecast revision
-    wider than ``MAX_REVISION`` allows is refused.
+    can deliver nothing.  A lattice or mc model under a final forecast revision
+    wider than ``MAX_REVISION`` allows is refused, at B = 0 too.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -181,6 +181,15 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
         return TerminalModel(engine, grad_hard, scale=max(T * capacity, 1.0))
 
     sigma_sq = scenario.delivery_fluctuation_variance
+    if engine in MAX_REVISION:   # at every B, the closed form's B = 0 included
+        revision = float(scenario.inter_stage_stds()[-1])
+        in_stds, in_scales = MAX_REVISION[engine]
+        if revision > in_stds * sig_tot or revision > in_scales * scale:
+            raise ValidationError(
+                f"mean_share: {scenario.mean_share} puts the final forecast revision at "
+                f"{revision / sig_tot:.3g} delivery-interval stds and {revision / scale:.3g} "
+                f"scales, past the {engine} engine's limits ({in_stds} and {in_scales}): its last "
+                "stage's rule would miss the terminal model's turns; the ct engine solves it")
     # storage below 1e-12 stage sigmas holds nothing, and the ct width
     # sigma_sq / 2B explodes there, so every engine takes the B = 0 closed form
     if capacity <= 1e-12 * math.sqrt(sigma_sq / T):
@@ -197,15 +206,6 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
 
         width = sigma_sq / (2 * capacity)   # h' turns within 40 widths of 0: cut every 4
         return TerminalModel(engine, grad_ct, max(scale, width), cuts=width * np.r_[-40:41:4])
-
-    revision = float(scenario.inter_stage_stds()[-1])
-    in_stds, in_scales = MAX_REVISION[engine]
-    if revision > in_stds * sig_tot or revision > in_scales * scale:
-        raise ValidationError(
-            f"mean_share: {scenario.mean_share} puts the final forecast revision at "
-            f"{revision / sig_tot:.3g} delivery-interval stds and {revision / scale:.3g} "
-            f"scales, past the {engine} engine's limits ({in_stds} and {in_scales}): its last "
-            "stage's rule would miss the terminal model's turns; the ct engine solves it")
 
     # 8 points per scale (sqrt(T) interval stds, which are T stage stds), 9
     # scales beyond the lowest and the highest stage deficit: below, every

@@ -15,7 +15,8 @@ from scipy.special import ndtr
 from .model import ForecastModel
 from .walks import CUT, NormalStep, Step, _npdf, advance, as_steps, empty_storage
 
-# Positions times panels in one pass at most: each pair takes about 1.5 KB of memory.
+# Positions times panels in one pass at most: each pair takes about 1.5 KB of memory,
+# the stage operator that ``advance`` keeps in the pass's memo included.
 _PANEL_ROWS = 2 ** 18
 
 

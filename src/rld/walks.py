@@ -83,8 +83,12 @@ def advance(law: Law, step: Step, shift: np.ndarray, capacity: float, width: flo
     """E[(-z)^+], E[beta + 1; z < 0] and the next law, per row of drifts ``shift`` = x - d_t.
 
     The next density lies on the first ``panels`` panels of width ``width``, and mass
-    above them joins the atom at B.  ``memo`` keeps a Gaussian step's kernel taps for a
-    next call with these arguments.  A discrete (or zero-std) step needs a law without nodes.
+    above them joins the atom at B.  ``memo`` keeps a Gaussian step's stage operator (pin
+    fractions, unserved coefficients, kernels to the nodes, quadrature weights and band
+    taps), which depends on every argument but the law's masses: a next call that repeats
+    them (a constant profile, once the panel count stops changing) does only the work on
+    the masses, and varied drifts recompute it each stage.  A discrete (or zero-std) step
+    needs a law without nodes.
     """
     if isinstance(step, NormalStep) and step.sigma > 0.0:
         return _gauss_step(law, step.sigma, shift, capacity, width, panels, memo)
@@ -113,23 +117,24 @@ def advance(law: Law, step: Step, shift: np.ndarray, capacity: float, width: flo
 def _gauss_step(law: Law, sigma: float, shift: np.ndarray, capacity: float, width: float,
                 panels: int, memo: dict | None) -> tuple[np.ndarray, np.ndarray, Law]:
     (rows, m), src = law.points.shape, law.nodes.shape[2]
-    level = np.hstack([law.points, np.broadcast_to(levels(src, width), (rows, src * NODES))])
+    memo = {} if memo is None else memo
+    key = (sigma, capacity, width, src, panels, law.points.tobytes(), shift.tobytes())
+    if memo.get("key") != key:
+        memo.clear()                          # the old operator goes before the new one comes
+        memo.update(key=key, op=_operator(law.points, src, sigma, shift, capacity, width, panels))
+    coef, fractions, to_nodes, quad_w, taps = memo["op"]
     w = np.concatenate([law.mass, law.nodes.reshape(rows, 2, -1)], axis=2)
     w[:, 1] += w[:, 0]                        # mass and E[beta + 1; .] of every source
     w /= w[:, :1].sum(axis=2, keepdims=True)   # unit mass, which rounding drifts by ulps
-    mean = level + shift[:, None]             # of z, per source
-    with np.errstate(over="ignore"):          # an overflowing ratio is its limit +-inf
-        a = mean / sigma
-        fractions = np.stack([ndtr(-a), ndtr((mean - min(capacity, panels * width)) / sigma)], 2)
-        to_nodes = _npdf((levels(panels, width) - mean[:, :m, None]) / sigma)
-    unserved = (w[:, 0] * (sigma * _npdf(a) - mean * fractions[:, :, 0])).sum(axis=1)
+    # times a temporary: from 256 KiB numpy reuses it for the product, which then keeps the
+    # coefficient's memory order, and the row sums keep their established rounding
+    unserved = (w[:, 0] * coef.copy(order="K")).sum(axis=1)
     pinned = w @ fractions                    # [row, mass or beta + 1, short or full]
     inside = np.maximum(w.sum(axis=2) - pinned.sum(axis=2), 0.0)
     dens = w[:, :, :m] @ to_nodes
     if src:
-        dens += _banded(w[:, :, m:].reshape(rows, 2, src, NODES), {} if memo is None else memo,
-                        sigma, shift, width, panels)
-    dens *= np.tile(_UNIT_W * width, panels)
+        dens += _banded(w[:, :, m:].reshape(rows, 2, src, NODES), taps, panels)
+    dens *= quad_w
     quad = dens.sum(axis=2)
     scale = np.divide(inside, quad, out=np.zeros_like(quad), where=quad > 0.0)
     nodes = (dens * scale[:, :, None]).reshape(rows, 2, panels, NODES)
@@ -138,20 +143,21 @@ def _gauss_step(law: Law, sigma: float, shift: np.ndarray, capacity: float, widt
     return unserved, pinned[:, 1, 0], Law(np.broadcast_to([0.0, capacity], (rows, 2)), mass, nodes)
 
 
-def _banded(src_w: np.ndarray, memo: dict, sigma: float, shift: np.ndarray, width: float,
-            panels: int) -> np.ndarray:
-    """Unnormalised density at the first ``panels`` panels' nodes from node masses ``src_w``.
-
-    Between equal panels the kernel depends only on the panel offset, and row r's
-    taps vanish beyond ``half`` offsets of shift_r / width (node pairs lie under a
-    panel apart beyond their offset; the centre rounds by half a panel).  It takes
-    the n offsets last_r - c, c < n, that hold them (or all, when fewer): work linear
-    in the panel count.  ``memo`` keeps the taps (source panel at i = p + c, with src
-    padding; kernel [row, c, source node, target node]) for a call with these arguments.
-    """
-    rows, _, src, _ = src_w.shape
-    key = (sigma, width, src, panels, shift.tobytes())
-    if memo.get("key") != key:
+def _operator(points: np.ndarray, src: int, sigma: float, shift: np.ndarray, capacity: float,
+              width: float, panels: int) -> tuple:
+    """A Gaussian stage's arrays that do not depend on the law's masses: the unserved
+    coefficient and the short and full fractions of each source, the kernel from the
+    point levels to the nodes, the nodes' quadrature weights and the band taps."""
+    rows, m = points.shape
+    level = np.hstack([points, np.broadcast_to(levels(src, width), (rows, src * NODES))])
+    mean = level + shift[:, None]             # of z, per source
+    with np.errstate(over="ignore"):          # an overflowing ratio is its limit +-inf
+        a = mean / sigma
+        fractions = np.stack([ndtr(-a), ndtr((mean - min(capacity, panels * width)) / sigma)], 2)
+        to_nodes = _npdf((levels(panels, width) - mean[:, :m, None]) / sigma)
+    coef = sigma * _npdf(a) - mean * fractions[:, :, 0]
+    taps = None
+    if src:   # the n panel offsets last_r - c, c < n, that hold row r's band (``_banded``)
         half = math.floor(CUT * sigma / width + 1.5)
         n = min(2 * half + 1, src + panels - 1)
         centre = np.clip(np.rint(shift / width), -src - half, panels + half).astype(int)
@@ -160,8 +166,22 @@ def _banded(src_w: np.ndarray, memo: dict, sigma: float, shift: np.ndarray, widt
         gap = ((last[:, None] - np.arange(n)) * width - shift[:, None])[:, :, None, None]
         kernel = _npdf((gap + (_UNIT - _UNIT[:, None]) * width) / sigma)
         kernel[kernel < _TINY] = 0.0
-        memo.update(key=key, taps=(np.where((source >= 0) & (source < src), source, src), kernel))
-    source, kernel = memo["taps"]
+        taps = np.where((source >= 0) & (source < src), source, src), kernel
+    return coef, fractions, to_nodes, np.tile(_UNIT_W * width, panels), taps
+
+
+def _banded(src_w: np.ndarray, taps: tuple, panels: int) -> np.ndarray:
+    """Unnormalised density at the first ``panels`` panels' nodes from node masses ``src_w``.
+
+    Between equal panels the kernel depends only on the panel offset, and row r's
+    taps vanish beyond ``half`` offsets of shift_r / width (node pairs lie under a
+    panel apart beyond their offset; the centre rounds by half a panel).  ``taps`` holds
+    the n offsets last_r - c, c < n, that hold them (or all, when fewer): work linear
+    in the panel count.  They are the source panel at i = p + c (src for padding) and
+    the kernel [row, c, source node, target node].
+    """
+    rows = src_w.shape[0]
+    source, kernel = taps
     padded = np.concatenate([src_w, np.zeros((rows, 2, 1, NODES))], axis=2)
     shifted = padded[np.arange(rows)[:, None, None], np.arange(2), source[:, :, None]]
     out = np.zeros((rows, 2 * panels, NODES))

@@ -463,6 +463,17 @@ class TestStageRecursion:
                                           scn.ladder.prices[-1], n_points=n_points)
         assert resid < 1e-6 * scn.cost.voll, (resid, sched.residuals[-1])
 
+    def test_wide_final_revision_is_refused_at_zero_capacity(self):
+        # B = 0 takes the closed form, under the same limit: at mean_share 0.999
+        # and T = 4 it reported a last-stage residual under 3e-7 where the dense
+        # rule read 3.9e-3 (gate 1e-3).  ct and 3sigma still solve it
+        scn = make_scenario(T=4, B=0.0, mean_share=0.999)
+        for engine in ("lattice", "mc"):
+            with pytest.raises(ValidationError, match="^mean_share: 0.999 .* the ct engine"):
+                solve_thresholds_backward(scn, engine)
+        for sched in (solve_thresholds_backward(scn, "ct"), dispatch.three_sigma_schedule(scn)):
+            assert np.all(np.isfinite(sched.offsets))
+
     @pytest.mark.parametrize("capacity", [1e-2, 1e-1])
     @pytest.mark.parametrize("engine", ["lattice", "mc", "ct"])
     def test_root_finder_clears_the_gate_with_a_margin(self, engine, capacity):

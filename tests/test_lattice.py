@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from rld import lattice
+from rld import lattice, walks
 from rld.model import ForecastModel, StorageSpec, load_scenario
 from rld.lattice import (
     build_lattice,
@@ -609,6 +609,86 @@ class TestStageSweep:
         steps = [NormalStep(0.01), NormalStep(0.01), DiscreteStep((0.0,), (1.0,))]
         with pytest.raises(ValueError, match="delivery stage 2"):
             lattice_terminal_subgradient(0.06, fc, 0.01, VOLL, error_steps=steps)
+
+
+class TestStageOperatorMemo:
+    """A forward pass builds a Gaussian stage's operator (everything but the law's
+    masses) once, and reuses it while a stage repeats the previous stage's arguments."""
+
+    T, D, SIGMA = 12, 0.4 / 60, 0.0011547
+
+    def forecast(self, profile):
+        fc = constant_forecast(self.T, self.D, self.SIGMA)
+        if profile == "sine":
+            shape = 1.0 + 0.3 * np.sin(2 * np.pi * np.arange(self.T) / self.T)
+            fc = ForecastModel(self.T, fc.d_hat * shape, fc.sigma)
+        return fc
+
+    def positions(self):
+        return self.T * self.D + np.linspace(-6.0, 6.0, 25) * self.SIGMA * math.sqrt(self.T)
+
+    @pytest.mark.parametrize("prefix", [0, 2], ids=["gaussian", "discrete-prefix"])
+    @pytest.mark.parametrize("B", [0.0, 1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize("profile", ["flat", "sine"])
+    def test_memo_matches_a_fresh_operator_bit_for_bit(self, monkeypatch, profile, B, prefix):
+        # every stage of a solve, memo hit or miss, equals the stage built afresh;
+        # at B = 0.1 the panel count changes from stage to stage, where a memo
+        # keyed on too little would hit stale and differ
+        fc, sigma = self.forecast(profile), self.SIGMA
+        steps = ([DiscreteStep((-sigma, 0.0, sigma), (0.25, 0.5, 0.25))] * prefix
+                 + [NormalStep(sigma)] * (self.T - prefix))
+        panels = []
+
+        def checked(law, step, shift, capacity, width, n, memo):
+            got = advance(law, step, shift, capacity, width, n, memo)
+            fresh = advance(law, step, shift, capacity, width, n, None)
+            for a, b in zip([*got[:2], got[2].points, got[2].mass, got[2].nodes],
+                            [*fresh[:2], fresh[2].points, fresh[2].mass, fresh[2].nodes]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            panels.append(n)
+            return got
+
+        monkeypatch.setattr(lattice, "advance", checked)
+        lattice_terminal_cost(self.positions(), fc, B, VOLL, error_steps=steps)
+        assert len(panels) == self.T
+        if B == 0.1:
+            assert len(set(panels[prefix:-1])) > 3, panels
+
+    @pytest.mark.parametrize("profile", ["flat", "sine"])
+    def test_operator_is_rebuilt_only_when_the_stage_changes(self, monkeypatch, profile):
+        # each build calls ndtr twice (the short and the full fractions): a flat
+        # profile builds at the first stage and at each change of (source panels,
+        # panels), a varied one at every stage
+        fc = self.forecast(profile)
+        layout = build_lattice(fc, 1e-3, self.positions() / self.T, as_steps(fc.sigma))
+        calls, ndtr = [], walks.ndtr
+        monkeypatch.setattr(walks, "ndtr", lambda x: calls.append(x.shape) or ndtr(x))
+        solve_lattice(layout, VOLL)
+        assert len(calls) % 2 == 0
+        builds = len(calls) // 2
+        if profile == "sine":
+            assert builds == self.T
+        else:
+            pairs = list(zip([0, *layout.panels[:-1]], layout.panels))
+            assert builds == 1 + sum(a != b for a, b in zip(pairs, pairs[1:]))
+            assert builds <= 3
+
+    @pytest.mark.parametrize("B", [0.1, 1.0])
+    def test_memory_per_position_panel(self, B):
+        # lattice._PANEL_ROWS budgets about 1.5 KB per position-panel; the
+        # memo holds one stage operator, not a block of them
+        import tracemalloc
+
+        fc, x = self.forecast("flat"), self.positions()
+        layout = build_lattice(fc, B, x / self.T, as_steps(fc.sigma))
+        tracemalloc.start()
+        try:
+            solve_lattice(layout, VOLL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_pair = peak / (x.size * layout.panels.max())
+        assert layout.panels.max() > 30 and per_pair < 2048, per_pair
 
 
 class TestClosedFormB0:
