@@ -10,10 +10,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import ForecastModel
-from .walks import CUT, NormalStep, Step, _npdf, advance, as_steps, empty_storage
+from .normal import ndtr, npdf
+from .walks import CUT, NormalStep, Step, advance, as_steps, empty_storage
 
 # Positions times panels in one pass at most: each pair takes about 1.5 KB of memory,
 # the stage operator that ``advance`` keeps in the pass's memo included.
@@ -123,7 +123,7 @@ def closed_form_b0(x_accumulated, forecast: ForecastModel, voll: float):
     gap = np.asarray(x_accumulated, dtype=float)[..., None] / T - forecast.d_hat
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(s > 0, gap / np.where(s > 0, s, 1.0), 0.0)
-    cost = voll * np.where(s > 0, s * _npdf(z) - gap * ndtr(-z), np.maximum(-gap, 0.0)).sum(-1)
+    cost = voll * np.where(s > 0, s * npdf(z) - gap * ndtr(-z), np.maximum(-gap, 0.0)).sum(-1)
     subgrad = -voll / T * np.where(s > 0, ndtr(-z), gap < 0).sum(axis=-1)
     if np.ndim(x_accumulated) == 0:
         return float(cost), float(subgrad)

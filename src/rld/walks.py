@@ -4,7 +4,8 @@ kernel).  A ``Law`` holds masses at point levels (atoms at 0 and B, or enumerate
 discrete levels) and at Gauss-Legendre nodes on shared equal panels, one row each,
 with tangents E[beta; level], beta the stages since the last pin.  Pins, unserved
 energy and E[beta + 1; z < 0] (the stage's share of the right derivative in x) come
-from the normal CDF; the density is renormalised to the CDF-exact inside mass.
+from the normal CDF, exactly 0 or 1 beyond CUT step stds of a barrier; the density is
+renormalised to the CDF-exact inside mass.
 """
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+from .normal import ndtr, npdf
+
 # Gauss-Legendre nodes per panel, as fractions of the panel, and their weights
 NODES = 8
 _XI, _OMEGA = np.polynomial.legendre.leggauss(NODES)
@@ -23,11 +24,6 @@ _UNIT, _UNIT_W = 0.5 * (1.0 + _XI), 0.5 * _OMEGA
 CUT = 9.0
 # Masses and kernel taps below this are zero, not subnormal (which slows every product).
 _TINY = 1e-200
-
-
-def _npdf(z):
-    with np.errstate(over="ignore"):   # an overflowing square is the pdf's limit 0
-        return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -153,9 +149,10 @@ def _operator(points: np.ndarray, src: int, sigma: float, shift: np.ndarray, cap
     mean = level + shift[:, None]             # of z, per source
     with np.errstate(over="ignore"):          # an overflowing ratio is its limit +-inf
         a = mean / sigma
-        fractions = np.stack([ndtr(-a), ndtr((mean - min(capacity, panels * width)) / sigma)], 2)
-        to_nodes = _npdf((levels(panels, width) - mean[:, :m, None]) / sigma)
-    coef = sigma * _npdf(a) - mean * fractions[:, :, 0]
+        full = (mean - min(capacity, panels * width)) / sigma
+        fractions = np.stack([_cut_ndtr(-a), _cut_ndtr(full)], 2)
+        to_nodes = npdf((levels(panels, width) - mean[:, :m, None]) / sigma)
+    coef = sigma * npdf(a) - mean * fractions[:, :, 0]
     taps = None
     if src:   # the n panel offsets last_r - c, c < n, that hold row r's band (``_banded``)
         half = math.floor(CUT * sigma / width + 1.5)
@@ -164,10 +161,18 @@ def _operator(points: np.ndarray, src: int, sigma: float, shift: np.ndarray, cap
         last = np.clip(centre + half, n - src, panels - 1)
         source = np.arange(panels + n - 1) - last[:, None]
         gap = ((last[:, None] - np.arange(n)) * width - shift[:, None])[:, :, None, None]
-        kernel = _npdf((gap + (_UNIT - _UNIT[:, None]) * width) / sigma)
+        kernel = npdf((gap + (_UNIT - _UNIT[:, None]) * width) / sigma)
         kernel[kernel < _TINY] = 0.0
         taps = np.where((source >= 0) & (source < src), source, src), kernel
     return coef, fractions, to_nodes, np.tile(_UNIT_W * width, panels), taps
+
+
+def _cut_ndtr(z: np.ndarray) -> np.ndarray:
+    """Phi(z) within CUT of 0, and exactly 0 or 1 beyond, where Phi(-CUT) = 1.1e-19."""
+    out = (z > 0.0).astype(float)
+    near = np.abs(z) <= CUT
+    out[near] = ndtr(z[near])
+    return out
 
 
 def _banded(src_w: np.ndarray, taps: tuple, panels: int) -> np.ndarray:

@@ -56,6 +56,13 @@ VOLL = 1000.0
 SHIPPED = resources.files("rld").joinpath("data/vi_scenario.json")
 
 
+def mc_share(scales, T):
+    """The mean_share whose final revision, sqrt(mean_share / (1 - mean_share))
+    delivery-interval stds, spans ``scales`` terminal scales of sqrt(T) of them."""
+    k = scales * scales * T
+    return k / (1.0 + k)
+
+
 def last_stage_offset(price, grad, scale):
     """(offset, residual) of a single buy stage with no final revision."""
     deltas, residuals, _ = solve_delta_offsets(
@@ -444,7 +451,8 @@ class TestStageRecursion:
         # model that turns within it: at T = 12 and mean_share 0.99 mc reported
         # 8e-7 where the dense rule reads 1.1e-2 (gate 1e-3), the lattice 4.1e-4
         # where it reads 2.7.  A lattice or mc solve meets the gate by the dense
-        # rule or is refused as a scenario error; every engine solves mean_share 0.8
+        # rule or is refused as a scenario error.  Every engine solves mean_share 0.8
+        # but mc at T = 12, where its revision of 2 interval stds is 0.577 scales
         scn = make_scenario(T=T, B=1e-3, mean_share=mean_share)
         built = []
         build = dispatch.build_terminal_model
@@ -454,7 +462,7 @@ class TestStageRecursion:
         try:
             sched = solve_thresholds_backward(scn, engine)
         except ValidationError as exc:
-            assert engine != "ct" and mean_share > 0.8
+            assert engine != "ct" and (mean_share > 0.8 or (engine, T) == ("mc", 12))
             assert str(exc).startswith("mean_share") and "the ct engine solves it" in str(exc)
             return
         (model,) = built
@@ -462,6 +470,32 @@ class TestStageRecursion:
         resid = dense_last_stage_residual(grad, sched.offsets[-1], scn.inter_stage_stds()[-1],
                                           scn.ladder.prices[-1], n_points=n_points)
         assert resid < 1e-6 * scn.cost.voll, (resid, sched.residuals[-1])
+
+    @pytest.mark.parametrize("T", [2, 6, 8, 17])
+    @pytest.mark.parametrize("capacity", [1e-2, 1e-1])
+    def test_mc_revision_just_under_its_limit_meets_the_gate(self, capacity, T, monkeypatch):
+        # mc's grid noise makes its last-stage rule miss the gate from about 0.58
+        # scales at B >= 1e-2: at 0.579 scales the dense rule read 1.1e-3 to 2.3e-3
+        # in these cases (gate 1e-3), and it reads at most 7.7e-4 at 0.549
+        limit = dispatch.MAX_REVISION["mc"][1]
+        assert limit == 0.55
+        scn = make_scenario(T=T, B=capacity, mean_share=mc_share(limit - 1e-3, T))
+        built = []
+        build = dispatch.build_terminal_model
+        monkeypatch.setattr(dispatch, "build_terminal_model",
+                            lambda *args, **kwargs: built.append(build(*args, **kwargs))
+                            or built[-1])
+        sched = solve_thresholds_backward(scn, "mc")
+        (model,) = built
+        resid = dense_last_stage_residual(model.grad, sched.offsets[-1],
+                                          scn.inter_stage_stds()[-1], scn.ladder.prices[-1])
+        assert resid < 1e-6 * scn.cost.voll, (resid, sched.residuals[-1])
+
+    def test_mc_revision_just_over_its_limit_is_refused(self):
+        share = mc_share(dispatch.MAX_REVISION["mc"][1] + 1e-3, 8)
+        scn = make_scenario(T=8, B=1e-2, mean_share=share)
+        with pytest.raises(ValidationError, match=r"^mean_share: .* 0.551 scales, past the mc"):
+            solve_thresholds_backward(scn, "mc")
 
     def test_wide_final_revision_is_refused_at_zero_capacity(self):
         # B = 0 takes the closed form, under the same limit: at mean_share 0.999
@@ -637,15 +671,17 @@ class TestStageRecursion:
                                rtol=0.0, atol=1e-9), (engine, offsets)
 
     def test_import_leaves_heavy_scipy_modules_unloaded(self):
-        # rld needs only numpy and scipy.special: the splines and the storage-level
-        # law's banded kernel are numpy's
+        # rld needs only numpy: the splines, the storage-level law's banded kernel
+        # and the normal CDF and quantile (``rld.normal``) are its own
         heavy = ["scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.linalg",
-                 "scipy.sparse", "scipy.fft"]
-        code = f"import sys, rld, rld.cli; print([m for m in {heavy} if m in sys.modules])"
+                 "scipy.sparse", "scipy.fft", "scipy.special"]
+        code = ("import sys, rld, rld.cli; "
+                f"print([m for m in {heavy} if m in sys.modules]); "
+                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
         env = {**os.environ, "PYTHONPATH": str(Path(dispatch.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True, timeout=120)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.split() == ["[]", "[]"], out.stdout
 
 
 def grad_points(monkeypatch, scn, engine):

@@ -691,6 +691,29 @@ class TestStageOperatorMemo:
         assert layout.panels.max() > 30 and per_pair < 2048, per_pair
 
 
+class TestPinFractionCut:
+    """A source beyond CUT step stds of the short or the full barrier pins exactly none
+    or all of its mass there: Phi(-CUT) = 1.1e-19."""
+
+    T, D, SIGMA = 12, 0.4 / 60, 0.0011547
+
+    @pytest.mark.parametrize("B", [1e-2, 0.1, 1.0])
+    def test_cut_moves_cost_and_subgradient_by_under_1e_15_voll(self, monkeypatch, B):
+        # positions over the terminal model's grid, 9 scales (T stage stds) either side
+        fc = constant_forecast(self.T, self.D, self.SIGMA)
+        x = self.T * self.D + np.linspace(-9.0, 9.0, 37) * self.T * self.SIGMA
+        sizes, ndtr = [], walks.ndtr
+        monkeypatch.setattr(walks, "ndtr", lambda z: sizes.append(z.size) or ndtr(z))
+        cut = lattice.solve_lattice(build_lattice(fc, B, x / self.T, as_steps(fc.sigma)), VOLL)
+        cut_sizes = sum(sizes)
+        sizes.clear()
+        monkeypatch.setattr(walks, "_cut_ndtr", lambda z: walks.ndtr(z))
+        full = lattice.solve_lattice(build_lattice(fc, B, x / self.T, as_steps(fc.sigma)), VOLL)
+        assert cut_sizes < sum(sizes), (cut_sizes, sum(sizes))   # the cut skips sources
+        for a, b in zip(cut, full):
+            assert np.max(np.abs(a - b)) <= 1e-15 * VOLL
+
+
 class TestClosedFormB0:
     @given(T=st.integers(1, 8), data=st.data())
     @settings(max_examples=25, deadline=None)
