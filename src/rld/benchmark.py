@@ -51,8 +51,10 @@ def evaluate_policies(scenario: Scenario, schedules: dict[str, ThresholdSchedule
     All policies see the same innovation draws per run index, so cost
     differences are directly comparable path by path.  Runs are drawn,
     realized and scored one ``policy_path_blocks`` block at a time, so no
-    (n_runs, T) array is built.  The block also bounds the working copy
-    of ``ideal_costs_batch``, which searches all the rows it is given at once.
+    (n_runs, T) array is built; one ``simulate_policy_batch`` call costs
+    every policy of a block in one storage sweep.  The block also bounds
+    the working copy of ``ideal_costs_batch``, which searches all the rows
+    it is given at once.
     """
     # perfect-foresight benchmark on the identical realized deficit paths:
     # buys at the first buy price and sells at the highest sell price, the
@@ -68,8 +70,9 @@ def evaluate_policies(scenario: Scenario, schedules: dict[str, ThresholdSchedule
     for rows, shifts, noise in policy_path_blocks(
             n_runs, scenario.ladder.n_stages, scenario.T, seed):
         forecasts, deficits = scenario.realize(shifts, noise)
-        for tag, schedule in schedules.items():
-            costs[tag][rows] = simulate_policy_batch(schedule, scenario, forecasts, deficits)[3]
+        totals = simulate_policy_batch(schedules.values(), scenario, forecasts, deficits)[3]
+        for tag, total in zip(schedules, totals):
+            costs[tag][rows] = total
         ideal[rows] = ideal_costs_batch(deficits, capacity, buy, sell, voll)[1]
     return costs, ideal
 

@@ -125,7 +125,8 @@ class TerminalModel:
     the current total forecast (vectorized), smooth on a revision's scale between
     ``cuts``.  Cuts mark turns narrower than that: the stage cells split at them,
     and a stage table sums over its tick lattice across them only with a step
-    of at most a quarter of their spacing (ct: a cut every 4 widths sigma^2/2B)."""
+    of at most a quarter of their spacing (ct: a cut every 4 widths sigma^2/2B; the
+    B = 0 closed form: about each bin where an eighth of its stage terms turn)."""
 
     engine: str
     grad: Callable
@@ -198,7 +199,13 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
         def grad_b0(w):
             return closed_form_b0(np.asarray(w, dtype=float) + m_total, fc, voll)[1]
 
-        return TerminalModel(engine, grad_b0, scale)
+        # stage t's term turns over a few of its widths T*sigma_t = scale about T*d_t - m_total;
+        # where an eighth of the stages or more turn in one bin of 4 widths, the model steps
+        # by VOLL/8 or more: cut at the bin and 4 widths either side (ct's cuts are 4 apart)
+        held, count = np.unique(np.rint((T * fc.d_hat - m_total) / (4 * scale)),
+                                return_counts=True)
+        cuts = np.unique(held[8 * count >= T, None] + np.arange(-1, 2)) * (4 * scale)
+        return TerminalModel(engine, grad_b0, scale, cuts=cuts)
 
     if engine == "ct":
 
@@ -428,9 +435,14 @@ def _expectation(stages, base: Callable, s: float, cuts=(), panels=_PANELS) -> C
     smooth = np.array([price is None for _, _, price in cells])
     offsets = np.array([d for d, _, _ in stages if math.isfinite(d)])
     cut_gap = np.min(np.diff(np.sort(cuts)), initial=np.inf)
+    # the finite edges of priced cells, each shared by the cells on its two sides
+    priced = [i for i in range(1, len(cells)) if not (smooth[i - 1] and smooth[i])]
+    priced_at = np.array(edges)[priced, None]
 
     def expect(y: np.ndarray, step: float = 0.0) -> np.ndarray:
         out = np.zeros(y.shape)
+        # Phi((y - edge) / s) by edge index: 1 at -inf (edge 0) and 0 at +inf (the last)
+        cdf = dict(zip(priced, ndtr((y - priced_at) / s))) if s > 0.0 and priced else {}
         summed = np.zeros(y.shape, dtype=bool)
         if 0.0 < 16.0 * step <= s and 4.0 * step <= cut_gap:
             summed = smooth[np.searchsorted(edges, y) - 1]
@@ -439,7 +451,7 @@ def _expectation(stages, base: Callable, s: float, cuts=(), panels=_PANELS) -> C
                 out[summed] = _lattice_sum(base, y[summed], s, step)
         gl = y[~summed]
         reach = np.min(gl, initial=np.inf) - 8.5 * s, np.max(gl, initial=-np.inf) + 8.5 * s
-        for lo, hi, price in cells:
+        for i, (lo, hi, price) in enumerate(cells):
             # y - s z lies in (lo, hi] for z in [(y - hi) / s, (y - lo) / s)
             if price is None and not (lo < reach[1] and hi >= reach[0]):
                 continue
@@ -447,7 +459,7 @@ def _expectation(stages, base: Callable, s: float, cuts=(), panels=_PANELS) -> C
                 inside = (lo < y) & (y <= hi)
                 out[inside] = base(y[inside]) if price is None else price
             elif price is not None:
-                out += price * (ndtr((y - lo) / s) - ndtr((y - hi) / s))
+                out += price * (cdf.get(i, 1.0) - cdf.get(i + 1, 0.0))
             else:
                 a = np.maximum((y - hi) / s, panels[:-1, None])   # a row per panel
                 half = np.maximum(0.5 * (np.minimum((y - lo) / s, panels[1:, None]) - a), 0.0)
@@ -625,35 +637,43 @@ def three_sigma_schedule(scenario: Scenario) -> ThresholdSchedule:
                              np.zeros(ladder.n_stages, dtype=int))
 
 
-def simulate_policy_batch(schedule: ThresholdSchedule, scenario: Scenario,
-                          forecasts: np.ndarray, deficits: np.ndarray):
+def simulate_policy_batch(schedules, scenario: Scenario, forecasts: np.ndarray,
+                          deficits: np.ndarray):
     """Vectorized policy evaluation over realized paths.
 
     ``forecasts`` (n, R) and ``deficits`` (n, T) are ``Scenario.realize``
     output, so one realization serves every policy and the ideal with
     common random numbers.  Stages trade in the directions and at the
     prices of the scenario's ladder.  Returns (purchases (n, R), x_final
-    (n,), delivery_costs (n,), total_costs (n,)).
+    (n,), delivery_costs (n,), total_costs (n,)) for one ``ThresholdSchedule``;
+    a sequence of them is evaluated together, one ``delivery_costs_batch``
+    sweep for all, and each output gains a leading policy axis, every
+    policy's entries bitwise as alone.
     """
     ladder = scenario.ladder
-    if np.shape(schedule.offsets) != (ladder.n_stages,):
-        raise ValueError(f"schedule has {np.size(schedule.offsets)} offsets for "
-                         f"{ladder.n_stages} ladder stages")
+    group = [schedules] if isinstance(schedules, ThresholdSchedule) else list(schedules)
+    for schedule in group:
+        if np.shape(schedule.offsets) != (ladder.n_stages,):
+            raise ValueError(f"schedule has {np.size(schedule.offsets)} offsets for "
+                             f"{ladder.n_stages} ladder stages")
+    offsets = np.reshape([s.offsets for s in group], (len(group), ladder.n_stages, 1))
     n, R = forecasts.shape
-    purchases = np.empty((n, R))
-    x = np.zeros(n)
+    purchases = np.empty((len(group), n, R))
+    x = np.zeros((len(group), n))
     for r, direction in enumerate(ladder.directions):
-        target = forecasts[:, r] + schedule.offsets[r]
+        target = forecasts[:, r] + offsets[:, r]
         if direction == BUY:
             s_r = np.maximum(target - x, 0.0)
         else:
             s_r = np.minimum(target - x, 0.0)
-        purchases[:, r] = s_r
+        purchases[:, :, r] = s_r
         x = x + s_r
 
     delivery = delivery_costs_batch(deficits, x / scenario.T, scenario.storage,
                                     scenario.cost.voll)
     totals = purchases @ ladder.prices + delivery
+    if isinstance(schedules, ThresholdSchedule):
+        return purchases[0], x[0], delivery[0], totals[0]
     return purchases, x, delivery, totals
 
 

@@ -84,7 +84,7 @@ def solve_lattice(layout: Layout, voll: float) -> tuple[np.ndarray, np.ndarray]:
     # Correctly rounded sums (a running one adds T ulps of T).  A path's short
     # stages weigh T at most, each counting its run since the last pin, so the
     # clip to [-VOLL, 0] only moves a far-short sum that rounded past -VOLL.
-    unserved, weight = (np.array([math.fsum(row) for row in f]) for f in stages)
+    unserved, weight = (np.fromiter(map(math.fsum, f.tolist()), float) for f in stages)
     return voll * unserved, np.clip(-voll / T * weight, -voll, 0.0)
 
 

@@ -293,10 +293,11 @@ class Scenario:
             [np.full(n, self.d_total), shift_normals * self.inter_stage_stds()]), axis=1)
         sigma_stage = math.sqrt(self.delivery_fluctuation_variance / T)
         shift_stage = (forecasts[:, R] - self.d_total) / T
+        # sigma * noise; through the transposes numpy writes each stage column in order
+        np.multiply(noise_normals.T, sigma_stage, out=deficits.T)
         tmp = np.empty(n)
-        for t, col in enumerate(deficits.T):   # in place, a column at a time
-            np.add(shift_stage, self.d_hat_stage[t], out=col)
-            col += np.multiply(noise_normals[:, t], sigma_stage, out=tmp)
+        for t, col in enumerate(deficits.T):   # then each stage's mean, in place
+            col += np.add(shift_stage, self.d_hat_stage[t], out=tmp)
         return forecasts[:, :R], deficits
 
     def with_capacity(self, capacity: float) -> "Scenario":

@@ -80,11 +80,11 @@ def advance(law: Law, step: Step, shift: np.ndarray, capacity: float, width: flo
 
     The next density lies on the first ``panels`` panels of width ``width``, and mass
     above them joins the atom at B.  ``memo`` keeps a Gaussian step's stage operator (pin
-    fractions, unserved coefficients, kernels to the nodes, quadrature weights and band
-    taps), which depends on every argument but the law's masses: a next call that repeats
-    them (a constant profile, once the panel count stops changing) does only the work on
-    the masses, and varied drifts recompute it each stage.  A discrete (or zero-std) step
-    needs a law without nodes.
+    fractions, unserved coefficients, kernels to the nodes, quadrature weights, the band's
+    source panels and taps, and the next law's points), which depends on every argument
+    but the law's masses: a next call that repeats them (a constant profile, once the
+    panel count stops changing) does only the work on the masses, and varied drifts
+    recompute it each stage.  A discrete (or zero-std) step needs a law without nodes.
     """
     if isinstance(step, NormalStep) and step.sigma > 0.0:
         return _gauss_step(law, step.sigma, shift, capacity, width, panels, memo)
@@ -118,32 +118,40 @@ def _gauss_step(law: Law, sigma: float, shift: np.ndarray, capacity: float, widt
     if memo.get("key") != key:
         memo.clear()                          # the old operator goes before the new one comes
         memo.update(key=key, op=_operator(law.points, src, sigma, shift, capacity, width, panels))
-    coef, fractions, to_nodes, quad_w, taps = memo["op"]
-    w = np.concatenate([law.mass, law.nodes.reshape(rows, 2, -1)], axis=2)
+    coef, fractions, to_nodes, quad_w, band, points = memo["op"]
+    # the masses of every source, led by junk that ends the points on a panel boundary and
+    # trailed by a zero panel: the band gathers whole panels of this one buffer
+    lead, size = -m % NODES, m + src * NODES
+    padded = np.empty((rows, 2, lead + size + NODES))
+    w = padded[:, :, lead:lead + size]
+    w[:, :, :m] = law.mass
+    w[:, :, m:] = law.nodes.reshape(rows, 2, -1)
+    padded[:, :, lead + size:] = 0.0
     w[:, 1] += w[:, 0]                        # mass and E[beta + 1; .] of every source
     w /= w[:, :1].sum(axis=2, keepdims=True)   # unit mass, which rounding drifts by ulps
     # times a temporary: from 256 KiB numpy reuses it for the product, which then keeps the
     # coefficient's memory order, and the row sums keep their established rounding
     unserved = (w[:, 0] * coef.copy(order="K")).sum(axis=1)
     pinned = w @ fractions                    # [row, mass or beta + 1, short or full]
-    inside = np.maximum(w.sum(axis=2) - pinned.sum(axis=2), 0.0)
+    inside = np.maximum(w.sum(axis=2) - (pinned[:, :, 0] + pinned[:, :, 1]), 0.0)
     dens = w[:, :, :m] @ to_nodes
     if src:
-        dens += _banded(w[:, :, m:].reshape(rows, 2, src, NODES), taps, panels)
+        _banded(padded.reshape(-1, NODES), band, dens.reshape(rows, 2, panels, NODES))
     dens *= quad_w
     quad = dens.sum(axis=2)
-    scale = np.divide(inside, quad, out=np.zeros_like(quad), where=quad > 0.0)
-    nodes = (dens * scale[:, :, None]).reshape(rows, 2, panels, NODES)
-    nodes[nodes < _TINY] = 0.0
-    mass = np.stack([pinned[:, 0], np.zeros((rows, 2))], axis=1)   # at 0 and B, beta = 0
-    return unserved, pinned[:, 1, 0], Law(np.broadcast_to([0.0, capacity], (rows, 2)), mass, nodes)
+    dens *= np.divide(inside, quad, out=np.zeros_like(quad), where=quad > 0.0)[:, :, None]
+    np.copyto(dens, 0.0, where=dens < _TINY)
+    weight = pinned[:, 1, 0].copy()
+    pinned[:, 1] = 0.0                        # the atoms at 0 and B: a pin resets beta
+    return unserved, weight, Law(points, pinned, dens.reshape(rows, 2, panels, NODES))
 
 
 def _operator(points: np.ndarray, src: int, sigma: float, shift: np.ndarray, capacity: float,
               width: float, panels: int) -> tuple:
     """A Gaussian stage's arrays that do not depend on the law's masses: the unserved
     coefficient and the short and full fractions of each source, the kernel from the
-    point levels to the nodes, the nodes' quadrature weights and the band taps."""
+    point levels to the nodes, the nodes' quadrature weights, the band (the panels it
+    gathers and its taps) and the next law's points, 0 and B."""
     rows, m = points.shape
     level = np.hstack([points, np.broadcast_to(levels(src, width), (rows, src * NODES))])
     mean = level + shift[:, None]             # of z, per source
@@ -153,7 +161,7 @@ def _operator(points: np.ndarray, src: int, sigma: float, shift: np.ndarray, cap
         fractions = np.stack([_cut_ndtr(-a), _cut_ndtr(full)], 2)
         to_nodes = npdf((levels(panels, width) - mean[:, :m, None]) / sigma)
     coef = sigma * npdf(a) - mean * fractions[:, :, 0]
-    taps = None
+    band = None
     if src:   # the n panel offsets last_r - c, c < n, that hold row r's band (``_banded``)
         half = math.floor(CUT * sigma / width + 1.5)
         n = min(2 * half + 1, src + panels - 1)
@@ -163,8 +171,14 @@ def _operator(points: np.ndarray, src: int, sigma: float, shift: np.ndarray, cap
         gap = ((last[:, None] - np.arange(n)) * width - shift[:, None])[:, :, None, None]
         kernel = npdf((gap + (_UNIT - _UNIT[:, None]) * width) / sigma)
         kernel[kernel < _TINY] = 0.0
-        taps = np.where((source >= 0) & (source < src), source, src), kernel
-    return coef, fractions, to_nodes, np.tile(_UNIT_W * width, panels), taps
+        source = np.where((source >= 0) & (source < src), source, src)   # src: the zero panel
+        first = -(-m // NODES)                # panels of ``_gauss_step``'s buffer before the nodes
+        row = (np.arange(rows)[:, None] * 2 + np.arange(2)) * (first + src + 1) + first
+        band = row[:, None, :] + source[:, :, None], kernel
+    # read-only rows of [0, B]: the next operator's ``np.hstack`` follows their zero row
+    # stride, which sets the memory order of the unserved coefficient and so its row sums
+    points = np.broadcast_to(np.array([0.0, capacity]), (rows, 2))
+    return coef, fractions, to_nodes, np.tile(_UNIT_W * width, panels), band, points
 
 
 def _cut_ndtr(z: np.ndarray) -> np.ndarray:
@@ -175,21 +189,21 @@ def _cut_ndtr(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _banded(src_w: np.ndarray, taps: tuple, panels: int) -> np.ndarray:
-    """Unnormalised density at the first ``panels`` panels' nodes from node masses ``src_w``.
+def _banded(panel_w: np.ndarray, band: tuple, dens: np.ndarray) -> None:
+    """Add to ``dens`` (rows, 2, panels, NODES) the unnormalised density at the nodes from
+    the node masses, whole panels of ``panel_w`` (``_gauss_step``'s buffer).
 
     Between equal panels the kernel depends only on the panel offset, and row r's
     taps vanish beyond ``half`` offsets of shift_r / width (node pairs lie under a
-    panel apart beyond their offset; the centre rounds by half a panel).  ``taps`` holds
+    panel apart beyond their offset; the centre rounds by half a panel).  ``band`` holds
     the n offsets last_r - c, c < n, that hold them (or all, when fewer): work linear
-    in the panel count.  They are the source panel at i = p + c (src for padding) and
-    the kernel [row, c, source node, target node].
+    in the panel count.  They are the source panel at i = p + c, as a row of ``panel_w``
+    (its zero panel for padding), and the kernel [row, c, source node, target node].
     """
-    rows = src_w.shape[0]
-    source, kernel = taps
-    padded = np.concatenate([src_w, np.zeros((rows, 2, 1, NODES))], axis=2)
-    shifted = padded[np.arange(rows)[:, None, None], np.arange(2), source[:, :, None]]
+    gather, kernel = band
+    rows, panels = dens.shape[0], dens.shape[2]
+    shifted = np.take(panel_w, gather, axis=0)   # [row, i, mass or beta + 1, node]
     out = np.zeros((rows, 2 * panels, NODES))
     for c in range(kernel.shape[1]):
         out += shifted[:, c:c + panels].reshape(rows, 2 * panels, NODES) @ kernel[:, c]
-    return out.reshape(rows, panels, 2, NODES).transpose(0, 2, 1, 3).reshape(rows, 2, -1)
+    dens += out.reshape(rows, panels, 2, NODES).transpose(0, 2, 1, 3)

@@ -272,6 +272,54 @@ class TestStreamedEvaluation:
             assert abs(row.mean_cost - QMC_REFERENCE[row.policy]) < 4.0 * row.stderr, row
 
 
+class TestBatchedEvaluation:
+    """A block costs every policy in one cost-only storage sweep, each policy's
+    paths bitwise as its own ``simulate_policy_batch`` call costs them."""
+
+    @pytest.mark.parametrize("doc", ["buy-only", "sell-first", "sell-then-buy"])
+    def test_costs_are_each_policys_own_totals(self, monkeypatch, doc):
+        from rld import rng
+        from rld.dispatch import simulate_policy_batch
+
+        scn = {"buy-only": lambda: make_scenario(T=8, B=0.01, d=0.3),
+               "sell-first": lambda: scenario_from_dict(sell_first_doc(-5.0)),
+               "sell-then-buy": lambda: scenario_from_dict(sell_then_buy_doc(0.3))}[doc]()
+        base = solve_schedule(scn, "3sigma")
+        schedules = {"ct": solve_schedule(scn, "ct"), "3sigma": base,
+                     **{f"{shift:+}": replace(base, offsets=base.offsets + shift)
+                        for shift in (-0.5, 0.5)}}
+        monkeypatch.setattr(rng, "BLOCK_RUNS", 40)   # three blocks, the last one short
+        costs, _ = evaluate_policies(scn, schedules, 97, seed=6)
+        paths = scn.realize(*draw_policy_paths(97, scn.ladder.n_stages, scn.T, seed=6))
+        for tag, schedule in schedules.items():
+            totals = simulate_policy_batch(schedule, scn, *paths)[3]
+            assert costs[tag].tobytes() == totals.tobytes(), tag
+        together = simulate_policy_batch(schedules.values(), scn, *paths)
+        for i, schedule in enumerate(schedules.values()):
+            for got, alone in zip(together, simulate_policy_batch(schedule, scn, *paths)):
+                assert got[i].tobytes() == alone.tobytes()
+
+    def test_a_block_runs_one_forward_sweep_and_no_backward_sweep(
+            self, monkeypatch, cheap_scenario, cheap_schedules):
+        from rld import benchmark, dispatch, rng, storage
+
+        sweeps, kernels = [], []
+        forward, kernel = storage.forward_sweep, storage.unserved_and_slope_batch
+        monkeypatch.setattr(storage, "forward_sweep", lambda deficits, supply, *args, **kw: (
+            sweeps.append((np.shape(supply), kw)) or forward(deficits, supply, *args, **kw)))
+        monkeypatch.setattr(storage, "unserved_and_slope_batch",
+                            lambda *args, **kw: kernels.append(1) or kernel(*args, **kw))
+        monkeypatch.setattr(dispatch, "unserved_and_slope_batch", storage.unserved_and_slope_batch)
+        # the ideal's search needs the slope: it is counted apart
+        monkeypatch.setattr(benchmark, "ideal_costs_batch",
+                            lambda deficits, *args: (None, np.zeros(len(deficits))))
+        monkeypatch.setattr(rng, "BLOCK_RUNS", 32)
+        schedules = {**cheap_schedules, "again": cheap_schedules["ct"]}
+        evaluate_policies(cheap_scenario, schedules, 80, seed=2)
+        assert sweeps == [((3, 32), {}), ((3, 32), {}), ((3, 16), {})]
+        assert kernels == []
+
+
 class TestSweep:
     def test_d_axis_reuses_offsets(self, cheap_scenario, monkeypatch):
         from rld import benchmark

@@ -508,6 +508,24 @@ class TestStageRecursion:
         for sched in (solve_thresholds_backward(scn, "ct"), dispatch.three_sigma_schedule(scn)):
             assert np.all(np.isfinite(sched.offsets))
 
+    @pytest.mark.parametrize("T", [4, 12])
+    def test_ct_meets_the_gate_on_a_wide_final_revision_at_zero_capacity(self, T, monkeypatch):
+        # every stage term of the B = 0 closed form turns within a few of its widths of one
+        # point; the model's cuts there let ct's last-stage rule see the turn, where without
+        # them the dense rule read 3.9e-3 (T = 4) and 1.8e-3 (T = 12) against the gate
+        scn = make_scenario(T=T, B=0.0, mean_share=0.999)
+        built = []
+        build = dispatch.build_terminal_model
+        monkeypatch.setattr(dispatch, "build_terminal_model",
+                            lambda *args, **kwargs: built.append(build(*args, **kwargs))
+                            or built[-1])
+        sched = solve_thresholds_backward(scn, "ct")
+        (model,) = built
+        assert len(model.cuts) == 3
+        resid = dense_last_stage_residual(model.grad, sched.offsets[-1],
+                                          scn.inter_stage_stds()[-1], scn.ladder.prices[-1])
+        assert resid < 1e-6 * scn.cost.voll, (resid, sched.residuals[-1])
+
     @pytest.mark.parametrize("capacity", [1e-2, 1e-1])
     @pytest.mark.parametrize("engine", ["lattice", "mc", "ct"])
     def test_root_finder_clears_the_gate_with_a_margin(self, engine, capacity):
@@ -638,6 +656,19 @@ class TestStageRecursion:
         assert all(np.all(np.diff(run) == 1.0) for run in runs)
         y = step * np.concatenate(runs)
         assert np.abs(table(y) - expect(y)).max() < 1e-10 * VOLL
+
+    def test_shipped_benchmark_prices_each_cell_edge_once_per_call(self, monkeypatch):
+        # a priced cell's mass is Phi at its two edges; the rule evaluates Phi once per
+        # call at the finite edges of all its priced cells, which neighbours share: 49
+        # calls, plus 16 from the lattice model's interpolant, where two calls per
+        # priced cell made 114 in all
+        from rld.benchmark import run_benchmark
+
+        calls = []
+        ndtr = dispatch.ndtr
+        monkeypatch.setattr(dispatch, "ndtr", lambda x: calls.append(np.size(x)) or ndtr(x))
+        run_benchmark(load_scenario(str(SHIPPED)), record_timing=False)
+        assert len(calls) == 65, len(calls)
 
     def test_b0_varied_profile_with_sells_solves_fast(self, monkeypatch):
         # B = 0 routes every engine to the closed form, a T-term sum per

@@ -428,6 +428,30 @@ class TestRealize:
         expect = scn.d_total + revisions.sum(axis=1) + sigma_stage * noise.sum(axis=1)
         assert np.allclose(deficits.sum(axis=1), expect, atol=1e-14)
 
+    @given(n=st.integers(1, 40), R=st.integers(1, 4), T=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_deficits_are_the_column_at_a_time_formula(self, n, R, T, seed):
+        # each stage's mean (final revision over T plus d_hat_t) plus sigma * noise,
+        # bit for bit, whatever the memory order the realization writes in
+        scn = make_scenario(T=T, d=list(np.linspace(0.2, 0.5, T)),
+                            prices=(52.0, 56.0, 60.0, 66.0)[:R],
+                            leads=(24.0, 6.0, 1.0, 0.25)[:R])
+        rng = np.random.default_rng(seed)
+        draws = rng.standard_normal((n, R + T))   # one row-major block, as rng streams them
+        shifts, noise = draws[:, :R], draws[:, R:]
+        forecasts, deficits = scn.realize(shifts, noise)
+        revised = np.cumsum(np.column_stack([np.full(n, scn.d_total),
+                                             shifts * scn.inter_stage_stds()]), axis=1)
+        sigma = np.sqrt(scn.delivery_fluctuation_variance / T)
+        shift_stage = (revised[:, R] - scn.d_total) / T
+        expect = np.empty((n, T))
+        for t in range(T):
+            expect[:, t] = (shift_stage + scn.d_hat_stage[t]) + noise[:, t] * sigma
+        assert forecasts.tobytes() == revised[:, :R].tobytes()
+        assert deficits.flags.f_contiguous and np.array_equal(deficits, expect)
+        assert deficits.tobytes(order="A") == np.asfortranarray(expect).tobytes(order="A")
+
     def test_one_path_and_shape_check(self):
         scn = make_scenario(T=4)
         forecasts, deficits = scn.realize(np.zeros(3), np.zeros(4))

@@ -15,6 +15,7 @@ from rld.model import MAX_T, CostModel, StorageSpec, load_scenario
 from rld.rng import draw_policy_paths
 from rld.storage import (
     delivery_costs_batch,
+    forward_sweep,
     simulate_delivery,
     subgradient_estimates_batch,
     unserved_and_slope_batch,
@@ -412,6 +413,44 @@ class TestUnservedAndSlope:
         unserved, weight = unserved_and_slope_batch(np.array([[-0.1, 0.5]]), 0.1,
                                                     StorageSpec(0.2))
         assert unserved[0] == pytest.approx(0.2) and weight[0] == 1.0
+
+
+class TestForwardSweep:
+    """The cost-only sweep is the first of the two-sweep kernel's sweeps, bit for bit,
+    and a (policies, rows) supply costs each policy's rows as alone."""
+
+    SPECS = [IDEAL, StorageSpec(0.08, 0.8, 0.8, 0.8), StorageSpec(0.5, 0.0, 0.0, 0.0),
+             StorageSpec(5e-324), StorageSpec(1e-310, 0.8, 0.8, 0.8)]
+
+    @given(spec=st.sampled_from(SPECS), T=st.integers(1, 16), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_unserved_is_the_two_sweep_kernels(self, spec, T, seed):
+        rng = np.random.default_rng(seed)
+        paths = 0.05 + 0.1 * rng.standard_normal((30, T))
+        supply = rng.uniform(-0.3, 0.3, 30)   # negative supplies sell into the storage
+        want = unserved_and_slope_batch(paths, supply, spec)[0]
+        assert forward_sweep(paths, supply, spec).tobytes() == want.tobytes()
+        assert (COST.voll * want).tobytes() == delivery_costs_batch(
+            paths, supply, spec, COST.voll).tobytes()
+        policies = np.stack([supply, supply[::-1] - 0.1, np.full(30, -0.2), np.zeros(30)])
+        together = forward_sweep(paths, policies, spec)
+        assert together.shape == policies.shape
+        for row, alone in zip(together, policies):
+            assert row.tobytes() == unserved_and_slope_batch(paths, alone, spec)[0].tobytes()
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_outputs_are_written_only_where_given(self, spec):
+        rng = np.random.default_rng(3)
+        paths = 0.05 + 0.1 * rng.standard_normal((25, 7))
+        short, below = np.ones((7, 25), bool), np.ones((7, 25), bool)
+        z = np.full((25, 7), np.nan)
+        assert forward_sweep(paths, 0.04, spec, unserved=False, short=short, below=below,
+                             unclipped=z) is None
+        ref = np.empty((25, 7))
+        forward_sweep(paths, 0.04, spec, unclipped=ref)
+        assert z.tobytes() == ref.tobytes()
+        assert np.array_equal(short, (ref < 0.0).T)
+        assert np.array_equal(below, (ref < spec.discharge_eff * spec.capacity).T)
 
 
 class TestLossySlope:
