@@ -133,6 +133,7 @@ class TerminalModel:
     scale: float      # characteristic width, used to seed brackets
     grad_exact: Callable | None = None   # vectorized, set when grad interpolates
     cuts: tuple[float, ...] | np.ndarray = ()
+    grid: np.ndarray | None = None       # (2, points): the w and values grad interpolates
 
 
 def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> TerminalModel:
@@ -151,6 +152,15 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
     model ideal storage of its capacity, even at nu = 0, where the storage
     can deliver nothing.  A lattice or mc model under a final forecast revision
     wider than ``MAX_REVISION`` allows is refused, at B = 0 too.
+
+    On a point-symmetric profile (d_t + d_{T-1-t} equal for every t, every
+    flat profile included) the grid is laid out symmetric about w = 0, where
+    the value is -voll / 2 exactly, and one half is evaluated: the lattice
+    solves the positions below the centre, and mc, on ideal storage only,
+    averages its paths above it.  The other half follows from the storage
+    walk's time-reversal duality, g(-w) = -voll - g(w) (``rld.storage``); for
+    mc it is the estimate from the paths' reversed, negated twins.  Other
+    profiles, and mc on lossy storage, evaluate the whole grid.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -226,7 +236,16 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
     if steps >= 2**20:
         raise ValidationError(f"d_hat: a profile spread of {spread:.6g} needs a {engine} "
                               "terminal grid of over 2**20 points; the ct engine solves any profile")
-    ws = T * float(fc.d_hat.min()) - m_total - 9.0 * scale + fine * np.arange(steps + 1)
+    # g(-w) = -voll - g(w) about w = 0, the supply c, on a point-symmetric profile
+    # (d_t + d_{T-1-t} = 2c, and the stage stds are equal) with ideal storage
+    pairs = fc.d_hat + fc.d_hat[::-1]
+    ideal = (spec.storage_eff, spec.recharge_eff, spec.discharge_eff) == (1.0, 1.0, 1.0)
+    mirrored = bool(np.all(pairs == pairs[0])) and (engine == "lattice" or ideal)
+    if mirrored:
+        half = -(-steps // 2)
+        ws = fine * np.arange(-half, half + 1)
+    else:
+        ws = T * float(fc.d_hat.min()) - m_total - 9.0 * scale + fine * np.arange(steps + 1)
 
     grad_exact = None
     if engine == "lattice":
@@ -234,18 +253,30 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
             return lattice_terminal_subgradient(np.asarray(w, dtype=float) + m_total,
                                                 fc, capacity, voll)
 
-        try:
-            vals = grad_exact(ws)
-        except ValueError as exc:   # a grid position past the lattice's panel budget
-            raise ValidationError(f"storage.B: {exc}; the ct engine solves any capacity") from exc
+        def solve(w):
+            try:
+                return grad_exact(w)
+            except ValueError as exc:   # a grid position past the lattice's panel budget
+                raise ValidationError(f"storage.B: {exc}; the ct engine solves any "
+                                      "capacity") from exc
     else:
         noise = run_generator(seed, MC_STREAM).standard_normal((MC_PATHS, T))
         # no forecast revisions: the delivery fluctuations around d_hat alone
         deficits = scenario.realize(np.zeros((MC_PATHS, scenario.ladder.n_stages)), noise)[1]
-        # the spent draws hold the grid's row copies: no new large blocks
-        vals = _mc_subgradients(deficits, (ws + m_total) / T, spec, voll,
-                                scratch=noise.reshape(-1))
 
+        def solve(w):   # the spent draws hold the grid's row copies: no new large blocks
+            return _mc_subgradients(deficits, (w + m_total) / T, spec, voll,
+                                    scratch=noise.reshape(-1))
+
+    if mirrored:
+        # the lattice solves below the centre, where its rows take fewer panels; mc
+        # averages above it, where more of its rows retire early
+        part = slice(0, half) if engine == "lattice" else slice(half + 1, None)
+        vals = np.full(ws.size, -0.5 * voll)
+        vals[part] = solve(ws[part])
+        vals[::-1][part] = -voll - vals[part]
+    else:
+        vals = solve(ws)
     vals = np.maximum.accumulate(vals)   # roundoff/MC noise must not break monotonicity
     # The subgradient is a steep sigmoid in w; its probit transform is close
     # to linear and smooth, so a spline-accurate monotone cubic there keeps
@@ -258,7 +289,8 @@ def build_terminal_model(scenario: Scenario, engine: str, *, seed: int = 0) -> T
         w = np.asarray(w, dtype=float)
         return -voll * ndtr(interp(np.clip(w, ws[0], ws[-1])))
 
-    return TerminalModel(engine, grad_interp, scale, grad_exact=grad_exact)
+    return TerminalModel(engine, grad_interp, scale, grad_exact=grad_exact,
+                         grid=np.stack([ws, vals]))
 
 
 def _monotone_cubic(x: np.ndarray, y: np.ndarray) -> _Hermite:

@@ -8,6 +8,14 @@ one backward sweep after it (``unserved_and_slope_batch``).
 Cumulative unserved energy V and cumulative curtailment Q recast the same
 trajectory as a doubly-reflected walk, which the continuous-time
 approximation builds on.
+
+On ideal storage (lambda = mu = nu = 1) that walk has a time-reversal
+duality (Lindley's recursion; Asmussen, *Applied Probability and Queues*,
+2003, ch. III): reverse a path's stage increments x - d_t and negate them,
+that is, deficits 2c - d_{T-1-t} at supply 2c - x.  Every stage that counts
+in the slope weight w then stops counting and every other stage starts to:
+w(d, x) + w(2c - d reversed, 2c - x) = T, for every c, wherever no level
+ties a pin's boundary exactly.  Lossy storage breaks it.
 """
 from __future__ import annotations
 

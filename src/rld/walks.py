@@ -129,9 +129,8 @@ def _gauss_step(law: Law, sigma: float, shift: np.ndarray, capacity: float, widt
     padded[:, :, lead + size:] = 0.0
     w[:, 1] += w[:, 0]                        # mass and E[beta + 1; .] of every source
     w /= w[:, :1].sum(axis=2, keepdims=True)   # unit mass, which rounding drifts by ulps
-    # times a temporary: from 256 KiB numpy reuses it for the product, which then keeps the
-    # coefficient's memory order, and the row sums keep their established rounding
-    unserved = (w[:, 0] * coef.copy(order="K")).sum(axis=1)
+    # into a C-ordered product: each row sums pairwise, the same bits in a batch of any size
+    unserved = np.multiply(w[:, 0], coef, out=np.empty(coef.shape)).sum(axis=1)
     pinned = w @ fractions                    # [row, mass or beta + 1, short or full]
     inside = np.maximum(w.sum(axis=2) - (pinned[:, :, 0] + pinned[:, :, 1]), 0.0)
     dens = w[:, :, :m] @ to_nodes
@@ -163,9 +162,12 @@ def _operator(points: np.ndarray, src: int, sigma: float, shift: np.ndarray, cap
     coef = sigma * npdf(a) - mean * fractions[:, :, 0]
     band = None
     if src:   # the n panel offsets last_r - c, c < n, that hold row r's band (``_banded``)
-        half = math.floor(CUT * sigma / width + 1.5)
+        # past the panels that exist, a wider band changes nothing (and at a tiny B,
+        # sigma / width overflows the integer or is infinite)
+        half = math.floor(min(CUT * sigma / width + 1.5, src + panels))
         n = min(2 * half + 1, src + panels - 1)
-        centre = np.clip(np.rint(shift / width), -src - half, panels + half).astype(int)
+        with np.errstate(over="ignore"):      # an overflowing ratio clips like its limit
+            centre = np.clip(np.rint(shift / width), -src - half, panels + half).astype(int)
         last = np.clip(centre + half, n - src, panels - 1)
         source = np.arange(panels + n - 1) - last[:, None]
         gap = ((last[:, None] - np.arange(n)) * width - shift[:, None])[:, :, None, None]
@@ -175,8 +177,7 @@ def _operator(points: np.ndarray, src: int, sigma: float, shift: np.ndarray, cap
         first = -(-m // NODES)                # panels of ``_gauss_step``'s buffer before the nodes
         row = (np.arange(rows)[:, None] * 2 + np.arange(2)) * (first + src + 1) + first
         band = row[:, None, :] + source[:, :, None], kernel
-    # read-only rows of [0, B]: the next operator's ``np.hstack`` follows their zero row
-    # stride, which sets the memory order of the unserved coefficient and so its row sums
+    # read-only rows of [0, B], one view for every row
     points = np.broadcast_to(np.array([0.0, capacity]), (rows, 2))
     return coef, fractions, to_nodes, np.tile(_UNIT_W * width, panels), band, points
 

@@ -426,6 +426,15 @@ def carried_unserved_and_slope(deficits: np.ndarray, supply, spec: StorageSpec):
     return total, weight
 
 
+def reversed_twins(deficits: np.ndarray, supply, centre: float):
+    """The time-reversed, negated twins of (n, T) deficit paths about ``centre`` c:
+    deficits 2c - d[:, ::-1] at supply 2c - x, the stage increments x - d_t reversed
+    and negated.  On ideal storage a twin's slope weight is T minus its path's
+    (``rld.storage``), wherever no level ties a pin's boundary."""
+    twice = 2.0 * centre
+    return twice - np.asarray(deficits, dtype=float)[:, ::-1], twice - np.asarray(supply)
+
+
 def h_prime_all_branches(x):
     """``ctapprox.h_prime`` evaluating every branch everywhere, then selecting."""
     x = np.asarray(x, dtype=float)

@@ -871,22 +871,24 @@ class TestTerminalModel:
         return calls
 
     def test_shipped_lattice_solve_checks_once(self, monkeypatch):
-        # one exact solve for the 145-point grid and one check of the last
-        # stage, a position per quadrature node: no re-solve is needed
+        # one exact solve for the lower half of the 145-point grid (the flat
+        # profile mirrors the rest) and one check of the last stage, a position
+        # per quadrature node: no re-solve is needed
         scn = load_scenario(str(SHIPPED))
-        assert self.exact_lattice_positions(monkeypatch, scn) == [145, 44]
+        assert self.exact_lattice_positions(monkeypatch, scn) == [72, 44]
 
     def test_lattice_polish_checks_at_most_44_positions(self, monkeypatch):
         # at B = 1e-2 the interpolated root misses the gate: one re-solve,
         # checked again, so a rule with more nodes costs twice
         scn = load_scenario(str(SHIPPED)).with_capacity(1e-2)
-        assert self.exact_lattice_positions(monkeypatch, scn) == [145, 44, 44]
+        assert self.exact_lattice_positions(monkeypatch, scn) == [72, 44, 44]
 
     def test_grid_does_not_grow_with_capacity(self, monkeypatch):
         # the grid spans where the subgradient can move, which does not depend on B
+        # (the flat profile solves its lower half)
         grids = [self.exact_lattice_positions(monkeypatch, make_scenario(T=12, B=capacity))[0]
                  for capacity in (1e-4, 1.0)]
-        assert grids == [145, 145]
+        assert grids == [72, 72]
 
     @pytest.mark.parametrize("varied", [False, True], ids=["flat", "varied"])
     @pytest.mark.parametrize("T", [1, 12, 60])
@@ -894,7 +896,8 @@ class TestTerminalModel:
     def test_exact_subgradient_saturates_at_the_grid_ends(self, monkeypatch, capacity, T,
                                                           varied):
         # the grid reaches 9 scales beyond every stage's predicted deficit:
-        # every stage short below it, none above, whatever the capacity
+        # every stage short below it, none above, whatever the capacity.  A flat
+        # profile (a sine at T = 1 too) solves the lower half and mirrors the upper one
         d_hat = (0.4 / T * (1.0 + 0.3 * np.sin(2 * np.pi * np.arange(T) / T))).tolist()
         scn = make_scenario(T=T, B=capacity, d=d_hat if varied else 0.4)
         fc = scn.delivery_forecast()
@@ -905,18 +908,25 @@ class TestTerminalModel:
             return closed_form_b0(x, forecast, VOLL)[1]
 
         monkeypatch.setattr(dispatch, "lattice_terminal_subgradient", recording)
-        build_terminal_model(scn, "lattice")
-        ends = grids[0][[0, -1]]
-        assert np.allclose(np.diff(grids[0]), np.diff(grids[0])[0])
+        model = build_terminal_model(scn, "lattice")
+        (solved,) = grids
+        ws, vals = model.grid
+        assert np.allclose(np.diff(ws), np.diff(ws)[0])
+        if varied and T > 1:
+            assert np.array_equal(solved, ws + fc.total_mean)
+        else:   # the solved end, and the mirrored one with its mirrored value
+            assert np.array_equal(solved, ws[:72] + fc.total_mean) and ws.size == 145
+            assert np.array_equal(ws[::-1], -ws) and vals[-1] == -VOLL - vals[0]
+        ends = ws[[0, -1]] + fc.total_mean
         low, high = lattice_terminal_subgradient(ends, fc, capacity, VOLL)
         assert abs(low + VOLL) <= 1e-15 * VOLL and abs(high) <= 1e-15 * VOLL
 
     def test_long_horizon_at_huge_capacity_lays_out_the_drawdown(self, monkeypatch):
         # at T = 288 and B = 1e6 the top grid position climbs some 2,700 panels
         # of one stage std, but no row's density needs more panels than its
-        # drawdown still to come, about 2 * 9 * sqrt(T): the 145 grid rows pass
-        # in one block.  A stand-in stage step records the calls (the real
-        # solve takes about 12 s on a 2-core Xeon)
+        # drawdown still to come, about 2 * 9 * sqrt(T): the 72 grid rows solved
+        # (the lower half of 145) pass in one block.  A stand-in stage step
+        # records the calls (the real solve takes about 12 s on a 2-core Xeon)
         from rld import lattice
 
         T, calls = 288, []
@@ -927,7 +937,7 @@ class TestTerminalModel:
 
         monkeypatch.setattr(lattice, "advance", recording)
         build_terminal_model(make_scenario(T=T, B=1e6), "lattice")
-        assert [size for size, _ in calls] == [145] * T
+        assert [size for size, _ in calls] == [72] * T
         assert max(panels for _, panels in calls) < 2 * 9 * math.sqrt(T) + 10
 
     def test_a_position_past_the_panel_budget_is_a_scenario_error(self, monkeypatch):
@@ -1093,6 +1103,100 @@ class TestTerminalModel:
     def test_unknown_engine(self, small_scenario):
         with pytest.raises(ValueError):
             build_terminal_model(small_scenario, "magic")
+
+
+def dyadic_ramp(T):
+    """A point-symmetric ramp of +-10% about 0.4 / T per stage, in steps of 2**-40,
+    so that d_t + d_{T-1-t} is the same double for every t."""
+    base = round(0.4 / T * 2**40)
+    q = np.rint(0.1 * base * np.arange(T) / T)
+    return np.ldexp(base + q - q[::-1], -40).tolist()
+
+
+class TestMirroredGrid:
+    """A point-symmetric profile solves one half of its grid; the storage walk's
+    time-reversal duality, g(-w) = -voll - g(w), gives the other."""
+
+    @pytest.mark.parametrize("profile", ["flat", "ramp"])
+    @pytest.mark.parametrize("T", [1, 12, 60])
+    @pytest.mark.parametrize("capacity", [1e-4, 1e-2, 1.0, 1e6])
+    def test_lattice_mirror_is_the_lattice(self, capacity, T, profile):
+        scn = make_scenario(T=T, B=capacity, d=0.4 if profile == "flat" else dyadic_ramp(T))
+        fc = scn.delivery_forecast()
+        ws, vals = build_terminal_model(scn, "lattice").grid
+        half = ws.size // 2
+        assert np.array_equal(ws[::-1], -ws) and vals[half] == -VOLL / 2
+        direct = lattice_terminal_subgradient(ws[half:] + fc.total_mean, fc, capacity, VOLL)
+        assert abs(direct[0] + VOLL / 2) <= 1e-12 * VOLL
+        assert np.max(np.abs(direct[1:] - vals[half + 1:])) <= 1e-12 * VOLL
+
+    @pytest.mark.parametrize("profile", ["flat", "ramp"])
+    @pytest.mark.parametrize("T", [1, 12, 60])
+    @pytest.mark.parametrize("capacity", [1e-4, 1e-2, 1.0, 1e6])
+    def test_mc_mirror_is_the_twins_estimate(self, capacity, T, profile):
+        from rld.dispatch import MC_PATHS, MC_STREAM, _mc_subgradients
+
+        scn = make_scenario(T=T, B=capacity, d=0.4 if profile == "flat" else dyadic_ramp(T))
+        ws, vals = build_terminal_model(scn, "mc").grid
+        half = ws.size // 2
+        assert np.array_equal(ws[::-1], -ws) and vals[half] == -VOLL / 2
+        supplies = (ws + scn.delivery_forecast().total_mean) / T
+        noise = run_generator(0, MC_STREAM).standard_normal((MC_PATHS, T))
+        no_shift = np.zeros((MC_PATHS, scn.ladder.n_stages))
+
+        def estimate(noise, part):
+            deficits = scn.realize(no_shift, noise)[1]
+            return _mc_subgradients(deficits, supplies[part], scn.storage, VOLL,
+                                    np.empty(deficits.size))
+
+        # the paths above the centre, bit for bit; below it their twins, the
+        # noise reversed and negated
+        assert estimate(noise, slice(half + 1, None)).tobytes() == vals[half + 1:].tobytes()
+        twins = estimate(-noise[:, ::-1], slice(0, half))
+        assert np.max(np.abs(twins - vals[:half])) <= 1e-12 * VOLL
+
+    @pytest.mark.parametrize("engine, storage, d", [
+        ("lattice", StorageSpec(1e-2), "sine"),
+        ("mc", StorageSpec(1e-2), "sine"),
+        ("mc", StorageSpec(1e-2, 1.0, 1.0, 0.9), 0.4),
+        ("mc", StorageSpec(1e-2, 0.95, 0.95, 0.95), 0.4),
+    ], ids=["lattice-sine", "mc-sine", "mc-nu", "mc-lossy"])
+    def test_asymmetric_profile_or_lossy_mc_solves_the_full_grid(self, monkeypatch, engine,
+                                                                 storage, d):
+        T = 12
+        if d == "sine":
+            d = (0.4 / T * (1.0 + 0.3 * np.sin(2 * np.pi * np.arange(T) / T))).tolist()
+        scn = dataclasses.replace(make_scenario(T=T, d=d), storage=storage)
+        solved = []
+        name = "lattice_terminal_subgradient" if engine == "lattice" else "_mc_subgradients"
+        solve = getattr(dispatch, name)
+
+        def recording(x, *args, **kwargs):
+            solved.append(np.array(x) if engine == "lattice" else np.array(args[0]))
+            return solve(x, *args, **kwargs)
+
+        monkeypatch.setattr(dispatch, name, recording)
+        ws, vals = build_terminal_model(scn, engine).grid
+        offset = scn.delivery_forecast().total_mean
+        assert ws.size > 145 if d != 0.4 else ws.size == 145
+        assert np.array_equal(solved[0], ws + offset if engine == "lattice"
+                              else (ws + offset) / T)
+        assert -VOLL / 2 not in vals
+
+    @pytest.mark.parametrize("capacity, parent", [(1e-3, 1.2746e-3), (1e-2, 4.3015e-3)])
+    def test_mc_grid_error_no_worse_than_the_full_grid(self, capacity, parent):
+        # the mean over 8 seeds of the worst error on the grid's 145 points against
+        # the exact lattice; the parent, which evaluated every point, read 1.2746e-3
+        # and 4.3015e-3 (the mirrored grid reads 9.6e-4 and 2.1e-3)
+        scn = make_scenario(B=capacity)
+        fc = scn.delivery_forecast()
+        worst = []
+        for seed in range(8):
+            model = build_terminal_model(scn, "mc", seed=seed)
+            ws = model.grid[0]
+            exact = lattice_terminal_subgradient(ws + fc.total_mean, fc, capacity, VOLL)
+            worst.append(np.max(np.abs(model.grad(ws) - exact)) / VOLL)
+        assert np.mean(worst) <= parent, worst
 
 
 class TestCubic:

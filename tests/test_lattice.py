@@ -513,6 +513,22 @@ class TestBatchedPositions:
         np.testing.assert_allclose(lattice_terminal_subgradient(x_acc, fc, B, VOLL), grad,
                                    rtol=1e-12, atol=1e-12 * VOLL)
 
+    @pytest.mark.parametrize("B", [1e-3, 0.1])
+    def test_a_row_of_the_grid_is_the_row_solved_alone(self, B):
+        # the shipped forecast on the 145-point grid: every stage's sums take an
+        # order that does not depend on how many rows the batch holds
+        fc = constant_forecast(60, 0.4 / 60, 1.15e-3)
+        scale = 60 * 1.15e-3
+        layout = build_lattice(fc, B, (scale / 8 * np.arange(-72, 73) + 0.4) / 60,
+                               as_steps(fc.sigma))
+        cost, grad = solve_lattice(layout, VOLL)
+        for i in range(0, 145, 8):
+            alone = lattice.Layout(layout.shifts[i:i + 1], layout.steps, B, layout.width,
+                                   layout.panels)
+            one_cost, one_grad = solve_lattice(alone, VOLL)
+            assert one_cost.tobytes() == cost[i:i + 1].tobytes(), i
+            assert one_grad.tobytes() == grad[i:i + 1].tobytes(), i
+
     def test_single_stage_is_the_newsvendor(self):
         fc = constant_forecast(1, 0.3, 0.1)
         x_acc = np.linspace(-0.2, 0.8, 11)
@@ -729,6 +745,19 @@ class TestClosedFormB0:
         np.testing.assert_allclose(lattice_terminal_cost(x_acc, fc, 0.0, VOLL), cost,
                                    rtol=0.0, atol=1e-12 * VOLL)
         np.testing.assert_allclose(lattice_terminal_subgradient(x_acc, fc, 0.0, VOLL), grad,
+                                   rtol=0.0, atol=1e-12 * VOLL)
+
+    @pytest.mark.parametrize("T", [2, 12, 60])
+    @pytest.mark.parametrize("B", [1e-300, 1e-310, 5e-324])
+    def test_tiny_positive_capacity_is_the_closed_form(self, B, T):
+        # one panel of width B far below a stage std: the band's half-width in
+        # panels overflowed an integer (1e-300, 1e-310) or was infinite (5e-324)
+        fc = constant_forecast(T, 0.4 / T, 1.15e-3)
+        x_acc = 0.4 + np.linspace(-3.0, 3.0, 7) * 1.15e-3 * math.sqrt(T)
+        cost, grad = closed_form_b0(x_acc, fc, VOLL)
+        np.testing.assert_allclose(lattice_terminal_cost(x_acc, fc, B, VOLL), cost,
+                                   rtol=0.0, atol=1e-12 * VOLL)
+        np.testing.assert_allclose(lattice_terminal_subgradient(x_acc, fc, B, VOLL), grad,
                                    rtol=0.0, atol=1e-12 * VOLL)
 
     def test_single_standard_normal_stage(self):

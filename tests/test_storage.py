@@ -25,6 +25,7 @@ from oracles import (
     optimal_storage_action,
     per_path_subgradient_estimate,
     reformulate_vq,
+    reversed_twins,
     scalar_delivery,
     step_storage,
 )
@@ -413,6 +414,46 @@ class TestUnservedAndSlope:
         unserved, weight = unserved_and_slope_batch(np.array([[-0.1, 0.5]]), 0.1,
                                                     StorageSpec(0.2))
         assert unserved[0] == pytest.approx(0.2) and weight[0] == 1.0
+
+
+class TestTimeReversalDuality:
+    """On ideal storage a path's reversed, negated twin counts exactly the stages
+    the path does not: w(d, x) + w(2c - d reversed, 2c - x) = T."""
+
+    @given(
+        T=st.integers(1, 60),
+        capacity=st.sampled_from([0.0, 5e-324, 1e-3, 0.5, 1e6]),
+        centre=st.floats(-1.0, 1.0),
+        spread=st.floats(1e-4, 1.0),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(T=60, capacity=1e-3, centre=0.4 / 60, spread=1.15e-3, seed=0)   # shipped-like
+    @example(T=1, capacity=0.5, centre=0.0, spread=1.0, seed=1)
+    def test_twin_weights_sum_to_the_horizon(self, T, capacity, centre, spread, seed):
+        # continuous deficits and supplies, so that no level ties a pin's boundary
+        rng = np.random.default_rng(seed)
+        deficits = centre + spread * rng.standard_normal((64, T))
+        supply = centre + spread * rng.uniform(-3.0, 3.0, 64)
+        spec = StorageSpec(capacity)
+        weight = unserved_and_slope_batch(deficits, supply, spec)[1]
+        twin = unserved_and_slope_batch(*reversed_twins(deficits, supply, centre), spec)[1]
+        assert np.array_equal(weight + twin, np.full(64, float(T)))
+
+    @pytest.mark.parametrize("effs, miss", [((0.95, 0.95, 0.95), 1.44), ((1.0, 1.0, 0.9), 1.06)])
+    def test_lossy_storage_breaks_it(self, effs, miss):
+        # shipped-like paths (T = 60, B = 1e-3, stage std 1.15e-3, supplies within a
+        # stage std of the mean): the sum misses T by 1.44 stages on average at
+        # lambda = mu = nu = 0.95 and by 1.06 at nu = 0.9 alone, so the mc engine
+        # mirrors its grid on ideal storage only
+        T, sigma, centre = 60, 1.15e-3, 0.4 / 60
+        rng = np.random.default_rng(3)
+        deficits = centre + sigma * rng.standard_normal((20_000, T))
+        supply = centre + sigma * rng.uniform(-1.0, 1.0, 20_000)
+        for spec, off in ((StorageSpec(1e-3), 0.0), (StorageSpec(1e-3, *effs), miss)):
+            weight = unserved_and_slope_batch(deficits, supply, spec)[1]
+            twin = unserved_and_slope_batch(*reversed_twins(deficits, supply, centre), spec)[1]
+            assert np.mean(np.abs(weight + twin - T)) == pytest.approx(off, abs=0.01)
 
 
 class TestForwardSweep:
